@@ -14,6 +14,14 @@ events) without it changing any behavior.
 Sampling is chunked and vectorized: chunk c of series s always draws
 from ``substream(seed, s, c)`` and partial sums merge in chunk order, so
 estimates do not depend on worker count or scheduling.
+
+Both modes draw the second outcome from one table per series,
+G[b, i, j] = tr(B_b P_i rho P_j), with B_b the projector onto outcome b
+carried back over the gap. A strong first outcome i leaves the weights
+Re G[b, i, i]; a weak reading p leaves sum_ij phi_i(p) Re G[b, i, j]
+phi_j(p) with real pointer amplitudes phi. The per-event tables of a
+chunk are outcome-major, shape (d, m), and the draw compares unnormalised
+cumulative weights against u times their total.
 """
 
 from __future__ import annotations
@@ -141,14 +149,13 @@ def precession_qubit(omega: float = 1.0) -> DynamicsSpec:
 # series execution
 
 
-def _inverse_cdf(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise inverse-CDF draw; cum_rows is (n, d) of cumulative weights."""
-    idx = (cum_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
-
-
 class _SeriesKernel:
-    """Precomputed per-series tables; maps one rng chunk to outcome products."""
+    """Precomputed per-series tables; maps one rng chunk to outcome products.
+
+    Per-event tables are outcome-major, shape (d, m): outcome on the first
+    axis, event on the second, so every reduction over the short outcome
+    axis is an elementwise pass over whole rows of m events.
+    """
 
     def __init__(
         self,
@@ -164,53 +171,72 @@ class _SeriesKernel:
         rho0 = dyn.initial_state
         rho_first = evolve(rho0, propagator(dyn.hamiltonian, t_first)) if t_first else rho0
         u_gap = propagator(dyn.hamiltonian, t_second - t_first)
-        w1 = born_weights(rho_first, obs).probabilities
-        self.cum_first = np.cumsum(w1)
-        d = obs.n_outcomes
+        self.cum_first = np.cumsum(born_weights(rho_first, obs).probabilities)
+        # G[b, i, j] = tr(B_b P_i rho P_j) with B_b the Heisenberg projector
+        proj = obs.projectors
+        blocks = (proj @ rho_first.matrix)[:, None] @ proj[None]  # P_i rho P_j
+        heis = np.stack([u_gap.conj().T @ p @ u_gap for p in proj])
+        # phi is real and G is Hermitian in (i, j), so the imaginary parts
+        # cancel in sum_ij phi_i G[b,i,j] phi_j and only Re G is needed
+        re_g = np.einsum("bad,ijda->bij", heis, blocks).real
 
         if first_mode == MODE_STRONG:
-            # per-branch conditional states, evolved, reduced to Born rows
-            rows = np.empty((d, d))
-            for b in range(d):
-                if w1[b] <= 0.0:
-                    rows[b] = np.eye(d)[0]
-                    continue
-                cond = obs.projectors[b] @ rho_first.matrix @ obs.projectors[b] / w1[b]
-                cond = DensityMatrix(0.5 * (cond + cond.conj().T))
-                rows[b] = born_weights(evolve(cond, u_gap), obs).probabilities
-            self.cum_second = np.cumsum(rows, axis=1)
+            # P(b | i) = Re G[b,i,i] / w_i, kept unnormalised and cumulative
+            # over b; column i is the second-outcome table of first outcome i
+            diag = np.clip(np.einsum("bii->bi", re_g), 0.0, None)
+            self.cum_second = np.cumsum(diag, axis=0)
         else:
             assert pointer is not None
             self.sigma = math.sqrt(pointer.position_variance)
             self.two_width_sq = 2.0 * pointer.width**2
-            # G[b, i, j] = tr(B_b P_i rho P_j) with B_b the Heisenberg projector,
-            # so the joint weight of reading p and second outcome b is
-            # Re sum_ij phi_i(p) G[b,i,j] phi_j(p)
-            blocks = np.einsum(
-                "iab,bc,jcd->ijad", obs.projectors, rho_first.matrix, obs.projectors
-            )
-            heis = np.stack([u_gap.conj().T @ p @ u_gap for p in obs.projectors])
-            self.g_table = np.einsum("bad,ijda->bij", heis, blocks)
+            self.re_g = np.ascontiguousarray(re_g)
+
+    def _second_cum(self, idx1: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """(d, m) unnormalised cumulative weights of the second outcome per event.
+
+        ``idx1`` holds the first outcomes and ``first`` the first readings.
+        """
+        if self.first_mode == MODE_STRONG:
+            return np.take(self.cum_second, idx1, axis=1)
+        # phi_i(p) = exp(-(p - a_i)^2 / 2w^2), shifted by its per-event
+        # maximum. The difference form keeps full precision when the
+        # spectrum sits far from zero relative to w; factoring out
+        # exp(p a_i / w^2) would not.
+        phi = np.subtract.outer(self.eigenvalues, first)
+        np.square(phi, out=phi)
+        phi /= -self.two_width_sq
+        phi -= phi.max(axis=0)
+        np.exp(phi, out=phi)
+        # joint weight of reading p and second outcome b:
+        # sum_ij phi_i Re G[b,i,j] phi_j, as d real (d, d) @ (d, m) products;
+        # one (d, m) buffer at a time, never an (m, d^2) array. Row b is
+        # clipped at zero and accumulated onto row b-1 as it is made, which
+        # is the same sum as np.cumsum(axis=0) at a fraction of its cost.
+        cum = np.empty_like(phi)
+        buf = np.empty_like(phi)
+        for b, g_b in enumerate(self.re_g):
+            np.matmul(g_b, phi, out=buf)
+            buf *= phi
+            row = buf.sum(axis=0, out=cum[b])
+            np.maximum(row, 0.0, out=row)
+            if b:
+                row += cum[b - 1]
+        return cum
 
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[int, float, float]:
         """Simulate m events; return (count, sum, sum of squares) of products."""
         a = self.eigenvalues
-        idx1 = np.minimum(
-            np.searchsorted(self.cum_first, rng.uniform(size=m), side="right"),
-            a.size - 1,
-        )
-        if self.first_mode == MODE_STRONG:
-            first = a[idx1]
-            idx2 = _inverse_cdf(self.cum_second[idx1], rng.uniform(size=m))
-        else:
-            first = a[idx1] + self.sigma * rng.standard_normal(m)
-            logphi = -((first[:, None] - a[None, :]) ** 2) / self.two_width_sq
-            phi = np.exp(logphi - logphi.max(axis=1, keepdims=True))
-            w2 = np.einsum("ei,bij,ej->eb", phi, self.g_table, phi).real
-            w2 = np.clip(w2, 0.0, None)
-            cum2 = np.cumsum(w2, axis=1)
-            cum2 /= cum2[:, -1:]
-            idx2 = _inverse_cdf(cum2, rng.uniform(size=m))
+        # first outcome: the count of cumulative Born weights, the last one
+        # excluded, at or below u
+        idx1 = (self.cum_first[:-1, None] <= rng.uniform(size=m)).sum(axis=0)
+        first = a[idx1]
+        if self.first_mode == MODE_WEAK:
+            first += self.sigma * rng.standard_normal(m)
+        cum = self._second_cum(idx1, first)
+        # inverse CDF against the unnormalised total: outcome b is drawn when
+        # cum[b-1] <= u * cum[-1] < cum[b]; with a positive total, u < 1
+        # keeps the last row out
+        idx2 = (cum[:-1] <= rng.uniform(size=m) * cum[-1]).sum(axis=0)
         products = first * a[idx2]
         return m, float(products.sum()), float(np.dot(products, products))
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from lgsim import (
+    DensityMatrix,
     DynamicsSpec,
+    Observable,
     PointerModel,
     basis_state,
+    born_weights,
     build_series,
     estimate_correlator,
     evolve,
@@ -21,6 +24,10 @@ from lgsim import (
     strong_sample,
 )
 from lgsim.errors import ValidationError
+from lgsim.protocol import _SeriesKernel
+from lgsim.quantum import random_density_matrix, random_unitary
+
+from conftest import random_hermitian
 
 TAU = math.pi / 3
 
@@ -189,12 +196,97 @@ class TestDeterminismAndMerging:
                                pointer=PointerModel(width=10.0), workers=workers)
             assert multi == single  # chunk-ordered merge: bitwise identical
 
-    def test_chunk_size_changes_stream_but_not_law(self, bench, plan3):
-        # different chunking draws different events; estimates stay compatible
-        a = run_series(plan3, bench, "strong", 40_000, seed=79)
-        b = run_series(plan3, bench, "strong", 40_000, seed=79, chunk_size=10_000)
+    @pytest.mark.parametrize(
+        "mode, pointer, chunk_size",
+        [
+            pytest.param("strong", None, 10_000, id="strong"),
+            pytest.param("weak", PointerModel(width=10.0), 7_000, id="weak"),
+        ],
+    )
+    def test_chunk_size_changes_stream_but_not_law(self, bench, plan3, mode, pointer, chunk_size):
+        # different chunking draws different events; estimates stay compatible.
+        # 7_000 leaves a ragged last chunk of 5_000 events
+        a = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer)
+        b = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer,
+                       chunk_size=chunk_size)
         for ea, eb in zip(a, b):
             assert abs(ea.value - eb.value) < 5 * math.hypot(ea.std_error, eb.std_error)
+
+
+def _random_dynamics(rng, dim, case):
+    """Random (H, A, rho); "degenerate" merges eigenvalues, "offset" adds 1e6 I to A."""
+    basis = random_unitary(dim, rng)
+    evals = np.sort(rng.normal(size=dim))[::-1]
+    if case == "degenerate":
+        evals = np.repeat(evals[: (dim + 1) // 2], 2)[:dim]
+    obs = spectral_decompose((basis * evals) @ basis.conj().T)
+    if case == "offset":
+        obs = Observable(obs.eigenvalues + 1e6, obs.projectors)
+    return DynamicsSpec(random_hermitian(dim, rng), obs, random_density_matrix(dim, rng))
+
+
+def _reference_tables(dyn, t_first, t_second):
+    """Outcome projectors, the state at t_first, the gap propagator and
+    G[b, i, j] = tr(U^dag P_b U P_i rho P_j), each built term by term."""
+    proj = dyn.observable.projectors
+    rho = evolve(dyn.initial_state, propagator(dyn.hamiltonian, t_first))
+    u = propagator(dyn.hamiltonian, t_second - t_first)
+    n = len(proj)
+    g = np.empty((n, n, n), dtype=complex)
+    for b in range(n):
+        heis = u.conj().T @ proj[b] @ u
+        for i in range(n):
+            for j in range(n):
+                g[b, i, j] = np.trace(heis @ proj[i] @ rho.matrix @ proj[j])
+    return proj, rho, u, g
+
+
+def _kernel_weights(kernel, idx1, first):
+    """Row-normalised second-outcome weights the kernel draws from, (m, n)."""
+    cum = kernel._second_cum(idx1, first)
+    return (np.diff(cum, axis=0, prepend=0.0) / cum[-1]).T
+
+
+DYNAMICS_CASES = [(2, "plain"), (3, "plain"), (5, "plain"), (8, "plain"),
+                  (5, "degenerate"), (3, "offset")]
+
+
+class TestSecondOutcomeWeights:
+    """The kernel's second-outcome tables against the textbook formulas."""
+
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_strong_rows_match_evolved_conditional_states(self, dim, case):
+        dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
+        obs = dyn.observable
+        proj, rho, u, _ = _reference_tables(dyn, 0.4, 1.3)
+        w1 = born_weights(rho, obs).probabilities
+        with np.errstate(over="raise", invalid="raise"):
+            kernel = _SeriesKernel(dyn, 0.4, 1.3, "strong", None)
+            got = _kernel_weights(kernel, np.arange(obs.n_outcomes), obs.eigenvalues)
+        for i in range(obs.n_outcomes):
+            cond = proj[i] @ rho.matrix @ proj[i] / w1[i]
+            cond = DensityMatrix(0.5 * (cond + cond.conj().T))
+            want = born_weights(evolve(cond, u), obs).probabilities
+            np.testing.assert_allclose(got[i], want, rtol=1e-10)
+
+    @pytest.mark.parametrize("width", [0.01, 0.5, 10.0, 100.0])
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_weak_weights_match_complex_contraction(self, dim, case, width):
+        rng = np.random.default_rng(100 + dim)
+        dyn = _random_dynamics(rng, dim, case)
+        a = dyn.observable.eigenvalues
+        pointer = PointerModel(width=width)
+        _, _, _, g = _reference_tables(dyn, 0.4, 1.3)
+        idx1 = rng.integers(0, a.size, size=301)
+        first = a[idx1] + math.sqrt(pointer.position_variance) * rng.standard_normal(idx1.size)
+        with np.errstate(over="raise", invalid="raise"):
+            kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", pointer)
+            got = _kernel_weights(kernel, idx1, first)
+            logphi = -((first[:, None] - a[None, :]) ** 2) / (2.0 * width**2)
+            phi = np.exp(logphi - logphi.max(axis=1, keepdims=True))
+            want = np.einsum("ei,bij,ej->eb", phi, g, phi).real
+            want /= want.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 class TestK3Statistic:
