@@ -277,13 +277,14 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     pm = PointerModel(width=max(5.0 * diam, 10.0))
     worst = 0.0
     worst_comm = 0.0
+    a = obs.matrix()
     for _ in range(vc.n_random):
         state = random_density_matrix(obs.dim, rng)
-        for out in (strong_channel(state, obs), weak_channel_exact(state, obs, pm)):
+        strong = strong_channel(state, obs)
+        for out in (strong, weak_channel_exact(state, obs, pm)):
             worst = max(worst, abs(float(np.trace(out.matrix).real) - 1.0))
             worst = max(worst, float(np.max(np.abs(out.matrix - out.matrix.conj().T))))
-        a = obs.matrix()
-        post = strong_channel(state, obs).matrix
+        post = strong.matrix
         worst_comm = max(worst_comm, float(np.max(np.abs(post @ a - a @ post))))
     checks.append(_check(
         "channel_trace_hermiticity", worst <= 1e-12, 1e-12 - worst,

@@ -102,9 +102,14 @@ def _warn_if_not_weak(pm: PointerModel, obs: Observable) -> None:
 
 
 def _eigenbasis_map(rho: DensityMatrix, obs: Observable, weights: np.ndarray) -> DensityMatrix:
-    """Apply rho -> sum_ij w[i, j] P_i rho P_j for a real symmetric weight table."""
-    blocks = np.einsum("iab,bc,jcd->ijad", obs.projectors, rho.matrix, obs.projectors)
-    out = np.einsum("ij,ijad->ad", weights, blocks)
+    """Apply rho -> sum_ij w[i, j] P_i rho P_j for a real symmetric weight table.
+
+    Computed as sum_i P_i rho Q_i with Q_i = sum_j w[i, j] P_j, batched over
+    the n outcomes.
+    """
+    projs = obs.projectors
+    q = (weights @ projs.reshape(len(projs), -1)).reshape(projs.shape)
+    out = (projs @ rho.matrix @ q).sum(axis=0)
     return DensityMatrix(0.5 * (out + out.conj().T))
 
 
@@ -158,6 +163,17 @@ def weak_channel(rho: DensityMatrix, obs: Observable, pm: PointerModel) -> Densi
     if pm.truncation == TRUNCATION_EXACT:
         return weak_channel_exact(rho, obs, pm)
     return weak_channel_perturbative(rho, obs, pm)
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index of each draw in ``u`` against cumulative weights ``cum``.
+
+    ``cum`` runs over outcomes on axis 0, shape (d, 1) for one table shared
+    by every draw or (d, m) for one column per draw. The index is the count
+    of cumulative weights, the last one excluded, at or below u, so a u
+    above a total that round-off left short of 1 lands on the last outcome.
+    """
+    return (cum[:-1] <= u).sum(axis=0)
 
 
 def _draw_branch(weights: np.ndarray, u: float) -> int:
@@ -221,10 +237,8 @@ def sample_strong_readings(
     require_same_dim(rho.dim, obs.dim)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    w = born_weights(rho, obs).probabilities
-    cum = np.cumsum(w)
-    idx = np.minimum(np.searchsorted(cum, rng.uniform(size=n), side="right"), w.size - 1)
-    return obs.eigenvalues[idx]
+    cum = np.cumsum(born_weights(rho, obs).probabilities)[:, None]
+    return obs.eigenvalues[_inverse_cdf(cum, rng.uniform(size=n))]
 
 
 def sample_weak_readings(
@@ -235,9 +249,8 @@ def sample_weak_readings(
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     _warn_if_not_weak(pm, obs)
-    w = born_weights(rho, obs).probabilities
-    cum = np.cumsum(w)
-    idx = np.minimum(np.searchsorted(cum, rng.uniform(size=n), side="right"), w.size - 1)
+    cum = np.cumsum(born_weights(rho, obs).probabilities)[:, None]
+    idx = _inverse_cdf(cum, rng.uniform(size=n))
     return obs.eigenvalues[idx] + np.sqrt(pm.position_variance) * rng.standard_normal(n)
 
 

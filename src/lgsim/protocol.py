@@ -34,7 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, require_same_dim
-from .measurement import MODE_STRONG, MODE_WEAK, PointerModel, _warn_if_not_weak
+from .measurement import (
+    MODE_STRONG,
+    MODE_WEAK,
+    PointerModel,
+    _inverse_cdf,
+    _warn_if_not_weak,
+)
 from .quantum import (
     DensityMatrix,
     Observable,
@@ -171,7 +177,7 @@ class _SeriesKernel:
         rho0 = dyn.initial_state
         rho_first = evolve(rho0, propagator(dyn.hamiltonian, t_first)) if t_first else rho0
         u_gap = propagator(dyn.hamiltonian, t_second - t_first)
-        self.cum_first = np.cumsum(born_weights(rho_first, obs).probabilities)
+        self.cum_first = np.cumsum(born_weights(rho_first, obs).probabilities)[:, None]
         # G[b, i, j] = tr(B_b P_i rho P_j) with B_b the Heisenberg projector
         proj = obs.projectors
         blocks = (proj @ rho_first.matrix)[:, None] @ proj[None]  # P_i rho P_j
@@ -226,19 +232,22 @@ class _SeriesKernel:
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[int, float, float]:
         """Simulate m events; return (count, sum, sum of squares) of products."""
         a = self.eigenvalues
-        # first outcome: the count of cumulative Born weights, the last one
-        # excluded, at or below u
-        idx1 = (self.cum_first[:-1, None] <= rng.uniform(size=m)).sum(axis=0)
+        idx1 = _inverse_cdf(self.cum_first, rng.uniform(size=m))
         first = a[idx1]
         if self.first_mode == MODE_WEAK:
             first += self.sigma * rng.standard_normal(m)
         cum = self._second_cum(idx1, first)
+        del idx1  # not needed again; frees its m indices before the second draw
         # inverse CDF against the unnormalised total: outcome b is drawn when
         # cum[b-1] <= u * cum[-1] < cum[b]; with a positive total, u < 1
         # keeps the last row out
-        idx2 = (cum[:-1] <= rng.uniform(size=m) * cum[-1]).sum(axis=0)
+        idx2 = _inverse_cdf(cum, rng.uniform(size=m) * cum[-1])
         products = first * a[idx2]
-        return m, float(products.sum()), float(np.dot(products, products))
+        s1 = products.sum()
+        # the sum of squares stays out of BLAS: OpenBLAS splits a long ddot
+        # over its threads, which would tie the result to the thread count
+        s2 = np.square(products, out=products).sum()
+        return m, float(s1), float(s2)
 
 
 def _merge_partials(partials: list[tuple[int, float, float]]) -> tuple[int, float, float]:

@@ -29,12 +29,23 @@ def _as_complex_matrix(m, name: str) -> np.ndarray:
     return a
 
 
+def _hermitian_error(name: str, asym: float, tol: float) -> ValidationError:
+    return ValidationError(
+        f"{name} is not Hermitian: max |A - A^dagger| = {asym:.3e} exceeds {tol:.0e}"
+    )
+
+
 def _check_hermitian(a: np.ndarray, name: str, tol: float = STRUCTURAL_TOL) -> None:
-    asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if asym > tol:
-        raise ValidationError(
-            f"{name} is not Hermitian: max |A - A^dagger| = {asym:.3e} exceeds {tol:.0e}"
-        )
+    asym = np.abs(a - a.T.conj()).max()
+    if not asym <= tol:  # a NaN or infinite entry fails here too
+        raise _hermitian_error(name, asym, tol)
+
+
+def _first_above(values: np.ndarray, tol: float) -> int | None:
+    """Index of the first entry above tol or NaN, or None."""
+    bad = ~(values <= tol)
+    i = int(bad.argmax())
+    return i if bad[i] else None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -67,20 +78,28 @@ class Observable:
                 f"projectors must have shape (n, dim, dim) with n = {evals.size}, "
                 f"got {projs.shape}"
             )
-        if np.any(np.diff(evals) > 0):
+        if (evals[1:] > evals[:-1]).any():
             raise ValidationError("eigenvalues must be in non-increasing order")
         dim = projs.shape[1]
+        # each check runs over the whole (n, dim, dim) stack and names the
+        # first failing projector, or pair (i, j) in row-major order
+        asym = np.abs(projs - projs.transpose(0, 2, 1).conj()).max(axis=(1, 2))
+        i = _first_above(asym, STRUCTURAL_TOL)
+        if i is not None:
+            raise _hermitian_error(f"projector {i}", asym[i], STRUCTURAL_TOL)
         for i, p in enumerate(projs):
-            _check_hermitian(p, f"projector {i}")
-        for i in range(len(projs)):
-            for j in range(len(projs)):
-                want = projs[i] if i == j else np.zeros((dim, dim))
-                err = np.max(np.abs(projs[i] @ projs[j] - want))
-                if err > STRUCTURAL_TOL:
-                    raise ValidationError(
-                        f"projectors {i},{j} violate orthogonality by {err:.3e}"
-                    )
-        comp = np.max(np.abs(projs.sum(axis=0) - np.eye(dim)))
+            # P_i P_j - delta_ij P_i for every j: one batched product per row
+            defect = p @ projs
+            defect[i] -= p
+            err = np.abs(defect).max(axis=(1, 2))
+            j = _first_above(err, STRUCTURAL_TOL)
+            if j is not None:
+                raise ValidationError(
+                    f"projectors {i},{j} violate orthogonality by {err[j]:.3e}"
+                )
+        total = projs.sum(axis=0)
+        total.flat[:: dim + 1] -= 1.0  # minus the identity
+        comp = np.abs(total).max()
         if comp > STRUCTURAL_TOL:
             raise ValidationError(f"projectors violate completeness by {comp:.3e}")
         object.__setattr__(self, "eigenvalues", _freeze(evals))
@@ -117,15 +136,16 @@ class DensityMatrix:
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix, "density matrix")
         _check_hermitian(m, "density matrix")
-        tr = np.trace(m).real
+        tr = m.trace().real
         if abs(tr - 1.0) > STRUCTURAL_TOL:
             raise ValidationError(f"density matrix trace is {tr!r}, not 1")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -STRUCTURAL_TOL:
+        evals = np.linalg.eigvalsh(m)  # ascending
+        if evals[0] < -STRUCTURAL_TOL:
             raise ValidationError(
-                f"density matrix has negative eigenvalue {evals.min():.3e}"
+                f"density matrix has negative eigenvalue {evals[0]:.3e}"
             )
-        pur = float(np.sum(np.abs(m) ** 2))
+        # tr(rho^2) is the sum of squared eigenvalues of a Hermitian rho
+        pur = float(evals @ evals)
         d = m.shape[0]
         if not (1.0 / d - 1e-9 <= pur <= 1.0 + 1e-9):
             raise ValidationError(
@@ -232,21 +252,16 @@ def spectral_decompose(hermitian, gap_tol: float = EIGEN_GAP_TOL) -> Observable:
     evals, evecs = np.linalg.eigh(h)
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
-    evecs = evecs[:, order]
+    vecs = evecs.T[order]  # row k is the eigenvector of evals[k]
 
-    groups: list[list[int]] = [[0]]
-    for i in range(1, evals.size):
-        if evals[i - 1] - evals[i] < gap_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    merged_vals = np.array([evals[g].mean() for g in groups])
-    projs = np.stack([
-        sum(np.outer(evecs[:, i], evecs[:, i].conj()) for i in g) for g in groups
-    ])
+    # an eigenspace starts wherever the gap to the previous eigenvalue is not
+    # below gap_tol; its value is the mean of its members and its projector
+    # the sum of their outer products |v><v|
+    starts = np.flatnonzero(np.concatenate(([True], ~(evals[:-1] - evals[1:] < gap_tol))))
+    merged_vals = np.add.reduceat(evals, starts) / np.add.reduceat(np.ones_like(evals), starts)
+    projs = np.add.reduceat(vecs[:, :, None] * vecs.conj()[:, None, :], starts, axis=0)
     # symmetrize away eigh round-off so the Observable invariants hold exactly
-    projs = 0.5 * (projs + np.conj(np.transpose(projs, (0, 2, 1))))
+    projs = 0.5 * (projs + projs.transpose(0, 2, 1).conj())
     return Observable(merged_vals, projs)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from lgsim.errors import (
     ValidationError,
     WeakRegimeWarning,
 )
+from lgsim.measurement import _inverse_cdf
 from lgsim.quantum import purity, random_density_matrix
 
 from conftest import random_hermitian
@@ -123,6 +126,66 @@ class TestStrongSample:
         singles = np.array([strong_sample(plus_state(), qubit_z, rng).pointer_reading
                             for _ in range(4000)])
         assert abs(singles.mean()) < 5 * singles.std(ddof=1) / np.sqrt(singles.size)
+
+
+def _searchsorted_draw(cum, u):
+    """The earlier batch draw: first cumulative weight above u, clamped."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
+class TestInverseCdf:
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.1] * 10,  # cumulative total 0.9999999999999999, short of 1
+            [0.5, 0.0, 0.5],  # a zero weight repeats a cumulative value
+            [0.0, 1.0],
+            [1.0],
+            [0.2, 0.3, 0.5],
+        ],
+        ids=["short-total", "zero-weight", "leading-zero", "one-outcome", "plain"],
+    )
+    def test_matches_searchsorted_at_every_boundary(self, weights, rng):
+        cum = np.cumsum(weights)
+        u = np.concatenate([
+            cum,  # u equal to each cumulative weight
+            np.nextafter(cum, -np.inf),
+            # just above the total, and the largest uniform below 1
+            [np.nextafter(cum[-1], np.inf), np.nextafter(1.0, 0.0), 0.0],
+            rng.uniform(size=200),
+        ])
+        got = _inverse_cdf(cum[:, None], u)
+        np.testing.assert_array_equal(got, _searchsorted_draw(cum, u))
+
+    def test_one_table_per_draw(self, rng):
+        # (d, m) tables: column k is compared with u[k] alone
+        cum = np.cumsum(rng.dirichlet(np.ones(4), size=50), axis=1)
+        u = np.concatenate([cum[:25, 1], rng.uniform(size=25)])
+        want = [_searchsorted_draw(c, x) for c, x in zip(cum, u)]
+        np.testing.assert_array_equal(_inverse_cdf(cum.T, u), want)
+
+
+class TestEigenbasisMapReference:
+    @pytest.mark.parametrize("dim, degenerate", [(2, False), (3, False), (5, False), (5, True)])
+    def test_matches_pairwise_block_sum(self, dim, degenerate, rng):
+        # sum_ij w[i, j] P_i rho P_j built block by block, as the channels
+        # were first written; the batched form sums in another order
+        h = random_hermitian(dim, rng)
+        if degenerate:
+            evals, vecs = np.linalg.eigh(h)
+            h = (vecs * np.round(evals)) @ vecs.conj().T
+        obs = spectral_decompose(0.5 * (h + h.conj().T))
+        rho = random_density_matrix(dim, rng)
+        gaps = (obs.eigenvalues[:, None] - obs.eigenvalues[None, :]) ** 2
+        weights = np.exp(-gaps / (4.0 * 3.0**2))
+        blocks = np.einsum("iab,bc,jcd->ijad", obs.projectors, rho.matrix, obs.projectors)
+        want = np.einsum("ij,ijad->ad", weights, blocks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakRegimeWarning)
+            got = weak_channel_exact(rho, obs, pm_exact(3.0)).matrix
+        np.testing.assert_allclose(got, 0.5 * (want + want.conj().T), rtol=0, atol=1e-14)
+        want = np.einsum("iiad->ad", blocks)
+        np.testing.assert_allclose(strong_channel(rho, obs).matrix, want, rtol=0, atol=1e-14)
 
 
 class TestWeakChannelExact:

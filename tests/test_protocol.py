@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import lgsim
 
 from lgsim import (
     DensityMatrix,
@@ -211,6 +217,30 @@ class TestDeterminismAndMerging:
                        chunk_size=chunk_size)
         for ea, eb in zip(a, b):
             assert abs(ea.value - eb.value) < 5 * math.hypot(ea.std_error, eb.std_error)
+
+
+    def test_blas_thread_count_does_not_change_results(self):
+        # OpenBLAS splits a dot product of more than 10,000 terms over its
+        # threads, and the partial sums round differently per thread count.
+        # Weak series of one 60,000-event chunk, run in fresh interpreters
+        # under one and two BLAS threads, must agree bitwise.
+        code = (
+            "from lgsim import PointerModel, estimate_correlator, precession_qubit\n"
+            "for seed in range(80, 84):\n"
+            "    e = estimate_correlator(precession_qubit(), 0.0, 1.0, 'weak', 60_000, seed,\n"
+            "                            pointer=PointerModel(width=10.0), chunk_size=60_000)\n"
+            "    print(repr((e.value, e.std_error)))\n"
+        )
+        path = [str(Path(lgsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in path if p))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1]
 
 
 def _random_dynamics(rng, dim, case):

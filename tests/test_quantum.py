@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,31 @@ from lgsim.quantum import random_density_matrix, random_pure_state, random_unita
 from conftest import random_hermitian
 
 
+def _grouping_loop_reference(h, gap_tol=1e-9):
+    """Eigenspaces by the earlier per-eigenvalue grouping loop."""
+    evals, evecs = np.linalg.eigh(h)
+    order = np.argsort(-evals, kind="stable")
+    evals = evals[order]
+    evecs = evecs[:, order]
+    groups = [[0]]
+    for i in range(1, evals.size):
+        if evals[i - 1] - evals[i] < gap_tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    vals = np.array([evals[g].mean() for g in groups])
+    projs = np.stack([
+        sum(np.outer(evecs[:, i], evecs[:, i].conj()) for i in g) for g in groups
+    ])
+    return vals, 0.5 * (projs + np.conj(np.transpose(projs, (0, 2, 1))))
+
+
+def _raises_exactly(message, fn, *args):
+    with pytest.raises(ValidationError) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
 class TestSpectralDecompose:
     def test_already_diagonal(self):
         obs = spectral_decompose(np.diag([1.0, -1.0]))
@@ -46,16 +73,39 @@ class TestSpectralDecompose:
         obs = spectral_decompose(h)
         np.testing.assert_allclose(obs.matrix(), h, atol=1e-9)
 
+    def test_nondegenerate_spectrum_matches_grouping_loop_bitwise(self, rng):
+        # one eigenvector per eigenspace: nothing is summed, so the arithmetic
+        # is the loop's own
+        for dim in (1, 2, 3, 5, 8):
+            h = random_hermitian(dim, rng)
+            obs = spectral_decompose(h)
+            want_vals, want_projs = _grouping_loop_reference(h)
+            np.testing.assert_array_equal(obs.eigenvalues, want_vals)
+            np.testing.assert_array_equal(obs.projectors, want_projs)
+
     def test_eigenvalues_canonically_ordered(self, rng):
         for _ in range(20):
             obs = spectral_decompose(random_hermitian(5, rng))
             assert np.all(np.diff(obs.eigenvalues) < 0)
 
-    def test_degenerate_spectrum_merges_into_eigenspace(self):
+    def test_degenerate_spectrum_merges_into_eigenspace(self, rng):
         obs = spectral_decompose(np.diag([1.0, 1.0 + 1e-12, 0.0]))
         assert obs.n_outcomes == 2
         assert np.trace(obs.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(obs.matrix(), np.diag([1.0, 1.0, 0.0]), atol=1e-11)
+
+        # rotated d=5 spectrum with two two-fold eigenspaces
+        u = random_unitary(5, rng)
+        h = (u * np.array([2.0, -1.0, 2.0, 0.5, -1.0])) @ u.conj().T
+        h = 0.5 * (h + h.conj().T)
+        obs = spectral_decompose(h)
+        want_vals, want_projs = _grouping_loop_reference(h)
+        assert obs.n_outcomes == 3
+        np.testing.assert_allclose(obs.eigenvalues, want_vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(obs.projectors, want_projs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            np.trace(obs.projectors, axis1=1, axis2=2).real, [2.0, 1.0, 2.0], atol=1e-12
+        )
 
     def test_non_hermitian_rejected_naming_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -70,6 +120,103 @@ class TestSpectralDecompose:
         # incomplete family must be refused
         with pytest.raises(ValidationError, match="completeness"):
             Observable(np.array([1.0]), np.stack([np.diag([1.0, 0.0])]))
+
+
+_P0 = np.diag([1.0, 0.0, 0.0])
+_P1 = np.diag([0.0, 1.0, 0.0])
+_P2 = np.diag([0.0, 0.0, 1.0])
+_SKEW = np.zeros((3, 3))
+_SKEW[0, 1] = 1e-3  # breaks Hermiticity by 1e-3
+
+
+class TestObservableValidation:
+    @pytest.mark.parametrize(
+        "projectors, message",
+        [
+            (
+                [_P0, _P1 + _SKEW, _P2],
+                "projector 1 is not Hermitian: max |A - A^dagger| = 1.000e-03 exceeds 1e-10",
+            ),
+            (
+                # the first failing projector is named, not the worst
+                [_P0, _P1 + _SKEW, _P2 + 5 * _SKEW],
+                "projector 1 is not Hermitian: max |A - A^dagger| = 1.000e-03 exceeds 1e-10",
+            ),
+            (
+                [_P0, _P1, np.where(_P2 > 0, np.nan, 0.0)],
+                "projector 2 is not Hermitian: max |A - A^dagger| = nan exceeds 1e-10",
+            ),
+            (
+                # rows 0 and 1 up to (1, 2) pass; (1, 2) fails before (2, 1) and (2, 2)
+                [_P0, _P1, np.diag([0.0, 0.5, 1.0])],
+                "projectors 1,2 violate orthogonality by 5.000e-01",
+            ),
+            (
+                # idempotence is the (i, i) entry of the same check
+                [np.diag([0.5, 0.0, 0.0]), _P1, _P2],
+                "projectors 0,0 violate orthogonality by 2.500e-01",
+            ),
+            (
+                [_P0, _P1, np.zeros((3, 3))],
+                "projectors violate completeness by 1.000e+00",
+            ),
+        ],
+        ids=["hermitian", "first-hermitian", "nan", "orthogonality-pair", "idempotence",
+             "completeness"],
+    )
+    def test_message_names_first_failure(self, projectors, message):
+        _raises_exactly(message, Observable, np.array([1.0, 0.0, -1.0]), np.stack(projectors))
+
+    def test_shape_and_order_messages(self):
+        _raises_exactly(
+            "eigenvalues must be a non-empty 1-d array", Observable, np.array([]), np.zeros((0, 2, 2))
+        )
+        _raises_exactly(
+            "projectors must have shape (n, dim, dim) with n = 3, got (2, 3, 3)",
+            Observable, np.array([1.0, 0.0, -1.0]), np.stack([_P0, _P1]),
+        )
+        _raises_exactly(
+            "eigenvalues must be in non-increasing order",
+            Observable, np.array([1.0, 2.0, -1.0]), np.stack([_P0, _P1, _P2]),
+        )
+
+    def test_valid_family_is_frozen(self):
+        obs = Observable(np.array([1.0, 0.0, -1.0]), np.stack([_P0, _P1, _P2]))
+        np.testing.assert_array_equal(obs.matrix(), np.diag([1.0, 0.0, -1.0]))
+        assert not obs.projectors.flags.writeable
+
+
+class TestDensityMatrixMessages:
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.zeros((2, 3)), "density matrix must be a square matrix, got shape (2, 3)"),
+            (
+                np.array([[0.5, 0.3], [0.0, 0.5]]),
+                "density matrix is not Hermitian: max |A - A^dagger| = 3.000e-01 exceeds 1e-10",
+            ),
+            (
+                np.array([[0.5, np.nan], [0.0, 0.5]]),
+                "density matrix is not Hermitian: max |A - A^dagger| = nan exceeds 1e-10",
+            ),
+            # the trace is a numpy scalar, so its repr follows the numpy version
+            (np.diag([0.7, 0.7]), f"density matrix trace is {np.float64(1.4)!r}, not 1"),
+            (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+        ],
+        ids=["shape", "hermitian", "nan", "trace", "negative"],
+    )
+    def test_message(self, matrix, message):
+        _raises_exactly(message, DensityMatrix, matrix)
+
+    def test_purity_above_one(self):
+        # every eigenvalue and the trace sit inside their 1e-10 tolerances,
+        # yet tr(rho^2) = 1 + 1.8e-9 exceeds the purity bound
+        m = np.diag([1.0 + 9e-10] + [-0.9e-10] * 9)
+        with pytest.raises(ValidationError) as info:
+            DensityMatrix(m)
+        assert re.fullmatch(
+            r"purity 1\.0000000018\d* outside \[1/dim, 1\] for dim 10", str(info.value)
+        )
 
 
 class TestBornWeights:
