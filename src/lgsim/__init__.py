@@ -29,18 +29,15 @@ from .invasiveness import (
     wasted_resource,
 )
 from .measurement import (
-    MeasurementOutcome,
     PointerModel,
     PointerStatistics,
     pointer_statistics,
     sample_strong_readings,
     sample_weak_readings,
     strong_channel,
-    strong_sample,
     weak_channel,
     weak_channel_exact,
     weak_channel_perturbative,
-    weak_sample,
 )
 from .protocol import (
     CorrelatorEstimate,

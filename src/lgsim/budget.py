@@ -35,6 +35,17 @@ def _ceil_count(x: float) -> int:
     return int(math.ceil(x * (1.0 - 1e-12)))
 
 
+def _check_mk(ensemble_size: int, k: int, delta_p: float) -> None:
+    if k < 3:
+        raise ValidationError(f"k must be >= 3, got {k}")
+    if ensemble_size < 2 * k:
+        raise ValidationError(
+            f"ensemble size {ensemble_size} cannot cover 2k = {2 * k} measurements"
+        )
+    if not (delta_p > 0):
+        raise ValidationError(f"delta_p must be positive, got {delta_p!r}")
+
+
 @dataclass(frozen=True)
 class BudgetInput:
     """Knobs of the budget calculation."""
@@ -46,14 +57,7 @@ class BudgetInput:
     order_unity_threshold: float = ORDER_UNITY_THRESHOLD
 
     def __post_init__(self):
-        if self.k < 3:
-            raise ValidationError(f"k must be >= 3, got {self.k}")
-        if self.ensemble_size < 2 * self.k:
-            raise ValidationError(
-                f"ensemble size {self.ensemble_size} cannot cover 2k = {2 * self.k} measurements"
-            )
-        if not (self.delta_p > 0):
-            raise ValidationError(f"delta_p must be positive, got {self.delta_p!r}")
+        _check_mk(self.ensemble_size, self.k, self.delta_p)
         if self.var_a < 0:
             raise ValidationError(f"var_a must be >= 0, got {self.var_a!r}")
         if not (0 < self.order_unity_threshold <= 1):
@@ -128,17 +132,6 @@ def total_strong_ensemble(ensemble_size: int, k: int, delta_p: float, var_a: flo
     if var_a < 0:
         raise ValidationError(f"var_a must be >= 0, got {var_a!r}")
     return _ceil_count(4.0 * var_a * ensemble_size / delta_p**2)
-
-
-def _check_mk(ensemble_size: int, k: int, delta_p: float) -> None:
-    if k < 3:
-        raise ValidationError(f"k must be >= 3, got {k}")
-    if ensemble_size < 2 * k:
-        raise ValidationError(
-            f"ensemble size {ensemble_size} cannot cover 2k = {2 * k} measurements"
-        )
-    if not (delta_p > 0):
-        raise ValidationError(f"delta_p must be positive, got {delta_p!r}")
 
 
 def wastage_report(inp: BudgetInput) -> BudgetReport:

@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto run scenarios:
 
-    lgsim budget --config cfg.json [--seed N] [--workers N] [--out DIR] [--format F]
+    lgsim budget --config cfg.json [--seed N] [--out DIR] [--format F]
     lgsim lg-run ...
     lgsim verify ...
     lgsim sweep ...
@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run the {command} scenario")
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=None, help="override the worker count")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", default=None, choices=FORMATS, help="report format")
     return parser
@@ -66,15 +65,11 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.workers is not None:
-            overrides["workers"] = args.workers
         if args.format is not None:
             overrides["output"] = dataclasses.replace(cfg.output, format=args.format)
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
         check_seed(cfg.seed)
-        if cfg.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {cfg.workers}")
         report = execute(cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

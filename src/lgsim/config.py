@@ -118,7 +118,6 @@ class OutputConfig:
 class RunConfig:
     scenario: str
     seed: int = 0
-    workers: int = 1
     output: OutputConfig = OutputConfig()
     system: SystemConfig | None = None
     pointer: PointerConfig | None = None
@@ -351,7 +350,7 @@ _REQUIRED_SECTIONS = {
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a config dict against the schema; reject unknown keys."""
-    top_keys = {"scenario", "seed", "workers", "output", "tolerances", *_SECTION_PARSERS}
+    top_keys = {"scenario", "seed", "output", "tolerances", *_SECTION_PARSERS}
     obj = _expect_object(data, "config", top_keys)
     if "scenario" not in obj:
         _fail("config.scenario", "is required")
@@ -360,7 +359,6 @@ def parse_config(data: dict) -> RunConfig:
     seed = _expect_int(obj.get("seed", 0), "config.seed", minimum=0)
     if seed > 2**64 - 1:
         _fail("config.seed", "must fit in 64 unsigned bits")
-    workers = _expect_int(obj.get("workers", 1), "config.workers", minimum=1)
 
     sections = {
         name: parser(obj[name], f"config.{name}") if name in obj else None
@@ -385,7 +383,6 @@ def parse_config(data: dict) -> RunConfig:
     return RunConfig(
         scenario=scenario,
         seed=seed,
-        workers=workers,
         output=_parse_output(obj.get("output", {}), "config.output"),
         tolerances=_parse_tolerances(obj.get("tolerances", {}), "config.tolerances"),
         **sections,
@@ -406,7 +403,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     out: dict = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
-        "workers": cfg.workers,
         "output": {"dir": cfg.output.dir, "format": cfg.output.format},
         "tolerances": {"eigen_gap": cfg.tolerances.eigen_gap},
     }

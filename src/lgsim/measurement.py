@@ -71,19 +71,6 @@ class PointerModel:
 
 
 @dataclass(frozen=True)
-class MeasurementOutcome:
-    """One sampled event: pointer reading plus the conditional post-state."""
-
-    pointer_reading: float
-    conditional_state: DensityMatrix
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in (MODE_STRONG, MODE_WEAK):
-            raise ValidationError(f"mode must be 'strong' or 'weak', got {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class PointerStatistics:
     """Mean and variance of the pointer-reading distribution."""
 
@@ -174,60 +161,6 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     above a total that round-off left short of 1 lands on the last outcome.
     """
     return (cum[:-1] <= u).sum(axis=0)
-
-
-def _draw_branch(weights: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw over the canonical eigenvalue order."""
-    cum = np.cumsum(weights)
-    return min(int(np.searchsorted(cum, u, side="right")), weights.size - 1)
-
-
-def strong_sample(
-    rho: DensityMatrix, obs: Observable, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Draw one projective outcome; reading is exactly an eigenvalue."""
-    require_same_dim(rho.dim, obs.dim)
-    w = born_weights(rho, obs).probabilities
-    i = _draw_branch(w, rng.uniform())
-    p = obs.projectors[i]
-    cond = p @ rho.matrix @ p
-    cond = cond / np.trace(cond).real
-    return MeasurementOutcome(
-        pointer_reading=float(obs.eigenvalues[i]),
-        conditional_state=DensityMatrix(0.5 * (cond + cond.conj().T)),
-        mode=MODE_STRONG,
-    )
-
-
-def gaussian_amplitude(x: np.ndarray | float, width: float) -> np.ndarray:
-    """Real pointer amplitude phi with |phi|^2 = Normal(0, width^2/2) density."""
-    return (np.pi * width**2) ** (-0.25) * np.exp(-np.asarray(x, dtype=float) ** 2 / (2.0 * width**2))
-
-
-def weak_sample(
-    rho: DensityMatrix, obs: Observable, pm: PointerModel, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Draw one weak-pointer event.
-
-    The reading comes from the mixture sum_i p_i Normal(a_i, width^2/2);
-    the conditional state is M(p) rho M(p) renormalized, with
-    M(p) = sum_i phi(p - a_i) P_i. Averaging conditional states over the
-    reading distribution recovers ``weak_channel_exact``.
-    """
-    require_same_dim(rho.dim, obs.dim)
-    _warn_if_not_weak(pm, obs)
-    w = born_weights(rho, obs).probabilities
-    i = _draw_branch(w, rng.uniform())
-    reading = float(obs.eigenvalues[i] + np.sqrt(pm.position_variance) * rng.standard_normal())
-    amps = gaussian_amplitude(reading - obs.eigenvalues, pm.width)
-    m = np.tensordot(amps, obs.projectors, axes=1)
-    cond = m @ rho.matrix @ m
-    cond = cond / np.trace(cond).real
-    return MeasurementOutcome(
-        pointer_reading=reading,
-        conditional_state=DensityMatrix(0.5 * (cond + cond.conj().T)),
-        mode=MODE_WEAK,
-    )
 
 
 def sample_strong_readings(

@@ -13,7 +13,8 @@ events) without it changing any behavior.
 
 Sampling is chunked and vectorized: chunk c of series s always draws
 from ``substream(seed, s, c)`` and partial sums merge in chunk order, so
-estimates do not depend on worker count or scheduling.
+an estimate depends on the chunk size but not on the order the chunks
+are run in.
 
 Both modes draw the second outcome from one table per series,
 G[b, i, j] = tr(B_b P_i rho P_j), with B_b the projector onto outcome b
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,17 +250,7 @@ class _SeriesKernel:
         return m, float(s1), float(s2)
 
 
-def _merge_partials(partials: list[tuple[int, float, float]]) -> tuple[int, float, float]:
-    n = sum(p[0] for p in partials)
-    s1 = 0.0
-    s2 = 0.0
-    for _, a, b in partials:  # fixed chunk order => worker-count independent
-        s1 += a
-        s2 += b
-    return n, s1, s2
-
-
-def _check_run_args(first_mode, pointer, obs, n, workers) -> None:
+def _check_run_args(first_mode, pointer, obs, n) -> None:
     if first_mode not in (MODE_STRONG, MODE_WEAK):
         raise ValidationError(f"first_mode must be 'strong' or 'weak', got {first_mode!r}")
     if first_mode == MODE_WEAK:
@@ -269,8 +259,6 @@ def _check_run_args(first_mode, pointer, obs, n, workers) -> None:
         _warn_if_not_weak(pointer, obs)
     if n < 2:
         raise ValidationError(f"n_per_series must be >= 2, got {n}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     if not obs.is_dichotomic():
         warnings.warn(
             "observable eigenvalues are not all +/-1; correlators are fine but "
@@ -285,32 +273,20 @@ def _run_kernels(
     n_events: int,
     seed: int,
     stream_base: int,
-    workers: int,
     chunk_size: int,
 ) -> list[tuple[int, float, float]]:
-    """Per-series (count, sum, sum-of-squares), merged in fixed chunk order."""
+    """Per-series (count, sum, sum-of-squares), accumulated in chunk order."""
     sizes = chunk_sizes(n_events, chunk_size)
-    jobs = [
-        (s_idx, c_idx, m)
-        for s_idx in range(len(kernels))
-        for c_idx, m in enumerate(sizes)
-    ]
-
-    def run_job(job):
-        s_idx, c_idx, m = job
-        return kernels[s_idx].run_chunk(substream(seed, stream_base + s_idx, c_idx), m)
-
-    if workers == 1:
-        results = [run_job(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))
-
-    n_chunks = len(sizes)
-    return [
-        _merge_partials(results[s_idx * n_chunks : (s_idx + 1) * n_chunks])
-        for s_idx in range(len(kernels))
-    ]
+    per_series = []
+    for s_idx, kernel in enumerate(kernels):
+        n, s1, s2 = 0, 0.0, 0.0
+        for c_idx, m in enumerate(sizes):
+            dn, d1, d2 = kernel.run_chunk(substream(seed, stream_base + s_idx, c_idx), m)
+            n += dn
+            s1 += d1
+            s2 += d2
+        per_series.append((n, s1, s2))
+    return per_series
 
 
 def _estimate_from_sums(pair: tuple[int, int], sums: tuple[int, float, float]) -> CorrelatorEstimate:
@@ -329,7 +305,6 @@ def run_series(
     n_per_series: int,
     seed: int,
     pointer: PointerModel | None = None,
-    workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     stream_base: int = 0,
 ) -> list[CorrelatorEstimate]:
@@ -341,12 +316,12 @@ def run_series(
     reading) over ``n_per_series`` events, with its standard error.
     Series s draws from streams (seed, stream_base + s, chunk).
     """
-    _check_run_args(first_mode, pointer, dyn.observable, n_per_series, workers)
+    _check_run_args(first_mode, pointer, dyn.observable, n_per_series)
     kernels = [
         _SeriesKernel(dyn, *plan.pair_times(pair), first_mode, pointer)
         for pair in plan.pairs
     ]
-    per_series = _run_kernels(kernels, n_per_series, seed, stream_base, workers, chunk_size)
+    per_series = _run_kernels(kernels, n_per_series, seed, stream_base, chunk_size)
     return [
         _estimate_from_sums(pair, sums) for pair, sums in zip(plan.pairs, per_series)
     ]
@@ -360,16 +335,15 @@ def estimate_correlator(
     n_events: int,
     seed: int,
     pointer: PointerModel | None = None,
-    workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     stream_base: int = 0,
 ) -> CorrelatorEstimate:
     """One two-time correlator outside any plan (sweeps, convergence studies)."""
     if t_second <= t_first:
         raise ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
-    _check_run_args(first_mode, pointer, dyn.observable, n_events, workers)
+    _check_run_args(first_mode, pointer, dyn.observable, n_events)
     kernel = _SeriesKernel(dyn, t_first, t_second, first_mode, pointer)
-    sums = _run_kernels([kernel], n_events, seed, stream_base, workers, chunk_size)[0]
+    sums = _run_kernels([kernel], n_events, seed, stream_base, chunk_size)[0]
     return _estimate_from_sums((1, 2), sums)
 
 

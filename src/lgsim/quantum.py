@@ -138,7 +138,7 @@ class DensityMatrix:
         _check_hermitian(m, "density matrix")
         tr = m.trace().real
         if abs(tr - 1.0) > STRUCTURAL_TOL:
-            raise ValidationError(f"density matrix trace is {tr!r}, not 1")
+            raise ValidationError(f"density matrix trace is {float(tr)!r}, not 1")
         evals = np.linalg.eigvalsh(m)  # ascending
         if evals[0] < -STRUCTURAL_TOL:
             raise ValidationError(

@@ -2,14 +2,14 @@
 
 Every stream is a counter-based Philox generator derived from
 ``SeedSequence(seed, spawn_key=path)``. A stream's identity depends only
-on the root seed and its integer path - never on worker count, thread
-scheduling or how many draws other streams made - so a run is
-reproducible event-for-event under any parallel layout.
+on the root seed and its integer path - never on the order streams are
+used in or how many draws other streams made - so a run is reproducible
+event-for-event whatever order its chunks are run in.
 
 Event batches are carved into fixed-size chunks; chunk ``c`` of series
 ``s`` always draws from ``substream(seed, s, c)``, and per-chunk partial
 results are merged in chunk order, which makes merged statistics
-bit-identical across worker counts.
+bit-identical whatever order the chunks ran in.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def chunk_sizes(n: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[int]:
-    """Fixed partition of n events into chunks, independent of worker count."""
+    """Fixed partition of n events into chunks of ``chunk_size`` and a remainder."""
     if n < 0:
         raise ValidationError(f"event count must be >= 0, got {n}")
     if chunk_size < 1:

@@ -162,6 +162,21 @@ class TestWastageReport:
         with pytest.raises(ValidationError, match="var_a"):
             BudgetInput(M, K, DP, -1.0)
 
+    @pytest.mark.parametrize(
+        "m, k, dp, message",
+        [
+            (M, 2, DP, "k must be >= 3, got 2"),
+            (6, 4, DP, "ensemble size 6 cannot cover 2k = 8 measurements"),
+            (M, K, 0.0, "delta_p must be positive, got 0.0"),
+        ],
+        ids=["k", "ensemble", "delta_p"],
+    )
+    def test_input_and_formulas_share_one_check(self, m, k, dp, message):
+        for call in (lambda: BudgetInput(m, k, dp, VAR), lambda: target_error(m, k, dp)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == message
+
 
 class TestMonteCarloValidation:
     """Realized estimation errors against the budgeted targets (qubit benchmark)."""

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from lgsim.cli import main
 
 BUDGET = {
@@ -9,6 +11,20 @@ BUDGET = {
     "seed": 1,
     "output": {"format": "both"},
     "budget": {"ensemble_size": 10**6, "k": 4, "delta_p": 10.0, "var_a": 1.0},
+}
+
+LG_RUN = {
+    "scenario": "lg_run",
+    "seed": 12,
+    "system": {
+        "dim": 2,
+        "hamiltonian": [[0, 0], [0.5, 0], [0.5, 0], [0, 0]],
+        "observable": [[1, 0], [0, 0], [0, 0], [-1, 0]],
+        "initial_state": [[1, 0], [0, 0], [0, 0], [0, 0]],
+    },
+    "pointer": {"width": 10.0},
+    "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+    "run": {"n_strong": 5000, "n_weak": 5000},
 }
 
 VERIFY_FAST = {
@@ -72,6 +88,12 @@ class TestExitCodes:
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 
+    def test_workers_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lg-run", "--config", write_cfg(tmp_path, LG_RUN), "--workers", "2"])
+        assert exc.value.code == 2  # argparse usage error
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_bad_seed_override_is_one(self, tmp_path, capsys):
         code = main(["budget", "--config", write_cfg(tmp_path, BUDGET),
                      "--seed", "-4", "--out", str(tmp_path / "out")])
@@ -106,19 +128,7 @@ class TestOverrides:
 
 class TestDeterministicReports:
     def test_single_worker_reruns_identical(self, tmp_path):
-        cfg_path = write_cfg(tmp_path, {
-            "scenario": "lg_run",
-            "seed": 12,
-            "system": {
-                "dim": 2,
-                "hamiltonian": [[0, 0], [0.5, 0], [0.5, 0], [0, 0]],
-                "observable": [[1, 0], [0, 0], [0, 0], [-1, 0]],
-                "initial_state": [[1, 0], [0, 0], [0, 0], [0, 0]],
-            },
-            "pointer": {"width": 10.0},
-            "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
-            "run": {"n_strong": 5000, "n_weak": 5000},
-        })
+        cfg_path = write_cfg(tmp_path, LG_RUN)
         payloads = []
         for sub in ("a", "b"):
             out = tmp_path / sub

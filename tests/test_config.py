@@ -46,13 +46,17 @@ class TestParseConfig:
         cfg = parse_config(lg_config())
         assert cfg.scenario == "lg_run"
         assert cfg.seed == 7
-        assert cfg.workers == 1
         assert cfg.plan.times == (0.0, 1.0, 2.0)
         assert cfg.pointer.truncation == "exact"
 
     def test_unknown_top_level_key_named(self):
         with pytest.raises(ValidationError, match="config.bogus"):
             parse_config(lg_config(bogus=1))
+
+    def test_workers_key_rejected(self):
+        # runs are single-threaded; a leftover "workers" key is not ignored
+        with pytest.raises(ValidationError, match="^config.workers: unknown key$"):
+            parse_config(lg_config(workers=1))
 
     def test_unknown_nested_key_named(self):
         data = lg_config()
@@ -140,7 +144,6 @@ class TestRoundTrip:
 
     def test_full_config_round_trips(self):
         data = lg_config(
-            workers=4,
             output={"dir": "somewhere", "format": "both"},
             tolerances={"eigen_gap": 1e-8},
             budget={"ensemble_size": 10**6, "k": 4, "delta_p": 10.0, "var_a": 1.0},

@@ -7,7 +7,6 @@ from lgsim import (
     DensityMatrix,
     PointerModel,
     basis_state,
-    born_weights,
     expectation,
     pauli,
     plus_state,
@@ -17,11 +16,9 @@ from lgsim import (
     sample_weak_readings,
     spectral_decompose,
     strong_channel,
-    strong_sample,
     weak_channel,
     weak_channel_exact,
     weak_channel_perturbative,
-    weak_sample,
 )
 from lgsim.errors import (
     DimensionMismatchError,
@@ -85,28 +82,10 @@ class TestStrongChannel:
 
 
 class TestStrongSample:
-    def test_eigenstate_branch_is_deterministic(self, qubit_z, rng):
-        rho = basis_state(2, 0)
-        for _ in range(20):
-            out = strong_sample(rho, qubit_z, rng)
-            assert out.pointer_reading == 1.0
-            np.testing.assert_allclose(out.conditional_state.matrix, rho.matrix, atol=1e-14)
-
     def test_reading_is_exact_eigenvalue_member(self, rng):
         obs = spectral_decompose(np.diag([0.25, -1.5, 3.0]))
-        rho = random_density_matrix(3, rng)
-        eigenvalue_list = obs.eigenvalues.tolist()
-        for _ in range(200):
-            out = strong_sample(rho, obs, rng)
-            assert out.pointer_reading in eigenvalue_list
-
-    def test_conditional_state_is_normalized_projection(self, qubit_z, rng):
-        rho = pure_state([np.sqrt(0.8), np.sqrt(0.2)])
-        out = strong_sample(rho, qubit_z, rng)
-        idx = 0 if out.pointer_reading == 1.0 else 1
-        p = qubit_z.projectors[idx]
-        expected = p @ rho.matrix @ p / born_weights(rho, qubit_z).probabilities[idx]
-        np.testing.assert_allclose(out.conditional_state.matrix, expected, atol=1e-12)
+        readings = sample_strong_readings(random_density_matrix(3, rng), obs, 2000, rng)
+        assert np.isin(readings, obs.eigenvalues).all()
 
     def test_frequencies_follow_born_rule(self, qubit_z, rng):
         # binomial oracle: freq(+1) = 0.5 +- 5 * sqrt(0.25/n)
@@ -121,11 +100,6 @@ class TestStrongSample:
         readings = sample_strong_readings(rho, qubit_z, n, rng)
         se = readings.std(ddof=1) / np.sqrt(n)
         assert abs(readings.mean() - expectation(rho, qubit_z)) < 5 * se
-
-    def test_batch_and_single_samplers_agree_in_law(self, qubit_z, rng):
-        singles = np.array([strong_sample(plus_state(), qubit_z, rng).pointer_reading
-                            for _ in range(4000)])
-        assert abs(singles.mean()) < 5 * singles.std(ddof=1) / np.sqrt(singles.size)
 
 
 def _searchsorted_draw(cum, u):
@@ -276,12 +250,6 @@ class TestWeakRegimeGuardrail:
 
 
 class TestWeakSample:
-    def test_single_branch_state_untouched(self, qubit_z, rng):
-        rho = basis_state(2, 0)
-        for _ in range(20):
-            out = weak_sample(rho, qubit_z, pm_exact(10.0), rng)
-            np.testing.assert_allclose(out.conditional_state.matrix, rho.matrix, atol=1e-12)
-
     def test_single_branch_pointer_distribution(self, qubit_z, rng):
         # all weight on a = +1: readings ~ Normal(1, width^2/2 = 50)
         n = 200_000
@@ -295,46 +263,6 @@ class TestWeakSample:
         readings = sample_weak_readings(plus_state(), qubit_z, pm_exact(10.0), n, rng)
         assert abs(readings.mean()) < 5 * np.sqrt(51.0 / n)
         assert readings.var(ddof=1) == pytest.approx(51.0, rel=0.02)
-
-    def test_conditional_states_average_to_exact_channel(self, qubit_z, rng):
-        # Monte Carlo marginalization oracle at the channel's own output
-        n = 100_000
-        rho = plus_state()
-        pm = pm_exact(10.0)
-        acc = np.zeros((2, 2), dtype=complex)
-        acc_sq = np.zeros((2, 2))
-        for _ in range(n):
-            m = weak_sample(rho, qubit_z, pm, rng).conditional_state.matrix
-            acc += m
-            acc_sq += np.abs(m) ** 2
-        mean = acc / n
-        entry_var = np.maximum(acc_sq / n - np.abs(mean) ** 2, 0.0)
-        se = np.sqrt(entry_var / n)
-        target = weak_channel_exact(rho, qubit_z, pm).matrix
-        assert np.all(np.abs(mean - target) <= 5 * se + 1e-12)
-
-    def test_conditional_state_is_valid_density_matrix(self, qubit_z, rng):
-        rho = pure_state([np.sqrt(0.3), np.sqrt(0.7)])
-        for _ in range(50):
-            out = weak_sample(rho, qubit_z, pm_exact(10.0), rng)
-            m = out.conditional_state.matrix
-            assert abs(np.trace(m).real - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(m).min() > -1e-12
-
-
-class TestStrongSamplerChannelConsistency:
-    def test_conditional_states_average_to_strong_channel(self, qubit_z, rng):
-        n = 40_000
-        rho = pure_state([np.sqrt(0.8), np.sqrt(0.2)])
-        acc = np.zeros((2, 2), dtype=complex)
-        for _ in range(n):
-            acc += strong_sample(rho, qubit_z, rng).conditional_state.matrix
-        mean = acc / n
-        target = strong_channel(rho, qubit_z).matrix
-        # entries are Bernoulli mixtures; 5 sigma with p(1-p)/n variance
-        se = np.sqrt(0.8 * 0.2 / n)
-        assert np.max(np.abs(mean - target)) < 5 * se
-
 
 class TestPointerStatistics:
     def test_strong_statistics(self, qubit_z):

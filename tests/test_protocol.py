@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,16 @@ from lgsim import (
     propagator,
     quantum_k3_oracle,
     run_series,
+    sample_strong_readings,
+    sample_weak_readings,
     spectral_decompose,
-    strong_sample,
+    strong_channel,
+    weak_channel_exact,
 )
-from lgsim.errors import ValidationError
-from lgsim.protocol import _SeriesKernel
+from lgsim.errors import ValidationError, WeakRegimeWarning
+from lgsim.protocol import _estimate_from_sums, _run_kernels, _SeriesKernel
 from lgsim.quantum import random_density_matrix, random_unitary
+from lgsim.streams import chunk_sizes, substream
 
 from conftest import random_hermitian
 
@@ -119,13 +124,11 @@ class TestStrongFirstCorrelators:
         assert abs(est.value - 1.0) < 5 * est.std_error + 1e-9
 
     def test_per_event_products_are_dichotomic(self, bench):
-        # manual two-measurement events: every product must be exactly +-1
-        rng = np.random.default_rng(5)
-        u = propagator(bench.hamiltonian, TAU)
-        for _ in range(100):
-            first = strong_sample(bench.initial_state, bench.observable, rng)
-            second = strong_sample(evolve(first.conditional_state, u), bench.observable, rng)
-            assert first.pointer_reading * second.pointer_reading in (1.0, -1.0)
+        # the sum of squared products equals the event count exactly only
+        # when every product is +-1
+        kernel = _SeriesKernel(bench, 0.0, TAU, "strong", None)
+        m, _, s2 = kernel.run_chunk(substream(5, 0, 0), 100_000)
+        assert s2 == m
 
     def test_estimate_magnitude_bounded(self, bench, plan3):
         for est in run_series(plan3, bench, "strong", 5_000, seed=13):
@@ -194,13 +197,33 @@ class TestDeterminismAndMerging:
         b = run_series(plan3, bench, "strong", 30_000, seed=77)
         assert a == b
 
-    def test_worker_count_does_not_change_results(self, bench, plan3):
-        single = run_series(plan3, bench, "weak", 150_000, seed=78,
-                            pointer=PointerModel(width=10.0))
-        for workers in (2, 8):
-            multi = run_series(plan3, bench, "weak", 150_000, seed=78,
-                               pointer=PointerModel(width=10.0), workers=workers)
-            assert multi == single  # chunk-ordered merge: bitwise identical
+    @pytest.mark.parametrize(
+        "mode, pointer",
+        [("strong", None), ("weak", PointerModel(width=10.0))],
+        ids=["strong", "weak"],
+    )
+    def test_chunk_order_does_not_change_results(self, bench, plan3, mode, pointer):
+        # each chunk draws from its own (seed, series, chunk) stream, so chunks
+        # run last to first and then added in chunk order reproduce the sums
+        # behind run_series bitwise
+        n, chunk, base = 150_000, 20_000, 3  # ragged last chunk of 10,000
+        want = run_series(plan3, bench, mode, n, seed=78, pointer=pointer,
+                          chunk_size=chunk, stream_base=base)
+        kernels = [_SeriesKernel(bench, *plan3.pair_times(pair), mode, pointer)
+                   for pair in plan3.pairs]
+        sums = _run_kernels(kernels, n, 78, base, chunk)
+        sizes = chunk_sizes(n, chunk)
+        for s, (pair, kernel) in enumerate(zip(plan3.pairs, kernels)):
+            partials = {}
+            for c in reversed(range(len(sizes))):
+                partials[c] = kernel.run_chunk(substream(78, base + s, c), sizes[c])
+            total, s1, s2 = 0, 0.0, 0.0
+            for c in range(len(sizes)):
+                total += partials[c][0]
+                s1 += partials[c][1]
+                s2 += partials[c][2]
+            assert (total, s1, s2) == sums[s]
+            assert _estimate_from_sums(pair, sums[s]) == want[s]
 
     @pytest.mark.parametrize(
         "mode, pointer, chunk_size",
@@ -317,6 +340,87 @@ class TestSecondOutcomeWeights:
             want = np.einsum("ei,bij,ej->eb", phi, g, phi).real
             want /= want.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+class TestChannelIdentities:
+    """The G table against the closed-form channels, exact for any d.
+
+    Summing G[b, i, j] over (i, j) with the channel's damping weights gives
+    the Born weights of the unconditional post-measurement state carried to
+    the later time, so averaging the kernel's per-event second-outcome
+    weights over first readings reproduces each channel.
+    """
+
+    T1, T2 = 0.4, 1.3
+
+    def _tables(self, dim, case, width):
+        dyn = _random_dynamics(np.random.default_rng(200 + dim), dim, case)
+        rho = evolve(dyn.initial_state, propagator(dyn.hamiltonian, self.T1))
+        u = propagator(dyn.hamiltonian, self.T2 - self.T1)
+        pointer = PointerModel(width=width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakRegimeWarning)
+            weak = _SeriesKernel(dyn, self.T1, self.T2, "weak", pointer)
+            weak_out = weak_channel_exact(rho, dyn.observable, pointer)
+        strong = _SeriesKernel(dyn, self.T1, self.T2, "strong", None)
+        return dyn.observable, rho, u, weak.re_g, strong.cum_second, weak_out
+
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_strong_channel(self, dim, case):
+        obs, rho, u, re_g, cum_second, _ = self._tables(dim, case, 10.0)
+        want = born_weights(evolve(strong_channel(rho, obs), u), obs).probabilities
+        np.testing.assert_allclose(np.einsum("bii->b", re_g), want, rtol=0, atol=1e-14)
+        # the strong kernel's own table: row b of its cumulative sum less row b-1
+        rows = np.diff(cum_second, axis=0, prepend=0.0)
+        np.testing.assert_allclose(rows.sum(axis=1), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("width", [0.5, 10.0])
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_weak_channel(self, dim, case, width):
+        obs, _, u, re_g, _, weak_out = self._tables(dim, case, width)
+        a = obs.eigenvalues
+        damping = np.exp(-((a[:, None] - a[None, :]) ** 2) / (4.0 * width**2))
+        want = born_weights(evolve(weak_out, u), obs).probabilities
+        np.testing.assert_allclose((re_g * damping).sum(axis=(1, 2)), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_conditional_states_are_states(self, dim, case):
+        # weights sum_ij phi_i Re G[b, i, j] phi_j are nonnegative for every
+        # real phi (each Re G[b] is positive semidefinite) and sum over b to
+        # sum_i phi_i^2 w_i (the G[b] add up to diag(w)): whatever the
+        # reading, the conditional state is a density matrix
+        obs, rho, _, re_g, _, _ = self._tables(dim, case, 10.0)
+        w = born_weights(rho, obs).probabilities
+        assert np.linalg.eigvalsh(re_g).min() >= -1e-14
+        np.testing.assert_allclose(re_g.sum(axis=0), np.diag(w), rtol=0, atol=1e-14)
+
+
+class TestKernelMatchesBatchSamplers:
+    """With no evolution between the two measurements, the kernel's events
+    are the batch samplers' readings, draw for draw."""
+
+    def test_strong_measurement_repeats(self, rng):
+        # a second strong measurement repeats the first outcome, so every
+        # product is the first reading squared
+        obs = spectral_decompose(np.diag([0.25, -1.5, 3.0]))
+        dyn = DynamicsSpec(np.zeros((3, 3)), obs, random_density_matrix(3, rng))
+        readings = sample_strong_readings(dyn.initial_state, obs, 50_000, substream(3, 0, 0))
+        kernel = _SeriesKernel(dyn, 0.0, 1.0, "strong", None)
+        _, s1, s2 = kernel.run_chunk(substream(3, 0, 0), 50_000)
+        products = readings * readings
+        assert (s1, s2) == (products.sum(), np.square(products).sum())
+
+    def test_weak_reading_leaves_eigenstate_untouched(self):
+        # the later strong outcome is +1 every time, so every product is the
+        # weak reading itself
+        obs = spectral_decompose(pauli("z"))
+        dyn = DynamicsSpec(np.zeros((2, 2)), obs, basis_state(2, 0))
+        pointer = PointerModel(width=10.0)
+        readings = sample_weak_readings(dyn.initial_state, obs, pointer, 50_000,
+                                        substream(4, 0, 0))
+        kernel = _SeriesKernel(dyn, 0.0, 1.0, "weak", pointer)
+        _, s1, s2 = kernel.run_chunk(substream(4, 0, 0), 50_000)
+        assert (s1, s2) == (readings.sum(), np.square(readings).sum())
 
 
 class TestK3Statistic:

@@ -199,8 +199,7 @@ class TestDensityMatrixMessages:
                 np.array([[0.5, np.nan], [0.0, 0.5]]),
                 "density matrix is not Hermitian: max |A - A^dagger| = nan exceeds 1e-10",
             ),
-            # the trace is a numpy scalar, so its repr follows the numpy version
-            (np.diag([0.7, 0.7]), f"density matrix trace is {np.float64(1.4)!r}, not 1"),
+            (np.diag([0.7, 0.7]), "density matrix trace is 1.4, not 1"),
             (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
         ],
         ids=["shape", "hermitian", "nan", "trace", "negative"],
