@@ -3,26 +3,42 @@
 Configs are strict: unknown keys are rejected and every complaint names
 the offending key path. Matrices travel as row-major lists of [re, im]
 pairs. A parsed ``RunConfig`` holds only immutable primitives, so two
-configs compare equal iff they describe the same run; ``to_dict`` followed
-by ``parse_config`` is the identity on resolved configs.
+configs compare equal iff they describe the same run; ``config_to_dict``
+followed by ``parse_config`` is the identity on resolved configs.
+
+The section dataclasses below are the schema. Each field's type, default
+and range live on the field and nowhere else: a field without a default
+is required, ``X | None`` accepts ``null`` (a section may be left out but
+not given as ``null``), and ``field(metadata=...)`` holds the range checks
+``min``, ``max``, ``positive`` and ``choices`` (applied to each entry of a
+list field). Every number must be finite. ``_parse_section`` walks these
+fields and checks a matrix's length against its section's ``dim``; the
+other rules that tie fields or sections together are plain code in
+``parse_config``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass
+import math
+import types
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ValidationError
+from .invasiveness import ORDER_UNITY_THRESHOLD
+from .measurement import MODE_STRONG, MODE_WEAK, TRUNCATION_EXACT, TRUNCATIONS
 from .quantum import EIGEN_GAP_TOL
+from .streams import MAX_SEED
 
 SCHEMA_VERSION = "1"
 
 SCENARIOS = ("budget", "lg_run", "verify", "sweep")
 FORMATS = ("json", "csv", "both")
-TRUNCATIONS = ("exact", "perturbative_o2")
-SWEEP_MODES = ("strong", "weak")
+SWEEP_MODES = (MODE_STRONG, MODE_WEAK)
 
 MatrixPairs = tuple[tuple[float, float], ...]
 
@@ -51,9 +67,14 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
 # config sections
 
 
+def _field(default=MISSING, **checks):
+    """A schema field: its default (none means required) and its range checks."""
+    return field(default=default, metadata=checks)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    dim: int
+    dim: int = _field(min=1)
     hamiltonian: MatrixPairs
     observable: MatrixPairs
     initial_state: MatrixPairs
@@ -61,63 +82,63 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class PointerConfig:
-    width: float
-    truncation: str = "exact"
+    width: float = _field(positive=True)
+    truncation: str = _field(TRUNCATION_EXACT, choices=TRUNCATIONS)
 
 
 @dataclass(frozen=True)
 class PlanConfig:
-    k: int
+    k: int = _field(min=3)
     times: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class LgRunConfig:
-    n_strong: int
-    n_weak: int
+    n_strong: int = _field(min=2)
+    n_weak: int = _field(min=2)
 
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    ensemble_size: int
-    k: int
-    delta_p: float | None = None
-    var_a: float | None = None
-    order_unity_threshold: float = 0.1
+    ensemble_size: int = _field(min=1)
+    k: int = _field(min=3)
+    delta_p: float | None = _field(None, positive=True)
+    var_a: float | None = _field(None, min=0)
+    order_unity_threshold: float = _field(ORDER_UNITY_THRESHOLD, positive=True, max=1)
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    widths: tuple[float, ...] = (10.0, 20.0, 40.0, 80.0)
-    n_samples: int = 200_000
-    n_random: int = 100
+    widths: tuple[float, ...] = _field((10.0, 20.0, 40.0, 80.0), positive=True)
+    n_samples: int = _field(200_000, min=100)
+    n_random: int = _field(100, min=1)
     corrupt_state: bool = False
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    delta_p: tuple[float, ...] = ()
-    n: tuple[int, ...] = ()
-    tau: tuple[float, ...] = ()
-    n_per_point: int = 10_000
-    mode: str = "strong"
+    delta_p: tuple[float, ...] = _field((), positive=True)
+    n: tuple[int, ...] = _field((), min=2)
+    tau: tuple[float, ...] = _field((), positive=True)
+    n_per_point: int = _field(10_000, min=2)
+    mode: str = _field(MODE_STRONG, choices=SWEEP_MODES)
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    eigen_gap: float = EIGEN_GAP_TOL
+    eigen_gap: float = _field(EIGEN_GAP_TOL, positive=True)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str | None = None
-    format: str = "json"
+    format: str = _field("json", choices=FORMATS)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: str
-    seed: int = 0
+    scenario: str = _field(choices=SCENARIOS)
+    seed: int = _field(0, min=0)
     output: OutputConfig = OutputConfig()
     system: SystemConfig | None = None
     pointer: PointerConfig | None = None
@@ -130,215 +151,112 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# the schema walker
 
 
 def _fail(path: str, message: str):
     raise ValidationError(f"{path}: {message}")
 
 
-def _expect_object(value, path: str, allowed: set[str]) -> dict:
+@functools.cache
+def _schema(cls) -> tuple[tuple, ...]:
+    """(name, resolved type, default, checks) of each field, resolved once per class."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default, f.metadata) for f in fields(cls))
+
+
+def _parse_section(cls, value, path: str):
+    schema = _schema(cls)
     if not isinstance(value, dict):
         _fail(path, f"must be an object, got {type(value).__name__}")
-    unknown = set(value) - allowed
+    unknown = set(value) - {name for name, *_ in schema}
     if unknown:
         _fail(f"{path}.{sorted(unknown)[0]}", "unknown key")
-    return value
+    parsed = {}
+    for name, hint, default, checks in schema:
+        key = f"{path}.{name}"
+        if name not in value:
+            if default is MISSING:
+                _fail(key, "is required")
+        elif hint == MatrixPairs:
+            parsed[name] = _matrix_pairs(value[name], key, parsed["dim"])
+        else:
+            parsed[name] = _parse_value(value[name], key, hint, checks)
+    return cls(**parsed)
 
 
-def _expect_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return value
+def _parse_value(value, path: str, hint, checks):
+    if get_origin(hint) is types.UnionType:
+        (hint,) = (t for t in get_args(hint) if t is not type(None))
+        if value is None and not is_dataclass(hint):
+            return None
+    if is_dataclass(hint):
+        return _parse_section(hint, value, path)
+    if "choices" in checks:
+        if value not in checks["choices"]:
+            _fail(path, f"must be one of {list(checks['choices'])}, got {value!r}")
+        return value
+    if hint is str:
+        if not isinstance(value, str):
+            _fail(path, f"must be a string or null, got {value!r}")
+        return value
+    if hint is bool:
+        if not isinstance(value, bool):
+            _fail(path, f"must be a boolean, got {value!r}")
+        return value
+    if get_origin(hint) is tuple:
+        (item, _) = get_args(hint)
+        if not isinstance(value, list):
+            kind = "integers" if item is int else "numbers"
+            _fail(path, f"must be a list of {kind}, got {value!r}")
+        return tuple(_parse_value(v, f"{path}[{i}]", item, checks) for i, v in enumerate(value))
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(path, f"must be an integer, got {value!r}")
+        return _in_range(value, path, checks)
+    return float(_in_range(_number(value, path), path, checks))
 
 
-def _expect_number(value, path: str, positive: bool = False, nonnegative: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, path: str):
+    if not _is_number(value):
         _fail(path, f"must be a number, got {value!r}")
-    v = float(value)
-    if positive and not v > 0:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        _fail(path, f"must be finite, got {value}")
+    return value
+
+
+def _in_range(value, path: str, checks):
+    if checks.get("positive") and not value > 0:
         _fail(path, f"must be positive, got {value}")
-    if nonnegative and v < 0:
-        _fail(path, f"must be >= 0, got {value}")
-    return v
-
-
-def _expect_choice(value, path: str, choices: tuple[str, ...]) -> str:
-    if value not in choices:
-        _fail(path, f"must be one of {list(choices)}, got {value!r}")
+    if "min" in checks and value < checks["min"]:
+        _fail(path, f"must be >= {checks['min']}, got {value}")
+    if "max" in checks and value > checks["max"]:
+        _fail(path, f"must be <= {checks['max']}, got {value}")
     return value
 
 
-def _expect_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, f"must be a boolean, got {value!r}")
-    return value
-
-
-def _expect_matrix_pairs(value, path: str, dim: int) -> MatrixPairs:
+def _matrix_pairs(value, path: str, dim: int) -> MatrixPairs:
     if not isinstance(value, list) or len(value) != dim * dim:
         _fail(path, f"must be a row-major list of {dim * dim} [re, im] pairs")
     out = []
     for i, entry in enumerate(value):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
-        ):
+        if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
             _fail(f"{path}[{i}]", f"must be an [re, im] number pair, got {entry!r}")
-        out.append((float(entry[0]), float(entry[1])))
+        out.append(tuple(float(_number(x, f"{path}[{i}]")) for x in entry))
     return tuple(out)
 
 
-def _expect_number_list(value, path: str, positive: bool = False) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        _fail(path, f"must be a list of numbers, got {value!r}")
-    return tuple(
-        _expect_number(v, f"{path}[{i}]", positive=positive) for i, v in enumerate(value)
-    )
-
-
-def _expect_int_list(value, path: str, minimum: int = 1) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        _fail(path, f"must be a list of integers, got {value!r}")
-    return tuple(
-        _expect_int(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(value)
-    )
-
-
 # ---------------------------------------------------------------------------
-# section parsers
+# cross-field rules
 
-
-def _parse_system(data, path: str) -> SystemConfig:
-    obj = _expect_object(data, path, {"dim", "hamiltonian", "observable", "initial_state"})
-    for key in ("dim", "hamiltonian", "observable", "initial_state"):
-        if key not in obj:
-            _fail(f"{path}.{key}", "is required")
-    dim = _expect_int(obj["dim"], f"{path}.dim", minimum=1)
-    return SystemConfig(
-        dim=dim,
-        hamiltonian=_expect_matrix_pairs(obj["hamiltonian"], f"{path}.hamiltonian", dim),
-        observable=_expect_matrix_pairs(obj["observable"], f"{path}.observable", dim),
-        initial_state=_expect_matrix_pairs(obj["initial_state"], f"{path}.initial_state", dim),
-    )
-
-
-def _parse_pointer(data, path: str) -> PointerConfig:
-    obj = _expect_object(data, path, {"width", "truncation"})
-    if "width" not in obj:
-        _fail(f"{path}.width", "is required")
-    return PointerConfig(
-        width=_expect_number(obj["width"], f"{path}.width", positive=True),
-        truncation=_expect_choice(obj.get("truncation", "exact"), f"{path}.truncation", TRUNCATIONS),
-    )
-
-
-def _parse_plan(data, path: str) -> PlanConfig:
-    obj = _expect_object(data, path, {"k", "times"})
-    for key in ("k", "times"):
-        if key not in obj:
-            _fail(f"{path}.{key}", "is required")
-    k = _expect_int(obj["k"], f"{path}.k", minimum=3)
-    times = _expect_number_list(obj["times"], f"{path}.times")
-    if len(times) != k:
-        _fail(f"{path}.times", f"must have k = {k} entries, got {len(times)}")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        _fail(f"{path}.times", "must be strictly increasing")
-    return PlanConfig(k=k, times=times)
-
-
-def _parse_run(data, path: str) -> LgRunConfig:
-    obj = _expect_object(data, path, {"n_strong", "n_weak"})
-    for key in ("n_strong", "n_weak"):
-        if key not in obj:
-            _fail(f"{path}.{key}", "is required")
-    return LgRunConfig(
-        n_strong=_expect_int(obj["n_strong"], f"{path}.n_strong", minimum=2),
-        n_weak=_expect_int(obj["n_weak"], f"{path}.n_weak", minimum=2),
-    )
-
-
-def _parse_budget(data, path: str) -> BudgetConfig:
-    obj = _expect_object(
-        data, path, {"ensemble_size", "k", "delta_p", "var_a", "order_unity_threshold"}
-    )
-    for key in ("ensemble_size", "k"):
-        if key not in obj:
-            _fail(f"{path}.{key}", "is required")
-    delta_p = obj.get("delta_p")
-    var_a = obj.get("var_a")
-    return BudgetConfig(
-        ensemble_size=_expect_int(obj["ensemble_size"], f"{path}.ensemble_size", minimum=1),
-        k=_expect_int(obj["k"], f"{path}.k", minimum=3),
-        delta_p=None if delta_p is None else _expect_number(delta_p, f"{path}.delta_p", positive=True),
-        var_a=None if var_a is None else _expect_number(var_a, f"{path}.var_a", nonnegative=True),
-        order_unity_threshold=_expect_number(
-            obj.get("order_unity_threshold", 0.1), f"{path}.order_unity_threshold", positive=True
-        ),
-    )
-
-
-def _parse_verify(data, path: str) -> VerifyConfig:
-    obj = _expect_object(data, path, {"widths", "n_samples", "n_random", "corrupt_state"})
-    defaults = VerifyConfig()
-    return VerifyConfig(
-        widths=(
-            _expect_number_list(obj["widths"], f"{path}.widths", positive=True)
-            if "widths" in obj
-            else defaults.widths
-        ),
-        n_samples=_expect_int(obj.get("n_samples", defaults.n_samples), f"{path}.n_samples", minimum=100),
-        n_random=_expect_int(obj.get("n_random", defaults.n_random), f"{path}.n_random", minimum=1),
-        corrupt_state=_expect_bool(obj.get("corrupt_state", False), f"{path}.corrupt_state"),
-    )
-
-
-def _parse_sweep(data, path: str) -> SweepConfig:
-    obj = _expect_object(data, path, {"delta_p", "n", "tau", "n_per_point", "mode"})
-    cfg = SweepConfig(
-        delta_p=_expect_number_list(obj.get("delta_p", []), f"{path}.delta_p", positive=True),
-        n=_expect_int_list(obj.get("n", []), f"{path}.n", minimum=2),
-        tau=_expect_number_list(obj.get("tau", []), f"{path}.tau", positive=True),
-        n_per_point=_expect_int(obj.get("n_per_point", 10_000), f"{path}.n_per_point", minimum=2),
-        mode=_expect_choice(obj.get("mode", "strong"), f"{path}.mode", SWEEP_MODES),
-    )
-    if not (cfg.delta_p or cfg.n or cfg.tau):
-        _fail(path, "sweep grid is empty: provide at least one of delta_p, n, tau")
-    return cfg
-
-
-def _parse_tolerances(data, path: str) -> ToleranceConfig:
-    obj = _expect_object(data, path, {"eigen_gap"})
-    return ToleranceConfig(
-        eigen_gap=_expect_number(
-            obj.get("eigen_gap", EIGEN_GAP_TOL), f"{path}.eigen_gap", positive=True
-        )
-    )
-
-
-def _parse_output(data, path: str) -> OutputConfig:
-    obj = _expect_object(data, path, {"dir", "format"})
-    d = obj.get("dir")
-    if d is not None and not isinstance(d, str):
-        _fail(f"{path}.dir", f"must be a string or null, got {d!r}")
-    return OutputConfig(
-        dir=d,
-        format=_expect_choice(obj.get("format", "json"), f"{path}.format", FORMATS),
-    )
-
-
-_SECTION_PARSERS = {
-    "system": _parse_system,
-    "pointer": _parse_pointer,
-    "plan": _parse_plan,
-    "run": _parse_run,
-    "budget": _parse_budget,
-    "verify": _parse_verify,
-    "sweep": _parse_sweep,
-}
 
 _REQUIRED_SECTIONS = {
     "budget": ("budget",),
@@ -350,69 +268,53 @@ _REQUIRED_SECTIONS = {
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a config dict against the schema; reject unknown keys."""
-    top_keys = {"scenario", "seed", "output", "tolerances", *_SECTION_PARSERS}
-    obj = _expect_object(data, "config", top_keys)
-    if "scenario" not in obj:
-        _fail("config.scenario", "is required")
-    scenario = _expect_choice(obj["scenario"], "config.scenario", SCENARIOS)
-
-    seed = _expect_int(obj.get("seed", 0), "config.seed", minimum=0)
-    if seed > 2**64 - 1:
+    cfg = _parse_section(RunConfig, data, "config")
+    if cfg.seed > MAX_SEED:
         _fail("config.seed", "must fit in 64 unsigned bits")
+    if cfg.plan is not None:
+        k, times = cfg.plan.k, cfg.plan.times
+        if len(times) != k:
+            _fail("config.plan.times", f"must have k = {k} entries, got {len(times)}")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            _fail("config.plan.times", "must be strictly increasing")
+    if cfg.sweep is not None and not (cfg.sweep.delta_p or cfg.sweep.n or cfg.sweep.tau):
+        _fail("config.sweep", "sweep grid is empty: provide at least one of delta_p, n, tau")
+    b = cfg.budget
+    if b is not None and b.ensemble_size < 2 * b.k:
+        _fail("config.budget.ensemble_size", f"must be >= 2k = {2 * b.k}, got {b.ensemble_size}")
 
-    sections = {
-        name: parser(obj[name], f"config.{name}") if name in obj else None
-        for name, parser in _SECTION_PARSERS.items()
-    }
+    scenario = cfg.scenario
     for name in _REQUIRED_SECTIONS[scenario]:
-        if sections[name] is None:
+        if getattr(cfg, name) is None:
             _fail(f"config.{name}", f"is required for scenario '{scenario}'")
     if scenario == "sweep":
-        sw: SweepConfig = sections["sweep"]
-        if (sw.n or sw.tau) and sections["plan"] is None:
+        sw = cfg.sweep
+        if (sw.n or sw.tau) and cfg.plan is None:
             _fail("config.plan", "is required when sweeping n or tau")
-        if sw.mode == "weak" and sections["pointer"] is None and not sw.delta_p:
+        if sw.mode == MODE_WEAK and cfg.pointer is None and not sw.delta_p:
             _fail("config.pointer", "is required for weak-mode sweeps without a delta_p axis")
     if scenario == "budget":
-        b: BudgetConfig = sections["budget"]
-        if b.delta_p is None and sections["pointer"] is None:
+        if b.delta_p is None and cfg.pointer is None:
             _fail("config.budget.delta_p", "is required (or provide a pointer section)")
-        if b.var_a is None and sections["system"] is None:
+        if b.var_a is None and cfg.system is None:
             _fail("config.budget.var_a", "is required (or provide a system section)")
-
-    return RunConfig(
-        scenario=scenario,
-        seed=seed,
-        output=_parse_output(obj.get("output", {}), "config.output"),
-        tolerances=_parse_tolerances(obj.get("tolerances", {}), "config.tolerances"),
-        **sections,
-    )
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8, an integer of over 4300 digits
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data)
 
 
+def _lists(value):
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     """Resolved-config echo; feeding it back to parse_config reproduces cfg."""
-    out: dict = {
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        "output": {"dir": cfg.output.dir, "format": cfg.output.format},
-        "tolerances": {"eigen_gap": cfg.tolerances.eigen_gap},
-    }
-    for name in _SECTION_PARSERS:
-        section = getattr(cfg, name)
-        if section is None:
-            continue
-        d = asdict(section)
-        for key, val in d.items():
-            if isinstance(val, tuple):
-                d[key] = [list(v) if isinstance(v, tuple) else v for v in val]
-        out[name] = d
-    return out
+    echo = asdict(cfg, dict_factory=lambda items: {k: _lists(v) for k, v in items})
+    return {name: section for name, section in echo.items() if section is not None}

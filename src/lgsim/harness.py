@@ -28,7 +28,6 @@ from .config import (
     config_to_dict,
     pairs_to_matrix,
 )
-from .errors import ValidationError
 from .invasiveness import measure_invasiveness, predicted_strong, predicted_weak
 from .measurement import (
     PointerModel,
@@ -479,12 +478,8 @@ def run_verify(cfg: RunConfig) -> dict:
 
 def run_sweep(cfg: RunConfig) -> dict:
     sw: SweepConfig = cfg.sweep
-    _, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+    h, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
     mc_wanted = bool(sw.n or sw.tau)
-    if mc_wanted and cfg.plan is None:
-        raise ValidationError("config.plan: is required when sweeping n or tau")
-
-    h = pairs_to_matrix(cfg.system.hamiltonian, cfg.system.dim)
     dyn = DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)
 
     axes = {

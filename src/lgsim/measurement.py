@@ -31,7 +31,7 @@ from .quantum import DensityMatrix, Observable, born_weights, expectation, varia
 
 TRUNCATION_EXACT = "exact"
 TRUNCATION_SECOND_ORDER = "perturbative_o2"
-_TRUNCATIONS = (TRUNCATION_EXACT, TRUNCATION_SECOND_ORDER)
+TRUNCATIONS = (TRUNCATION_EXACT, TRUNCATION_SECOND_ORDER)
 
 MODE_STRONG = "strong"
 MODE_WEAK = "weak"
@@ -56,9 +56,9 @@ class PointerModel:
     def __post_init__(self):
         if not (self.width > 0):
             raise ValidationError(f"pointer width must be positive, got {self.width!r}")
-        if self.truncation not in _TRUNCATIONS:
+        if self.truncation not in TRUNCATIONS:
             raise ValidationError(
-                f"truncation must be one of {_TRUNCATIONS}, got {self.truncation!r}"
+                f"truncation must be one of {TRUNCATIONS}, got {self.truncation!r}"
             )
 
     @property

@@ -56,6 +56,19 @@ class TestExitCodes:
         assert code == 1
         assert "config.surprise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("var_a", float("nan"), "config.budget.var_a: must be finite, got nan"),
+        ("order_unity_threshold", 2.0,
+         "config.budget.order_unity_threshold: must be <= 1, got 2.0"),
+        ("ensemble_size", 7, "config.budget.ensemble_size: must be >= 2k = 8, got 7"),
+    ], ids=["nan", "threshold", "ensemble"])
+    def test_budget_range_error_is_one(self, tmp_path, capsys, key, value, message):
+        bad = dict(BUDGET, budget=dict(BUDGET["budget"], **{key: value}))
+        code = main(["budget", "--config", write_cfg(tmp_path, bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_scenario_subcommand_mismatch_is_one(self, tmp_path, capsys):
         code = main(["verify", "--config", write_cfg(tmp_path, BUDGET),
                      "--out", str(tmp_path / "out")])

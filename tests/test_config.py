@@ -1,10 +1,14 @@
+import copy
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lgsim.config import (
     config_to_dict,
+    load_config,
     matrix_to_pairs,
     pairs_to_matrix,
     parse_config,
@@ -14,6 +18,7 @@ from lgsim.errors import ValidationError
 SX = [[0, 0], [0.5, 0], [0.5, 0], [0, 0]]
 SZ = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 KET0 = [[1, 0], [0, 0], [0, 0], [0, 0]]
+STOCK_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
 def lg_config(**overrides):
@@ -137,7 +142,259 @@ class TestParseConfig:
         assert cfg.verify.corrupt_state is False
 
 
+MISSING = object()
+
+
+def edited(data, key_path, value):
+    """Deep copy of data with the dotted key path set to value, or removed."""
+    out = copy.deepcopy(data)
+    *parents, last = key_path.split(".")
+    node = out
+    for key in parents:
+        node = node[key]
+    if value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    return out
+
+
+SYSTEM = lg_config()["system"]
+BUDGET = {
+    "scenario": "budget",
+    "budget": {"ensemble_size": 1000, "k": 3, "delta_p": 10.0, "var_a": 1.0},
+}
+SWEEP = {
+    "scenario": "sweep",
+    "system": SYSTEM,
+    "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+    "sweep": {"delta_p": [10.0], "n": [100], "tau": [0.5]},
+}
+VERIFY = {"scenario": "verify", "verify": {"widths": [10.0], "n_samples": 1000}}
+LG = lg_config()
+
+# One single-defect input per message the parser can raise, with the full
+# text of that message.
+MESSAGES = [
+    # top level
+    (LG, "bogus", 1, "config.bogus: unknown key"),
+    (LG, "scenario", MISSING, "config.scenario: is required"),
+    (LG, "scenario", "explore",
+     "config.scenario: must be one of ['budget', 'lg_run', 'verify', 'sweep'], got 'explore'"),
+    (LG, "scenario", None,
+     "config.scenario: must be one of ['budget', 'lg_run', 'verify', 'sweep'], got None"),
+    (LG, "seed", 1.5, "config.seed: must be an integer, got 1.5"),
+    (LG, "seed", True, "config.seed: must be an integer, got True"),
+    (LG, "seed", None, "config.seed: must be an integer, got None"),
+    (LG, "seed", -1, "config.seed: must be >= 0, got -1"),
+    (LG, "seed", 2**64, "config.seed: must fit in 64 unsigned bits"),
+    (LG, "system", None, "config.system: must be an object, got NoneType"),
+    (LG, "pointer", [], "config.pointer: must be an object, got list"),
+    (LG, "output", None, "config.output: must be an object, got NoneType"),
+    (LG, "tolerances", None, "config.tolerances: must be an object, got NoneType"),
+    (VERIFY, "verify", None, "config.verify: must be an object, got NoneType"),
+    # required sections and cross-section rules
+    (LG, "system", MISSING, "config.system: is required for scenario 'lg_run'"),
+    (LG, "pointer", MISSING, "config.pointer: is required for scenario 'lg_run'"),
+    (LG, "plan", MISSING, "config.plan: is required for scenario 'lg_run'"),
+    (LG, "run", MISSING, "config.run: is required for scenario 'lg_run'"),
+    (BUDGET, "budget", MISSING, "config.budget: is required for scenario 'budget'"),
+    (SWEEP, "system", MISSING, "config.system: is required for scenario 'sweep'"),
+    (SWEEP, "sweep", MISSING, "config.sweep: is required for scenario 'sweep'"),
+    (SWEEP, "plan", MISSING, "config.plan: is required when sweeping n or tau"),
+    (edited(SWEEP, "sweep.delta_p", []), "sweep.mode", "weak",
+     "config.pointer: is required for weak-mode sweeps without a delta_p axis"),
+    (BUDGET, "budget.delta_p", MISSING,
+     "config.budget.delta_p: is required (or provide a pointer section)"),
+    (BUDGET, "budget.delta_p", None,
+     "config.budget.delta_p: is required (or provide a pointer section)"),
+    (BUDGET, "budget.var_a", MISSING,
+     "config.budget.var_a: is required (or provide a system section)"),
+    # system
+    (LG, "system.spin", 1, "config.system.spin: unknown key"),
+    (LG, "system.dim", MISSING, "config.system.dim: is required"),
+    (LG, "system.initial_state", MISSING, "config.system.initial_state: is required"),
+    (LG, "system.dim", "2", "config.system.dim: must be an integer, got '2'"),
+    (LG, "system.dim", 2.0, "config.system.dim: must be an integer, got 2.0"),
+    (LG, "system.dim", 0, "config.system.dim: must be >= 1, got 0"),
+    (LG, "system.dim", 3,
+     "config.system.hamiltonian: must be a row-major list of 9 [re, im] pairs"),
+    (LG, "system.hamiltonian", SX[:3],
+     "config.system.hamiltonian: must be a row-major list of 4 [re, im] pairs"),
+    (LG, "system.hamiltonian", "sx",
+     "config.system.hamiltonian: must be a row-major list of 4 [re, im] pairs"),
+    (LG, "system.observable", None,
+     "config.system.observable: must be a row-major list of 4 [re, im] pairs"),
+    (LG, "system.observable", SZ[:3] + ["x"],
+     "config.system.observable[3]: must be an [re, im] number pair, got 'x'"),
+    (LG, "system.initial_state", [[1, 0, 0]] + KET0[1:],
+     "config.system.initial_state[0]: must be an [re, im] number pair, got [1, 0, 0]"),
+    (LG, "system.initial_state", [[True, 0]] + KET0[1:],
+     "config.system.initial_state[0]: must be an [re, im] number pair, got [True, 0]"),
+    (LG, "system.initial_state", [(1, 0)] + KET0[1:],
+     "config.system.initial_state[0]: must be an [re, im] number pair, got (1, 0)"),
+    # pointer
+    (LG, "pointer.sigma", 2.0, "config.pointer.sigma: unknown key"),
+    (LG, "pointer.width", MISSING, "config.pointer.width: is required"),
+    (LG, "pointer.width", "w", "config.pointer.width: must be a number, got 'w'"),
+    (LG, "pointer.width", False, "config.pointer.width: must be a number, got False"),
+    (LG, "pointer.width", 0, "config.pointer.width: must be positive, got 0"),
+    (LG, "pointer.width", -1.5, "config.pointer.width: must be positive, got -1.5"),
+    (LG, "pointer.truncation", "third",
+     "config.pointer.truncation: must be one of ['exact', 'perturbative_o2'], got 'third'"),
+    (LG, "pointer.truncation", None,
+     "config.pointer.truncation: must be one of ['exact', 'perturbative_o2'], got None"),
+    # plan
+    (LG, "plan.k", MISSING, "config.plan.k: is required"),
+    (LG, "plan.times", MISSING, "config.plan.times: is required"),
+    (LG, "plan.k", 3.0, "config.plan.k: must be an integer, got 3.0"),
+    (edited(LG, "plan.times", [0.0, 1.0]), "plan.k", 2, "config.plan.k: must be >= 3, got 2"),
+    (LG, "plan.times", "0 1 2", "config.plan.times: must be a list of numbers, got '0 1 2'"),
+    (LG, "plan.times", [0.0, None, 2.0], "config.plan.times[1]: must be a number, got None"),
+    (LG, "plan.times", [0.0, 1.0], "config.plan.times: must have k = 3 entries, got 2"),
+    (LG, "plan.times", [0.0, 2.0, 1.0], "config.plan.times: must be strictly increasing"),
+    (LG, "plan.times", [0.0, 1.0, 1.0], "config.plan.times: must be strictly increasing"),
+    # run
+    (LG, "run.n_strong", MISSING, "config.run.n_strong: is required"),
+    (LG, "run.n_strong", "many", "config.run.n_strong: must be an integer, got 'many'"),
+    (LG, "run.n_weak", 1, "config.run.n_weak: must be >= 2, got 1"),
+    # budget
+    (BUDGET, "budget.ensemble_size", MISSING, "config.budget.ensemble_size: is required"),
+    (BUDGET, "budget.k", MISSING, "config.budget.k: is required"),
+    (BUDGET, "budget.ensemble_size", 0, "config.budget.ensemble_size: must be >= 1, got 0"),
+    (BUDGET, "budget.k", 2, "config.budget.k: must be >= 3, got 2"),
+    (BUDGET, "budget.delta_p", 0, "config.budget.delta_p: must be positive, got 0"),
+    (BUDGET, "budget.delta_p", "10", "config.budget.delta_p: must be a number, got '10'"),
+    (BUDGET, "budget.var_a", -1, "config.budget.var_a: must be >= 0, got -1"),
+    (BUDGET, "budget.order_unity_threshold", 0,
+     "config.budget.order_unity_threshold: must be positive, got 0"),
+    # verify
+    (VERIFY, "verify.widths", 5, "config.verify.widths: must be a list of numbers, got 5"),
+    (VERIFY, "verify.widths", [-1], "config.verify.widths[0]: must be positive, got -1"),
+    (VERIFY, "verify.n_samples", 99, "config.verify.n_samples: must be >= 100, got 99"),
+    (VERIFY, "verify.n_samples", None, "config.verify.n_samples: must be an integer, got None"),
+    (VERIFY, "verify.n_random", 0, "config.verify.n_random: must be >= 1, got 0"),
+    (VERIFY, "verify.corrupt_state", 1, "config.verify.corrupt_state: must be a boolean, got 1"),
+    # sweep
+    (SWEEP, "sweep.delta_p", 10, "config.sweep.delta_p: must be a list of numbers, got 10"),
+    (SWEEP, "sweep.delta_p", [0], "config.sweep.delta_p[0]: must be positive, got 0"),
+    (SWEEP, "sweep.n", 5, "config.sweep.n: must be a list of integers, got 5"),
+    (SWEEP, "sweep.n", None, "config.sweep.n: must be a list of integers, got None"),
+    (SWEEP, "sweep.n", [100, 1], "config.sweep.n[1]: must be >= 2, got 1"),
+    (SWEEP, "sweep.n", [2.5], "config.sweep.n[0]: must be an integer, got 2.5"),
+    (SWEEP, "sweep.tau", [-0.5], "config.sweep.tau[0]: must be positive, got -0.5"),
+    (SWEEP, "sweep.n_per_point", 1, "config.sweep.n_per_point: must be >= 2, got 1"),
+    (SWEEP, "sweep.mode", "medium",
+     "config.sweep.mode: must be one of ['strong', 'weak'], got 'medium'"),
+    (SWEEP, "sweep", {}, "config.sweep: sweep grid is empty: provide at least one of delta_p, n, tau"),
+    # tolerances and output
+    (LG, "tolerances", {"gap": 1e-9}, "config.tolerances.gap: unknown key"),
+    (LG, "tolerances", {"eigen_gap": 0}, "config.tolerances.eigen_gap: must be positive, got 0"),
+    (LG, "tolerances", {"eigen_gap": None},
+     "config.tolerances.eigen_gap: must be a number, got None"),
+    (LG, "output", {"dir": 5}, "config.output.dir: must be a string or null, got 5"),
+    (LG, "output", {"format": "xml"},
+     "config.output.format: must be one of ['json', 'csv', 'both'], got 'xml'"),
+]
+
+
+class TestMessages:
+    @pytest.mark.parametrize(
+        "base, key_path, value, message", MESSAGES, ids=[m[3] for m in MESSAGES]
+    )
+    def test_single_defect_message(self, base, key_path, value, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(edited(base, key_path, value))
+        assert str(exc.value) == message
+
+    def test_bases_are_valid(self):
+        for base in (LG, BUDGET, SWEEP, VERIFY):
+            parse_config(base)
+
+    def test_top_level_must_be_object(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config([])
+        assert str(exc.value) == "config: must be an object, got list"
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{", encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == (
+            "config is not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)"
+        )
+
+    def test_nulls_that_mean_unset(self):
+        data = edited(edited(BUDGET, "budget.var_a", None), "output", {"dir": None})
+        cfg = parse_config(edited(data, "system", SYSTEM))
+        assert cfg.budget.var_a is None and cfg.output.dir is None
+
+
+class TestUndecodableJson:
+    # every ValueError json.load raises is a validation error, not a traceback
+    @pytest.mark.parametrize("raw", [
+        b'{"scenario": "verify", "seed": ' + b"9" * 5000 + b"}",
+        b'{"scenario": "verify\xff"}',
+    ], ids=["integer_over_4300_digits", "not_utf8"])
+    def test_undecodable_json(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match="^config is not valid JSON: "):
+            load_config(str(path))
+
+
+class TestNonFiniteNumbers:
+    # json.load turns NaN, Infinity and -Infinity into floats, and keeps an
+    # integer literal too large for a float; each kind of number field
+    # rejects them with its key path
+    @pytest.mark.parametrize("value, text", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (10**400, str(10**400)),
+    ], ids=["nan", "inf", "-inf", "int_beyond_float"])
+    @pytest.mark.parametrize("base, key_path, make, error_path", [
+        (LG, "pointer.width", lambda v: v, "config.pointer.width"),
+        (BUDGET, "budget.var_a", lambda v: v, "config.budget.var_a"),
+        (LG, "plan.times", lambda v: [0.0, v, 2.0], "config.plan.times[1]"),
+        (LG, "system.observable", lambda v: SZ[:3] + [[v, 0]], "config.system.observable[3]"),
+    ], ids=["number", "optional_number", "list_entry", "matrix_entry"])
+    def test_rejected(self, base, key_path, make, error_path, value, text):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(edited(base, key_path, make(value)))
+        assert str(exc.value) == f"{error_path}: must be finite, got {text}"
+
+    def test_json_tokens_rejected(self, tmp_path):
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(edited(BUDGET, "budget.var_a", math.nan)), encoding="utf-8")
+        assert "NaN" in path.read_text(encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == "config.budget.var_a: must be finite, got nan"
+
+
+class TestBudgetRanges:
+    def test_threshold_above_one_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(edited(BUDGET, "budget.order_unity_threshold", 2.0))
+        assert str(exc.value) == "config.budget.order_unity_threshold: must be <= 1, got 2.0"
+
+    def test_threshold_of_one_accepted(self):
+        cfg = parse_config(edited(BUDGET, "budget.order_unity_threshold", 1))
+        assert cfg.budget.order_unity_threshold == 1.0
+
+    def test_ensemble_must_cover_2k_measurements(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(edited(BUDGET, "budget.ensemble_size", 5))
+        assert str(exc.value) == "config.budget.ensemble_size: must be >= 2k = 6, got 5"
+        assert parse_config(edited(BUDGET, "budget.ensemble_size", 6)).budget.ensemble_size == 6
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("path", STOCK_CONFIGS, ids=[p.name for p in STOCK_CONFIGS])
+    def test_stock_config_round_trips(self, path):
+        cfg = load_config(str(path))
+        assert parse_config(config_to_dict(cfg)) == cfg
+
     def test_lg_config_round_trips(self):
         cfg = parse_config(lg_config())
         assert parse_config(config_to_dict(cfg)) == cfg
