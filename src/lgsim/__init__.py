@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .budget import (
     BudgetInput,
     BudgetReport,
-    strong_error,
     strong_subensemble,
     target_error,
     total_strong_ensemble,
@@ -30,12 +29,9 @@ from .invasiveness import (
 )
 from .measurement import (
     PointerModel,
-    PointerStatistics,
-    pointer_statistics,
     sample_strong_readings,
     sample_weak_readings,
     strong_channel,
-    weak_channel,
     weak_channel_exact,
     weak_channel_perturbative,
 )

@@ -104,15 +104,6 @@ def target_error(ensemble_size: int, k: int, delta_p: float) -> float:
     return delta_p / math.sqrt(2.0 * ensemble_size / k)
 
 
-def strong_error(var_a: float, n: int) -> float:
-    """Statistical error of a strong mean estimate over n events."""
-    if var_a < 0:
-        raise ValidationError(f"var_a must be >= 0, got {var_a!r}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return math.sqrt(var_a / n)
-
-
 def strong_subensemble(var_a: float, eps: float) -> int:
     """Members per strong measurement to reach error eps: Var(A)/eps^2."""
     if var_a < 0:
@@ -139,11 +130,8 @@ def wastage_report(inp: BudgetInput) -> BudgetReport:
     m, k, dp, var = inp.ensemble_size, inp.k, inp.delta_p, inp.var_a
     eps = target_error(m, k, dp)
     subensemble = m / k
-
-    ms_real = var / dp**2 * (2.0 * m / k)
-    mtot_real = 2.0 * k * ms_real
-    ms = _ceil_count(ms_real)
-    mtot = _ceil_count(mtot_real)
+    ms = strong_subensemble(var, eps)
+    mtot = total_strong_ensemble(m, k, dp, var)
 
     # leading-order indices; capped at 1 so the wastage rule stays total
     i1_weak = min(var / dp**2, 1.0)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .invasiveness import ORDER_UNITY_THRESHOLD
-from .measurement import MODE_STRONG, MODE_WEAK, TRUNCATION_EXACT, TRUNCATIONS
+from .measurement import MODE_STRONG, MODE_WEAK
 from .quantum import EIGEN_GAP_TOL
 from .streams import MAX_SEED
 
@@ -83,7 +83,9 @@ class SystemConfig:
 @dataclass(frozen=True)
 class PointerConfig:
     width: float = _field(positive=True)
-    truncation: str = _field(TRUNCATION_EXACT, choices=TRUNCATIONS)
+    # runs always use the exact weak channel; the key stays accepted, with
+    # that one value, because existing configs set it
+    truncation: str = _field("exact", choices=("exact",))
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,6 @@ def _system_objects(system: SystemConfig, eigen_gap: float):
     return h, obs, rho
 
 
-def _pointer_model(cfg: RunConfig) -> PointerModel:
-    return PointerModel(width=cfg.pointer.width, truncation=cfg.pointer.truncation)
-
-
 def _estimate_dict(est: CorrelatorEstimate) -> dict:
     return {
         "pair": list(est.pair),
@@ -157,7 +153,7 @@ def run_lg(cfg: RunConfig) -> dict:
     h, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
     dyn = DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)
     plan = build_series(cfg.plan.k, cfg.plan.times)
-    pm = _pointer_model(cfg)
+    pm = PointerModel(width=cfg.pointer.width)
 
     strong = run_series(plan, dyn, "strong", cfg.run.n_strong, cfg.seed, stream_base=0)
     weak = run_series(
@@ -182,13 +178,8 @@ def run_lg(cfg: RunConfig) -> dict:
             ),
         })
 
-    schedule = plan.event_schedule()
     return {
         "plan": {"k": plan.k, "times": list(plan.times), "pairs": [list(p) for p in plan.pairs]},
-        "schedule": {
-            "n_events": len(schedule),
-            "n_non_invasive": sum(e.non_invasive for e in schedule),
-        },
         "strong": {
             "mode": "strong",
             "n_per_series": cfg.run.n_strong,
@@ -309,9 +300,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     gaps = []
     for w in widths:
         exact = weak_channel_exact(probe, obs, PointerModel(width=float(w)))
-        pert = weak_channel_perturbative(
-            probe, obs, PointerModel(width=float(w), truncation="perturbative_o2")
-        )
+        pert = weak_channel_perturbative(probe, obs, PointerModel(width=float(w)))
         gaps.append(float(np.max(np.abs(exact.matrix - pert.matrix))))
     if not in_regime:
         checks.append(_check(

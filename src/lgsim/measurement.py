@@ -10,6 +10,7 @@ branch; tracing the pointer out damps eigenbasis coherences,
     rho_ij -> rho_ij * (1 - (a_i - a_j)^2 / (4 width^2))        (order 2)
 
 so the second-order map reproduces the exact one up to O(width^-4).
+Runs use the exact map; the second-order one only serves to check it.
 Pointer readings follow the mixture sum_i p_i Normal(a_i, width^2/2):
 same mean as the strong case, variance inflated by width^2/2.
 """
@@ -27,11 +28,7 @@ from .errors import (
     WeakRegimeWarning,
     require_same_dim,
 )
-from .quantum import DensityMatrix, Observable, born_weights, expectation, variance
-
-TRUNCATION_EXACT = "exact"
-TRUNCATION_SECOND_ORDER = "perturbative_o2"
-TRUNCATIONS = (TRUNCATION_EXACT, TRUNCATION_SECOND_ORDER)
+from .quantum import DensityMatrix, Observable, born_weights
 
 MODE_STRONG = "strong"
 MODE_WEAK = "weak"
@@ -44,22 +41,17 @@ PERTURBATION_LIMIT = 0.1
 
 @dataclass(frozen=True)
 class PointerModel:
-    """Gaussian pointer apparatus: width parameter and truncation choice.
+    """Gaussian pointer apparatus, fixed by its width parameter.
 
     ``width`` is the dispersion parameter of the apparatus state; the
     observed per-branch pointer position variance is ``width**2 / 2``.
     """
 
     width: float
-    truncation: str = TRUNCATION_EXACT
 
     def __post_init__(self):
         if not (self.width > 0):
             raise ValidationError(f"pointer width must be positive, got {self.width!r}")
-        if self.truncation not in TRUNCATIONS:
-            raise ValidationError(
-                f"truncation must be one of {TRUNCATIONS}, got {self.truncation!r}"
-            )
 
     @property
     def position_variance(self) -> float:
@@ -68,14 +60,6 @@ class PointerModel:
     def in_weak_regime(self, obs: Observable) -> bool:
         """True when the width comfortably exceeds the spectral diameter."""
         return self.width >= WEAK_REGIME_FACTOR * obs.spectral_diameter
-
-
-@dataclass(frozen=True)
-class PointerStatistics:
-    """Mean and variance of the pointer-reading distribution."""
-
-    mean: float
-    variance: float
 
 
 def _warn_if_not_weak(pm: PointerModel, obs: Observable) -> None:
@@ -122,17 +106,11 @@ def weak_channel_exact(rho: DensityMatrix, obs: Observable, pm: PointerModel) ->
 def weak_channel_perturbative(
     rho: DensityMatrix, obs: Observable, pm: PointerModel
 ) -> DensityMatrix:
-    """Second-order truncation of the weak channel.
+    """Second-order truncation of the weak channel, the check on the exact one.
 
-    Requires a pointer model with ``truncation='perturbative_o2'``; warns
-    (without refusing) when the largest expansion parameter exceeds 0.1.
+    Warns (without refusing) when the largest expansion parameter exceeds 0.1.
     """
     require_same_dim(rho.dim, obs.dim)
-    if pm.truncation != TRUNCATION_SECOND_ORDER:
-        raise ValidationError(
-            "weak_channel_perturbative needs a pointer model with "
-            f"truncation='{TRUNCATION_SECOND_ORDER}', got '{pm.truncation}'"
-        )
     _warn_if_not_weak(pm, obs)
     x = _pair_gaps_squared(obs) / (4.0 * pm.width**2)
     if x.max() > PERTURBATION_LIMIT:
@@ -143,13 +121,6 @@ def weak_channel_perturbative(
             stacklevel=2,
         )
     return _eigenbasis_map(rho, obs, 1.0 - x)
-
-
-def weak_channel(rho: DensityMatrix, obs: Observable, pm: PointerModel) -> DensityMatrix:
-    """Dispatch to the exact or second-order channel per the pointer model."""
-    if pm.truncation == TRUNCATION_EXACT:
-        return weak_channel_exact(rho, obs, pm)
-    return weak_channel_perturbative(rho, obs, pm)
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -185,20 +156,3 @@ def sample_weak_readings(
     cum = np.cumsum(born_weights(rho, obs).probabilities)[:, None]
     idx = _inverse_cdf(cum, rng.uniform(size=n))
     return obs.eigenvalues[idx] + np.sqrt(pm.position_variance) * rng.standard_normal(n)
-
-
-def pointer_statistics(
-    rho: DensityMatrix, obs: Observable, pm: PointerModel | None = None
-) -> PointerStatistics:
-    """Closed-form reading mean/variance; ``pm=None`` means a strong apparatus.
-
-    Strong: (<A>, Var A). Weak: (<A>, width^2/2 + Var A) - the weak mean
-    matches the strong one, only the spread differs.
-    """
-    require_same_dim(rho.dim, obs.dim)
-    mean = expectation(rho, obs)
-    var = variance(rho, obs)
-    if pm is None:
-        return PointerStatistics(mean=mean, variance=var)
-    _warn_if_not_weak(pm, obs)
-    return PointerStatistics(mean=mean, variance=pm.position_variance + var)

@@ -7,9 +7,8 @@ earlier time, measures (strong, or weak through a Gaussian pointer),
 evolves the conditional state to the later time, measures strongly, and
 contributes the product of the two readings to the correlator estimate.
 
-The earlier slot of each series is the one that must approximate a
-non-invasive measurement; the schedule records that label (k of the 2k
-events) without it changing any behavior.
+The earlier measurement of each series is the one that must approximate
+a non-invasive measurement, which is why only it can be weak.
 
 Sampling is chunked and vectorized: chunk c of series s always draws
 from ``substream(seed, s, c)`` and partial sums merge in chunk order, so
@@ -57,16 +56,6 @@ from .streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
 
 
 @dataclass(frozen=True)
-class MeasurementEvent:
-    """One scheduled measurement slot of a plan."""
-
-    series_index: int   # 1-based series number
-    time_index: int     # 1-based index into the plan's times
-    slot: str           # "first" or "second" within the series
-    non_invasive: bool  # True for the earlier slot of each series
-
-
-@dataclass(frozen=True)
 class SeriesPlan:
     """k measurement times and the k time pairs they are visited in."""
 
@@ -95,14 +84,6 @@ class SeriesPlan:
     def pair_times(self, pair: tuple[int, int]) -> tuple[float, float]:
         i, j = pair
         return self.times[i - 1], self.times[j - 1]
-
-    def event_schedule(self) -> list[MeasurementEvent]:
-        """All 2k measurement slots; the k earlier ones carry the NIM label."""
-        events = []
-        for s, (i, j) in enumerate(self.pairs, start=1):
-            events.append(MeasurementEvent(s, i, "first", True))
-            events.append(MeasurementEvent(s, j, "second", False))
-        return events
 
 
 def build_series(k: int, times) -> SeriesPlan:

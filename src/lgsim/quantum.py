@@ -178,9 +178,6 @@ class SpectrumWeights:
             raise ValidationError(f"probabilities sum to {s!r}, not 1")
         object.__setattr__(self, "probabilities", _freeze(np.clip(p, 0.0, None)))
 
-    def __iter__(self):
-        return iter(self.probabilities)
-
 
 # ---------------------------------------------------------------------------
 # constructors

@@ -11,7 +11,6 @@ from lgsim import (
     sample_strong_readings,
     sample_weak_readings,
     spectral_decompose,
-    strong_error,
     strong_subensemble,
     target_error,
     total_strong_ensemble,
@@ -49,18 +48,6 @@ class TestErrorFormulas:
 
     def test_target_error_with_more_slices(self):
         assert target_error(M, 8, DP) == pytest.approx(0.02, abs=1e-15)
-
-    def test_strong_error(self):
-        assert strong_error(1.0, 10_000) == pytest.approx(0.01, abs=1e-15)
-        assert strong_error(0.0, 100) == 0.0
-
-    def test_error_ratio_identity(self):
-        # strong_error(var, n) / (delta_p / sqrt(2n)) = sqrt(2 var) / delta_p
-        for var, n, dp in [(1.0, 5000, 10.0), (0.25, 777, 31.0), (2.5, 12, 4.0)]:
-            weak_per_event = dp / math.sqrt(2 * n)
-            assert strong_error(var, n) / weak_per_event == pytest.approx(
-                math.sqrt(2 * var) / dp, rel=1e-12
-            )
 
 
 class TestSubensembleSizes:

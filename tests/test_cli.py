@@ -69,6 +69,16 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_second_order_truncation_is_one(self, tmp_path, capsys):
+        bad = dict(LG_RUN, pointer={"width": 10.0, "truncation": "perturbative_o2"})
+        code = main(["lg-run", "--config", write_cfg(tmp_path, bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: config.pointer.truncation: must be one of ['exact'], "
+            "got 'perturbative_o2'\n"
+        )
+
     def test_scenario_subcommand_mismatch_is_one(self, tmp_path, capsys):
         code = main(["verify", "--config", write_cfg(tmp_path, BUDGET),
                      "--out", str(tmp_path / "out")])

@@ -241,9 +241,11 @@ MESSAGES = [
     (LG, "pointer.width", 0, "config.pointer.width: must be positive, got 0"),
     (LG, "pointer.width", -1.5, "config.pointer.width: must be positive, got -1.5"),
     (LG, "pointer.truncation", "third",
-     "config.pointer.truncation: must be one of ['exact', 'perturbative_o2'], got 'third'"),
+     "config.pointer.truncation: must be one of ['exact'], got 'third'"),
     (LG, "pointer.truncation", None,
-     "config.pointer.truncation: must be one of ['exact', 'perturbative_o2'], got None"),
+     "config.pointer.truncation: must be one of ['exact'], got None"),
+    (LG, "pointer.truncation", "perturbative_o2",
+     "config.pointer.truncation: must be one of ['exact'], got 'perturbative_o2'"),
     # plan
     (LG, "plan.k", MISSING, "config.plan.k: is required"),
     (LG, "plan.times", MISSING, "config.plan.times: is required"),

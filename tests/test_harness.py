@@ -93,9 +93,6 @@ class TestRunLg:
         combined = math.hypot(ks["std_error"], kw["std_error"])
         assert abs(ks["value"] - kw["value"]) < 5 * combined
 
-    def test_schedule_labels(self, payload):
-        assert payload["schedule"] == {"n_events": 6, "n_non_invasive": 3}
-
     def test_correlator_table_shape(self, payload):
         for mode in ("strong", "weak"):
             table = payload[mode]["correlators"]

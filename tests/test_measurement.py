@@ -10,13 +10,11 @@ from lgsim import (
     expectation,
     pauli,
     plus_state,
-    pointer_statistics,
     pure_state,
     sample_strong_readings,
     sample_weak_readings,
     spectral_decompose,
     strong_channel,
-    weak_channel,
     weak_channel_exact,
     weak_channel_perturbative,
 )
@@ -42,7 +40,7 @@ def pm_exact(width):
 
 
 def pm_pert(width):
-    return PointerModel(width=width, truncation="perturbative_o2")
+    return PointerModel(width=width)
 
 
 class TestStrongChannel:
@@ -221,21 +219,11 @@ class TestWeakChannelPerturbative:
         slope = np.polyfit(np.log(widths), np.log(gaps), 1)[0]
         assert slope == pytest.approx(-4.0, abs=0.1)
 
-    def test_requires_matching_truncation(self, qubit_z):
-        with pytest.raises(ValidationError, match="truncation"):
-            weak_channel_perturbative(plus_state(), qubit_z, pm_exact(10.0))
-
     def test_warns_when_expansion_parameter_large(self, qubit_z):
         # x = 4 / (4 * 2.5^2) = 0.16 > 0.1 but width still sane enough to run
         with pytest.warns(PerturbationAccuracyWarning):
             with pytest.warns(WeakRegimeWarning):
                 weak_channel_perturbative(plus_state(), qubit_z, pm_pert(2.5))
-
-    def test_dispatcher_selects_by_truncation(self, qubit_z):
-        exact = weak_channel(plus_state(), qubit_z, pm_exact(10.0))
-        pert = weak_channel(plus_state(), qubit_z, pm_pert(10.0))
-        assert exact.matrix[0, 1].real == pytest.approx(0.5 * np.exp(-0.01), abs=1e-14)
-        assert pert.matrix[0, 1].real == pytest.approx(0.495, abs=1e-14)
 
 
 class TestWeakRegimeGuardrail:
@@ -264,35 +252,11 @@ class TestWeakSample:
         assert abs(readings.mean()) < 5 * np.sqrt(51.0 / n)
         assert readings.var(ddof=1) == pytest.approx(51.0, rel=0.02)
 
-class TestPointerStatistics:
-    def test_strong_statistics(self, qubit_z):
-        stats = pointer_statistics(plus_state(), qubit_z)
-        assert stats.mean == pytest.approx(0.0, abs=1e-12)
-        assert stats.variance == pytest.approx(1.0, abs=1e-12)
-
-    def test_weak_statistics_inflated_by_pointer(self, qubit_z):
-        stats = pointer_statistics(plus_state(), qubit_z, pm_exact(10.0))
-        assert stats.mean == pytest.approx(0.0, abs=1e-12)
-        assert stats.variance == pytest.approx(51.0, abs=1e-12)
-
-    def test_weak_statistics_of_eigenstate(self, qubit_z):
-        stats = pointer_statistics(basis_state(2, 0), qubit_z, pm_exact(10.0))
-        assert stats.mean == pytest.approx(1.0, abs=1e-12)
-        assert stats.variance == pytest.approx(50.0, abs=1e-12)
-
-    def test_dim_mismatch(self, qubit_z):
-        with pytest.raises(DimensionMismatchError):
-            pointer_statistics(random_density_matrix(3, np.random.default_rng(0)), qubit_z)
-
 
 class TestPointerModelValidation:
     def test_width_must_be_positive(self):
         with pytest.raises(ValidationError):
             PointerModel(width=0.0)
-
-    def test_truncation_must_be_known(self):
-        with pytest.raises(ValidationError):
-            PointerModel(width=1.0, truncation="fourth_order")
 
     def test_position_variance_is_half_width_squared(self):
         assert PointerModel(width=10.0).position_variance == 50.0

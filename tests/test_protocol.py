@@ -79,23 +79,6 @@ class TestBuildSeries:
         assert plan.pair_times((1, 3)) == (0.5, 4.0)
 
 
-class TestEventSchedule:
-    def test_two_k_events_with_k_non_invasive(self):
-        for k in (3, 4, 7):
-            plan = build_series(k, list(range(k)))
-            events = plan.event_schedule()
-            assert len(events) == 2 * k
-            assert sum(e.non_invasive for e in events) == k
-            # the non-invasive slot is always the earlier one of its series
-            assert all(e.slot == "first" for e in events if e.non_invasive)
-
-    def test_schedule_visits_every_pair_in_order(self):
-        plan = build_series(3, [0.0, 1.0, 2.0])
-        events = plan.event_schedule()
-        visited = [(events[2 * s].time_index, events[2 * s + 1].time_index) for s in range(3)]
-        assert visited == [(1, 2), (2, 3), (1, 3)]
-
-
 class TestDynamicsSpec:
     def test_benchmark_shape(self, bench):
         assert bench.observable.is_dichotomic()
