@@ -58,6 +58,13 @@ class TestSubensembleSizes:
     def test_zero_variance_needs_nothing(self):
         assert strong_subensemble(0.0, 0.01) == 0
 
+    def test_least_count_meeting_target(self):
+        # sqrt(var / M_s) <= eps, and one member fewer misses it
+        for var, eps in [(1.0, 0.0123), (0.25, 0.003), (2.5, 0.07), (0.7, 1e-3)]:
+            ms = strong_subensemble(var, eps)
+            assert math.sqrt(var / ms) <= eps * (1 + 1e-12)
+            assert math.sqrt(var / (ms - 1)) > eps
+
     def test_two_routes_agree_at_benchmark(self):
         # var/eps^2 with eps = target_error equals (var/dp^2) * 2M/k
         direct = strong_subensemble(VAR, target_error(M, K, DP))
@@ -132,6 +139,14 @@ class TestWastageReport:
     def test_error_ratio_field(self):
         rep = wastage_report(BudgetInput(M, K, DP, VAR))
         assert rep.error_ratio_strong_over_weak == pytest.approx(math.sqrt(2.0) / DP)
+
+    def test_error_ratio_identity(self):
+        # strong error sqrt(var/n) over weak per-event error delta_p/sqrt(2n),
+        # for any n, is the report's sqrt(2 var) / delta_p
+        for var, n, dp in [(1.0, 5000, 10.0), (0.25, 777, 31.0), (2.5, 12, 4.0)]:
+            rep = wastage_report(BudgetInput(M, K, dp, var))
+            ratio = math.sqrt(var / n) / (dp / math.sqrt(2 * n))
+            assert rep.error_ratio_strong_over_weak == pytest.approx(ratio, rel=1e-12)
 
     def test_dominance_flagged_when_pointer_too_narrow(self):
         # width <= 2 sqrt(var): the strong scheme no longer needs fewer members

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,8 @@ VERIFY_FAST = {
     "seed": 3,
     "verify": {"n_samples": 20_000, "n_random": 15},
 }
+
+STOCK_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -156,6 +159,17 @@ class TestDeterministicReports:
         for sub in ("a", "b"):
             out = tmp_path / sub
             assert main(["lg-run", "--config", cfg_path, "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            payloads.append(json.dumps(report["payload"], sort_keys=True))
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("path", STOCK_CONFIGS, ids=[p.stem for p in STOCK_CONFIGS])
+    def test_stock_config_reruns_identical(self, tmp_path, path):
+        payloads = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert main([path.stem.replace("_", "-"), "--config", str(path),
+                         "--out", str(out)]) == 0
             report = json.loads((out / "report.json").read_text())
             payloads.append(json.dumps(report["payload"], sort_keys=True))
         assert payloads[0] == payloads[1]

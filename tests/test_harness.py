@@ -93,6 +93,12 @@ class TestRunLg:
         combined = math.hypot(ks["std_error"], kw["std_error"])
         assert abs(ks["value"] - kw["value"]) < 5 * combined
 
+    def test_payload_blocks(self, payload):
+        assert sorted(payload) == ["comparison", "plan", "strong", "weak"]
+        assert payload["plan"] == {
+            "k": 3, "times": [0.0, TAU, 2 * TAU], "pairs": [[1, 2], [2, 3], [1, 3]],
+        }
+
     def test_correlator_table_shape(self, payload):
         for mode in ("strong", "weak"):
             table = payload[mode]["correlators"]

@@ -99,6 +99,10 @@ class TestStrongSample:
         se = readings.std(ddof=1) / np.sqrt(n)
         assert abs(readings.mean() - expectation(rho, qubit_z)) < 5 * se
 
+    def test_dim_mismatch(self, qubit_z, rng):
+        with pytest.raises(DimensionMismatchError):
+            sample_strong_readings(random_density_matrix(3, rng), qubit_z, 10, rng)
+
 
 def _searchsorted_draw(cum, u):
     """The earlier batch draw: first cumulative weight above u, clamped."""
@@ -252,11 +256,22 @@ class TestWeakSample:
         assert abs(readings.mean()) < 5 * np.sqrt(51.0 / n)
         assert readings.var(ddof=1) == pytest.approx(51.0, rel=0.02)
 
+    def test_dim_mismatch(self, qubit_z, rng):
+        with pytest.raises(DimensionMismatchError):
+            sample_weak_readings(
+                random_density_matrix(3, rng), qubit_z, pm_exact(10.0), 10, rng
+            )
+
 
 class TestPointerModelValidation:
     def test_width_must_be_positive(self):
         with pytest.raises(ValidationError):
             PointerModel(width=0.0)
+
+    def test_takes_no_truncation(self):
+        # the exact channel is the only run path; the second-order one is a check
+        with pytest.raises(TypeError):
+            PointerModel(width=10.0, truncation="exact")
 
     def test_position_variance_is_half_width_squared(self):
         assert PointerModel(width=10.0).position_variance == 50.0
