@@ -1,11 +1,8 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto run scenarios:
+One subcommand per scenario in ``config.SCENARIOS``, "_" written as "-":
 
-    lgsim budget --config cfg.json [--seed N] [--out DIR] [--format F]
-    lgsim lg-run ...
-    lgsim verify ...
-    lgsim sweep ...
+    lgsim lg-run --config cfg.json [--seed N] [--out DIR] [--format F]
 
 Exit codes: 0 success, 1 validation error, 2 verification failure,
 3 I/O error. The LGSIM_OUT_DIR environment variable overrides the
@@ -18,7 +15,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import FORMATS, load_config
+from .config import FORMATS, SCENARIOS, load_config
 from .errors import ValidationError
 from .harness import execute, resolve_out_dir, write_report
 from .streams import check_seed
@@ -28,12 +25,7 @@ EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_IO = 3
 
-_SUBCOMMANDS = {
-    "budget": "budget",
-    "lg-run": "lg_run",
-    "verify": "verify",
-    "sweep": "sweep",
-}
+_SUBCOMMANDS = {name.replace("_", "-"): name for name in SCENARIOS}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,7 +36,13 @@ from .streams import MAX_SEED
 
 SCHEMA_VERSION = "1"
 
-SCENARIOS = ("budget", "lg_run", "verify", "sweep")
+_REQUIRED_SECTIONS = {
+    "budget": ("budget",),
+    "lg_run": ("system", "pointer", "plan", "run"),
+    "verify": (),
+    "sweep": ("system", "sweep"),
+}
+SCENARIOS = tuple(_REQUIRED_SECTIONS)
 FORMATS = ("json", "csv", "both")
 SWEEP_MODES = (MODE_STRONG, MODE_WEAK)
 
@@ -260,14 +266,6 @@ def _matrix_pairs(value, path: str, dim: int) -> MatrixPairs:
 # cross-field rules
 
 
-_REQUIRED_SECTIONS = {
-    "budget": ("budget",),
-    "lg_run": ("system", "pointer", "plan", "run"),
-    "verify": (),
-    "sweep": ("system", "sweep"),
-}
-
-
 def parse_config(data: dict) -> RunConfig:
     """Validate a config dict against the schema; reject unknown keys."""
     cfg = _parse_section(RunConfig, data, "config")
@@ -281,6 +279,9 @@ def parse_config(data: dict) -> RunConfig:
             _fail("config.plan.times", "must be strictly increasing")
     if cfg.sweep is not None and not (cfg.sweep.delta_p or cfg.sweep.n or cfg.sweep.tau):
         _fail("config.sweep", "sweep grid is empty: provide at least one of delta_p, n, tau")
+    if cfg.verify is not None and len(set(cfg.verify.widths)) < 2:
+        _fail("config.verify.widths",
+              f"must hold at least two distinct widths, got {list(cfg.verify.widths)}")
     b = cfg.budget
     if b is not None and b.ensemble_size < 2 * b.k:
         _fail("config.budget.ensemble_size", f"must be >= 2k = {2 * b.k}, got {b.ensemble_size}")

@@ -1,9 +1,12 @@
 """Scenario runners behind the CLI: budget, lg_run, verify, sweep.
 
-Every runner maps a validated RunConfig to a JSON-ready payload dict;
+Each scenario is one ``_SCENARIOS`` entry: a runner that maps a validated
+RunConfig to a JSON-ready payload dict, and a function that derives the
+scenario's CSV tables, {file name: (header, rows)}, from that payload alone.
 ``execute`` wraps the payload in a report envelope carrying the schema
-version, the resolved-config echo and wall-clock metadata. Reports are
-deterministic for a fixed (config, seed) apart from the ``meta`` block.
+version, the resolved-config echo and wall-clock metadata; ``write_report``
+writes the envelope as JSON and each table through one ``csv.writer``.
+Reports are deterministic for a fixed (config, seed) apart from ``meta``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import math
 import os
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -48,6 +52,7 @@ from .protocol import (
 )
 from .quantum import (
     DensityMatrix,
+    born_weights,
     expectation,
     pure_state,
     purity,
@@ -96,39 +101,27 @@ def run_budget(cfg: RunConfig) -> dict:
         _, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
         var_a, var_source = variance(rho, obs), "system"
 
-    inp = BudgetInput(
-        ensemble_size=b.ensemble_size,
-        k=b.k,
-        delta_p=delta_p,
-        var_a=var_a,
-        order_unity_threshold=b.order_unity_threshold,
-    )
-    rep = wastage_report(inp)
+    inp = BudgetInput(**{**asdict(b), "delta_p": delta_p, "var_a": var_a})
     return {
-        "input": {
-            "ensemble_size": inp.ensemble_size,
-            "k": inp.k,
-            "delta_p": inp.delta_p,
-            "var_a": inp.var_a,
-            "var_a_source": var_source,
-            "order_unity_threshold": inp.order_unity_threshold,
-        },
-        "report": {
-            "eps_weak_both": rep.eps_weak_both,
-            "eps_target": rep.eps_target,
-            "error_ratio_strong_over_weak": rep.error_ratio_strong_over_weak,
-            "strong_subensemble": rep.strong_subensemble,
-            "total_strong_ensemble": rep.total_strong_ensemble,
-            "ensemble_ratio_strong_over_weak": rep.ensemble_ratio_strong_over_weak,
-            "strong_scheme_smaller": rep.strong_scheme_smaller,
-            "waste_weak_per_measurement": rep.waste_weak_per_measurement,
-            "waste_weak_per_measurement_i2": rep.waste_weak_per_measurement_i2,
-            "waste_strong_per_measurement": rep.waste_strong_per_measurement,
-            "waste_total_weak_scheme": rep.waste_total_weak_scheme,
-            "waste_total_strong_scheme": rep.waste_total_strong_scheme,
-            "waste_ratio_strong_over_weak": rep.waste_ratio_strong_over_weak,
-        },
+        "input": {**asdict(inp), "var_a_source": var_source},
+        "report": asdict(wastage_report(inp)),
     }
+
+
+def _budget_tables(payload: dict) -> dict:
+    inp, rep = payload["input"], payload["report"]
+    return {"budget_comparison.csv": (
+        ["scheme", "eps", "events_per_measurement",
+         "waste_per_measurement", "waste_total", "total_ensemble_required"],
+        [
+            ["weak_first", rep["eps_target"], math.ceil(inp["ensemble_size"] / inp["k"]),
+             rep["waste_weak_per_measurement"], rep["waste_total_weak_scheme"],
+             inp["ensemble_size"]],
+            ["all_strong", rep["eps_target"], rep["strong_subensemble"],
+             rep["waste_strong_per_measurement"], rep["waste_total_strong_scheme"],
+             rep["total_strong_ensemble"]],
+        ],
+    )}
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +194,17 @@ def run_lg(cfg: RunConfig) -> dict:
     }
 
 
+def _lg_tables(payload: dict) -> dict:
+    return {
+        f"correlators_{mode}.csv": (
+            ["pair_i", "pair_j", "value", "std_error", "n_events"],
+            ([*c["pair"], c["value"], c["std_error"], c["n_events"]]
+             for c in payload[mode]["correlators"]),
+        )
+        for mode in ("strong", "weak")
+    }
+
+
 # ---------------------------------------------------------------------------
 # verify scenario
 
@@ -227,6 +231,34 @@ def _coherent_probe(obs) -> DensityMatrix:
         col = p[:, int(np.argmax(np.linalg.norm(p, axis=0)))]
         vecs.append(col / np.linalg.norm(col))
     return pure_state(np.sum(vecs, axis=0))
+
+
+def _sampler_deviation(rho, obs, n: int, rng) -> float:
+    """Worst deviation of n weak and n strong readings' mean and variance from
+    the exact ones, in tolerances: 5 standard errors for a mean. As
+    s^2 - var = (n (S - var) + var - n (m - mean)^2) / (n-1), S the mean squared
+    deviation from the true mean, a variance gets 5 standard errors of S (from
+    the exact fourth central moment) plus a 5-sigma m, and at least 2%. With S
+    and m normal (n p_i >> 1), correct code fails at most 3.4e-6 of the time."""
+    pm = PointerModel(width=max(5.0 * obs.spectral_diameter, 10.0))
+    mean_a = expectation(rho, obs)
+    var_a = variance(rho, obs)
+    s2 = pm.position_variance
+    weak_var = s2 + var_a
+    m4 = float(np.dot(born_weights(rho, obs).probabilities, (obs.eigenvalues - mean_a) ** 4))
+
+    def var_tol(var: float, mu4: float) -> float:  # mu4 >= var^2 up to round-off
+        spread = 5.0 * math.sqrt(max(mu4 - var**2, 0.0) * n) + 25.0 * var
+        return max(0.02 * var, spread / (n - 1))
+
+    wr = sample_weak_readings(rho, obs, pm, n, rng)
+    sr = sample_strong_readings(rho, obs, n, rng)
+    return max(
+        abs(wr.mean() - mean_a) / (5.0 * math.sqrt(weak_var / n)),
+        abs(wr.var(ddof=1) - weak_var) / var_tol(weak_var, m4 + 6.0 * s2 * var_a + 3.0 * s2**2),
+        abs(sr.mean() - mean_a) / (5.0 * math.sqrt(var_a / n)) if var_a > 0 else 0.0,
+        abs(sr.var(ddof=1) - var_a) / var_tol(var_a, m4) if var_a > 0 else 0.0,
+    )
 
 
 def _verify_checks(cfg: RunConfig) -> list[dict]:
@@ -415,24 +447,10 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     ))
 
     # sampled pointer statistics against the closed forms
-    rng = substream(cfg.seed, 107)
-    n = vc.n_samples
-    pm_stat = PointerModel(width=max(5.0 * diam, 10.0))
-    mean_a = expectation(rho, obs)
-    var_a = variance(rho, obs)
-    weak_var = pm_stat.position_variance + var_a
-    wr = sample_weak_readings(rho, obs, pm_stat, n, rng)
-    sr = sample_strong_readings(rho, obs, n, rng)
-    errs = [
-        abs(wr.mean() - mean_a) / (5.0 * math.sqrt(weak_var / n)),
-        abs(wr.var(ddof=1) - weak_var) / (0.02 * weak_var),
-        abs(sr.mean() - mean_a) / (5.0 * math.sqrt(var_a / n)) if var_a > 0 else 0.0,
-        abs(sr.var(ddof=1) - var_a) / (0.02 * var_a) if var_a > 0 else 0.0,
-    ]
-    worst = max(errs)
+    worst = _sampler_deviation(rho, obs, vc.n_samples, substream(cfg.seed, 107))
     checks.append(_check(
         "pointer_sampler_statistics", worst <= 1.0, 1.0 - worst,
-        f"worst normalized deviation {worst:.3f} (1.0 = tolerance) at n = {n}",
+        f"worst normalized deviation {worst:.3f} (1.0 = tolerance) at n = {vc.n_samples}",
     ))
 
     # positivity guard over the states the pipeline produces
@@ -440,9 +458,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     states = [random_density_matrix(obs.dim, rng).matrix for _ in range(10)]
     states.append(strong_channel(rho, obs).matrix)
     if vc.corrupt_state:
-        bad = np.zeros((obs.dim, obs.dim), dtype=complex)
-        bad[0, 0], bad[1, 1] = 1.5, -0.5
-        states.append(bad)
+        states.append(-0.5 * np.eye(obs.dim))  # eigenvalue -0.5 at any dimension
     min_eval = min(float(np.linalg.eigvalsh(s).min()) for s in states)
     checks.append(_check(
         "state_positivity", min_eval >= -1e-10, min_eval + 1e-10,
@@ -459,6 +475,13 @@ def run_verify(cfg: RunConfig) -> dict:
         "passed": all(c["status"] != "fail" for c in checks),
         "n_out_of_regime": sum(c["status"] == "out_of_regime" for c in checks),
     }
+
+
+def _verify_tables(payload: dict) -> dict:
+    return {"verification.csv": (
+        ["check", "status", "margin", "detail"],
+        ([c["name"], c["status"], c["margin"], c["detail"]] for c in payload["checks"]),
+    )}
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +519,8 @@ def run_sweep(cfg: RunConfig) -> dict:
                         rows.append({**coords, "metric": metric, "value": value})
 
                 if mc_wanted:
-                    t1 = cfg.plan.times[0]
-                    if t is not None:
-                        t_first, t_second = t1, t1 + t
-                    else:
-                        t_first, t_second = cfg.plan.times[0], cfg.plan.times[1]
+                    t_first = cfg.plan.times[0]
+                    t_second = t_first + t if t is not None else cfg.plan.times[1]
                     n_events = n if n is not None else sw.n_per_point
                     width = d if d is not None else (cfg.pointer.width if cfg.pointer else None)
                     pointer = PointerModel(width=width) if sw.mode == "weak" else None
@@ -515,22 +535,31 @@ def run_sweep(cfg: RunConfig) -> dict:
     return {"axes": {k: [v for v in vs if v is not None] for k, vs in axes.items()}, "rows": rows}
 
 
+def _sweep_tables(payload: dict) -> dict:
+    # csv writes None, an axis the grid does not sweep, as an empty field
+    return {"sweep.csv": (
+        ["delta_p", "n", "tau", "metric", "value"],
+        ([r["delta_p"], r["n"], r["tau"], r["metric"], r["value"]] for r in payload["rows"]),
+    )}
+
+
 # ---------------------------------------------------------------------------
 # report envelope and emission
 
 
-_RUNNERS = {
-    "budget": run_budget,
-    "lg_run": run_lg,
-    "verify": run_verify,
-    "sweep": run_sweep,
+_SCENARIOS = {
+    "budget": (run_budget, _budget_tables),
+    "lg_run": (run_lg, _lg_tables),
+    "verify": (run_verify, _verify_tables),
+    "sweep": (run_sweep, _sweep_tables),
 }
 
 
 def execute(cfg: RunConfig) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    payload = _RUNNERS[cfg.scenario](cfg)
+    runner, _ = _SCENARIOS[cfg.scenario]
+    payload = runner(cfg)
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario": cfg.scenario,
@@ -550,57 +579,6 @@ def payload_json(report: dict) -> str:
     return json.dumps(report["payload"], sort_keys=True)
 
 
-def _write_correlator_csv(path: str, correlators: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_i", "pair_j", "value", "std_error", "n_events"])
-        for c in correlators:
-            writer.writerow([c["pair"][0], c["pair"][1], c["value"], c["std_error"], c["n_events"]])
-
-
-def _write_budget_csv(path: str, payload: dict) -> None:
-    inp, rep = payload["input"], payload["report"]
-    subensemble = math.ceil(inp["ensemble_size"] / inp["k"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "scheme", "eps", "events_per_measurement",
-            "waste_per_measurement", "waste_total", "total_ensemble_required",
-        ])
-        writer.writerow([
-            "weak_first", rep["eps_target"], subensemble,
-            rep["waste_weak_per_measurement"], rep["waste_total_weak_scheme"],
-            inp["ensemble_size"],
-        ])
-        writer.writerow([
-            "all_strong", rep["eps_target"], rep["strong_subensemble"],
-            rep["waste_strong_per_measurement"], rep["waste_total_strong_scheme"],
-            rep["total_strong_ensemble"],
-        ])
-
-
-def _write_verify_csv(path: str, payload: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "status", "margin", "detail"])
-        for c in payload["checks"]:
-            writer.writerow([c["name"], c["status"], c["margin"], c["detail"]])
-
-
-def _write_sweep_csv(path: str, payload: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_p", "n", "tau", "metric", "value"])
-        for r in payload["rows"]:
-            writer.writerow([
-                "" if r["delta_p"] is None else r["delta_p"],
-                "" if r["n"] is None else r["n"],
-                "" if r["tau"] is None else r["tau"],
-                r["metric"],
-                r["value"],
-            ])
-
-
 def write_report(report: dict, out_dir: str, fmt: str) -> list[str]:
     """Write report.json and/or scenario CSVs; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -612,24 +590,13 @@ def write_report(report: dict, out_dir: str, fmt: str) -> list[str]:
             fh.write("\n")
         written.append(path)
     if fmt in ("csv", "both"):
-        scenario = report["scenario"]
-        payload = report["payload"]
-        if scenario == "budget":
-            path = os.path.join(out_dir, "budget_comparison.csv")
-            _write_budget_csv(path, payload)
-            written.append(path)
-        elif scenario == "lg_run":
-            for mode in ("strong", "weak"):
-                path = os.path.join(out_dir, f"correlators_{mode}.csv")
-                _write_correlator_csv(path, payload[mode]["correlators"])
-                written.append(path)
-        elif scenario == "verify":
-            path = os.path.join(out_dir, "verification.csv")
-            _write_verify_csv(path, payload)
-            written.append(path)
-        elif scenario == "sweep":
-            path = os.path.join(out_dir, "sweep.csv")
-            _write_sweep_csv(path, payload)
+        _, csv_tables = _SCENARIOS[report["scenario"]]
+        for name, (header, rows) in csv_tables(report["payload"]).items():
+            path = os.path.join(out_dir, name)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
             written.append(path)
     return written
 

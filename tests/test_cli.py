@@ -101,6 +101,17 @@ class TestExitCodes:
         assert code == 2
         assert "state_positivity" in capsys.readouterr().err
 
+    def test_corrupt_state_on_one_level_system_is_two(self, tmp_path, capsys):
+        cfg = dict(VERIFY_FAST, system={
+            "dim": 1, "hamiltonian": [[0.5, 0]], "observable": [[1, 0]],
+            "initial_state": [[1, 0]],
+        })
+        cfg["verify"] = dict(cfg["verify"], corrupt_state=True)
+        code = main(["verify", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "verification failed: state_positivity\n"
+
     def test_verification_pass_is_zero(self, tmp_path):
         code = main(["verify", "--config", write_cfg(tmp_path, VERIFY_FAST),
                      "--out", str(tmp_path / "out")])

@@ -170,7 +170,7 @@ SWEEP = {
     "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
     "sweep": {"delta_p": [10.0], "n": [100], "tau": [0.5]},
 }
-VERIFY = {"scenario": "verify", "verify": {"widths": [10.0], "n_samples": 1000}}
+VERIFY = {"scenario": "verify", "verify": {"widths": [10.0, 20.0], "n_samples": 1000}}
 LG = lg_config()
 
 # One single-defect input per message the parser can raise, with the full
@@ -273,6 +273,12 @@ MESSAGES = [
     # verify
     (VERIFY, "verify.widths", 5, "config.verify.widths: must be a list of numbers, got 5"),
     (VERIFY, "verify.widths", [-1], "config.verify.widths[0]: must be positive, got -1"),
+    (VERIFY, "verify.widths", [10.0],
+     "config.verify.widths: must hold at least two distinct widths, got [10.0]"),
+    (VERIFY, "verify.widths", [10.0, 10.0],
+     "config.verify.widths: must hold at least two distinct widths, got [10.0, 10.0]"),
+    (VERIFY, "verify.widths", [],
+     "config.verify.widths: must hold at least two distinct widths, got []"),
     (VERIFY, "verify.n_samples", 99, "config.verify.n_samples: must be >= 100, got 99"),
     (VERIFY, "verify.n_samples", None, "config.verify.n_samples: must be an integer, got None"),
     (VERIFY, "verify.n_random", 0, "config.verify.n_random: must be >= 1, got 0"),

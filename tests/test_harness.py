@@ -1,13 +1,16 @@
+import csv
 import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lgsim.config import parse_config
 from lgsim.harness import (
+    _sampler_deviation,
     execute,
     payload_json,
     resolve_out_dir,
@@ -17,6 +20,8 @@ from lgsim.harness import (
     run_verify,
     write_report,
 )
+from lgsim.quantum import DensityMatrix, pauli, plus_state, spectral_decompose
+from lgsim.streams import substream
 
 SX = [[0, 0], [0.5, 0], [0.5, 0], [0, 0]]
 SZ = [[1, 0], [0, 0], [0, 0], [-1, 0]]
@@ -199,6 +204,23 @@ class TestRunVerify:
         assert not payload["passed"]
 
 
+class TestSamplerStatistics:
+    # verify's stock probe (sigma_z in |+>), and a qutrit whose strong
+    # readings have a spread-out variance of their own
+    PROBES = {
+        "qubit": (spectral_decompose(pauli("z")), plus_state()),
+        "qutrit": (spectral_decompose(np.diag([0.0, 1.0, 3.0])),
+                   DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))),
+    }
+
+    @pytest.mark.parametrize("n", [100, 1_000, 20_000])
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_no_false_failures_over_200_seeds(self, probe, n):
+        obs, rho = self.PROBES[probe]
+        worst = max(_sampler_deviation(rho, obs, n, substream(seed, 107)) for seed in range(200))
+        assert worst <= 1.0
+
+
 class TestRunSweep:
     def test_invasiveness_slope_minus_two(self):
         cfg = parse_config({
@@ -280,6 +302,67 @@ class TestWriteReport:
         report = execute(budget_cfg())
         written = write_report(report, str(tmp_path), "json")
         assert [os.path.basename(p) for p in written] == ["report.json"]
+
+
+STOCK_CONFIGS = {
+    p.stem: json.loads(p.read_text())
+    for p in sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+}
+# M/k = 333,333.33...: the weak-first row must round the subensemble up
+STOCK_CONFIGS["budget_k3"] = dict(
+    STOCK_CONFIGS["budget"], budget=dict(STOCK_CONFIGS["budget"]["budget"], k=3)
+)
+
+
+def _stock_tables(scenario: str, payload: dict) -> dict:
+    """The CSV tables a scenario's payload must come out as."""
+    if scenario == "verify":
+        return {"verification.csv": [["check", "status", "margin", "detail"]] + [
+            [c["name"], c["status"], c["margin"], c["detail"]] for c in payload["checks"]
+        ]}
+    if scenario == "sweep":
+        return {"sweep.csv": [["delta_p", "n", "tau", "metric", "value"]] + [
+            [r["delta_p"], r["n"], r["tau"], r["metric"], r["value"]] for r in payload["rows"]
+        ]}
+    if scenario == "budget":
+        inp, rep = payload["input"], payload["report"]
+        return {"budget_comparison.csv": [
+            ["scheme", "eps", "events_per_measurement", "waste_per_measurement",
+             "waste_total", "total_ensemble_required"],
+            ["weak_first", rep["eps_target"], -(-inp["ensemble_size"] // inp["k"]),  # ceil(M/k)
+             rep["waste_weak_per_measurement"], rep["waste_total_weak_scheme"],
+             inp["ensemble_size"]],
+            ["all_strong", rep["eps_target"], rep["strong_subensemble"],
+             rep["waste_strong_per_measurement"], rep["waste_total_strong_scheme"],
+             rep["total_strong_ensemble"]],
+        ]}
+    return {f"correlators_{mode}.csv": [["pair_i", "pair_j", "value", "std_error", "n_events"]] + [
+        [*c["pair"], c["value"], c["std_error"], c["n_events"]]
+        for c in payload[mode]["correlators"]
+    ] for mode in ("strong", "weak")}
+
+
+def _read_back(cell: str, like):
+    """A CSV cell parsed as the type of the payload value it stands for; "" is None."""
+    if like is None:
+        return None if cell == "" else cell
+    return type(like)(cell)
+
+
+class TestStockCsv:
+    @pytest.mark.parametrize("name", STOCK_CONFIGS)
+    def test_csv_rows_match_payload(self, tmp_path, name):
+        report = execute(parse_config(STOCK_CONFIGS[name]))
+        written = write_report(report, str(tmp_path), "both")
+        expected = _stock_tables(report["scenario"], report["payload"])
+        assert [os.path.basename(p) for p in written] == ["report.json", *expected]
+        for file, rows in expected.items():
+            with open(tmp_path / file, newline="", encoding="utf-8") as fh:
+                read = list(csv.reader(fh))
+            assert len(read) == len(rows)
+            for got, want in zip(read, rows):
+                assert len(got) == len(want)
+                assert [_read_back(c, v) for c, v in zip(got, want)] == want
 
 
 class TestResolveOutDir:
