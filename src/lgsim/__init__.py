@@ -39,7 +39,6 @@ from .protocol import (
     CorrelatorEstimate,
     DynamicsSpec,
     SeriesPlan,
-    build_series,
     estimate_correlator,
     k3_statistic,
     lg_satisfied,
@@ -50,7 +49,6 @@ from .protocol import (
 from .quantum import (
     DensityMatrix,
     Observable,
-    SpectrumWeights,
     basis_state,
     born_weights,
     evolve,

@@ -82,7 +82,7 @@ def predicted_strong(rho_ini: DensityMatrix, obs: Observable) -> InvasivenessRep
     """
     require_same_dim(rho_ini.dim, obs.dim)
     _require_pure(rho_ini, "strong-measurement")
-    p = born_weights(rho_ini, obs).probabilities
+    p = born_weights(rho_ini, obs)
     s = float(np.dot(p, p))
     return _report(purity_ini=1.0, purity_post=s, fidelity=s)
 

@@ -62,13 +62,14 @@ class PointerModel:
         return self.width >= WEAK_REGIME_FACTOR * obs.spectral_diameter
 
 
-def _warn_if_not_weak(pm: PointerModel, obs: Observable) -> None:
+def _warn_if_not_weak(pm: PointerModel, obs: Observable, stacklevel: int = 3) -> None:
+    """Warn at the frame ``stacklevel`` above this one, the public caller's."""
     if not pm.in_weak_regime(obs):
         warnings.warn(
             f"pointer width {pm.width} is below {WEAK_REGIME_FACTOR} x spectral "
             f"diameter {obs.spectral_diameter}; weak-limit formulas degrade here",
             WeakRegimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -141,18 +142,15 @@ def sample_strong_readings(
     require_same_dim(rho.dim, obs.dim)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    cum = np.cumsum(born_weights(rho, obs).probabilities)[:, None]
+    cum = np.cumsum(born_weights(rho, obs))[:, None]
     return obs.eigenvalues[_inverse_cdf(cum, rng.uniform(size=n))]
 
 
 def sample_weak_readings(
     rho: DensityMatrix, obs: Observable, pm: PointerModel, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized batch of n weak pointer readings (no conditional states)."""
-    require_same_dim(rho.dim, obs.dim)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    """Vectorized batch of n weak pointer readings (no conditional states):
+    the strong readings from ``rng``, then Gaussian pointer noise from it."""
     _warn_if_not_weak(pm, obs)
-    cum = np.cumsum(born_weights(rho, obs).probabilities)[:, None]
-    idx = _inverse_cdf(cum, rng.uniform(size=n))
-    return obs.eigenvalues[idx] + np.sqrt(pm.position_variance) * rng.standard_normal(n)
+    readings = sample_strong_readings(rho, obs, n, rng)
+    return readings + np.sqrt(pm.position_variance) * rng.standard_normal(n)

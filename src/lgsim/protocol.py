@@ -86,11 +86,6 @@ class SeriesPlan:
         return self.times[i - 1], self.times[j - 1]
 
 
-def build_series(k: int, times) -> SeriesPlan:
-    """Validate and assemble a k-slice plan."""
-    return SeriesPlan(k=int(k), times=tuple(times))
-
-
 @dataclass(frozen=True)
 class DynamicsSpec:
     """System under test: Hamiltonian, measured observable, prepared state.
@@ -158,7 +153,7 @@ class _SeriesKernel:
         rho0 = dyn.initial_state
         rho_first = evolve(rho0, propagator(dyn.hamiltonian, t_first)) if t_first else rho0
         u_gap = propagator(dyn.hamiltonian, t_second - t_first)
-        self.cum_first = np.cumsum(born_weights(rho_first, obs).probabilities)[:, None]
+        self.cum_first = np.cumsum(born_weights(rho_first, obs))[:, None]
         # G[b, i, j] = tr(B_b P_i rho P_j) with B_b the Heisenberg projector
         proj = obs.projectors
         blocks = (proj @ rho_first.matrix)[:, None] @ proj[None]  # P_i rho P_j
@@ -232,12 +227,13 @@ class _SeriesKernel:
 
 
 def _check_run_args(first_mode, pointer, obs, n) -> None:
+    """Argument checks shared by the public runners; warnings name their caller."""
     if first_mode not in (MODE_STRONG, MODE_WEAK):
         raise ValidationError(f"first_mode must be 'strong' or 'weak', got {first_mode!r}")
     if first_mode == MODE_WEAK:
         if pointer is None:
             raise ValidationError("weak first measurements need a pointer model")
-        _warn_if_not_weak(pointer, obs)
+        _warn_if_not_weak(pointer, obs, stacklevel=4)
     if n < 2:
         raise ValidationError(f"n_per_series must be >= 2, got {n}")
     if not obs.is_dichotomic():
@@ -249,33 +245,20 @@ def _check_run_args(first_mode, pointer, obs, n) -> None:
         )
 
 
-def _run_kernels(
-    kernels: list[_SeriesKernel],
-    n_events: int,
-    seed: int,
-    stream_base: int,
-    chunk_size: int,
-) -> list[tuple[int, float, float]]:
-    """Per-series (count, sum, sum-of-squares), accumulated in chunk order."""
-    sizes = chunk_sizes(n_events, chunk_size)
-    per_series = []
-    for s_idx, kernel in enumerate(kernels):
-        n, s1, s2 = 0, 0.0, 0.0
-        for c_idx, m in enumerate(sizes):
-            dn, d1, d2 = kernel.run_chunk(substream(seed, stream_base + s_idx, c_idx), m)
-            n += dn
-            s1 += d1
-            s2 += d2
-        per_series.append((n, s1, s2))
-    return per_series
-
-
-def _estimate_from_sums(pair: tuple[int, int], sums: tuple[int, float, float]) -> CorrelatorEstimate:
-    n, s1, s2 = sums
-    mean = s1 / n
-    sample_var = max(s2 - n * mean * mean, 0.0) / (n - 1)
+def _estimate(dyn, t1, t2, mode, n, seed, pointer, chunk_size, stream, pair) -> CorrelatorEstimate:
+    """One series of n events: chunk c draws from ``substream(seed, stream, c)``
+    and the (count, sum, sum of squares) of the chunks add up in chunk order."""
+    kernel = _SeriesKernel(dyn, t1, t2, mode, pointer)
+    count, s1, s2 = 0, 0.0, 0.0
+    for c, m in enumerate(chunk_sizes(n, chunk_size)):
+        dn, d1, d2 = kernel.run_chunk(substream(seed, stream, c), m)
+        count += dn
+        s1 += d1
+        s2 += d2
+    mean = s1 / count
+    sample_var = max(s2 - count * mean * mean, 0.0) / (count - 1)
     return CorrelatorEstimate(
-        pair=pair, value=mean, std_error=math.sqrt(sample_var / n), n_events=n
+        pair=pair, value=mean, std_error=math.sqrt(sample_var / count), n_events=count
     )
 
 
@@ -298,13 +281,10 @@ def run_series(
     Series s draws from streams (seed, stream_base + s, chunk).
     """
     _check_run_args(first_mode, pointer, dyn.observable, n_per_series)
-    kernels = [
-        _SeriesKernel(dyn, *plan.pair_times(pair), first_mode, pointer)
-        for pair in plan.pairs
-    ]
-    per_series = _run_kernels(kernels, n_per_series, seed, stream_base, chunk_size)
     return [
-        _estimate_from_sums(pair, sums) for pair, sums in zip(plan.pairs, per_series)
+        _estimate(dyn, *plan.pair_times(pair), first_mode, n_per_series, seed,
+                  pointer, chunk_size, stream_base + s, pair)
+        for s, pair in enumerate(plan.pairs)
     ]
 
 
@@ -323,9 +303,8 @@ def estimate_correlator(
     if t_second <= t_first:
         raise ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
     _check_run_args(first_mode, pointer, dyn.observable, n_events)
-    kernel = _SeriesKernel(dyn, t_first, t_second, first_mode, pointer)
-    sums = _run_kernels([kernel], n_events, seed, stream_base, chunk_size)[0]
-    return _estimate_from_sums((1, 2), sums)
+    return _estimate(dyn, t_first, t_second, first_mode, n_events, seed,
+                     pointer, chunk_size, stream_base, (1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -161,24 +161,6 @@ class DensityMatrix:
         return purity(self) >= 1.0 - tol
 
 
-@dataclass(frozen=True)
-class SpectrumWeights:
-    """Outcome probabilities over an observable's eigenvalues (canonical order)."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if p.ndim != 1 or p.size < 1:
-            raise ValidationError("probabilities must be a non-empty 1-d array")
-        if p.min() < -STRUCTURAL_TOL:
-            raise ValidationError(f"negative probability {p.min():.3e}")
-        s = p.sum()
-        if abs(s - 1.0) > STRUCTURAL_TOL:
-            raise ValidationError(f"probabilities sum to {s!r}, not 1")
-        object.__setattr__(self, "probabilities", _freeze(np.clip(p, 0.0, None)))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -262,25 +244,27 @@ def spectral_decompose(hermitian, gap_tol: float = EIGEN_GAP_TOL) -> Observable:
     return Observable(merged_vals, projs)
 
 
-def born_weights(rho: DensityMatrix, obs: Observable) -> SpectrumWeights:
-    """Outcome probabilities p_i = tr(rho P_i)."""
+def born_weights(rho: DensityMatrix, obs: Observable) -> np.ndarray:
+    """Outcome probabilities p_i = tr(rho P_i) in the observable's order, as a
+    read-only array, clipped at zero and normalised to sum to 1."""
     require_same_dim(rho.dim, obs.dim)
     p = np.einsum("kij,ji->k", obs.projectors, rho.matrix).real
     p = np.clip(p, 0.0, None)
-    return SpectrumWeights(p / p.sum())
+    p /= p.sum()
+    p.setflags(write=False)
+    return p
 
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float:
     """Mean value sum_i p_i a_i."""
-    w = born_weights(rho, obs)
-    return float(np.dot(w.probabilities, obs.eigenvalues))
+    return float(np.dot(born_weights(rho, obs), obs.eigenvalues))
 
 
 def variance(rho: DensityMatrix, obs: Observable) -> float:
     """Variance sum_i p_i a_i^2 - mean^2, clamped at zero."""
     w = born_weights(rho, obs)
-    mean = np.dot(w.probabilities, obs.eigenvalues)
-    var = float(np.dot(w.probabilities, obs.eigenvalues**2) - mean**2)
+    mean = np.dot(w, obs.eigenvalues)
+    var = float(np.dot(w, obs.eigenvalues**2) - mean**2)
     if var < -1e-12:
         raise ValidationError(f"variance {var!r} below -1e-12; inputs are inconsistent")
     return max(var, 0.0)

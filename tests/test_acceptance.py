@@ -79,7 +79,7 @@ def test_strong_invasiveness_closed_form():
             rho = random_pure_state(dim, rng)
             post = strong_channel(rho, obs)
             meas = measure_invasiveness(rho, post)
-            p = born_weights(rho, obs).probabilities
+            p = born_weights(rho, obs)
             closed_form = 1.0 - float(np.dot(p, p))
             assert abs(meas.i1 - closed_form) <= 1e-12
             assert abs(meas.i2 - closed_form) <= 1e-12

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lgsim import harness
 from lgsim.config import parse_config
 from lgsim.harness import (
     _sampler_deviation,
@@ -20,7 +21,8 @@ from lgsim.harness import (
     run_verify,
     write_report,
 )
-from lgsim.quantum import DensityMatrix, pauli, plus_state, spectral_decompose
+from lgsim.measurement import PointerModel
+from lgsim.quantum import DensityMatrix, Observable, pauli, plus_state, spectral_decompose
 from lgsim.streams import substream
 
 SX = [[0, 0], [0.5, 0], [0.5, 0], [0, 0]]
@@ -204,6 +206,57 @@ class TestRunVerify:
         assert not payload["passed"]
 
 
+def _biased_strong(f, rho, obs, n, rng):
+    readings = f(rho, obs, n, rng)
+    readings[::20] = obs.eigenvalues[0]  # one reading in 20 forced to the first outcome
+    return readings
+
+
+# each judged verify check with a defect it must catch: the function it checks,
+# as lgsim.harness calls it, wrapped to push its result off the exact value
+BROKEN = {
+    "spectral_decompose": (
+        "observable_reconstruction",
+        lambda f, *a, **k: Observable(f(*a, **k).eigenvalues + 1e-8, f(*a, **k).projectors)),
+    "weak_channel_exact": (
+        "channel_trace_hermiticity", lambda f, *a: DensityMatrix(f(*a).matrix * (1.0 + 1e-11))),
+    "strong_channel": ("strong_channel_commutes", lambda f, rho, obs: rho),
+    "purity": (
+        "unitary_preserves_purity", lambda f, rho: f(rho) + 1e-8 * rho.matrix[0, 0].real),
+    "weak_channel_perturbative": (
+        "weak_expansion_convergence",
+        lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.01 * pm.width))),
+    "predicted_strong": (
+        "strong_invasiveness_closed_form",
+        lambda f, *a: dataclasses.replace(f(*a), i1=f(*a).i1 + 1e-9)),
+    "predicted_weak": (
+        "weak_invasiveness_expansion",
+        lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.001 * pm.width))),
+    "measure_invasiveness": (
+        "invasiveness_ratio_two", lambda f, *a: dataclasses.replace(f(*a), i1=1.02 * f(*a).i1)),
+    "variance": ("variance_double_sum_identity", lambda f, *a: f(*a) + 1e-9),
+    "sample_weak_readings": ("pointer_sampler_statistics", lambda f, *a: 1.1 * f(*a)),
+    "sample_strong_readings": ("pointer_sampler_statistics", _biased_strong),
+}
+VERIFY_SMALL = {"scenario": "verify", "seed": 3, "verify": {"n_samples": 20_000, "n_random": 20}}
+
+
+class TestVerifyChecksCanFail:
+    @pytest.mark.parametrize("function", sorted(BROKEN))
+    def test_defect_fails_its_check(self, monkeypatch, function):
+        check, wrap = BROKEN[function]
+        original = getattr(harness, function)
+        monkeypatch.setattr(harness, function, lambda *a, **k: wrap(original, *a, **k))
+        payload = run_verify(parse_config(VERIFY_SMALL))
+        assert {c["name"]: c["status"] for c in payload["checks"]}[check] == "fail"
+        assert not payload["passed"]
+
+    def test_every_judged_check_has_a_defect(self):
+        # state_positivity's failing input is corrupt_state, tested above
+        names = {c["name"] for c in run_verify(parse_config(VERIFY_SMALL))["checks"]}
+        assert names - {"state_positivity"} == {check for check, _ in BROKEN.values()}
+
+
 class TestSamplerStatistics:
     # verify's stock probe (sigma_z in |+>), and a qutrit whose strong
     # readings have a spread-out variance of their own
@@ -218,6 +271,14 @@ class TestSamplerStatistics:
     def test_no_false_failures_over_200_seeds(self, probe, n):
         obs, rho = self.PROBES[probe]
         worst = max(_sampler_deviation(rho, obs, n, substream(seed, 107)) for seed in range(200))
+        assert worst <= 1.0
+
+    def test_rare_outcome_no_false_failures_over_1000_seeds(self):
+        # n p = 1 for the rare outcome, where a normal approximation of the
+        # strong readings' moments failed seed 12
+        obs = spectral_decompose(np.diag([0.0, 1.0]))
+        rho = DensityMatrix(np.diag([0.99, 0.01]).astype(complex))
+        worst = max(_sampler_deviation(rho, obs, 100, substream(seed, 107)) for seed in range(1000))
         assert worst <= 1.0
 
 

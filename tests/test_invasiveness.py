@@ -107,7 +107,7 @@ class TestPredictedWeak:
     def test_double_sum_equals_twice_variance(self, qubit_z):
         # brute-force sum_ij p_i p_j (a_i - a_j)^2 for p = (.8, .2), a = (1, -1)
         rho = pure_state([np.sqrt(0.8), np.sqrt(0.2)])
-        p = born_weights(rho, qubit_z).probabilities
+        p = born_weights(rho, qubit_z)
         a = qubit_z.eigenvalues
         dsum = sum(
             p[i] * p[j] * (a[i] - a[j]) ** 2
@@ -122,7 +122,7 @@ class TestPredictedWeak:
             dim = int(rng.integers(2, 5))
             obs = spectral_decompose(random_hermitian(dim, rng))
             rho = random_pure_state(dim, rng)
-            p = born_weights(rho, obs).probabilities
+            p = born_weights(rho, obs)
             a = obs.eigenvalues
             dsum = float(np.einsum("i,j,ij->", p, p, (a[:, None] - a[None, :]) ** 2))
             assert dsum == pytest.approx(2 * variance(rho, obs), abs=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -16,8 +17,8 @@ from lgsim import (
     Observable,
     PointerModel,
     basis_state,
+    SeriesPlan,
     born_weights,
-    build_series,
     estimate_correlator,
     evolve,
     k3_statistic,
@@ -34,7 +35,7 @@ from lgsim import (
     weak_channel_exact,
 )
 from lgsim.errors import ValidationError, WeakRegimeWarning
-from lgsim.protocol import _estimate_from_sums, _run_kernels, _SeriesKernel
+from lgsim.protocol import _SeriesKernel
 from lgsim.quantum import random_density_matrix, random_unitary
 from lgsim.streams import chunk_sizes, substream
 
@@ -50,32 +51,32 @@ def bench():
 
 @pytest.fixture(scope="module")
 def plan3():
-    return build_series(3, [0.0, TAU, 2 * TAU])
+    return SeriesPlan(3, [0.0, TAU, 2 * TAU])
 
 
-class TestBuildSeries:
+class TestSeriesPlan:
     def test_k3_pairs(self):
-        plan = build_series(3, [0.0, 1.0, 2.0])
+        plan = SeriesPlan(3, [0.0, 1.0, 2.0])
         assert plan.pairs == ((1, 2), (2, 3), (1, 3))
 
     def test_k4_pairs(self):
-        plan = build_series(4, [0.0, 1.0, 2.0, 3.0])
+        plan = SeriesPlan(4, [0.0, 1.0, 2.0, 3.0])
         assert plan.pairs == ((1, 2), (2, 3), (3, 4), (1, 4))
 
     def test_non_monotone_times_rejected(self):
         with pytest.raises(ValidationError, match="increasing"):
-            build_series(3, [0.0, 0.0, 1.0])
+            SeriesPlan(3, [0.0, 0.0, 1.0])
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValidationError, match="k >= 3"):
-            build_series(2, [0.0, 1.0])
+            SeriesPlan(2, [0.0, 1.0])
 
     def test_times_length_must_match_k(self):
         with pytest.raises(ValidationError):
-            build_series(3, [0.0, 1.0])
+            SeriesPlan(3, [0.0, 1.0])
 
     def test_pair_times_lookup(self):
-        plan = build_series(3, [0.5, 1.5, 4.0])
+        plan = SeriesPlan(3, [0.5, 1.5, 4.0])
         assert plan.pair_times((1, 3)) == (0.5, 4.0)
 
 
@@ -166,12 +167,34 @@ class TestRunSeriesValidation:
             observable=spectral_decompose(np.diag([2.0, -1.0])),
             initial_state=basis_state(2, 0),
         )
-        with pytest.warns(UserWarning, match="not all"):
+        with pytest.warns(UserWarning, match="not all") as record:
             run_series(plan3, dyn, "strong", 100, seed=1)
+        assert [w.filename for w in record] == [__file__]
 
     def test_estimate_correlator_needs_ordered_times(self, bench):
         with pytest.raises(ValidationError, match="t_second"):
             estimate_correlator(bench, 1.0, 1.0, "strong", 100, seed=1)
+
+
+class TestWarningsNameTheCaller:
+    """A weak-regime warning points at the line that called into lgsim."""
+
+    @pytest.mark.parametrize(
+        "call", ["run_series", "estimate_correlator", "weak_channel_exact", "sample_weak_readings"]
+    )
+    def test_weak_regime_warning(self, bench, plan3, call):
+        narrow = PointerModel(width=1.0)  # below 5 x spectral diameter 2
+        rho, obs = bench.initial_state, bench.observable
+        with pytest.warns(WeakRegimeWarning) as record:
+            if call == "run_series":
+                run_series(plan3, bench, "weak", 100, seed=1, pointer=narrow)
+            elif call == "estimate_correlator":
+                estimate_correlator(bench, 0.0, 1.0, "weak", 100, seed=1, pointer=narrow)
+            elif call == "weak_channel_exact":
+                weak_channel_exact(rho, obs, narrow)
+            else:
+                sample_weak_readings(rho, obs, narrow, 10, substream(1, 0))
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestDeterminismAndMerging:
@@ -187,16 +210,14 @@ class TestDeterminismAndMerging:
     )
     def test_chunk_order_does_not_change_results(self, bench, plan3, mode, pointer):
         # each chunk draws from its own (seed, series, chunk) stream, so chunks
-        # run last to first and then added in chunk order reproduce the sums
-        # behind run_series bitwise
+        # run last to first and then added in chunk order reproduce the
+        # estimates of run_series bitwise
         n, chunk, base = 150_000, 20_000, 3  # ragged last chunk of 10,000
         want = run_series(plan3, bench, mode, n, seed=78, pointer=pointer,
                           chunk_size=chunk, stream_base=base)
-        kernels = [_SeriesKernel(bench, *plan3.pair_times(pair), mode, pointer)
-                   for pair in plan3.pairs]
-        sums = _run_kernels(kernels, n, 78, base, chunk)
         sizes = chunk_sizes(n, chunk)
-        for s, (pair, kernel) in enumerate(zip(plan3.pairs, kernels)):
+        for s, pair in enumerate(plan3.pairs):
+            kernel = _SeriesKernel(bench, *plan3.pair_times(pair), mode, pointer)
             partials = {}
             for c in reversed(range(len(sizes))):
                 partials[c] = kernel.run_chunk(substream(78, base + s, c), sizes[c])
@@ -205,8 +226,31 @@ class TestDeterminismAndMerging:
                 total += partials[c][0]
                 s1 += partials[c][1]
                 s2 += partials[c][2]
-            assert (total, s1, s2) == sums[s]
-            assert _estimate_from_sums(pair, sums[s]) == want[s]
+            mean = s1 / total
+            std_error = math.sqrt(max(s2 - total * mean * mean, 0.0) / (total - 1) / total)
+            assert (want[s].n_events, want[s].value, want[s].std_error) == (total, mean, std_error)
+
+    @pytest.mark.parametrize(
+        "mode, pointer",
+        [("strong", None), ("weak", PointerModel(width=10.0))],
+        ids=["strong", "weak"],
+    )
+    def test_run_series_is_estimate_correlator_per_pair(self, bench, mode, pointer):
+        # series s of a plan is the single correlator of its pair's times drawn
+        # from stream stream_base + s, labelled with the pair
+        plan = SeriesPlan(4, [0.0, 0.4, 1.1, 1.5])
+        n, chunk, base = 30_000, 7_000, 5
+        got = run_series(plan, bench, mode, n, seed=80, pointer=pointer,
+                         chunk_size=chunk, stream_base=base)
+        want = [
+            dataclasses.replace(
+                estimate_correlator(bench, *plan.pair_times(pair), mode, n, 80, pointer=pointer,
+                                    chunk_size=chunk, stream_base=base + s),
+                pair=pair,
+            )
+            for s, pair in enumerate(plan.pairs)
+        ]
+        assert got == want
 
     @pytest.mark.parametrize(
         "mode, pointer, chunk_size",
@@ -295,14 +339,14 @@ class TestSecondOutcomeWeights:
         dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
         obs = dyn.observable
         proj, rho, u, _ = _reference_tables(dyn, 0.4, 1.3)
-        w1 = born_weights(rho, obs).probabilities
+        w1 = born_weights(rho, obs)
         with np.errstate(over="raise", invalid="raise"):
             kernel = _SeriesKernel(dyn, 0.4, 1.3, "strong", None)
             got = _kernel_weights(kernel, np.arange(obs.n_outcomes), obs.eigenvalues)
         for i in range(obs.n_outcomes):
             cond = proj[i] @ rho.matrix @ proj[i] / w1[i]
             cond = DensityMatrix(0.5 * (cond + cond.conj().T))
-            want = born_weights(evolve(cond, u), obs).probabilities
+            want = born_weights(evolve(cond, u), obs)
             np.testing.assert_allclose(got[i], want, rtol=1e-10)
 
     @pytest.mark.parametrize("width", [0.01, 0.5, 10.0, 100.0])
@@ -351,7 +395,7 @@ class TestChannelIdentities:
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_strong_channel(self, dim, case):
         obs, rho, u, re_g, cum_second, _ = self._tables(dim, case, 10.0)
-        want = born_weights(evolve(strong_channel(rho, obs), u), obs).probabilities
+        want = born_weights(evolve(strong_channel(rho, obs), u), obs)
         np.testing.assert_allclose(np.einsum("bii->b", re_g), want, rtol=0, atol=1e-14)
         # the strong kernel's own table: row b of its cumulative sum less row b-1
         rows = np.diff(cum_second, axis=0, prepend=0.0)
@@ -363,7 +407,7 @@ class TestChannelIdentities:
         obs, _, u, re_g, _, weak_out = self._tables(dim, case, width)
         a = obs.eigenvalues
         damping = np.exp(-((a[:, None] - a[None, :]) ** 2) / (4.0 * width**2))
-        want = born_weights(evolve(weak_out, u), obs).probabilities
+        want = born_weights(evolve(weak_out, u), obs)
         np.testing.assert_allclose((re_g * damping).sum(axis=(1, 2)), want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
@@ -373,7 +417,7 @@ class TestChannelIdentities:
         # sum_i phi_i^2 w_i (the G[b] add up to diag(w)): whatever the
         # reading, the conditional state is a density matrix
         obs, rho, _, re_g, _, _ = self._tables(dim, case, 10.0)
-        w = born_weights(rho, obs).probabilities
+        w = born_weights(rho, obs)
         assert np.linalg.eigvalsh(re_g).min() >= -1e-14
         np.testing.assert_allclose(re_g.sum(axis=0), np.diag(w), rtol=0, atol=1e-14)
 

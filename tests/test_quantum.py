@@ -6,7 +6,6 @@ import pytest
 from lgsim import (
     DensityMatrix,
     Observable,
-    SpectrumWeights,
     basis_state,
     born_weights,
     evolve,
@@ -222,30 +221,32 @@ class TestBornWeights:
     def test_balanced_superposition(self):
         obs = spectral_decompose(np.diag([1.0, -1.0]))
         w = born_weights(plus_state(), obs)
-        np.testing.assert_allclose(w.probabilities, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_eigenstate_is_deterministic(self):
         obs = spectral_decompose(np.diag([1.0, -1.0]))
         w = born_weights(basis_state(2, 0), obs)
-        np.testing.assert_allclose(w.probabilities, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-12)
 
     def test_amplitudes_square_to_weights(self):
         # |psi> = sqrt(.8)|0> + e^{i phi} sqrt(.2)|1>, any phase
         psi = np.array([np.sqrt(0.8), np.exp(1.3j) * np.sqrt(0.2)])
         obs = spectral_decompose(np.diag([1.0, -1.0]))
         w = born_weights(pure_state(psi), obs)
-        np.testing.assert_allclose(w.probabilities, [0.8, 0.2], atol=1e-12)
+        np.testing.assert_allclose(w, [0.8, 0.2], atol=1e-12)
 
     def test_dim_mismatch(self):
         obs = spectral_decompose(np.diag([1.0, -1.0]))
         with pytest.raises(DimensionMismatchError):
             born_weights(maximally_mixed(3), obs)
 
-    def test_weights_must_be_normalized(self):
-        with pytest.raises(ValidationError):
-            SpectrumWeights(np.array([0.5, 0.4]))
-        with pytest.raises(ValidationError):
-            SpectrumWeights(np.array([1.2, -0.2]))
+    def test_weights_are_a_read_only_distribution(self, rng):
+        obs = spectral_decompose(np.diag([2.0, 2.0, -1.0, 0.5]))  # 3 outcomes
+        for _ in range(20):
+            w = born_weights(random_density_matrix(4, rng), obs)
+            assert w.shape == (3,) and w.dtype == np.float64
+            assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-15)
+            assert not w.flags.writeable
 
 
 class TestExpectationVariance:
