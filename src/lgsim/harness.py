@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -100,6 +101,16 @@ def run_budget(cfg: RunConfig) -> dict:
     else:
         _, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
         var_a, var_source = variance(rho, obs), "system"
+        if var_a == 0.0:
+            # an eigenstate of the observable: the formulas then say no
+            # strong members are needed, which is rarely the question asked
+            warnings.warn(
+                "the prepared state has zero variance of the observable, so the "
+                "budget reports strong_subensemble 0; set budget.var_a to the "
+                "variance to budget for",
+                UserWarning,
+                stacklevel=2,
+            )
 
     inp = BudgetInput(**{**asdict(b), "delta_p": delta_p, "var_a": var_a})
     return {

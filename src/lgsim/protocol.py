@@ -19,9 +19,11 @@ Both modes draw the second outcome from one table per series,
 G[b, i, j] = tr(B_b P_i rho P_j), with B_b the projector onto outcome b
 carried back over the gap. A strong first outcome i leaves the weights
 Re G[b, i, i]; a weak reading p leaves sum_ij phi_i(p) Re G[b, i, j]
-phi_j(p) with real pointer amplitudes phi. The per-event tables of a
-chunk are outcome-major, shape (d, m), and the draw compares unnormalised
-cumulative weights against u times their total.
+phi_j(p) with real pointer amplitudes phi. A chunk draws all its random
+numbers first and then builds its per-event tables one column block of
+at most ``_BLOCK`` events at a time. The tables are outcome-major, shape
+(d, block), and the draw compares unnormalised cumulative weights
+against u times their total.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ from .quantum import (
     spectral_decompose,
 )
 from .streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
+
+# Events per column block of a chunk. A (d, 8192) float64 table is 512 KiB
+# at d = 8, so the three tables of a weak block fit in a 2 MiB L2 together.
+# Results do not depend on it: every event sees the same random numbers and
+# the sums run over the whole chunk.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -134,9 +142,9 @@ def precession_qubit(omega: float = 1.0) -> DynamicsSpec:
 class _SeriesKernel:
     """Precomputed per-series tables; maps one rng chunk to outcome products.
 
-    Per-event tables are outcome-major, shape (d, m): outcome on the first
-    axis, event on the second, so every reduction over the short outcome
-    axis is an elementwise pass over whole rows of m events.
+    Per-event tables are outcome-major, shape (d, block): outcome on the
+    first axis, event on the second, so every reduction over the short
+    outcome axis is an elementwise pass over whole rows of a block.
     """
 
     def __init__(
@@ -174,9 +182,10 @@ class _SeriesKernel:
             self.re_g = np.ascontiguousarray(re_g)
 
     def _second_cum(self, idx1: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """(d, m) unnormalised cumulative weights of the second outcome per event.
+        """(d, block) unnormalised cumulative weights of the second outcome per event.
 
-        ``idx1`` holds the first outcomes and ``first`` the first readings.
+        ``idx1`` holds the first outcomes and ``first`` the first readings
+        of the block's events.
         """
         if self.first_mode == MODE_STRONG:
             return np.take(self.cum_second, idx1, axis=1)
@@ -190,10 +199,11 @@ class _SeriesKernel:
         phi -= phi.max(axis=0)
         np.exp(phi, out=phi)
         # joint weight of reading p and second outcome b:
-        # sum_ij phi_i Re G[b,i,j] phi_j, as d real (d, d) @ (d, m) products;
-        # one (d, m) buffer at a time, never an (m, d^2) array. Row b is
-        # clipped at zero and accumulated onto row b-1 as it is made, which
-        # is the same sum as np.cumsum(axis=0) at a fraction of its cost.
+        # sum_ij phi_i Re G[b,i,j] phi_j, as d real (d, d) @ (d, block)
+        # products; one (d, block) buffer at a time, never a (block, d^2)
+        # array. Row b is clipped at zero and accumulated onto row b-1 as it
+        # is made, which is the same sum as np.cumsum(axis=0) at a fraction
+        # of its cost.
         cum = np.empty_like(phi)
         buf = np.empty_like(phi)
         for b, g_b in enumerate(self.re_g):
@@ -206,19 +216,34 @@ class _SeriesKernel:
         return cum
 
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[int, float, float]:
-        """Simulate m events; return (count, sum, sum of squares) of products."""
+        """Simulate m events; return (count, sum, sum of squares) of products.
+
+        The chunk's random numbers are drawn first, in the order first
+        uniforms, pointer noise (weak mode), second uniforms; the events
+        are then worked through in column blocks of ``_BLOCK`` so the
+        per-event tables of a block stay in cache.
+        """
         a = self.eigenvalues
-        idx1 = _inverse_cdf(self.cum_first, rng.uniform(size=m))
-        first = a[idx1]
+        u_first = rng.uniform(size=m)
         if self.first_mode == MODE_WEAK:
-            first += self.sigma * rng.standard_normal(m)
-        cum = self._second_cum(idx1, first)
-        del idx1  # not needed again; frees its m indices before the second draw
-        # inverse CDF against the unnormalised total: outcome b is drawn when
-        # cum[b-1] <= u * cum[-1] < cum[b]; with a positive total, u < 1
-        # keeps the last row out
-        idx2 = _inverse_cdf(cum, rng.uniform(size=m) * cum[-1])
-        products = first * a[idx2]
+            noise = rng.standard_normal(m)
+            noise *= self.sigma
+        u_second = rng.uniform(size=m)
+        products = np.empty(m)
+        for lo in range(0, m, _BLOCK):
+            cols = slice(lo, lo + _BLOCK)
+            idx1 = _inverse_cdf(self.cum_first, u_first[cols])
+            first = a[idx1]
+            if self.first_mode == MODE_WEAK:
+                first += noise[cols]
+            cum = self._second_cum(idx1, first)
+            # inverse CDF against the unnormalised total: outcome b is drawn
+            # when cum[b-1] <= u * cum[-1] < cum[b]; with a positive total,
+            # u < 1 keeps the last row out
+            idx2 = _inverse_cdf(cum, u_second[cols] * cum[-1])
+            np.multiply(first, a[idx2], out=products[cols])
+        # both sums run once over the whole chunk, so their pairwise order
+        # does not depend on the block size
         s1 = products.sum()
         # the sum of squares stays out of BLAS: OpenBLAS splits a long ddot
         # over its threads, which would tie the result to the thread count

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,27 @@ class TestRunBudget:
         payload = run_budget(cfg)
         assert payload["input"]["var_a"] == pytest.approx(1.0, abs=1e-12)
         assert payload["input"]["var_a_source"] == "system"
+
+    def test_zero_variance_from_system_warns(self):
+        # the stock qubit starts in |0>, an eigenstate of sigma_z: Var(A) = 0
+        # and the budget says no strong members are needed; the warning names
+        # the key that sets the variance, and the payload is unchanged
+        cfg = parse_config({
+            "scenario": "budget",
+            "system": STOCK_CONFIGS["lg_run"]["system"],
+            "pointer": {"width": 10},
+            "budget": {"ensemble_size": 10**6, "k": 4},
+        })
+        with pytest.warns(UserWarning, match=r"budget\.var_a") as record:
+            payload = run_budget(cfg)
+        assert len(record) == 1
+        assert payload["input"]["var_a"] == 0.0
+        assert payload["report"]["strong_subensemble"] == 0
+
+    def test_stock_budget_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_budget(parse_config(STOCK_CONFIGS["budget"]))
 
     def test_delta_p_resolved_from_pointer(self):
         cfg = parse_config({

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -35,9 +36,10 @@ from lgsim import (
     weak_channel_exact,
 )
 from lgsim.errors import ValidationError, WeakRegimeWarning
+from lgsim import protocol
 from lgsim.protocol import _SeriesKernel
 from lgsim.quantum import random_density_matrix, random_unitary
-from lgsim.streams import chunk_sizes, substream
+from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
 
 from conftest import random_hermitian
 
@@ -273,14 +275,28 @@ class TestDeterminismAndMerging:
         # OpenBLAS splits a dot product of more than 10,000 terms over its
         # threads, and the partial sums round differently per thread count.
         # Weak series of one 60,000-event chunk, run in fresh interpreters
-        # under one and two BLAS threads, must agree bitwise.
+        # under one and two BLAS threads, must agree bitwise: the qubit, and
+        # a d = 8 system whose chunk spans several column blocks, so the d
+        # (d, d) @ (d, block) products run at the kernel's block shapes.
         code = (
-            "from lgsim import PointerModel, estimate_correlator, precession_qubit\n"
-            "for seed in range(80, 84):\n"
-            "    e = estimate_correlator(precession_qubit(), 0.0, 1.0, 'weak', 60_000, seed,\n"
-            "                            pointer=PointerModel(width=10.0), chunk_size=60_000)\n"
-            "    print(repr((e.value, e.std_error)))\n"
+            "import warnings\n"
+            "import numpy as np\n"
+            "from lgsim import (DynamicsSpec, PointerModel, estimate_correlator,\n"
+            "                   precession_qubit, spectral_decompose)\n"
+            "from lgsim.quantum import random_density_matrix\n"
+            "warnings.simplefilter('ignore')\n"
+            "rng = np.random.default_rng(8)\n"
+            "h = rng.normal(size=(8, 8))\n"
+            "qudit = DynamicsSpec(h + h.T, spectral_decompose(np.diag(np.arange(8) - 3.5)),\n"
+            "                     random_density_matrix(8, rng))\n"
+            "for dyn, width in ((precession_qubit(), 10.0), (qudit, 40.0)):\n"
+            "    for seed in range(80, 84):\n"
+            "        e = estimate_correlator(dyn, 0.0, 1.0, 'weak', 60_000, seed,\n"
+            "                                pointer=PointerModel(width=width),\n"
+            "                                chunk_size=60_000)\n"
+            "        print(repr((e.value, e.std_error)))\n"
         )
+        assert 60_000 > 2 * protocol._BLOCK
         path = [str(Path(lgsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         outputs = []
         for threads in ("1", "2"):
@@ -289,7 +305,7 @@ class TestDeterminismAndMerging:
             proc = subprocess.run([sys.executable, "-c", code], env=env,
                                   capture_output=True, text=True, check=True)
             outputs.append(proc.stdout)
-        assert outputs[0].count("\n") == 4
+        assert outputs[0].count("\n") == 8
         assert outputs[0] == outputs[1]
 
 
@@ -367,6 +383,43 @@ class TestSecondOutcomeWeights:
             want = np.einsum("ei,bij,ej->eb", phi, g, phi).real
             want /= want.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+class TestColumnBlocks:
+    """run_chunk draws a chunk's random numbers first and then works through
+    it in column blocks of ``protocol._BLOCK`` events."""
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_block_size_does_not_change_results(self, monkeypatch, dim, case, mode):
+        # every event sees the same random numbers and both sums run over the
+        # whole chunk, so any block size gives the one-block result bitwise,
+        # ragged last blocks included
+        dyn = _random_dynamics(np.random.default_rng(300 + dim), dim, case)
+        pointer = PointerModel(width=10.0) if mode == "weak" else None
+        kernel = _SeriesKernel(dyn, 0.4, 1.3, mode, pointer)
+        block = protocol._BLOCK
+        for m, sizes in ((23, (1, 7)), (2 * block + 5, (block,))):
+            monkeypatch.setattr(protocol, "_BLOCK", m + 1)
+            want = kernel.run_chunk(substream(90, dim, m), m)
+            for size in sizes:
+                monkeypatch.setattr(protocol, "_BLOCK", size)
+                assert kernel.run_chunk(substream(90, dim, m), m) == want
+
+    def test_weak_chunk_peak_memory_is_bounded(self):
+        # a full weak chunk at d = 8 holds its random numbers and products
+        # (4 x 512 KiB) and the (d, block) tables of one block at a time;
+        # (d, m) tables of the whole chunk are 4 MiB each and peak near 13 MiB
+        dyn = _random_dynamics(np.random.default_rng(8), 8, "plain")
+        kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", PointerModel(width=10.0))
+        rng = substream(91, 0, 0)
+        tracemalloc.start()
+        try:
+            kernel.run_chunk(rng, DEFAULT_CHUNK_SIZE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestChannelIdentities:
