@@ -46,7 +46,10 @@ from .protocol import (
     CorrelatorEstimate,
     DynamicsSpec,
     SeriesPlan,
-    estimate_correlator,
+    _check_run_args,
+    _check_times,
+    _estimate,
+    _SeriesKernel,
     k3_statistic,
     lg_satisfied,
     run_series,
@@ -63,7 +66,7 @@ from .quantum import (
     spectral_decompose,
     variance,
 )
-from .streams import substream
+from .streams import DEFAULT_CHUNK_SIZE, substream
 
 OUT_DIR_ENV = "LGSIM_OUT_DIR"
 DEFAULT_OUT_DIR = "lgsim_out"
@@ -492,6 +495,16 @@ def _verify_tables(payload: dict) -> dict:
 
 
 def run_sweep(cfg: RunConfig) -> dict:
+    """Each grid point is the correlator ``estimate_correlator`` would give it,
+    drawn from streams (seed, point_index, chunk), with the same checks and
+    warnings; only work that repeats across points is shared.
+
+    A kernel depends on the two times, the mode and, in weak mode only, the
+    pointer, so the sweep builds one per distinct (t_first, t_second, pointer),
+    with pointer None in strong mode, where the width does not enter. The
+    weak-channel invasiveness depends on the width alone, so it is computed
+    once per delta_p and repeated at each (n, tau) point. Nothing is kept
+    beyond the call."""
     sw: SweepConfig = cfg.sweep
     h, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
     mc_wanted = bool(sw.n or sw.tau)
@@ -502,24 +515,25 @@ def run_sweep(cfg: RunConfig) -> dict:
         "n": list(sw.n) or [None],
         "tau": list(sw.tau) or [None],
     }
+    kernels: dict[tuple, _SeriesKernel] = {}
     rows: list[dict] = []
     point_index = 0
     for d in axes["delta_p"]:
+        invasiveness = []
+        if d is not None:
+            pmw = PointerModel(width=d)
+            meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
+            pred = predicted_weak(rho, obs, pmw)
+            invasiveness = [
+                ("i1_measured", meas.i1),
+                ("i1_predicted", pred.i1),
+                ("i2_measured", meas.i2),
+                ("i2_predicted", pred.i2),
+            ]
         for n in axes["n"]:
             for t in axes["tau"]:
                 coords = {"delta_p": d, "n": n, "tau": t}
-
-                if d is not None:
-                    pmw = PointerModel(width=d)
-                    meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
-                    pred = predicted_weak(rho, obs, pmw)
-                    for metric, value in (
-                        ("i1_measured", meas.i1),
-                        ("i1_predicted", pred.i1),
-                        ("i2_measured", meas.i2),
-                        ("i2_predicted", pred.i2),
-                    ):
-                        rows.append({**coords, "metric": metric, "value": value})
+                rows.extend({**coords, "metric": m, "value": v} for m, v in invasiveness)
 
                 if mc_wanted:
                     t_first = cfg.plan.times[0]
@@ -527,10 +541,13 @@ def run_sweep(cfg: RunConfig) -> dict:
                     n_events = n if n is not None else sw.n_per_point
                     width = d if d is not None else (cfg.pointer.width if cfg.pointer else None)
                     pointer = PointerModel(width=width) if sw.mode == "weak" else None
-                    est = estimate_correlator(
-                        dyn, t_first, t_second, sw.mode, n_events,
-                        cfg.seed, pointer=pointer, stream_base=point_index,
-                    )
+                    _check_times(t_first, t_second)
+                    _check_run_args(sw.mode, pointer, obs, n_events, stacklevel=2)
+                    key = (t_first, t_second, pointer)
+                    if key not in kernels:
+                        kernels[key] = _SeriesKernel(dyn, t_first, t_second, sw.mode, pointer)
+                    est = _estimate(kernels[key], n_events, cfg.seed, DEFAULT_CHUNK_SIZE,
+                                    point_index, (1, 2))
                     rows.append({**coords, "metric": "corr_value", "value": est.value})
                     rows.append({**coords, "metric": "corr_std_error", "value": est.std_error})
                 point_index += 1

@@ -251,14 +251,20 @@ class _SeriesKernel:
         return m, float(s1), float(s2)
 
 
-def _check_run_args(first_mode, pointer, obs, n) -> None:
-    """Argument checks shared by the public runners; warnings name their caller."""
+def _check_times(t_first: float, t_second: float) -> None:
+    if t_second <= t_first:
+        raise ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
+
+
+def _check_run_args(first_mode, pointer, obs, n, stacklevel: int = 3) -> None:
+    """Argument checks shared by the runners. Warnings name the frame
+    ``stacklevel`` above this one, by default the caller of the runner."""
     if first_mode not in (MODE_STRONG, MODE_WEAK):
         raise ValidationError(f"first_mode must be 'strong' or 'weak', got {first_mode!r}")
     if first_mode == MODE_WEAK:
         if pointer is None:
             raise ValidationError("weak first measurements need a pointer model")
-        _warn_if_not_weak(pointer, obs, stacklevel=4)
+        _warn_if_not_weak(pointer, obs, stacklevel=stacklevel + 1)
     if n < 2:
         raise ValidationError(f"n_per_series must be >= 2, got {n}")
     if not obs.is_dichotomic():
@@ -266,14 +272,15 @@ def _check_run_args(first_mode, pointer, obs, n) -> None:
             "observable eigenvalues are not all +/-1; correlators are fine but "
             "the K3 macrorealism bound does not apply",
             UserWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
-def _estimate(dyn, t1, t2, mode, n, seed, pointer, chunk_size, stream, pair) -> CorrelatorEstimate:
+def _estimate(kernel: _SeriesKernel, n, seed, chunk_size, stream, pair) -> CorrelatorEstimate:
     """One series of n events: chunk c draws from ``substream(seed, stream, c)``
-    and the (count, sum, sum of squares) of the chunks add up in chunk order."""
-    kernel = _SeriesKernel(dyn, t1, t2, mode, pointer)
+    and the (count, sum, sum of squares) of the chunks add up in chunk order.
+    The kernel holds no state between chunks, so one kernel can serve many
+    series of the same times, mode and pointer."""
     count, s1, s2 = 0, 0.0, 0.0
     for c, m in enumerate(chunk_sizes(n, chunk_size)):
         dn, d1, d2 = kernel.run_chunk(substream(seed, stream, c), m)
@@ -307,8 +314,8 @@ def run_series(
     """
     _check_run_args(first_mode, pointer, dyn.observable, n_per_series)
     return [
-        _estimate(dyn, *plan.pair_times(pair), first_mode, n_per_series, seed,
-                  pointer, chunk_size, stream_base + s, pair)
+        _estimate(_SeriesKernel(dyn, *plan.pair_times(pair), first_mode, pointer),
+                  n_per_series, seed, chunk_size, stream_base + s, pair)
         for s, pair in enumerate(plan.pairs)
     ]
 
@@ -325,11 +332,10 @@ def estimate_correlator(
     stream_base: int = 0,
 ) -> CorrelatorEstimate:
     """One two-time correlator outside any plan (sweeps, convergence studies)."""
-    if t_second <= t_first:
-        raise ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
+    _check_times(t_first, t_second)
     _check_run_args(first_mode, pointer, dyn.observable, n_events)
-    return _estimate(dyn, t_first, t_second, first_mode, n_events, seed,
-                     pointer, chunk_size, stream_base, (1, 2))
+    kernel = _SeriesKernel(dyn, t_first, t_second, first_mode, pointer)
+    return _estimate(kernel, n_events, seed, chunk_size, stream_base, (1, 2))
 
 
 # ---------------------------------------------------------------------------

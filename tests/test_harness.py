@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import inspect
+import itertools
 import json
 import math
 import os
@@ -22,7 +24,10 @@ from lgsim.harness import (
     run_verify,
     write_report,
 )
-from lgsim.measurement import PointerModel
+from lgsim.errors import WeakRegimeWarning
+from lgsim.invasiveness import measure_invasiveness, predicted_weak
+from lgsim.measurement import PointerModel, weak_channel_exact
+from lgsim.protocol import DynamicsSpec, _SeriesKernel, estimate_correlator
 from lgsim.quantum import DensityMatrix, Observable, pauli, plus_state, spectral_decompose
 from lgsim.streams import substream
 
@@ -42,6 +47,26 @@ def lg_cfg(n_strong=20_000, n_weak=40_000, seed=5):
         "plan": {"k": 3, "times": [0.0, TAU, 2 * TAU]},
         "run": {"n_strong": n_strong, "n_weak": n_weak},
     })
+
+
+def _pairs(m) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).ravel()]
+
+
+def sweep_cfg(grid: str) -> dict:
+    """A sweep config: "strong" (2 widths x 2 n x 3 tau, one tau repeated),
+    "weak" (2 widths x 2 tau) or "stock" (``configs/sweep.json``, no tau)."""
+    if grid == "stock":
+        return json.loads((Path(__file__).parent.parent / "configs" / "sweep.json").read_text())
+    sweep = {"delta_p": [10.0, 25.0], "tau": [0.5, 1.2, 0.5], "n": [300, 1_000], "mode": grid}
+    if grid == "weak":
+        sweep = {"delta_p": [10.0, 25.0], "tau": [0.5, 1.2], "mode": grid, "n_per_point": 2_000}
+    return {
+        "scenario": "sweep", "seed": 9,
+        "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
+        "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+        "sweep": sweep,
+    }
 
 
 def budget_cfg(**budget):
@@ -340,6 +365,93 @@ class TestRunSweep:
         errors = {r["tau"]: r["value"] for r in rows if r["metric"] == "corr_std_error"}
         for tau in (0.5, 1.0, 2.0):
             assert abs(values[tau] - math.cos(tau)) < 5 * errors[tau]
+
+    @pytest.mark.parametrize("grid", ["strong", "weak", "stock"])
+    def test_point_is_its_own_estimate_correlator(self, grid):
+        # kernels and invasiveness blocks are shared across points; every row
+        # must still be what a point computed alone gives, bitwise. The weak
+        # grid fails if a kernel is shared between widths, the strong one
+        # repeats a tau, and the stock one has no tau axis
+        cfg = parse_config(sweep_cfg(grid))
+        sw = cfg.sweep
+        h, obs, rho = harness._system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        dyn = DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)
+        t1 = cfg.plan.times[0]
+        want = []
+        grid_points = itertools.product(sw.delta_p or [None], sw.n or [None], sw.tau or [None])
+        for point_index, (d, n, tau) in enumerate(grid_points):
+            coords = {"delta_p": d, "n": n, "tau": tau}
+            pm = PointerModel(width=d)
+            meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pm))
+            pred = predicted_weak(rho, obs, pm)
+            for metric, value in (("i1_measured", meas.i1), ("i1_predicted", pred.i1),
+                                  ("i2_measured", meas.i2), ("i2_predicted", pred.i2)):
+                want.append({**coords, "metric": metric, "value": value})
+            est = estimate_correlator(
+                dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1], sw.mode,
+                n if n is not None else sw.n_per_point, cfg.seed,
+                pm if sw.mode == "weak" else None, stream_base=point_index,
+            )
+            want.append({**coords, "metric": "corr_value", "value": est.value})
+            want.append({**coords, "metric": "corr_std_error", "value": est.std_error})
+        assert run_sweep(cfg)["rows"] == want
+
+    @pytest.mark.parametrize("mode, kernels", [("strong", 3), ("weak", 2 * 3)])
+    def test_builds_each_kernel_and_channel_once(self, monkeypatch, mode, kernels):
+        # 2 widths x 2 n x 3 tau: a strong kernel depends on tau alone, a weak
+        # one on the width too, and the weak channel on the width alone
+        calls = {"kernel": 0, "channel": 0}
+        init, channel = _SeriesKernel.__init__, harness.weak_channel_exact
+
+        def counting_init(self, *args):
+            calls["kernel"] += 1
+            init(self, *args)
+
+        def counting_channel(*args):
+            calls["channel"] += 1
+            return channel(*args)
+
+        monkeypatch.setattr(_SeriesKernel, "__init__", counting_init)
+        monkeypatch.setattr(harness, "weak_channel_exact", counting_channel)
+        cfg = sweep_cfg(mode)
+        cfg["sweep"]["tau"] = [0.5, 1.0, 1.5]
+        cfg["sweep"]["n"] = [200, 300]
+        rows = run_sweep(parse_config(cfg))["rows"]
+        assert len(rows) == 2 * 2 * 3 * 6
+        assert calls == {"kernel": kernels, "channel": 2}
+
+    @pytest.mark.parametrize("category", [WeakRegimeWarning, UserWarning])
+    def test_warnings_name_run_sweep(self, category):
+        if category is WeakRegimeWarning:
+            # width 1 is below 5 x the spectral diameter 2 of sigma_z; both the
+            # weak channel and the Monte Carlo checks warn
+            data = {
+                "scenario": "sweep", "seed": 3,
+                "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
+                "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+                "sweep": {"delta_p": [1.0], "tau": [0.5], "mode": "weak", "n_per_point": 100},
+            }
+        else:
+            # spin-1 J_z has eigenvalues 1, 0, -1: not dichotomic
+            jx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
+            data = {
+                "scenario": "sweep", "seed": 3,
+                "system": {"dim": 3, "hamiltonian": _pairs(jx),
+                           "observable": _pairs(np.diag([1.0, 0.0, -1.0])),
+                           "initial_state": _pairs(np.diag([1.0, 0.0, 0.0]))},
+                "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+                "sweep": {"tau": [0.5, 1.0], "n_per_point": 100},
+            }
+        cfg = parse_config(data)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run_sweep(cfg)
+        lines, start = inspect.getsourcelines(run_sweep)
+        hits = [w for w in record if w.category is category]
+        assert len(hits) == 2
+        for w in hits:
+            assert w.filename == harness.__file__
+            assert start <= w.lineno < start + len(lines)
 
 
 class TestReportEnvelope:
