@@ -31,6 +31,9 @@ from lgsim.protocol import DynamicsSpec, _SeriesKernel, estimate_correlator
 from lgsim.quantum import DensityMatrix, Observable, pauli, plus_state, spectral_decompose
 from lgsim.streams import substream
 
+import test_invasiveness
+import test_quantum
+
 SX = [[0, 0], [0.5, 0], [0.5, 0], [0, 0]]
 SZ = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 KET0 = [[1, 0], [0, 0], [0, 0], [0, 0]]
@@ -212,6 +215,11 @@ class TestRunVerify:
         payload = run_verify(cfg)
         assert payload["passed"]
         assert {c["status"] for c in payload["checks"]} == {"pass"}
+        assert [c["name"] for c in payload["checks"]] == [
+            "channel_trace", "strong_channel_commutes", "weak_expansion_convergence",
+            "weak_invasiveness_expansion", "invasiveness_ratio_two",
+            "pointer_sampler_statistics", "state_positivity",
+        ]
 
     @pytest.mark.filterwarnings("ignore::lgsim.errors.WeakRegimeWarning")
     @pytest.mark.filterwarnings("ignore::lgsim.errors.PerturbationAccuracyWarning")
@@ -262,28 +270,36 @@ def _biased_strong(f, rho, obs, n, rng):
 # each judged verify check with a defect it must catch: the function it checks,
 # as lgsim.harness calls it, wrapped to push its result off the exact value
 BROKEN = {
-    "spectral_decompose": (
-        "observable_reconstruction",
-        lambda f, *a, **k: Observable(f(*a, **k).eigenvalues + 1e-8, f(*a, **k).projectors)),
     "weak_channel_exact": (
-        "channel_trace_hermiticity", lambda f, *a: DensityMatrix(f(*a).matrix * (1.0 + 1e-11))),
+        "channel_trace", lambda f, *a: DensityMatrix(f(*a).matrix * (1.0 + 1e-11))),
     "strong_channel": ("strong_channel_commutes", lambda f, rho, obs: rho),
-    "purity": (
-        "unitary_preserves_purity", lambda f, rho: f(rho) + 1e-8 * rho.matrix[0, 0].real),
     "weak_channel_perturbative": (
         "weak_expansion_convergence",
         lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.01 * pm.width))),
-    "predicted_strong": (
-        "strong_invasiveness_closed_form",
-        lambda f, *a: dataclasses.replace(f(*a), i1=f(*a).i1 + 1e-9)),
     "predicted_weak": (
         "weak_invasiveness_expansion",
         lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.001 * pm.width))),
     "measure_invasiveness": (
         "invasiveness_ratio_two", lambda f, *a: dataclasses.replace(f(*a), i1=1.02 * f(*a).i1)),
-    "variance": ("variance_double_sum_identity", lambda f, *a: f(*a) + 1e-9),
     "sample_weak_readings": ("pointer_sampler_statistics", lambda f, *a: 1.1 * f(*a)),
     "sample_strong_readings": ("pointer_sampler_statistics", _biased_strong),
+}
+# library identities that hold for any input, so unit tests check them and
+# verify does not: the function, the unit test that must catch its defect, and
+# the defect
+BROKEN_IDENTITY = {
+    "spectral_decompose": (
+        test_quantum.TestSpectralDecompose.test_random_hermitian_reconstructs,
+        lambda f, *a, **k: Observable(f(*a, **k).eigenvalues + 1e-8, f(*a, **k).projectors)),
+    "purity": (
+        test_quantum.TestEvolve.test_purity_preserved_for_random_pairs,
+        lambda f, rho: f(rho) + 1e-8 * rho.matrix[0, 0].real),
+    "predicted_strong": (
+        test_invasiveness.TestPredictedStrong.test_matches_measurement_exactly,
+        lambda f, *a: dataclasses.replace(f(*a), i1=f(*a).i1 + 1e-9)),
+    "variance": (
+        test_invasiveness.TestPredictedWeak.test_double_sum_identity_random_inputs,
+        lambda f, *a: f(*a) + 1e-9),
 }
 VERIFY_SMALL = {"scenario": "verify", "seed": 3, "verify": {"n_samples": 20_000, "n_random": 20}}
 
@@ -302,6 +318,15 @@ class TestVerifyChecksCanFail:
         # state_positivity's failing input is corrupt_state, tested above
         names = {c["name"] for c in run_verify(parse_config(VERIFY_SMALL))["checks"]}
         assert names - {"state_positivity"} == {check for check, _ in BROKEN.values()}
+
+    @pytest.mark.parametrize("function", sorted(BROKEN_IDENTITY))
+    def test_defect_fails_its_unit_test(self, monkeypatch, rng, function):
+        test, wrap = BROKEN_IDENTITY[function]
+        module = inspect.getmodule(test)
+        original = getattr(module, function)
+        monkeypatch.setattr(module, function, lambda *a, **k: wrap(original, *a, **k))
+        with pytest.raises(AssertionError):
+            test(None, rng)  # the unit tests keep no instance state
 
 
 class TestSamplerStatistics:

@@ -19,7 +19,7 @@ from lgsim import (
     weak_channel_exact,
 )
 from lgsim.errors import DimensionMismatchError, PureStateRequiredError, ValidationError
-from lgsim.quantum import random_pure_state
+from lgsim.quantum import random_density_matrix, random_pure_state
 
 from conftest import random_hermitian
 
@@ -118,14 +118,15 @@ class TestPredictedWeak:
         assert dsum == pytest.approx(2 * variance(rho, qubit_z), abs=1e-12)
 
     def test_double_sum_identity_random_inputs(self, rng):
-        for _ in range(50):
-            dim = int(rng.integers(2, 5))
-            obs = spectral_decompose(random_hermitian(dim, rng))
-            rho = random_pure_state(dim, rng)
-            p = born_weights(rho, obs)
-            a = obs.eigenvalues
-            dsum = float(np.einsum("i,j,ij->", p, p, (a[:, None] - a[None, :]) ** 2))
-            assert dsum == pytest.approx(2 * variance(rho, obs), abs=1e-12)
+        for draw_state in (random_pure_state, random_density_matrix):
+            for _ in range(50):
+                dim = int(rng.integers(2, 5))
+                obs = spectral_decompose(random_hermitian(dim, rng))
+                rho = draw_state(dim, rng)
+                p = born_weights(rho, obs)
+                a = obs.eigenvalues
+                dsum = float(np.einsum("i,j,ij->", p, p, (a[:, None] - a[None, :]) ** 2))
+                assert dsum == pytest.approx(2 * variance(rho, obs), abs=1e-12)
 
 
 class TestWeakConsistency:

@@ -68,9 +68,13 @@ class TestSpectralDecompose:
         np.testing.assert_allclose(obs.projectors[1], minus, atol=1e-12)
 
     def test_random_hermitian_reconstructs(self, rng):
-        h = random_hermitian(4, rng)
-        obs = spectral_decompose(h)
-        np.testing.assert_allclose(obs.matrix(), h, atol=1e-9)
+        # absolute tolerance only: a relative one would pass an eigenvalue
+        # shifted by 1e-8
+        for dim in (2, 3, 4):
+            for _ in range(20):
+                h = random_hermitian(dim, rng)
+                obs = spectral_decompose(h)
+                np.testing.assert_allclose(obs.matrix(), h, rtol=0, atol=1e-9)
 
     def test_nondegenerate_spectrum_matches_grouping_loop_bitwise(self, rng):
         # one eigenvector per eigenspace: nothing is summed, so the arithmetic
