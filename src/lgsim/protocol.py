@@ -15,15 +15,17 @@ from ``substream(seed, s, c)`` and partial sums merge in chunk order, so
 an estimate depends on the chunk size but not on the order the chunks
 are run in.
 
-Both modes draw the second outcome from one table per series,
-G[b, i, j] = tr(B_b P_i rho P_j), with B_b the projector onto outcome b
-carried back over the gap. A strong first outcome i leaves the weights
-Re G[b, i, i]; a weak reading p leaves sum_ij phi_i(p) Re G[b, i, j]
-phi_j(p) with real pointer amplitudes phi. A chunk draws all its random
-numbers first and then builds its per-event tables one column block of
-at most ``_BLOCK`` events at a time. The tables are outcome-major, shape
-(d, block), and the draw compares unnormalised cumulative weights
-against u times their total.
+Both modes read one table per series, G[b, i, j] = tr(B_b P_i rho P_j),
+with B_b the projector onto outcome b carried back over the gap. A
+strong event is the outcome pair (i, b), with joint law Re G[b, i, i],
+and its product a_i a_b depends on nothing else; so a strong chunk is
+one multinomial draw of its m events over the d^2 pairs. A weak reading
+p leaves the second-outcome weights sum_ij phi_i(p) Re G[b, i, j] phi_j(p)
+with real pointer amplitudes phi, so weak events are drawn one by one: a
+chunk draws all its random numbers first and then builds its per-event
+tables one column block of at most ``_BLOCK`` events at a time. The
+tables are outcome-major, shape (d, block), and the draw compares
+unnormalised cumulative weights against u times their total.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def precession_qubit(omega: float = 1.0) -> DynamicsSpec:
 class _SeriesKernel:
     """Precomputed per-series tables; maps one rng chunk to outcome products.
 
-    Per-event tables are outcome-major, shape (d, block): outcome on the
+    Weak per-event tables are outcome-major, shape (d, block): outcome on the
     first axis, event on the second, so every reduction over the short
     outcome axis is an elementwise pass over whole rows of a block.
     """
@@ -161,7 +163,6 @@ class _SeriesKernel:
         rho0 = dyn.initial_state
         rho_first = evolve(rho0, propagator(dyn.hamiltonian, t_first)) if t_first else rho0
         u_gap = propagator(dyn.hamiltonian, t_second - t_first)
-        self.cum_first = np.cumsum(born_weights(rho_first, obs))[:, None]
         # G[b, i, j] = tr(B_b P_i rho P_j) with B_b the Heisenberg projector
         proj = obs.projectors
         blocks = (proj @ rho_first.matrix)[:, None] @ proj[None]  # P_i rho P_j
@@ -171,24 +172,22 @@ class _SeriesKernel:
         re_g = np.einsum("bad,ijda->bij", heis, blocks).real
 
         if first_mode == MODE_STRONG:
-            # P(b | i) = Re G[b,i,i] / w_i, kept unnormalised and cumulative
-            # over b; column i is the second-outcome table of first outcome i
-            diag = np.clip(np.einsum("bii->bi", re_g), 0.0, None)
-            self.cum_second = np.cumsum(diag, axis=0)
+            # joint law P(i, b) = Re G[b,i,i] of the outcome pair, flattened
+            # row-major in i, beside the product a_i a_b of each pair
+            joint = np.clip(np.einsum("bii->ib", re_g), 0.0, None).ravel()
+            self.joint = joint / joint.sum()
+            self.pair_products = np.multiply.outer(self.eigenvalues, self.eigenvalues).ravel()
         else:
             assert pointer is not None
+            self.cum_first = np.cumsum(born_weights(rho_first, obs))[:, None]
             self.sigma = math.sqrt(pointer.position_variance)
             self.two_width_sq = 2.0 * pointer.width**2
             self.re_g = np.ascontiguousarray(re_g)
 
-    def _second_cum(self, idx1: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """(d, block) unnormalised cumulative weights of the second outcome per event.
-
-        ``idx1`` holds the first outcomes and ``first`` the first readings
-        of the block's events.
+    def _second_cum(self, first: np.ndarray) -> np.ndarray:
+        """(d, block) unnormalised cumulative weights of the second outcome
+        per weak event, given the block's first readings ``first``.
         """
-        if self.first_mode == MODE_STRONG:
-            return np.take(self.cum_second, idx1, axis=1)
         # phi_i(p) = exp(-(p - a_i)^2 / 2w^2), shifted by its per-event
         # maximum. The difference form keeps full precision when the
         # spectrum sits far from zero relative to w; factoring out
@@ -218,25 +217,29 @@ class _SeriesKernel:
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[int, float, float]:
         """Simulate m events; return (count, sum, sum of squares) of products.
 
-        The chunk's random numbers are drawn first, in the order first
-        uniforms, pointer noise (weak mode), second uniforms; the events
-        are then worked through in column blocks of ``_BLOCK`` so the
-        per-event tables of a block stay in cache.
+        A strong chunk is one multinomial draw of the events over the
+        outcome pairs. A weak chunk draws its random numbers first, in the
+        order first uniforms, pointer noise, second uniforms, and then works
+        through the events in column blocks of ``_BLOCK`` so the per-event
+        tables of a block stay in cache.
         """
+        # both sums stay out of BLAS: OpenBLAS splits a long ddot over its
+        # threads, which would tie the result to the thread count
+        if self.first_mode == MODE_STRONG:
+            counts = rng.multinomial(m, self.joint)
+            prod = self.pair_products
+            return m, float((counts * prod).sum()), float((counts * prod * prod).sum())
         a = self.eigenvalues
         u_first = rng.uniform(size=m)
-        if self.first_mode == MODE_WEAK:
-            noise = rng.standard_normal(m)
-            noise *= self.sigma
+        noise = rng.standard_normal(m)
+        noise *= self.sigma
         u_second = rng.uniform(size=m)
         products = np.empty(m)
         for lo in range(0, m, _BLOCK):
             cols = slice(lo, lo + _BLOCK)
-            idx1 = _inverse_cdf(self.cum_first, u_first[cols])
-            first = a[idx1]
-            if self.first_mode == MODE_WEAK:
-                first += noise[cols]
-            cum = self._second_cum(idx1, first)
+            first = a[_inverse_cdf(self.cum_first, u_first[cols])]
+            first += noise[cols]
+            cum = self._second_cum(first)
             # inverse CDF against the unnormalised total: outcome b is drawn
             # when cum[b-1] <= u * cum[-1] < cum[b]; with a positive total,
             # u < 1 keeps the last row out
@@ -245,8 +248,6 @@ class _SeriesKernel:
         # both sums run once over the whole chunk, so their pairwise order
         # does not depend on the block size
         s1 = products.sum()
-        # the sum of squares stays out of BLAS: OpenBLAS splits a long ddot
-        # over its threads, which would tie the result to the thread count
         s2 = np.square(products, out=products).sum()
         return m, float(s1), float(s2)
 

@@ -4,7 +4,7 @@ Every stream is a counter-based Philox generator derived from
 ``SeedSequence(seed, spawn_key=path)``. A stream's identity depends only
 on the root seed and its integer path - never on the order streams are
 used in or how many draws other streams made - so a run is reproducible
-event-for-event whatever order its chunks are run in.
+chunk for chunk whatever order its chunks are run in.
 
 Event batches are carved into fixed-size chunks; chunk ``c`` of series
 ``s`` always draws from ``substream(seed, s, c)``, and per-chunk partial

@@ -29,7 +29,6 @@ from lgsim import (
     propagator,
     quantum_k3_oracle,
     run_series,
-    sample_strong_readings,
     sample_weak_readings,
     spectral_decompose,
     strong_channel,
@@ -109,12 +108,26 @@ class TestStrongFirstCorrelators:
         est = estimate_correlator(bench, 0.0, 1e-6, "strong", 20_000, seed=12)
         assert abs(est.value - 1.0) < 5 * est.std_error + 1e-9
 
-    def test_per_event_products_are_dichotomic(self, bench):
-        # the sum of squared products equals the event count exactly only
-        # when every product is +-1
+    def test_sum_of_squares_equals_count_for_dichotomic_products(self, bench):
+        # every product of two +-1 readings squares to 1, so the chunk's sum
+        # of squares is its event count, exactly
         kernel = _SeriesKernel(bench, 0.0, TAU, "strong", None)
         m, _, s2 = kernel.run_chunk(substream(5, 0, 0), 100_000)
         assert s2 == m
+
+    def test_chunk_is_one_multinomial_draw(self, bench):
+        # a strong chunk draws its pair counts and nothing else
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(rng, name)
+
+        rng = substream(6, 0, 0)
+        kernel = _SeriesKernel(bench, 0.0, TAU, "strong", None)
+        assert kernel.run_chunk(Recorder(), 1_000)[0] == 1_000
+        assert calls == ["multinomial"]
 
     def test_estimate_magnitude_bounded(self, bench, plan3):
         for est in run_series(plan3, bench, "strong", 5_000, seed=13):
@@ -337,10 +350,16 @@ def _reference_tables(dyn, t_first, t_second):
     return proj, rho, u, g
 
 
-def _kernel_weights(kernel, idx1, first):
-    """Row-normalised second-outcome weights the kernel draws from, (m, n)."""
-    cum = kernel._second_cum(idx1, first)
+def _kernel_weights(kernel, first):
+    """Row-normalised second-outcome weights a weak kernel draws from, (m, n)."""
+    cum = kernel._second_cum(first)
     return (np.diff(cum, axis=0, prepend=0.0) / cum[-1]).T
+
+
+def _joint_table(kernel):
+    """The strong kernel's joint law of the outcome pair, P[i, b]."""
+    n = kernel.eigenvalues.size
+    return kernel.joint.reshape(n, n)
 
 
 DYNAMICS_CASES = [(2, "plain"), (3, "plain"), (5, "plain"), (8, "plain"),
@@ -348,22 +367,32 @@ DYNAMICS_CASES = [(2, "plain"), (3, "plain"), (5, "plain"), (8, "plain"),
 
 
 class TestSecondOutcomeWeights:
-    """The kernel's second-outcome tables against the textbook formulas."""
+    """The kernel's outcome tables against the textbook formulas."""
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_strong_rows_match_evolved_conditional_states(self, dim, case):
+        # P(i, b) = w_i Born(evolve(P_i rho P_i / w_i))_b
         dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
         obs = dyn.observable
         proj, rho, u, _ = _reference_tables(dyn, 0.4, 1.3)
         w1 = born_weights(rho, obs)
         with np.errstate(over="raise", invalid="raise"):
-            kernel = _SeriesKernel(dyn, 0.4, 1.3, "strong", None)
-            got = _kernel_weights(kernel, np.arange(obs.n_outcomes), obs.eigenvalues)
+            got = _joint_table(_SeriesKernel(dyn, 0.4, 1.3, "strong", None))
         for i in range(obs.n_outcomes):
             cond = proj[i] @ rho.matrix @ proj[i] / w1[i]
             cond = DensityMatrix(0.5 * (cond + cond.conj().T))
-            want = born_weights(evolve(cond, u), obs)
+            want = w1[i] * born_weights(evolve(cond, u), obs)
             np.testing.assert_allclose(got[i], want, rtol=1e-10)
+
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_strong_joint_table_without_evolution_is_diagonal(self, dim, case):
+        # with nothing between the two measurements the second outcome
+        # repeats the first, so P(i, b) = w_i when b = i and 0 otherwise
+        dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
+        dyn = dataclasses.replace(dyn, hamiltonian=np.zeros((dim, dim)))
+        w = born_weights(dyn.initial_state, dyn.observable)
+        got = _joint_table(_SeriesKernel(dyn, 0.4, 1.3, "strong", None))
+        np.testing.assert_allclose(got, np.diag(w), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("width", [0.01, 0.5, 10.0, 100.0])
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
@@ -377,7 +406,7 @@ class TestSecondOutcomeWeights:
         first = a[idx1] + math.sqrt(pointer.position_variance) * rng.standard_normal(idx1.size)
         with np.errstate(over="raise", invalid="raise"):
             kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", pointer)
-            got = _kernel_weights(kernel, idx1, first)
+            got = _kernel_weights(kernel, first)
             logphi = -((first[:, None] - a[None, :]) ** 2) / (2.0 * width**2)
             phi = np.exp(logphi - logphi.max(axis=1, keepdims=True))
             want = np.einsum("ei,bij,ej->eb", phi, g, phi).real
@@ -386,18 +415,17 @@ class TestSecondOutcomeWeights:
 
 
 class TestColumnBlocks:
-    """run_chunk draws a chunk's random numbers first and then works through
-    it in column blocks of ``protocol._BLOCK`` events."""
+    """A weak run_chunk draws a chunk's random numbers first and then works
+    through it in column blocks of ``protocol._BLOCK`` events. A strong chunk
+    has no per-event tables and so no blocks."""
 
-    @pytest.mark.parametrize("mode", ["strong", "weak"])
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
-    def test_block_size_does_not_change_results(self, monkeypatch, dim, case, mode):
+    def test_block_size_does_not_change_results(self, monkeypatch, dim, case):
         # every event sees the same random numbers and both sums run over the
         # whole chunk, so any block size gives the one-block result bitwise,
         # ragged last blocks included
         dyn = _random_dynamics(np.random.default_rng(300 + dim), dim, case)
-        pointer = PointerModel(width=10.0) if mode == "weak" else None
-        kernel = _SeriesKernel(dyn, 0.4, 1.3, mode, pointer)
+        kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", PointerModel(width=10.0))
         block = protocol._BLOCK
         for m, sizes in ((23, (1, 7)), (2 * block + 5, (block,))):
             monkeypatch.setattr(protocol, "_BLOCK", m + 1)
@@ -442,17 +470,16 @@ class TestChannelIdentities:
             warnings.simplefilter("ignore", WeakRegimeWarning)
             weak = _SeriesKernel(dyn, self.T1, self.T2, "weak", pointer)
             weak_out = weak_channel_exact(rho, dyn.observable, pointer)
-        strong = _SeriesKernel(dyn, self.T1, self.T2, "strong", None)
-        return dyn.observable, rho, u, weak.re_g, strong.cum_second, weak_out
+        joint = _joint_table(_SeriesKernel(dyn, self.T1, self.T2, "strong", None))
+        return dyn.observable, rho, u, weak.re_g, joint, weak_out
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_strong_channel(self, dim, case):
-        obs, rho, u, re_g, cum_second, _ = self._tables(dim, case, 10.0)
+        obs, rho, u, re_g, joint, _ = self._tables(dim, case, 10.0)
         want = born_weights(evolve(strong_channel(rho, obs), u), obs)
         np.testing.assert_allclose(np.einsum("bii->b", re_g), want, rtol=0, atol=1e-14)
-        # the strong kernel's own table: row b of its cumulative sum less row b-1
-        rows = np.diff(cum_second, axis=0, prepend=0.0)
-        np.testing.assert_allclose(rows.sum(axis=1), want, rtol=0, atol=1e-14)
+        # the strong kernel's own table: its marginal over the first outcome
+        np.testing.assert_allclose(joint.sum(axis=0), want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("width", [0.5, 10.0])
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
@@ -475,20 +502,37 @@ class TestChannelIdentities:
         np.testing.assert_allclose(re_g.sum(axis=0), np.diag(w), rtol=0, atol=1e-14)
 
 
-class TestKernelMatchesBatchSamplers:
-    """With no evolution between the two measurements, the kernel's events
-    are the batch samplers' readings, draw for draw."""
+class TestStrongEstimatesMatchExactMoments:
+    """A strong estimate against the exact law of the product x = a_i a_b,
+    P(i, b) = Re G[b, i, i], built term by term from ``_reference_tables``.
 
-    def test_strong_measurement_repeats(self, rng):
-        # a second strong measurement repeats the first outcome, so every
-        # product is the first reading squared
-        obs = spectral_decompose(np.diag([0.25, -1.5, 3.0]))
-        dyn = DynamicsSpec(np.zeros((3, 3)), obs, random_density_matrix(3, rng))
-        readings = sample_strong_readings(dyn.initial_state, obs, 50_000, substream(3, 0, 0))
-        kernel = _SeriesKernel(dyn, 0.0, 1.0, "strong", None)
-        _, s1, s2 = kernel.run_chunk(substream(3, 0, 0), 50_000)
-        products = readings * readings
-        assert (s1, s2) == (products.sum(), np.square(products).sum())
+    An estimate fails when |value - E[x]| exceeds 5 exact standard errors
+    sqrt(Var x / n); for a normal estimate that happens with probability
+    5.7e-7 per correlator. Its std_error must also lie within 10% of the
+    exact one.
+    """
+
+    N = 10**6
+
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_estimate_within_five_exact_standard_errors(self, dim, case):
+        dyn = _random_dynamics(np.random.default_rng(400 + dim), dim, case)
+        _, _, _, g = _reference_tables(dyn, 0.4, 1.3)
+        a = dyn.observable.eigenvalues
+        prob = np.einsum("bii->ib", g).real
+        prod = np.multiply.outer(a, a)
+        mean = (prob * prod).sum()
+        exact_se = math.sqrt((prob * (prod - mean) ** 2).sum() / self.N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # not dichotomic
+            est = estimate_correlator(dyn, 0.4, 1.3, "strong", self.N, seed=dim)
+        assert abs(est.value - mean) <= 5.0 * exact_se
+        assert est.std_error == pytest.approx(exact_se, rel=0.1)
+
+
+class TestKernelMatchesBatchSamplers:
+    """With no evolution between the two measurements, a weak kernel's events
+    are the batch sampler's readings, draw for draw."""
 
     def test_weak_reading_leaves_eigenstate_untouched(self):
         # the later strong outcome is +1 every time, so every product is the
