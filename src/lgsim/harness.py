@@ -35,6 +35,7 @@ from .config import (
 )
 from .invasiveness import measure_invasiveness, predicted_weak
 from .measurement import (
+    WEAK_REGIME_FACTOR,
     PointerModel,
     sample_strong_readings,
     sample_weak_readings,
@@ -64,7 +65,7 @@ from .quantum import (
     spectral_decompose,
     variance,
 )
-from .streams import DEFAULT_CHUNK_SIZE, substream
+from .streams import substream
 
 OUT_DIR_ENV = "LGSIM_OUT_DIR"
 DEFAULT_OUT_DIR = "lgsim_out"
@@ -74,11 +75,11 @@ DEFAULT_OUT_DIR = "lgsim_out"
 # config materialization
 
 
-def _system_objects(system: SystemConfig, eigen_gap: float):
+def _system_objects(system: SystemConfig, eigen_gap: float) -> DynamicsSpec:
     h = pairs_to_matrix(system.hamiltonian, system.dim)
     obs = spectral_decompose(pairs_to_matrix(system.observable, system.dim), gap_tol=eigen_gap)
     rho = DensityMatrix(pairs_to_matrix(system.initial_state, system.dim))
-    return h, obs, rho
+    return DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)  # checks H
 
 
 def _estimate_dict(est: CorrelatorEstimate) -> dict:
@@ -100,8 +101,8 @@ def run_budget(cfg: RunConfig) -> dict:
     if b.var_a is not None:
         var_a, var_source = b.var_a, "config"
     else:
-        _, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
-        var_a, var_source = variance(rho, obs), "system"
+        dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        var_a, var_source = variance(dyn.initial_state, dyn.observable), "system"
         if var_a == 0.0:
             # an eigenstate of the observable: the formulas then say no
             # strong members are needed, which is rarely the question asked
@@ -155,8 +156,7 @@ def _k3_block(estimates: list[CorrelatorEstimate]) -> dict | None:
 
 
 def run_lg(cfg: RunConfig) -> dict:
-    h, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
-    dyn = DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)
+    dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
     plan = SeriesPlan(cfg.plan.k, cfg.plan.times)
     pm = PointerModel(width=cfg.pointer.width)
 
@@ -257,7 +257,7 @@ def _sampler_deviation(rho, obs, n: int, rng) -> float:
     So correct code fails at most 1.7e-6 of the time on the strong counts, rare
     outcomes included, plus 1.7e-6 on the weak terms while S and m are near
     normal (pointer variance >= 50 against a spectral diameter <= width/5)."""
-    pm = PointerModel(width=max(5.0 * obs.spectral_diameter, 10.0))
+    pm = PointerModel(width=max(WEAK_REGIME_FACTOR * obs.spectral_diameter, 10.0))
     p = born_weights(rho, obs)
     mean_a = expectation(rho, obs)
     var_a = variance(rho, obs)
@@ -284,7 +284,8 @@ def _sampler_deviation(rho, obs, n: int, rng) -> float:
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     vc = cfg.verify or VerifyConfig()
     if cfg.system is not None:
-        _, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        obs, rho = dyn.observable, dyn.initial_state
     else:
         obs = precession_qubit().observable
         rho = _coherent_probe(obs)  # the x-eigenstate for the stock qubit
@@ -296,7 +297,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     # needs no measuring: _eigenbasis_map symmetrises every channel output
     # and DensityMatrix rejects a non-Hermitian one
     rng = substream(cfg.seed, 102)
-    pm = PointerModel(width=max(5.0 * diam, 10.0))
+    pm = PointerModel(width=max(WEAK_REGIME_FACTOR * diam, 10.0))
     worst = 0.0
     worst_comm = 0.0
     a = obs.matrix()
@@ -318,7 +319,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
 
     # exact-vs-perturbative gap falls off as width^-4 (coherent probe state)
     widths = np.array(sorted(vc.widths))
-    in_regime = bool(widths.min() >= 5.0 * diam)
+    in_regime = PointerModel(width=float(widths.min())).in_weak_regime(obs)
     gaps = []
     for w in widths:
         exact = weak_channel_exact(probe, obs, PointerModel(width=float(w)))
@@ -327,8 +328,8 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     if not in_regime:
         checks.append(_check(
             "weak_expansion_convergence", 0.0, 0.0,
-            f"widths {widths.tolist()} below {5.0 * diam:.3g} (5 x spectral diameter); "
-            "asymptotic slope not judged",
+            f"widths {widths.tolist()} below {WEAK_REGIME_FACTOR * diam:.3g} "
+            f"({WEAK_REGIME_FACTOR:g} x spectral diameter); asymptotic slope not judged",
             out_of_regime=True,
         ))
     elif min(gaps) <= 0:
@@ -397,7 +398,9 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         f"worst normalized deviation {worst:.3f} (1.0 = tolerance) at n = {vc.n_samples}",
     ))
 
-    # positivity guard over the states the pipeline produces
+    # positivity guard over the states the pipeline produces. Only
+    # corrupt_state can fail it: the strong channel's output is a
+    # DensityMatrix, which already rejects an eigenvalue below -1e-10
     states = [strong_channel(rho, obs).matrix]
     if vc.corrupt_state:
         states.append(-0.5 * np.eye(obs.dim))  # eigenvalue -0.5 at any dimension
@@ -442,9 +445,9 @@ def run_sweep(cfg: RunConfig) -> dict:
     once per delta_p and repeated at each (n, tau) point. Nothing is kept
     beyond the call."""
     sw: SweepConfig = cfg.sweep
-    h, obs, rho = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+    dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+    obs, rho = dyn.observable, dyn.initial_state
     mc_wanted = bool(sw.n or sw.tau)
-    dyn = DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)
 
     axes = {
         "delta_p": list(sw.delta_p) or [None],
@@ -482,8 +485,7 @@ def run_sweep(cfg: RunConfig) -> dict:
                     key = (t_first, t_second, pointer)
                     if key not in kernels:
                         kernels[key] = _SeriesKernel(dyn, t_first, t_second, sw.mode, pointer)
-                    est = _estimate(kernels[key], n_events, cfg.seed, DEFAULT_CHUNK_SIZE,
-                                    point_index, (1, 2))
+                    est = _estimate(kernels[key], n_events, cfg.seed, point_index, (1, 2))
                     rows.append({**coords, "metric": "corr_value", "value": est.value})
                     rows.append({**coords, "metric": "corr_std_error", "value": est.std_error})
                 point_index += 1

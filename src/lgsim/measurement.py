@@ -146,11 +146,17 @@ def sample_strong_readings(
     return obs.eigenvalues[_inverse_cdf(cum, rng.uniform(size=n))]
 
 
+def _weak_readings(rho, obs, pm, n, rng) -> np.ndarray:
+    """``sample_weak_readings`` without its warning: the strong readings from
+    ``rng``, then pointer noise from it. Weak correlators draw from it too."""
+    readings = sample_strong_readings(rho, obs, n, rng)
+    readings += np.sqrt(pm.position_variance) * rng.standard_normal(n)
+    return readings
+
+
 def sample_weak_readings(
     rho: DensityMatrix, obs: Observable, pm: PointerModel, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized batch of n weak pointer readings (no conditional states):
-    the strong readings from ``rng``, then Gaussian pointer noise from it."""
+    """Vectorized batch of n weak pointer readings (no conditional states)."""
     _warn_if_not_weak(pm, obs)
-    readings = sample_strong_readings(rho, obs, n, rng)
-    return readings + np.sqrt(pm.position_variance) * rng.standard_normal(n)
+    return _weak_readings(rho, obs, pm, n, rng)

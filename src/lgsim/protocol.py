@@ -10,10 +10,10 @@ contributes the product of the two readings to the correlator estimate.
 The earlier measurement of each series is the one that must approximate
 a non-invasive measurement, which is why only it can be weak.
 
-Sampling is chunked and vectorized: chunk c of series s always draws
-from ``substream(seed, s, c)`` and partial sums merge in chunk order, so
-an estimate depends on the chunk size but not on the order the chunks
-are run in.
+Sampling is chunked and vectorized: chunk c of series s holds up to
+``DEFAULT_CHUNK_SIZE`` events and draws from ``substream(seed, s, c)``,
+and partial sums merge in chunk order, so an estimate does not depend
+on the order the chunks are run in.
 
 Both modes read one table per series, G[b, i, j] = tr(B_b P_i rho P_j),
 with B_b the projector onto outcome b carried back over the gap. A
@@ -22,8 +22,9 @@ and its product a_i a_b depends on nothing else; so a strong chunk is
 one multinomial draw of its m events over the d^2 pairs. A weak reading
 p leaves the second-outcome weights sum_ij phi_i(p) Re G[b, i, j] phi_j(p)
 with real pointer amplitudes phi, so weak events are drawn one by one: a
-chunk draws all its random numbers first and then builds its per-event
-tables one column block of at most ``_BLOCK`` events at a time. The
+chunk draws all its random numbers first, its first readings by the
+sampler behind ``measurement.sample_weak_readings``, and then builds its
+per-event tables one column block of ``_BLOCK`` events at a time. The
 tables are outcome-major, shape (d, block), and the draw compares
 unnormalised cumulative weights against u times their total.
 """
@@ -43,6 +44,7 @@ from .measurement import (
     PointerModel,
     _inverse_cdf,
     _warn_if_not_weak,
+    _weak_readings,
 )
 from .quantum import (
     DensityMatrix,
@@ -50,7 +52,6 @@ from .quantum import (
     _as_complex_matrix,
     _check_hermitian,
     basis_state,
-    born_weights,
     evolve,
     pauli,
     propagator,
@@ -179,9 +180,7 @@ class _SeriesKernel:
             self.pair_products = np.multiply.outer(self.eigenvalues, self.eigenvalues).ravel()
         else:
             assert pointer is not None
-            self.cum_first = np.cumsum(born_weights(rho_first, obs))[:, None]
-            self.sigma = math.sqrt(pointer.position_variance)
-            self.two_width_sq = 2.0 * pointer.width**2
+            self.rho_first, self.observable, self.pointer = rho_first, obs, pointer
             self.re_g = np.ascontiguousarray(re_g)
 
     def _second_cum(self, first: np.ndarray) -> np.ndarray:
@@ -194,7 +193,7 @@ class _SeriesKernel:
         # exp(p a_i / w^2) would not.
         phi = np.subtract.outer(self.eigenvalues, first)
         np.square(phi, out=phi)
-        phi /= -self.two_width_sq
+        phi /= -2.0 * self.pointer.width**2
         phi -= phi.max(axis=0)
         np.exp(phi, out=phi)
         # joint weight of reading p and second outcome b:
@@ -218,10 +217,10 @@ class _SeriesKernel:
         """Simulate m events; return (count, sum, sum of squares) of products.
 
         A strong chunk is one multinomial draw of the events over the
-        outcome pairs. A weak chunk draws its random numbers first, in the
-        order first uniforms, pointer noise, second uniforms, and then works
-        through the events in column blocks of ``_BLOCK`` so the per-event
-        tables of a block stay in cache.
+        outcome pairs. A weak chunk draws its first readings (uniforms, then
+        pointer noise) and its second uniforms first, and then works through
+        the events in column blocks of ``_BLOCK`` so the per-event tables of
+        a block stay in cache; each block's products overwrite its readings.
         """
         # both sums stay out of BLAS: OpenBLAS splits a long ddot over its
         # threads, which would tie the result to the thread count
@@ -230,21 +229,15 @@ class _SeriesKernel:
             prod = self.pair_products
             return m, float((counts * prod).sum()), float((counts * prod * prod).sum())
         a = self.eigenvalues
-        u_first = rng.uniform(size=m)
-        noise = rng.standard_normal(m)
-        noise *= self.sigma
+        products = _weak_readings(self.rho_first, self.observable, self.pointer, m, rng)
         u_second = rng.uniform(size=m)
-        products = np.empty(m)
         for lo in range(0, m, _BLOCK):
-            cols = slice(lo, lo + _BLOCK)
-            first = a[_inverse_cdf(self.cum_first, u_first[cols])]
-            first += noise[cols]
+            first = products[lo:lo + _BLOCK]
             cum = self._second_cum(first)
             # inverse CDF against the unnormalised total: outcome b is drawn
             # when cum[b-1] <= u * cum[-1] < cum[b]; with a positive total,
             # u < 1 keeps the last row out
-            idx2 = _inverse_cdf(cum, u_second[cols] * cum[-1])
-            np.multiply(first, a[idx2], out=products[cols])
+            first *= a[_inverse_cdf(cum, u_second[lo:lo + _BLOCK] * cum[-1])]
         # both sums run once over the whole chunk, so their pairwise order
         # does not depend on the block size
         s1 = products.sum()
@@ -277,13 +270,13 @@ def _check_run_args(first_mode, pointer, obs, n, stacklevel: int = 3) -> None:
         )
 
 
-def _estimate(kernel: _SeriesKernel, n, seed, chunk_size, stream, pair) -> CorrelatorEstimate:
-    """One series of n events: chunk c draws from ``substream(seed, stream, c)``
-    and the (count, sum, sum of squares) of the chunks add up in chunk order.
-    The kernel holds no state between chunks, so one kernel can serve many
-    series of the same times, mode and pointer."""
+def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimate:
+    """One series of n events in chunks of ``DEFAULT_CHUNK_SIZE``: chunk c
+    draws from ``substream(seed, stream, c)`` and the (count, sum, sum of
+    squares) of the chunks add up in chunk order. The kernel holds no state
+    between chunks, so one kernel serves any series of its times and mode."""
     count, s1, s2 = 0, 0.0, 0.0
-    for c, m in enumerate(chunk_sizes(n, chunk_size)):
+    for c, m in enumerate(chunk_sizes(n, DEFAULT_CHUNK_SIZE)):
         dn, d1, d2 = kernel.run_chunk(substream(seed, stream, c), m)
         count += dn
         s1 += d1
@@ -302,7 +295,6 @@ def run_series(
     n_per_series: int,
     seed: int,
     pointer: PointerModel | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     stream_base: int = 0,
 ) -> list[CorrelatorEstimate]:
     """Estimate every correlator of the plan from fresh subensembles.
@@ -316,7 +308,7 @@ def run_series(
     _check_run_args(first_mode, pointer, dyn.observable, n_per_series)
     return [
         _estimate(_SeriesKernel(dyn, *plan.pair_times(pair), first_mode, pointer),
-                  n_per_series, seed, chunk_size, stream_base + s, pair)
+                  n_per_series, seed, stream_base + s, pair)
         for s, pair in enumerate(plan.pairs)
     ]
 
@@ -329,14 +321,13 @@ def estimate_correlator(
     n_events: int,
     seed: int,
     pointer: PointerModel | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     stream_base: int = 0,
 ) -> CorrelatorEstimate:
     """One two-time correlator outside any plan (sweeps, convergence studies)."""
     _check_times(t_first, t_second)
     _check_run_args(first_mode, pointer, dyn.observable, n_events)
     kernel = _SeriesKernel(dyn, t_first, t_second, first_mode, pointer)
-    return _estimate(kernel, n_events, seed, chunk_size, stream_base, (1, 2))
+    return _estimate(kernel, n_events, seed, stream_base, (1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reproducible, splittable random streams for parallel Monte Carlo.
+"""Reproducible, splittable random streams for chunked Monte Carlo.
 
 Every stream is a counter-based Philox generator derived from
 ``SeedSequence(seed, spawn_key=path)``. A stream's identity depends only
@@ -36,7 +36,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def chunk_sizes(n: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[int]:
+def chunk_sizes(n: int, chunk_size: int) -> list[int]:
     """Fixed partition of n events into chunks of ``chunk_size`` and a remainder."""
     if n < 0:
         raise ValidationError(f"event count must be >= 0, got {n}")

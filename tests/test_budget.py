@@ -8,7 +8,6 @@ from lgsim import (
     PointerModel,
     pauli,
     plus_state,
-    sample_strong_readings,
     sample_weak_readings,
     spectral_decompose,
     strong_subensemble,
@@ -187,16 +186,6 @@ class TestMonteCarloValidation:
         self.obs = spectral_decompose(pauli("z"))
         self.rho = plus_state()  # <A> = 0, Var A = 1
         self.eps = target_error(M, K, DP)
-
-    def test_strong_rms_error_meets_target(self):
-        # n = M_s members per replicate; true mean is 0
-        n = strong_subensemble(VAR, self.eps)
-        sq = []
-        for r in range(200):
-            readings = sample_strong_readings(self.rho, self.obs, n, substream(777, 55, r))
-            sq.append(readings.mean() ** 2)
-        rms = math.sqrt(np.mean(sq))
-        assert rms <= 1.1 * self.eps
 
     def test_weak_rms_error_meets_target(self):
         # the weak measurement spends the whole M/k subensemble; its realized

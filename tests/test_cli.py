@@ -82,6 +82,20 @@ class TestExitCodes:
             "got 'perturbative_o2'\n"
         )
 
+    @pytest.mark.parametrize("subcommand", ["budget", "verify", "lg-run"])
+    def test_non_hermitian_hamiltonian_is_one(self, tmp_path, capsys, subcommand):
+        # H = [[0, 5], [0, 0]]: budget reads Var A from the system and verify
+        # judges it, so both must reject it as lg-run does
+        budget = {k: v for k, v in BUDGET["budget"].items() if k != "var_a"}
+        base = {"budget": dict(BUDGET, budget=budget), "verify": VERIFY_FAST,
+                "lg-run": LG_RUN}[subcommand]
+        bad = dict(base, system=dict(LG_RUN["system"],
+                                     hamiltonian=[[0, 0], [5, 0], [0, 0], [0, 0]]))
+        code = main([subcommand, "--config", write_cfg(tmp_path, bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "hamiltonian is not Hermitian" in capsys.readouterr().err
+
     def test_scenario_subcommand_mismatch_is_one(self, tmp_path, capsys):
         code = main(["verify", "--config", write_cfg(tmp_path, BUDGET),
                      "--out", str(tmp_path / "out")])

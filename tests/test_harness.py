@@ -27,7 +27,7 @@ from lgsim.harness import (
 from lgsim.errors import WeakRegimeWarning
 from lgsim.invasiveness import measure_invasiveness, predicted_weak
 from lgsim.measurement import PointerModel, weak_channel_exact
-from lgsim.protocol import DynamicsSpec, _SeriesKernel, estimate_correlator
+from lgsim.protocol import _SeriesKernel, estimate_correlator
 from lgsim.quantum import DensityMatrix, Observable, pauli, plus_state, spectral_decompose
 from lgsim.streams import substream
 
@@ -399,8 +399,8 @@ class TestRunSweep:
         # repeats a tau, and the stock one has no tau axis
         cfg = parse_config(sweep_cfg(grid))
         sw = cfg.sweep
-        h, obs, rho = harness._system_objects(cfg.system, cfg.tolerances.eigen_gap)
-        dyn = DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)
+        dyn = harness._system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        obs, rho = dyn.observable, dyn.initial_state
         t1 = cfg.plan.times[0]
         want = []
         grid_points = itertools.product(sw.delta_p or [None], sw.n or [None], sw.tau or [None])

@@ -35,7 +35,9 @@ from lgsim import (
     weak_channel_exact,
 )
 from lgsim.errors import ValidationError, WeakRegimeWarning
-from lgsim import protocol
+from lgsim import measurement, protocol
+from lgsim.config import parse_config
+from lgsim.harness import run_verify
 from lgsim.protocol import _SeriesKernel
 from lgsim.quantum import random_density_matrix, random_unitary
 from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
@@ -223,13 +225,13 @@ class TestDeterminismAndMerging:
         [("strong", None), ("weak", PointerModel(width=10.0))],
         ids=["strong", "weak"],
     )
-    def test_chunk_order_does_not_change_results(self, bench, plan3, mode, pointer):
+    def test_chunk_order_does_not_change_results(self, monkeypatch, bench, plan3, mode, pointer):
         # each chunk draws from its own (seed, series, chunk) stream, so chunks
         # run last to first and then added in chunk order reproduce the
         # estimates of run_series bitwise
         n, chunk, base = 150_000, 20_000, 3  # ragged last chunk of 10,000
-        want = run_series(plan3, bench, mode, n, seed=78, pointer=pointer,
-                          chunk_size=chunk, stream_base=base)
+        monkeypatch.setattr(protocol, "DEFAULT_CHUNK_SIZE", chunk)
+        want = run_series(plan3, bench, mode, n, seed=78, pointer=pointer, stream_base=base)
         sizes = chunk_sizes(n, chunk)
         for s, pair in enumerate(plan3.pairs):
             kernel = _SeriesKernel(bench, *plan3.pair_times(pair), mode, pointer)
@@ -250,17 +252,17 @@ class TestDeterminismAndMerging:
         [("strong", None), ("weak", PointerModel(width=10.0))],
         ids=["strong", "weak"],
     )
-    def test_run_series_is_estimate_correlator_per_pair(self, bench, mode, pointer):
+    def test_run_series_is_estimate_correlator_per_pair(self, monkeypatch, bench, mode, pointer):
         # series s of a plan is the single correlator of its pair's times drawn
         # from stream stream_base + s, labelled with the pair
         plan = SeriesPlan(4, [0.0, 0.4, 1.1, 1.5])
-        n, chunk, base = 30_000, 7_000, 5
-        got = run_series(plan, bench, mode, n, seed=80, pointer=pointer,
-                         chunk_size=chunk, stream_base=base)
+        n, base = 30_000, 5
+        monkeypatch.setattr(protocol, "DEFAULT_CHUNK_SIZE", 7_000)
+        got = run_series(plan, bench, mode, n, seed=80, pointer=pointer, stream_base=base)
         want = [
             dataclasses.replace(
                 estimate_correlator(bench, *plan.pair_times(pair), mode, n, 80, pointer=pointer,
-                                    chunk_size=chunk, stream_base=base + s),
+                                    stream_base=base + s),
                 pair=pair,
             )
             for s, pair in enumerate(plan.pairs)
@@ -274,12 +276,14 @@ class TestDeterminismAndMerging:
             pytest.param("weak", PointerModel(width=10.0), 7_000, id="weak"),
         ],
     )
-    def test_chunk_size_changes_stream_but_not_law(self, bench, plan3, mode, pointer, chunk_size):
+    def test_chunk_size_changes_stream_but_not_law(
+        self, monkeypatch, bench, plan3, mode, pointer, chunk_size
+    ):
         # different chunking draws different events; estimates stay compatible.
         # 7_000 leaves a ragged last chunk of 5_000 events
         a = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer)
-        b = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer,
-                       chunk_size=chunk_size)
+        monkeypatch.setattr(protocol, "DEFAULT_CHUNK_SIZE", chunk_size)
+        b = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer)
         for ea, eb in zip(a, b):
             assert abs(ea.value - eb.value) < 5 * math.hypot(ea.std_error, eb.std_error)
 
@@ -305,11 +309,10 @@ class TestDeterminismAndMerging:
             "for dyn, width in ((precession_qubit(), 10.0), (qudit, 40.0)):\n"
             "    for seed in range(80, 84):\n"
             "        e = estimate_correlator(dyn, 0.0, 1.0, 'weak', 60_000, seed,\n"
-            "                                pointer=PointerModel(width=width),\n"
-            "                                chunk_size=60_000)\n"
+            "                                pointer=PointerModel(width=width))\n"
             "        print(repr((e.value, e.std_error)))\n"
         )
-        assert 60_000 > 2 * protocol._BLOCK
+        assert 2 * protocol._BLOCK < 60_000 <= DEFAULT_CHUNK_SIZE
         path = [str(Path(lgsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         outputs = []
         for threads in ("1", "2"):
@@ -435,9 +438,10 @@ class TestColumnBlocks:
                 assert kernel.run_chunk(substream(90, dim, m), m) == want
 
     def test_weak_chunk_peak_memory_is_bounded(self):
-        # a full weak chunk at d = 8 holds its random numbers and products
-        # (4 x 512 KiB) and the (d, block) tables of one block at a time;
-        # (d, m) tables of the whole chunk are 4 MiB each and peak near 13 MiB
+        # a full weak chunk at d = 8 holds its first readings, which become
+        # its products, and its second uniforms (2 x 512 KiB), beside the
+        # (d, block) tables of one block at a time; (d, m) tables of the
+        # whole chunk are 4 MiB each and peak near 13 MiB
         dyn = _random_dynamics(np.random.default_rng(8), 8, "plain")
         kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", PointerModel(width=10.0))
         rng = substream(91, 0, 0)
@@ -531,8 +535,12 @@ class TestStrongEstimatesMatchExactMoments:
 
 
 class TestKernelMatchesBatchSamplers:
-    """With no evolution between the two measurements, a weak kernel's events
-    are the batch sampler's readings, draw for draw."""
+    """A weak kernel draws its first readings with ``measurement._weak_readings``,
+    the function ``sample_weak_readings`` wraps, so verify's
+    ``pointer_sampler_statistics`` and acceptance criterion 4 judge the readings
+    every weak correlator uses. With no evolution between the two
+    measurements, the kernel's events are the batch sampler's readings, draw
+    for draw."""
 
     def test_weak_reading_leaves_eigenstate_untouched(self):
         # the later strong outcome is +1 every time, so every product is the
@@ -545,6 +553,24 @@ class TestKernelMatchesBatchSamplers:
         kernel = _SeriesKernel(dyn, 0.0, 1.0, "weak", pointer)
         _, s1, s2 = kernel.run_chunk(substream(4, 0, 0), 50_000)
         assert (s1, s2) == (readings.sum(), np.square(readings).sum())
+
+    def test_defect_in_shared_draw_reaches_verify_and_kernel(self, monkeypatch, bench):
+        # pointer noise scaled by 1.1, injected into the one first-reading
+        # draw as each of its two callers looks it up
+        kernel = _SeriesKernel(bench, 0.0, 1.0, "weak", PointerModel(width=10.0))
+        want = kernel.run_chunk(substream(6, 0, 0), 5_000)
+        original = measurement._weak_readings
+
+        def noisier(rho, obs, pm, n, rng):
+            return original(rho, obs, PointerModel(width=1.1 * pm.width), n, rng)
+
+        for module in (measurement, protocol):
+            monkeypatch.setattr(module, "_weak_readings", noisier)
+        assert kernel.run_chunk(substream(6, 0, 0), 5_000) != want
+        payload = run_verify(parse_config(
+            {"scenario": "verify", "seed": 3, "verify": {"n_samples": 20_000, "n_random": 20}}))
+        status = {c["name"]: c["status"] for c in payload["checks"]}
+        assert status["pointer_sampler_statistics"] == "fail"
 
 
 class TestK3Statistic:
