@@ -4,14 +4,15 @@ Each scenario is one ``_SCENARIOS`` entry: a runner that maps a validated
 RunConfig to a JSON-ready payload dict, and a function that derives the
 scenario's CSV tables, {file name: (header, rows)}, from that payload alone.
 ``execute`` wraps the payload in a report envelope carrying the schema
-version, the resolved-config echo and wall-clock metadata; ``write_report``
-writes the envelope as JSON and each table through one ``csv.writer``.
+version, the resolved-config echo and wall-clock metadata. ``write_report``
+writes the envelope as report.json, with the bytes of the stdlib's
+``json.dump(indent=2, sort_keys=True)``, and each table as one CSV file,
+both through ``writers``.
 Reports are deterministic for a fixed (config, seed) apart from ``meta``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -66,6 +67,7 @@ from .quantum import (
     variance,
 )
 from .streams import substream
+from .writers import write_csv, write_json
 
 OUT_DIR_ENV = "LGSIM_OUT_DIR"
 DEFAULT_OUT_DIR = "lgsim_out"
@@ -324,7 +326,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     for w in widths:
         exact = weak_channel_exact(probe, obs, PointerModel(width=float(w)))
         pert = weak_channel_perturbative(probe, obs, PointerModel(width=float(w)))
-        gaps.append(float(np.max(np.abs(exact.matrix - pert.matrix))))
+        gaps.append(float(np.max(np.abs(exact.matrix - pert))))
     if not in_regime:
         checks.append(_check(
             "weak_expansion_convergence", 0.0, 0.0,
@@ -544,7 +546,7 @@ def write_report(report: dict, out_dir: str, fmt: str) -> list[str]:
     if fmt in ("json", "both"):
         path = os.path.join(out_dir, "report.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            write_json(fh, report)
             fh.write("\n")
         written.append(path)
     if fmt in ("csv", "both"):
@@ -552,9 +554,7 @@ def write_report(report: dict, out_dir: str, fmt: str) -> list[str]:
         for name, (header, rows) in csv_tables(report["payload"]).items():
             path = os.path.join(out_dir, name)
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
+                write_csv(fh, header, rows)
             written.append(path)
     return written
 

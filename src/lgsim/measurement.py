@@ -73,22 +73,23 @@ def _warn_if_not_weak(pm: PointerModel, obs: Observable, stacklevel: int = 3) ->
         )
 
 
-def _eigenbasis_map(rho: DensityMatrix, obs: Observable, weights: np.ndarray) -> DensityMatrix:
+def _eigenbasis_map(rho: DensityMatrix, obs: Observable, weights: np.ndarray) -> np.ndarray:
     """Apply rho -> sum_ij w[i, j] P_i rho P_j for a real symmetric weight table.
 
     Computed as sum_i P_i rho Q_i with Q_i = sum_j w[i, j] P_j, batched over
-    the n outcomes.
+    the n outcomes, and returned as a Hermitian matrix: the map is positive,
+    and its output a state, only for some weight tables.
     """
     projs = obs.projectors
     q = (weights @ projs.reshape(len(projs), -1)).reshape(projs.shape)
     out = (projs @ rho.matrix @ q).sum(axis=0)
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    return 0.5 * (out + out.conj().T)
 
 
 def strong_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Unconditional post-measurement state sum_i P_i rho P_i."""
     require_same_dim(rho.dim, obs.dim)
-    return _eigenbasis_map(rho, obs, np.eye(obs.n_outcomes))
+    return DensityMatrix(_eigenbasis_map(rho, obs, np.eye(obs.n_outcomes)))
 
 
 def _pair_gaps_squared(obs: Observable) -> np.ndarray:
@@ -101,14 +102,17 @@ def weak_channel_exact(rho: DensityMatrix, obs: Observable, pm: PointerModel) ->
     require_same_dim(rho.dim, obs.dim)
     _warn_if_not_weak(pm, obs)
     damping = np.exp(-_pair_gaps_squared(obs) / (4.0 * pm.width**2))
-    return _eigenbasis_map(rho, obs, damping)
+    return DensityMatrix(_eigenbasis_map(rho, obs, damping))
 
 
 def weak_channel_perturbative(
     rho: DensityMatrix, obs: Observable, pm: PointerModel
-) -> DensityMatrix:
+) -> np.ndarray:
     """Second-order truncation of the weak channel, the check on the exact one.
 
+    Returns the Hermitian output matrix, not a ``DensityMatrix``: with three
+    or more outcomes the weights 1 - x_ij are not a positive map, so the
+    output can have a slightly negative eigenvalue even in the weak regime.
     Warns (without refusing) when the largest expansion parameter exceeds 0.1.
     """
     require_same_dim(rho.dim, obs.dim)
@@ -143,7 +147,7 @@ def sample_strong_readings(
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     cum = np.cumsum(born_weights(rho, obs))[:, None]
-    return obs.eigenvalues[_inverse_cdf(cum, rng.uniform(size=n))]
+    return obs.eigenvalues[_inverse_cdf(cum, rng.random(n))]
 
 
 def _weak_readings(rho, obs, pm, n, rng) -> np.ndarray:

@@ -230,7 +230,7 @@ class _SeriesKernel:
             return m, float((counts * prod).sum()), float((counts * prod * prod).sum())
         a = self.eigenvalues
         products = _weak_readings(self.rho_first, self.observable, self.pointer, m, rng)
-        u_second = rng.uniform(size=m)
+        u_second = rng.random(m)
         for lo in range(0, m, _BLOCK):
             first = products[lo:lo + _BLOCK]
             cum = self._second_cum(first)

@@ -97,13 +97,13 @@ def test_weak_expansion_convergence():
     for w in widths:
         exact = weak_channel_exact(rho, obs, PointerModel(width=float(w)))
         pert = weak_channel_perturbative(rho, obs, PointerModel(width=float(w)))
-        gaps.append(np.max(np.abs(exact.matrix - pert.matrix)))
+        gaps.append(np.max(np.abs(exact.matrix - pert)))
     slope = np.polyfit(np.log(widths), np.log(gaps), 1)[0]
     assert slope == pytest.approx(-4.0, abs=0.1)
 
     at_ten_exact = weak_channel_exact(rho, obs, PointerModel(width=10.0))
     at_ten_pert = weak_channel_perturbative(rho, obs, PointerModel(width=10.0))
-    assert at_ten_pert.matrix[0, 1].real == pytest.approx(0.495, abs=1e-14)
+    assert at_ten_pert[0, 1].real == pytest.approx(0.495, abs=1e-14)
     assert at_ten_exact.matrix[0, 1].real == pytest.approx(0.5 * math.exp(-0.01), abs=1e-14)
 
 

@@ -102,6 +102,24 @@ class TestExitCodes:
         assert code == 1
         assert "scenario" in capsys.readouterr().err
 
+    def test_qutrit_with_unequal_gaps_verifies(self, tmp_path):
+        # A = diag(0.5, 0, -1.5): with three outcomes the second-order weak
+        # map is not positive, and verify once rejected its output as a state
+        def diag(*values):
+            return [[v if i == j else 0.0, 0.0] for i, v in enumerate(values) for j in range(3)]
+
+        cfg = dict(VERIFY_FAST, system={
+            "dim": 3,
+            "hamiltonian": diag(1.0, 0.0, -1.0),
+            "observable": diag(0.5, 0.0, -1.5),
+            "initial_state": diag(0.5, 0.25, 0.25),
+        })
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["payload"]["checks"]
+        by_name = {c["name"]: c["status"] for c in checks}
+        assert by_name["weak_expansion_convergence"] == "pass"
+
     def test_unreadable_config_is_io_error(self, tmp_path, capsys):
         code = main(["budget", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out")])

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import importlib.util
 import inspect
 import itertools
 import json
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -583,6 +585,33 @@ class TestStockCsv:
             for got, want in zip(read, rows):
                 assert len(got) == len(want)
                 assert [_read_back(c, v) for c, v in zip(got, want)] == want
+
+
+def _workload_config(name: str, seed: int) -> dict:
+    """The benchmark's generated config for one workload (bench/workloads.py):
+    the full sweep grid, whose 2,880 rows span several writer batches, and the
+    others at smoke sizes, which change their numbers but not their layout."""
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for @dataclass
+    spec.loader.exec_module(module)
+    return module.make_workload(name, seed, smoke=name != "sweep_grid").config
+
+
+class TestReportBytes:
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # lg_qudit8's A is not +-1
+    @pytest.mark.parametrize("name", [*STOCK_CONFIGS, *(
+        f"{w}:{s}" for w in ("lg_qubit", "lg_qudit8", "sweep_grid", "verify_wide") for s in (1, 7))])
+    def test_report_json_is_stdlib_encoding(self, tmp_path, name):
+        if name in STOCK_CONFIGS:
+            config = STOCK_CONFIGS[name]
+        else:
+            workload, seed = name.split(":")
+            config = _workload_config(workload, int(seed))
+        report = execute(parse_config(config))
+        write_report(report, str(tmp_path), "json")
+        written = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert written == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 class TestResolveOutDir:

@@ -195,12 +195,12 @@ class TestWeakChannelExact:
 class TestWeakChannelPerturbative:
     def test_second_order_coherence(self, qubit_z):
         out = weak_channel_perturbative(plus_state(), qubit_z, pm_pert(10.0))
-        assert out.matrix[0, 1].real == pytest.approx(0.495, abs=1e-14)
+        assert out[0, 1].real == pytest.approx(0.495, abs=1e-14)
 
     def test_diagonal_state_unchanged(self, qubit_z):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         out = weak_channel_perturbative(rho, qubit_z, pm_pert(10.0))
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
+        np.testing.assert_allclose(out, rho.matrix, atol=1e-14)
 
     def test_taylor_remainder_bound(self, qubit_z, rng):
         # |exp(-x) - (1 - x)| <= x^2/2 with x <= diam^2/(4 w^2) gives
@@ -211,7 +211,7 @@ class TestWeakChannelPerturbative:
             rho = random_density_matrix(2, rng)
             exact = weak_channel_exact(rho, qubit_z, pm_exact(width))
             pert = weak_channel_perturbative(rho, qubit_z, pm_pert(width))
-            assert np.max(np.abs(exact.matrix - pert.matrix)) <= bound
+            assert np.max(np.abs(exact.matrix - pert)) <= bound
 
     def test_gap_falls_off_as_fourth_power(self, qubit_z):
         widths = np.array([10.0, 20.0, 40.0, 80.0])
@@ -219,7 +219,7 @@ class TestWeakChannelPerturbative:
         for w in widths:
             exact = weak_channel_exact(plus_state(), qubit_z, pm_exact(w))
             pert = weak_channel_perturbative(plus_state(), qubit_z, pm_pert(w))
-            gaps.append(np.max(np.abs(exact.matrix - pert.matrix)))
+            gaps.append(np.max(np.abs(exact.matrix - pert)))
         slope = np.polyfit(np.log(widths), np.log(gaps), 1)[0]
         assert slope == pytest.approx(-4.0, abs=0.1)
 
