@@ -12,13 +12,11 @@ default output directory (but not --out or the config's own setting).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .config import FORMATS, SCENARIOS, load_config
+from .config import FORMATS, SCENARIOS, config_to_dict, load_config, parse_config
 from .errors import ValidationError
 from .harness import execute, resolve_out_dir, write_report
-from .streams import check_seed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,14 +52,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"config.scenario: is '{cfg.scenario}' but the '{args.command}' "
                 "subcommand was invoked"
             )
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.format is not None:
-            overrides["output"] = dataclasses.replace(cfg.output, format=args.format)
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-        check_seed(cfg.seed)
+        if args.seed is not None or args.format is not None:
+            data = config_to_dict(cfg)
+            if args.seed is not None:
+                data["seed"] = args.seed
+            if args.format is not None:
+                data["output"]["format"] = args.format
+            cfg = parse_config(data)
         report = execute(cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

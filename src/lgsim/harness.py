@@ -161,6 +161,9 @@ def run_lg(cfg: RunConfig) -> dict:
     dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
     plan = SeriesPlan(cfg.plan.k, cfg.plan.times)
     pm = PointerModel(width=cfg.pointer.width)
+    if len(plan.pairs) == 3 and not dyn.observable.is_dichotomic():
+        warnings.warn("observable eigenvalues are not all +/-1; correlators are fine but "
+                      "the K3 macrorealism bound does not apply", UserWarning, stacklevel=2)
 
     strong = run_series(plan, dyn, "strong", cfg.run.n_strong, cfg.seed, stream_base=0)
     weak = run_series(
@@ -223,15 +226,10 @@ def _lg_tables(payload: dict) -> dict:
 # verify scenario
 
 
-def _check(name: str, value: float, limit: float, detail: str, out_of_regime: bool = False) -> dict:
+def _check(name: str, value: float, limit: float, detail: str) -> dict:
     """A check passes when ``value <= limit``; its margin is ``limit - value``."""
-    status = "out_of_regime" if out_of_regime else ("pass" if value <= limit else "fail")
+    status = "pass" if value <= limit else "fail"
     return {"name": name, "status": status, "margin": float(limit - value), "detail": detail}
-
-
-def _fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    lx, ly = np.log(x), np.log(y)
-    return float(np.polyfit(lx, ly, 1)[0])
 
 
 def _coherent_probe(obs) -> DensityMatrix:
@@ -248,6 +246,11 @@ def _coherent_probe(obs) -> DensityMatrix:
     return pure_state(np.sum(vecs, axis=0))
 
 
+def _verify_pointer(obs) -> PointerModel:
+    """In the weak regime of ``obs``, with a position variance of at least 50."""
+    return PointerModel(width=max(WEAK_REGIME_FACTOR * obs.spectral_diameter, 10.0))
+
+
 def _sampler_deviation(rho, obs, n: int, rng) -> float:
     """Worst deviation of n weak and n strong readings from their exact law, in
     tolerances (1.0 = tolerance). The weak mean gets 5 standard errors. As
@@ -259,7 +262,7 @@ def _sampler_deviation(rho, obs, n: int, rng) -> float:
     So correct code fails at most 1.7e-6 of the time on the strong counts, rare
     outcomes included, plus 1.7e-6 on the weak terms while S and m are near
     normal (pointer variance >= 50 against a spectral diameter <= width/5)."""
-    pm = PointerModel(width=max(WEAK_REGIME_FACTOR * obs.spectral_diameter, 10.0))
+    pm = _verify_pointer(obs)
     p = born_weights(rho, obs)
     mean_a = expectation(rho, obs)
     var_a = variance(rho, obs)
@@ -283,23 +286,96 @@ def _sampler_deviation(rho, obs, n: int, rng) -> float:
     )
 
 
+# A w^-4 law is judged only where its effect, x^2 with x = (diameter / 2w)^2
+# at the fit's widest width, is at least 1e3 float64 ulps: the channel entries
+# and purities it is a difference of are O(1) and known to a few ulps. Just
+# above the bound, round-off moved a fitted coefficient by at most 6% against
+# the 10% spread tolerance, and the slope by 1e-3 against 0.1 (scans over
+# d = 2 to 24); at 56 ulps it moved a qutrit's coefficient by 29%.
+_RESOLVABLE_EFFECT = 1e3 * np.finfo(float).eps
+
+
+def _unjudged(name: str, detail: str) -> dict:
+    return {"name": name, "status": "out_of_regime", "margin": 0.0, "detail": detail}
+
+
+def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dict]:
+    """The weak channel's width laws on ``probe``, for sorted ``widths``. Which
+    can be judged is decided before anything is built, so a law that is not
+    judged builds no channel and raises no warning."""
+    diam = obs.spectral_diameter
+    if diam == 0:
+        return [_check(name, 0.0, 0.0, f"observable has a single eigenspace; {why}") for name, why in (
+            ("weak_expansion_convergence", "both channels are the identity"),
+            ("weak_invasiveness_expansion", "nothing is disturbed"),
+            ("invasiveness_ratio_two", "ratio law is vacuous"),
+        )]
+    # why each fit (the slope over all widths, the coefficients over the
+    # first three) is not judged, or None
+    if not PointerModel(width=float(widths[0])).in_weak_regime(obs):
+        skip = [f"widths {widths.tolist()} below {WEAK_REGIME_FACTOR * diam:.3g} "
+                f"({WEAK_REGIME_FACTOR:g} x spectral diameter); asymptotic slope not judged",
+                "pointer widths below the weak regime; coefficient fit not judged"]
+    else:
+        skip = []
+        for w, what in ((widths[-1], "slope"), (widths[:3][-1], "coefficient fit")):
+            effect = (diam / (2.0 * w)) ** 4
+            skip.append(None if effect >= _RESOLVABLE_EFFECT else (
+                f"(diameter / 2 width)^4 = {effect:.3g} at width {w:g} is below "
+                f"{_RESOLVABLE_EFFECT:.3g} (1e3 float64 ulps); {what} not judged"))
+    # one exact channel per width feeds both fits: the slope fit's widths
+    # start with the coefficient fit's, and it is judged only if that one is
+    built = widths if skip[0] is None else widths[:3] if skip[1] is None else []
+    channels = [weak_channel_exact(probe, obs, PointerModel(width=float(w))) for w in built]
+
+    if skip[0] is None:
+        gaps = [float(np.max(np.abs(ch.matrix - weak_channel_perturbative(
+                    probe, obs, PointerModel(width=float(w))))))
+                for w, ch in zip(widths, channels)]
+        slope = float(np.polyfit(np.log(widths), np.log(gaps), 1)[0])
+        checks = [_check("weak_expansion_convergence", abs(slope + 4.0), 0.1,
+                         f"log-log slope {slope:.3f} over widths {widths.tolist()}")]
+    else:
+        checks = [_unjudged("weak_expansion_convergence", skip[0])]
+
+    if skip[1] is None:
+        coeffs_i1, coeffs_i2 = [], []
+        for w, ch in zip(widths[:3], channels):
+            meas = measure_invasiveness(probe, ch)
+            pred = predicted_weak(probe, obs, PointerModel(width=float(w)))
+            coeffs_i1.append(abs(meas.i1 - pred.i1) * w**4)
+            coeffs_i2.append(abs(meas.i2 - pred.i2) * w**4)
+        spread = max(max(c) / min(c) if min(c) > 0 else math.inf for c in (coeffs_i1, coeffs_i2))
+        checks.append(_check(
+            "weak_invasiveness_expansion", spread, 1.1,
+            f"fitted width^4 coefficient spread x{spread:.4f} across widths {widths[:3].tolist()}",
+        ))
+    else:
+        checks.append(_unjudged("weak_invasiveness_expansion", skip[1]))
+
+    # purity drop approaches twice the fidelity deficit; x = 1e-4 at any diameter
+    w_ratio = 50.0 * diam
+    meas = measure_invasiveness(probe, weak_channel_exact(probe, obs, PointerModel(width=w_ratio)))
+    ratio = meas.i1 / meas.i2 if meas.i2 else math.nan
+    ratio_err = abs(ratio / 2.0 - 1.0) if math.isfinite(ratio) else math.inf
+    checks.append(_check(
+        "invasiveness_ratio_two", ratio_err, 0.01, f"I1/I2 = {ratio:.5f} at width {w_ratio:g}"
+    ))
+    return checks
+
+
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     vc = cfg.verify or VerifyConfig()
-    if cfg.system is not None:
-        dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
-        obs, rho = dyn.observable, dyn.initial_state
-    else:
-        obs = precession_qubit().observable
-        rho = _coherent_probe(obs)  # the x-eigenstate for the stock qubit
-    probe = _coherent_probe(obs)
-    diam = obs.spectral_diameter
+    dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap) if cfg.system else precession_qubit()
+    obs, probe = dyn.observable, _coherent_probe(dyn.observable)
+    rho = dyn.initial_state if cfg.system else probe  # the x-eigenstate for the stock qubit
     checks: list[dict] = []
 
     # channel sanity: trace, and strong output commutes with A. Hermiticity
     # needs no measuring: _eigenbasis_map symmetrises every channel output
     # and DensityMatrix rejects a non-Hermitian one
     rng = substream(cfg.seed, 102)
-    pm = PointerModel(width=max(WEAK_REGIME_FACTOR * diam, 10.0))
+    pm = _verify_pointer(obs)
     worst = 0.0
     worst_comm = 0.0
     a = obs.matrix()
@@ -319,79 +395,9 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         f"worst commutator entry {worst_comm:.2e}",
     ))
 
-    # exact-vs-perturbative gap falls off as width^-4 (coherent probe state)
-    widths = np.array(sorted(vc.widths))
-    in_regime = PointerModel(width=float(widths.min())).in_weak_regime(obs)
-    gaps = []
-    for w in widths:
-        exact = weak_channel_exact(probe, obs, PointerModel(width=float(w)))
-        pert = weak_channel_perturbative(probe, obs, PointerModel(width=float(w)))
-        gaps.append(float(np.max(np.abs(exact.matrix - pert))))
-    if not in_regime:
-        checks.append(_check(
-            "weak_expansion_convergence", 0.0, 0.0,
-            f"widths {widths.tolist()} below {WEAK_REGIME_FACTOR * diam:.3g} "
-            f"({WEAK_REGIME_FACTOR:g} x spectral diameter); asymptotic slope not judged",
-            out_of_regime=True,
-        ))
-    elif min(gaps) <= 0:
-        checks.append(_check(
-            "weak_expansion_convergence", 0.0, 0.0,
-            "observable has a single eigenspace; both channels are the identity",
-        ))
-    else:
-        slope = _fit_loglog_slope(widths, np.array(gaps))
-        checks.append(_check(
-            "weak_expansion_convergence", abs(slope + 4.0), 0.1,
-            f"log-log slope {slope:.3f} over widths {widths.tolist()}",
-        ))
-
-    # weak invasiveness: deficit scales as width^-4 with a stable coefficient
-    if not in_regime:
-        checks.append(_check(
-            "weak_invasiveness_expansion", 0.0, 0.0,
-            "pointer widths below the weak regime; coefficient fit not judged",
-            out_of_regime=True,
-        ))
-    elif diam == 0:
-        checks.append(_check(
-            "weak_invasiveness_expansion", 0.0, 0.0,
-            "observable has a single eigenspace; nothing is disturbed",
-        ))
-    else:
-        coeffs_i1, coeffs_i2 = [], []
-        for w in widths[:3]:
-            pmw = PointerModel(width=float(w))
-            meas = measure_invasiveness(probe, weak_channel_exact(probe, obs, pmw))
-            pred = predicted_weak(probe, obs, pmw)
-            coeffs_i1.append(abs(meas.i1 - pred.i1) * w**4)
-            coeffs_i2.append(abs(meas.i2 - pred.i2) * w**4)
-        spread = max(
-            max(coeffs_i1) / min(coeffs_i1) if min(coeffs_i1) > 0 else math.inf,
-            max(coeffs_i2) / min(coeffs_i2) if min(coeffs_i2) > 0 else math.inf,
-        )
-        checks.append(_check(
-            "weak_invasiveness_expansion", spread, 1.1,
-            f"fitted width^4 coefficient spread x{spread:.4f} across widths {widths[:3].tolist()}",
-        ))
-
-    # purity drop approaches twice the fidelity deficit
-    if diam == 0:
-        checks.append(_check(
-            "invasiveness_ratio_two", 0.0, 0.0,
-            "observable has a single eigenspace; ratio law is vacuous",
-        ))
-    else:
-        w_ratio = 50.0 * diam
-        meas = measure_invasiveness(
-            probe, weak_channel_exact(probe, obs, PointerModel(width=w_ratio))
-        )
-        ratio = meas.i1 / meas.i2 if meas.i2 else math.nan
-        ratio_err = abs(ratio / 2.0 - 1.0) if math.isfinite(ratio) else math.inf
-        checks.append(_check(
-            "invasiveness_ratio_two", ratio_err, 0.01,
-            f"I1/I2 = {ratio:.5f} at width {w_ratio:g}",
-        ))
+    # exact-vs-second-order gap ~ width^-4, invasiveness deficit ~ width^-4
+    # with a stable coefficient, and I1 = 2 I2, on the coherent probe
+    checks.extend(_width_law_checks(obs, probe, np.array(sorted(vc.widths))))
 
     # sampled pointer statistics against the closed forms
     worst = _sampler_deviation(rho, obs, vc.n_samples, substream(cfg.seed, 107))

@@ -32,7 +32,6 @@ unnormalised cumulative weights against u times their total.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,13 +260,6 @@ def _check_run_args(first_mode, pointer, obs, n, stacklevel: int = 3) -> None:
         _warn_if_not_weak(pointer, obs, stacklevel=stacklevel + 1)
     if n < 2:
         raise ValidationError(f"n_per_series must be >= 2, got {n}")
-    if not obs.is_dichotomic():
-        warnings.warn(
-            "observable eigenvalues are not all +/-1; correlators are fine but "
-            "the K3 macrorealism bound does not apply",
-            UserWarning,
-            stacklevel=stacklevel,
-        )
 
 
 def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimate:

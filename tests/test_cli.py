@@ -167,6 +167,7 @@ class TestExitCodes:
         code = main(["budget", "--config", write_cfg(tmp_path, BUDGET),
                      "--seed", "-4", "--out", str(tmp_path / "out")])
         assert code == 1
+        assert capsys.readouterr().err == "error: config.seed: must be >= 0, got -4\n"
 
 
 class TestOverrides:

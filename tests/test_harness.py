@@ -183,6 +183,28 @@ class TestRunLg:
         k3 = run_lg(cfg)["strong"]["k3"]
         assert abs(k3["value"] - 1.0) < 5 * k3["std_error"] + 1e-9
 
+    def test_k3_bound_warning_only_where_k3_is_reported(self):
+        # spin-1 J_z has eigenvalues 1, 0, -1: not dichotomic, so a reported
+        # K3 gets one warning; a k = 4 run and a sweep report no K3
+        jz = _pairs(np.diag([1.0, 0.0, -1.0]))
+        jx = _pairs(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2))
+        system = {"dim": 3, "hamiltonian": jx, "observable": jz,
+                  "initial_state": _pairs(np.diag([1.0, 0.0, 0.0]))}
+        base = {"scenario": "lg_run", "seed": 5, "system": system, "pointer": {"width": 20.0},
+                "run": {"n_strong": 200, "n_weak": 200}}
+        with pytest.warns(UserWarning, match="K3 macrorealism bound") as record:
+            run_lg(parse_config({**base, "plan": {"k": 3, "times": [0.0, 1.0, 2.0]}}))
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_lg(parse_config({**base, "plan": {"k": 4, "times": [0.0, 1.0, 2.0, 3.0]}}))
+            run_sweep(parse_config({
+                "scenario": "sweep", "seed": 3, "system": system,
+                "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+                "sweep": {"tau": [0.5, 1.0], "n_per_point": 100},
+            }))
+            execute(parse_config(_workload_config("lg_qudit8", 1)))
+
     def test_k3_absent_for_k4(self):
         cfg = parse_config({
             "scenario": "lg_run",
@@ -223,14 +245,15 @@ class TestRunVerify:
             "pointer_sampler_statistics", "state_positivity",
         ]
 
-    @pytest.mark.filterwarnings("ignore::lgsim.errors.WeakRegimeWarning")
-    @pytest.mark.filterwarnings("ignore::lgsim.errors.PerturbationAccuracyWarning")
     def test_narrow_pointer_flagged_not_failed(self):
-        # the narrow widths legitimately trip the weak-regime guardrails
+        # widths below the weak regime leave both fits unjudged, and an
+        # unjudged fit builds no channel, so nothing warns
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"widths": [1.0, 2.0], "n_samples": 20_000,
                                         "n_random": 20}})
-        payload = run_verify(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = run_verify(cfg)
         by_name = {c["name"]: c for c in payload["checks"]}
         assert by_name["weak_expansion_convergence"]["status"] == "out_of_regime"
         assert by_name["weak_invasiveness_expansion"]["status"] == "out_of_regime"
@@ -253,6 +276,44 @@ class TestRunVerify:
         payload = run_verify(cfg)
         assert payload["passed"], [c for c in payload["checks"] if c["status"] == "fail"]
 
+    def test_builds_each_width_channel_once(self, monkeypatch):
+        # one exact channel per random state (n_random = 1), per width and for
+        # the ratio law; the second-order map once per width
+        calls = {"weak_channel_exact": 0, "weak_channel_perturbative": 0}
+        for name in calls:
+            def counting(*args, _f=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(harness, name, counting)
+        cfg = parse_config({"scenario": "verify", "seed": 3,
+                            "verify": {"n_samples": 20_000, "n_random": 1}})
+        assert run_verify(cfg)["passed"]
+        assert calls == {"weak_channel_exact": 1 + 4 + 1, "weak_channel_perturbative": 4}
+
+    @pytest.mark.parametrize("widths, observable", [
+        ([10.0, 1e4], SZ), ([10.0, 1e5], SZ), ([10.0, 3000.0], SZ),
+        (None, [[0.01, 0], [0, 0], [0, 0], [-0.01, 0]]),
+        (None, [[0.001, 0], [0, 0], [0, 0], [-0.001, 0]]),
+    ], ids=["sz-1e4", "sz-1e5", "sz-3000", "diag0.01", "diag0.001"])
+    def test_widths_too_wide_to_resolve_not_judged(self, widths, observable):
+        # x = (diameter / 2w)^2 at the widest width puts every w^-4 effect
+        # near round-off; both fits are left unjudged, naming the limit
+        cfg = _verify_system_cfg(observable, widths)
+        payload = run_verify(cfg)
+        by_name = {c["name"]: c for c in payload["checks"]}
+        assert payload["passed"]
+        for name in ("weak_expansion_convergence", "weak_invasiveness_expansion"):
+            assert by_name[name]["status"] == "out_of_regime"
+            assert "float64 ulps" in by_name[name]["detail"]
+        assert by_name["invasiveness_ratio_two"]["status"] == "pass"
+        assert not any("single eigenspace" in c["detail"] for c in payload["checks"])
+
+    def test_resolvable_widths_stay_judged(self):
+        # A = diag(0.1, -0.1) puts the default widths at up to 400 diameters,
+        # x^2 = 1.1e4 ulps at the widest: both fits are still judged
+        payload = run_verify(_verify_system_cfg([[0.1, 0], [0, 0], [0, 0], [-0.1, 0]], None))
+        assert {c["status"] for c in payload["checks"]} == {"pass"}
+
     def test_corrupt_state_injection_fails_positivity(self):
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"corrupt_state": True, "n_samples": 20_000,
@@ -261,6 +322,17 @@ class TestRunVerify:
         by_name = {c["name"]: c for c in payload["checks"]}
         assert by_name["state_positivity"]["status"] == "fail"
         assert not payload["passed"]
+
+
+def _verify_system_cfg(observable, widths):
+    verify = {"n_samples": 20_000, "n_random": 20}
+    if widths is not None:
+        verify["widths"] = widths
+    return parse_config({
+        "scenario": "verify", "seed": 3,
+        "system": {"dim": 2, "hamiltonian": SX, "observable": observable, "initial_state": PLUS},
+        "verify": verify,
+    })
 
 
 def _biased_strong(f, rho, obs, n, rng):
@@ -447,34 +519,20 @@ class TestRunSweep:
         assert len(rows) == 2 * 2 * 3 * 6
         assert calls == {"kernel": kernels, "channel": 2}
 
-    @pytest.mark.parametrize("category", [WeakRegimeWarning, UserWarning])
-    def test_warnings_name_run_sweep(self, category):
-        if category is WeakRegimeWarning:
-            # width 1 is below 5 x the spectral diameter 2 of sigma_z; both the
-            # weak channel and the Monte Carlo checks warn
-            data = {
-                "scenario": "sweep", "seed": 3,
-                "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
-                "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
-                "sweep": {"delta_p": [1.0], "tau": [0.5], "mode": "weak", "n_per_point": 100},
-            }
-        else:
-            # spin-1 J_z has eigenvalues 1, 0, -1: not dichotomic
-            jx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
-            data = {
-                "scenario": "sweep", "seed": 3,
-                "system": {"dim": 3, "hamiltonian": _pairs(jx),
-                           "observable": _pairs(np.diag([1.0, 0.0, -1.0])),
-                           "initial_state": _pairs(np.diag([1.0, 0.0, 0.0]))},
-                "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
-                "sweep": {"tau": [0.5, 1.0], "n_per_point": 100},
-            }
-        cfg = parse_config(data)
+    def test_weak_regime_warnings_name_run_sweep(self):
+        # width 1 is below 5 x the spectral diameter 2 of sigma_z; both the
+        # weak channel and the Monte Carlo checks warn
+        cfg = parse_config({
+            "scenario": "sweep", "seed": 3,
+            "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
+            "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+            "sweep": {"delta_p": [1.0], "tau": [0.5], "mode": "weak", "n_per_point": 100},
+        })
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             run_sweep(cfg)
         lines, start = inspect.getsourcelines(run_sweep)
-        hits = [w for w in record if w.category is category]
+        hits = [w for w in record if w.category is WeakRegimeWarning]
         assert len(hits) == 2
         for w in hits:
             assert w.filename == harness.__file__
@@ -599,7 +657,6 @@ def _workload_config(name: str, seed: int) -> dict:
 
 
 class TestReportBytes:
-    @pytest.mark.filterwarnings("ignore::UserWarning")  # lg_qudit8's A is not +-1
     @pytest.mark.parametrize("name", [*STOCK_CONFIGS, *(
         f"{w}:{s}" for w in ("lg_qubit", "lg_qudit8", "sweep_grid", "verify_wide") for s in (1, 7))])
     def test_report_json_is_stdlib_encoding(self, tmp_path, name):

@@ -178,16 +178,6 @@ class TestRunSeriesValidation:
         with pytest.raises(ValidationError, match="n_per_series"):
             run_series(plan3, bench, "strong", 1, seed=1)
 
-    def test_non_dichotomic_observable_warns(self, plan3):
-        dyn = DynamicsSpec(
-            hamiltonian=0.5 * pauli("x"),
-            observable=spectral_decompose(np.diag([2.0, -1.0])),
-            initial_state=basis_state(2, 0),
-        )
-        with pytest.warns(UserWarning, match="not all") as record:
-            run_series(plan3, dyn, "strong", 100, seed=1)
-        assert [w.filename for w in record] == [__file__]
-
     def test_estimate_correlator_needs_ordered_times(self, bench):
         with pytest.raises(ValidationError, match="t_second"):
             estimate_correlator(bench, 1.0, 1.0, "strong", 100, seed=1)
@@ -527,9 +517,7 @@ class TestStrongEstimatesMatchExactMoments:
         prod = np.multiply.outer(a, a)
         mean = (prob * prod).sum()
         exact_se = math.sqrt((prob * (prod - mean) ** 2).sum() / self.N)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # not dichotomic
-            est = estimate_correlator(dyn, 0.4, 1.3, "strong", self.N, seed=dim)
+        est = estimate_correlator(dyn, 0.4, 1.3, "strong", self.N, seed=dim)
         assert abs(est.value - mean) <= 5.0 * exact_se
         assert est.std_error == pytest.approx(exact_se, rel=0.1)
 
