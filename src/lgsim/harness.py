@@ -38,6 +38,8 @@ from .invasiveness import measure_invasiveness, predicted_weak
 from .measurement import (
     WEAK_REGIME_FACTOR,
     PointerModel,
+    _eigenbasis_map,
+    _weak_damping,
     sample_strong_readings,
     sample_weak_readings,
     strong_channel,
@@ -59,10 +61,11 @@ from .protocol import (
 )
 from .quantum import (
     DensityMatrix,
+    _check_density_stack,
     born_weights,
     expectation,
     pure_state,
-    random_density_matrix,
+    random_density_matrices,
     spectral_decompose,
     variance,
 )
@@ -310,28 +313,35 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
             ("weak_invasiveness_expansion", "nothing is disturbed"),
             ("invasiveness_ratio_two", "ratio law is vacuous"),
         )]
-    # why each fit (the slope over all widths, the coefficients over the
-    # first three) is not judged, or None
+    # the coefficient fit's widths, the first three distinct ones (not by
+    # np.unique, whose first call adds about 1.5 MB to peak RSS under numpy 2)
+    fit = np.array(sorted(set(widths.tolist()))[:3])
+    # why each fit (the slope over all widths, the coefficients over fit) is
+    # not judged, or None
     if not PointerModel(width=float(widths[0])).in_weak_regime(obs):
         skip = [f"widths {widths.tolist()} below {WEAK_REGIME_FACTOR * diam:.3g} "
                 f"({WEAK_REGIME_FACTOR:g} x spectral diameter); asymptotic slope not judged",
                 "pointer widths below the weak regime; coefficient fit not judged"]
     else:
         skip = []
-        for w, what in ((widths[-1], "slope"), (widths[:3][-1], "coefficient fit")):
+        for w, what in ((widths[-1], "slope"), (fit[-1], "coefficient fit")):
             effect = (diam / (2.0 * w)) ** 4
             skip.append(None if effect >= _RESOLVABLE_EFFECT else (
                 f"(diameter / 2 width)^4 = {effect:.3g} at width {w:g} is below "
                 f"{_RESOLVABLE_EFFECT:.3g} (1e3 float64 ulps); {what} not judged"))
-    # one exact channel per width feeds both fits: the slope fit's widths
-    # start with the coefficient fit's, and it is judged only if that one is
-    built = widths if skip[0] is None else widths[:3] if skip[1] is None else []
-    channels = [weak_channel_exact(probe, obs, PointerModel(width=float(w))) for w in built]
+        if skip[1] is None and len(fit) < 3:
+            skip[1] = (f"widths {widths.tolist()} hold {len(fit)} distinct values and the "
+                       "coefficient fit needs three; coefficient fit not judged")
+    # one exact channel per distinct width feeds both fits: the slope fit's
+    # widths hold the coefficient fit's
+    built = widths if skip[0] is None else fit if skip[1] is None else fit[:0]
+    channels = {w: weak_channel_exact(probe, obs, PointerModel(width=w))
+                for w in dict.fromkeys(built.tolist())}
 
     if skip[0] is None:
-        gaps = [float(np.max(np.abs(ch.matrix - weak_channel_perturbative(
-                    probe, obs, PointerModel(width=float(w))))))
-                for w, ch in zip(widths, channels)]
+        gaps = [float(np.max(np.abs(channels[w].matrix - weak_channel_perturbative(
+                    probe, obs, PointerModel(width=w)))))
+                for w in widths.tolist()]
         slope = float(np.polyfit(np.log(widths), np.log(gaps), 1)[0])
         checks = [_check("weak_expansion_convergence", abs(slope + 4.0), 0.1,
                          f"log-log slope {slope:.3f} over widths {widths.tolist()}")]
@@ -340,15 +350,15 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
 
     if skip[1] is None:
         coeffs_i1, coeffs_i2 = [], []
-        for w, ch in zip(widths[:3], channels):
-            meas = measure_invasiveness(probe, ch)
-            pred = predicted_weak(probe, obs, PointerModel(width=float(w)))
+        for w in fit.tolist():
+            meas = measure_invasiveness(probe, channels[w])
+            pred = predicted_weak(probe, obs, PointerModel(width=w))
             coeffs_i1.append(abs(meas.i1 - pred.i1) * w**4)
             coeffs_i2.append(abs(meas.i2 - pred.i2) * w**4)
         spread = max(max(c) / min(c) if min(c) > 0 else math.inf for c in (coeffs_i1, coeffs_i2))
         checks.append(_check(
             "weak_invasiveness_expansion", spread, 1.1,
-            f"fitted width^4 coefficient spread x{spread:.4f} across widths {widths[:3].tolist()}",
+            f"fitted width^4 coefficient spread x{spread:.4f} across widths {fit.tolist()}",
         ))
     else:
         checks.append(_unjudged("weak_invasiveness_expansion", skip[1]))
@@ -364,6 +374,11 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
     return checks
 
 
+# verify maps its random states in blocks whose (block, n_outcomes, d, d)
+# complex intermediate holds at most this many bytes
+_STACK_BYTES = 1 << 20
+
+
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     vc = cfg.verify or VerifyConfig()
     dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap) if cfg.system else precession_qubit()
@@ -371,21 +386,24 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     rho = dyn.initial_state if cfg.system else probe  # the x-eigenstate for the stock qubit
     checks: list[dict] = []
 
-    # channel sanity: trace, and strong output commutes with A. Hermiticity
-    # needs no measuring: _eigenbasis_map symmetrises every channel output
-    # and DensityMatrix rejects a non-Hermitian one
+    # channel sanity on n_random random states: trace, and strong output
+    # commutes with A. The states are drawn, mapped through both channels and
+    # validated as stacks, a block at a time. Hermiticity needs no measuring:
+    # _eigenbasis_map symmetrises every output and the validator rejects a
+    # non-Hermitian one
     rng = substream(cfg.seed, 102)
-    pm = _verify_pointer(obs)
-    worst = 0.0
-    worst_comm = 0.0
+    tables = (np.eye(obs.n_outcomes), _weak_damping(obs, _verify_pointer(obs)))
     a = obs.matrix()
-    for _ in range(vc.n_random):
-        state = random_density_matrix(obs.dim, rng)
-        strong = strong_channel(state, obs)
-        for out in (strong, weak_channel_exact(state, obs, pm)):
-            worst = max(worst, abs(float(np.trace(out.matrix).real) - 1.0))
-        post = strong.matrix
-        worst_comm = max(worst_comm, float(np.max(np.abs(post @ a - a @ post))))
+    block = max(1, _STACK_BYTES // (16 * obs.n_outcomes * obs.dim**2))
+    worst = worst_comm = 0.0
+    for start in range(0, vc.n_random, block):
+        states = random_density_matrices(min(block, vc.n_random - start), obs.dim, rng)
+        _check_density_stack(states)
+        strong, weak = (_eigenbasis_map(states, obs, w) for w in tables)
+        for out in (strong, weak):
+            _check_density_stack(out)
+            worst = max(worst, float(np.abs(out.trace(axis1=1, axis2=2).real - 1.0).max()))
+        worst_comm = max(worst_comm, float(np.abs(strong @ a - a @ strong).max()))
     checks.append(_check(
         "channel_trace", worst, 1e-12,
         f"worst trace defect {worst:.2e}",

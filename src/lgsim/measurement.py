@@ -73,23 +73,24 @@ def _warn_if_not_weak(pm: PointerModel, obs: Observable, stacklevel: int = 3) ->
         )
 
 
-def _eigenbasis_map(rho: DensityMatrix, obs: Observable, weights: np.ndarray) -> np.ndarray:
-    """Apply rho -> sum_ij w[i, j] P_i rho P_j for a real symmetric weight table.
+def _eigenbasis_map(rho: np.ndarray, obs: Observable, weights: np.ndarray) -> np.ndarray:
+    """Apply rho -> sum_ij w[i, j] P_i rho P_j for a real symmetric weight table
+    to each matrix of an (..., d, d) stack.
 
     Computed as sum_i P_i rho Q_i with Q_i = sum_j w[i, j] P_j, batched over
-    the n outcomes, and returned as a Hermitian matrix: the map is positive,
-    and its output a state, only for some weight tables.
+    the stack and the n outcomes, and returned as Hermitian matrices: the map
+    is positive, and its outputs states, only for some weight tables.
     """
     projs = obs.projectors
     q = (weights @ projs.reshape(len(projs), -1)).reshape(projs.shape)
-    out = (projs @ rho.matrix @ q).sum(axis=0)
-    return 0.5 * (out + out.conj().T)
+    out = (projs @ rho[..., None, :, :] @ q).sum(axis=-3)
+    return 0.5 * (out + out.swapaxes(-1, -2).conj())
 
 
 def strong_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Unconditional post-measurement state sum_i P_i rho P_i."""
     require_same_dim(rho.dim, obs.dim)
-    return DensityMatrix(_eigenbasis_map(rho, obs, np.eye(obs.n_outcomes)))
+    return DensityMatrix(_eigenbasis_map(rho.matrix, obs, np.eye(obs.n_outcomes)))
 
 
 def _pair_gaps_squared(obs: Observable) -> np.ndarray:
@@ -97,12 +98,16 @@ def _pair_gaps_squared(obs: Observable) -> np.ndarray:
     return (a[:, None] - a[None, :]) ** 2
 
 
+def _weak_damping(obs: Observable, pm: PointerModel) -> np.ndarray:
+    """The exact weak channel's weight table exp(-(a_i - a_j)^2 / (4 width^2))."""
+    return np.exp(-_pair_gaps_squared(obs) / (4.0 * pm.width**2))
+
+
 def weak_channel_exact(rho: DensityMatrix, obs: Observable, pm: PointerModel) -> DensityMatrix:
     """Unconditional weak post-state with the full Gaussian damping factors."""
     require_same_dim(rho.dim, obs.dim)
     _warn_if_not_weak(pm, obs)
-    damping = np.exp(-_pair_gaps_squared(obs) / (4.0 * pm.width**2))
-    return DensityMatrix(_eigenbasis_map(rho, obs, damping))
+    return DensityMatrix(_eigenbasis_map(rho.matrix, obs, _weak_damping(obs, pm)))
 
 
 def weak_channel_perturbative(
@@ -125,7 +130,7 @@ def weak_channel_perturbative(
             PerturbationAccuracyWarning,
             stacklevel=2,
         )
-    return _eigenbasis_map(rho, obs, 1.0 - x)
+    return _eigenbasis_map(rho.matrix, obs, 1.0 - x)
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -26,11 +27,26 @@ from lgsim.harness import (
     run_verify,
     write_report,
 )
-from lgsim.errors import WeakRegimeWarning
 from lgsim.invasiveness import measure_invasiveness, predicted_weak
-from lgsim.measurement import PointerModel, weak_channel_exact
+from lgsim.cli import main
+from lgsim.errors import ValidationError, WeakRegimeWarning
+from lgsim.measurement import (
+    PointerModel,
+    _eigenbasis_map,
+    _weak_damping,
+    strong_channel,
+    weak_channel_exact,
+)
 from lgsim.protocol import _SeriesKernel, estimate_correlator
-from lgsim.quantum import DensityMatrix, Observable, pauli, plus_state, spectral_decompose
+from lgsim.quantum import (
+    DensityMatrix,
+    Observable,
+    pauli,
+    plus_state,
+    random_density_matrices,
+    random_density_matrix,
+    spectral_decompose,
+)
 from lgsim.streams import substream
 
 import test_invasiveness
@@ -277,8 +293,8 @@ class TestRunVerify:
         assert payload["passed"], [c for c in payload["checks"] if c["status"] == "fail"]
 
     def test_builds_each_width_channel_once(self, monkeypatch):
-        # one exact channel per random state (n_random = 1), per width and for
-        # the ratio law; the second-order map once per width
+        # one exact channel per width and for the ratio law; the second-order
+        # map once per width. The random state goes through the stacked map
         calls = {"weak_channel_exact": 0, "weak_channel_perturbative": 0}
         for name in calls:
             def counting(*args, _f=getattr(harness, name), _name=name):
@@ -288,7 +304,7 @@ class TestRunVerify:
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"n_samples": 20_000, "n_random": 1}})
         assert run_verify(cfg)["passed"]
-        assert calls == {"weak_channel_exact": 1 + 4 + 1, "weak_channel_perturbative": 4}
+        assert calls == {"weak_channel_exact": 4 + 1, "weak_channel_perturbative": 4}
 
     @pytest.mark.parametrize("widths, observable", [
         ([10.0, 1e4], SZ), ([10.0, 1e5], SZ), ([10.0, 3000.0], SZ),
@@ -314,6 +330,29 @@ class TestRunVerify:
         payload = run_verify(_verify_system_cfg([[0.1, 0], [0, 0], [0, 0], [-0.1, 0]], None))
         assert {c["status"] for c in payload["checks"]} == {"pass"}
 
+    def test_coefficient_fit_takes_first_three_distinct_widths(self):
+        cfg = parse_config({"scenario": "verify", "seed": 3,
+                            "verify": {"widths": [20.0, 10.0, 10.0, 40.0, 80.0],
+                                       "n_samples": 20_000, "n_random": 5}})
+        by_name = {c["name"]: c for c in run_verify(cfg)["checks"]}
+        fit = by_name["weak_invasiveness_expansion"]
+        assert fit["status"] == "pass"
+        assert fit["detail"].endswith("across widths [10.0, 20.0, 40.0]")
+
+    def test_fewer_than_three_distinct_widths_leave_fit_unjudged(self):
+        # [10, 10, 10, 20] once fitted three equal widths, a spread of x1 that
+        # could not fail; the slope still has two distinct widths to fit
+        cfg = parse_config({"scenario": "verify", "seed": 3,
+                            "verify": {"widths": [10.0, 10.0, 10.0, 20.0],
+                                       "n_samples": 20_000, "n_random": 5}})
+        payload = run_verify(cfg)
+        by_name = {c["name"]: c for c in payload["checks"]}
+        fit = by_name["weak_invasiveness_expansion"]
+        assert fit["status"] == "out_of_regime"
+        assert "hold 2 distinct values and the coefficient fit needs three" in fit["detail"]
+        assert by_name["weak_expansion_convergence"]["status"] == "pass"
+        assert payload["passed"] and payload["n_out_of_regime"] == 1
+
     def test_corrupt_state_injection_fails_positivity(self):
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"corrupt_state": True, "n_samples": 20_000,
@@ -322,6 +361,91 @@ class TestRunVerify:
         by_name = {c["name"]: c for c in payload["checks"]}
         assert by_name["state_positivity"]["status"] == "fail"
         assert not payload["passed"]
+
+
+def _rotated_spin_7_2() -> np.ndarray:
+    """J_z of spin 7/2 in a random real basis, so products carry round-off."""
+    u = np.linalg.qr(np.random.default_rng(8).normal(size=(8, 8)))[0]
+    return u @ np.diag(np.arange(3.5, -4.0, -1.0)) @ u.T
+
+
+STACK_OBSERVABLES = {
+    "qubit": pauli("z"),
+    "degenerate_qutrit": np.diag([1.0, 1.0, -1.0]),
+    "spin_7_2": _rotated_spin_7_2(),
+}
+
+
+class TestVerifyStacks:
+    @pytest.mark.parametrize("name", sorted(STACK_OBSERVABLES))
+    def test_stacked_channels_match_single_state_channels(self, rng, name):
+        obs = spectral_decompose(STACK_OBSERVABLES[name])
+        pm = harness._verify_pointer(obs)
+        states = random_density_matrices(7, obs.dim, rng)
+        strong = _eigenbasis_map(states, obs, np.eye(obs.n_outcomes))
+        weak = _eigenbasis_map(states, obs, _weak_damping(obs, pm))
+        for k, state in enumerate(states):
+            rho = DensityMatrix(state)
+            np.testing.assert_allclose(strong[k], strong_channel(rho, obs).matrix,
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(weak[k], weak_channel_exact(rho, obs, pm).matrix,
+                                       rtol=0, atol=1e-15)
+
+    def test_margins_match_per_state_loop_across_blocks(self, monkeypatch):
+        # every state is mapped through both channels, and every state and
+        # channel output is validated, in a full block and a one-state block
+        members = {"_eigenbasis_map": [], "_check_density_stack": []}
+        for name, seen in members.items():
+            def counting(m, *args, _f=getattr(harness, name), _seen=seen):
+                _seen.append(len(m))
+                return _f(m, *args)
+            monkeypatch.setattr(harness, name, counting)
+        spin = STACK_OBSERVABLES["spin_7_2"]
+        obs = spectral_decompose(spin)
+        block = harness._STACK_BYTES // (16 * obs.n_outcomes * obs.dim**2)
+        assert 1 < block < 1000  # two blocks, the second of one state
+        cfg = parse_config({
+            "scenario": "verify", "seed": 11,
+            "system": {"dim": 8, "hamiltonian": _pairs(np.diag(np.arange(8.0))),
+                       "observable": _pairs(spin), "initial_state": _pairs(np.eye(8) / 8)},
+            "verify": {"n_samples": 20_000, "n_random": block + 1},
+        })
+        margins = {c["name"]: c["margin"] for c in run_verify(cfg)["checks"]}
+        assert members == {"_eigenbasis_map": [block, block, 1, 1],
+                           "_check_density_stack": [block] * 3 + [1] * 3}
+
+        # the loop verify ran before its states were stacked
+        obs = harness._system_objects(cfg.system, cfg.tolerances.eigen_gap).observable
+        rng, pm, a = substream(cfg.seed, 102), harness._verify_pointer(obs), obs.matrix()
+        worst = worst_comm = 0.0
+        for _ in range(block + 1):
+            state = random_density_matrix(obs.dim, rng)
+            strong = strong_channel(state, obs)
+            for out in (strong, weak_channel_exact(state, obs, pm)):
+                worst = max(worst, abs(float(np.trace(out.matrix).real) - 1.0))
+            post = strong.matrix
+            worst_comm = max(worst_comm, float(np.max(np.abs(post @ a - a @ post))))
+        assert worst_comm > 0  # the rotated basis leaves round-off to compare
+        assert margins["channel_trace"] == 1e-12 - worst
+        assert margins["strong_channel_commutes"] == 1e-10 - worst_comm
+
+    @pytest.mark.parametrize("defect, message", [
+        (lambda out: out * 1.5, "density matrix trace is"),
+        (lambda out: np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+    ], ids=["trace", "negative"])
+    def test_invalid_channel_output_is_a_validation_error(
+            self, monkeypatch, tmp_path, capsys, defect, message):
+        def broken(rho, obs, weights):
+            out = _eigenbasis_map(rho, obs, weights)
+            out[2] = defect(out[2])  # one member, not the first
+            return out
+        monkeypatch.setattr(harness, "_eigenbasis_map", broken)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_verify(parse_config(VERIFY_SMALL))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(VERIFY_SMALL))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
 
 
 def _verify_system_cfg(observable, widths):
@@ -344,9 +468,8 @@ def _biased_strong(f, rho, obs, n, rng):
 # each judged verify check with a defect it must catch: the function it checks,
 # as lgsim.harness calls it, wrapped to push its result off the exact value
 BROKEN = {
-    "weak_channel_exact": (
-        "channel_trace", lambda f, *a: DensityMatrix(f(*a).matrix * (1.0 + 1e-11))),
-    "strong_channel": ("strong_channel_commutes", lambda f, rho, obs: rho),
+    "_weak_damping": ("channel_trace", lambda f, *a: f(*a) * (1.0 + 1e-11)),
+    "_eigenbasis_map": ("strong_channel_commutes", lambda f, rho, obs, weights: rho),
     "weak_channel_perturbative": (
         "weak_expansion_convergence",
         lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.01 * pm.width))),
