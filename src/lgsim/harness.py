@@ -69,7 +69,7 @@ from .quantum import (
     spectral_decompose,
     variance,
 )
-from .streams import substream
+from .streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
 from .writers import write_csv, write_json
 
 OUT_DIR_ENV = "LGSIM_OUT_DIR"
@@ -254,9 +254,12 @@ def _verify_pointer(obs) -> PointerModel:
     return PointerModel(width=max(WEAK_REGIME_FACTOR * obs.spectral_diameter, 10.0))
 
 
-def _sampler_deviation(rho, obs, n: int, rng) -> float:
+def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     """Worst deviation of n weak and n strong readings from their exact law, in
-    tolerances (1.0 = tolerance). The weak mean gets 5 standard errors. As
+    tolerances (1.0 = tolerance). Chunk c of ``chunk_sizes(n, DEFAULT_CHUNK_SIZE)``
+    draws weak, then strong readings from ``substream(seed, stream, c)``; only
+    counts and sums shifted by the exact mean (raw ones cancel on an offset
+    spectrum) are kept. The weak mean gets 5 standard errors. As
     s^2 - var = (n (S - var) + var - n (m - mean)^2) / (n-1), S the mean squared
     deviation from the true mean, the weak variance gets 5 standard errors of S
     (from the exact fourth central moment) plus a 5-sigma m, and at least 2%.
@@ -275,16 +278,23 @@ def _sampler_deviation(rho, obs, n: int, rng) -> float:
     spread = 5.0 * math.sqrt(max(m4 - weak_var**2, 0.0) * n) + 25.0 * weak_var
     var_tol = max(0.02 * weak_var, spread / (n - 1))
 
-    wr = sample_weak_readings(rho, obs, pm, n, rng)
-    sr = sample_strong_readings(rho, obs, n, rng)
-    q = np.array([np.count_nonzero(sr == a) for a in obs.eigenvalues]) / n
+    dev_sum = dev_sq = 0.0
+    counts = np.zeros(obs.n_outcomes, dtype=np.int64)
+    for c, m in enumerate(chunk_sizes(n, DEFAULT_CHUNK_SIZE)):
+        rng = substream(seed, stream, c)
+        dev = sample_weak_readings(rho, obs, pm, m, rng) - mean_a
+        dev_sum += float(dev.sum())
+        dev_sq += float(np.square(dev, out=dev).sum())
+        sr = sample_strong_readings(rho, obs, m, rng)
+        counts += [np.count_nonzero(sr == a) for a in obs.eigenvalues]
+    q = counts / n
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0; a count where p_i = 0 scores inf
         kl = (np.where(q > 0, q * np.log(q / p), 0.0)
               + np.where(q < 1, (1 - q) * np.log((1 - q) / (1 - p)), 0.0))
     level = math.log(2 * obs.n_outcomes / 1.7e-6)
     return max(
-        abs(wr.mean() - mean_a) / (5.0 * math.sqrt(weak_var / n)),
-        abs(wr.var(ddof=1) - weak_var) / var_tol,
+        abs(dev_sum / n) / (5.0 * math.sqrt(weak_var / n)),
+        abs((dev_sq - dev_sum**2 / n) / (n - 1) - weak_var) / var_tol,
         math.sqrt(max(n * float(kl.max()), 0.0) / level),
     )
 
@@ -418,7 +428,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     checks.extend(_width_law_checks(obs, probe, np.array(sorted(vc.widths))))
 
     # sampled pointer statistics against the closed forms
-    worst = _sampler_deviation(rho, obs, vc.n_samples, substream(cfg.seed, 107))
+    worst = _sampler_deviation(rho, obs, vc.n_samples, cfg.seed, 107)
     checks.append(_check(
         "pointer_sampler_statistics", worst, 1.0,
         f"worst normalized deviation {worst:.3f} (1.0 = tolerance) at n = {vc.n_samples}",

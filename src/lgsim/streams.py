@@ -7,9 +7,9 @@ used in or how many draws other streams made - so a run is reproducible
 chunk for chunk whatever order its chunks are run in.
 
 Event batches are carved into fixed-size chunks; chunk ``c`` of series
-``s`` always draws from ``substream(seed, s, c)``, and per-chunk partial
-results are merged in chunk order, which makes merged statistics
-bit-identical whatever order the chunks ran in.
+``s`` (verify's sampler check is s = 107) draws from ``substream(seed, s,
+c)``, and per-chunk partial results are merged in chunk order, which makes
+merged statistics bit-identical whatever order the chunks ran in.
 """
 
 from __future__ import annotations

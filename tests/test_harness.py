@@ -8,6 +8,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -41,13 +42,16 @@ from lgsim.protocol import _SeriesKernel, estimate_correlator
 from lgsim.quantum import (
     DensityMatrix,
     Observable,
+    born_weights,
+    expectation,
     pauli,
     plus_state,
     random_density_matrices,
     random_density_matrix,
     spectral_decompose,
+    variance,
 )
-from lgsim.streams import substream
+from lgsim.streams import DEFAULT_CHUNK_SIZE, substream
 
 import test_invasiveness
 import test_quantum
@@ -525,6 +529,41 @@ class TestVerifyChecksCanFail:
         with pytest.raises(AssertionError):
             test(None, rng)  # the unit tests keep no instance state
 
+    @pytest.mark.parametrize("function", ["sample_strong_readings", "sample_weak_readings"])
+    def test_sampler_defect_fails_across_chunks(self, monkeypatch, function):
+        # the defect is applied chunk by chunk, a full chunk and a ragged one
+        check, wrap = BROKEN[function]
+        original, sizes = getattr(harness, function), []
+        monkeypatch.setattr(harness, function,
+                            lambda *a: sizes.append(a[-2]) or wrap(original, *a))
+        n = DEFAULT_CHUNK_SIZE + 1_000
+        payload = run_verify(parse_config({**VERIFY_SMALL, "verify": {"n_samples": n, "n_random": 20}}))
+        assert sizes == [DEFAULT_CHUNK_SIZE, 1_000]
+        assert {c["name"]: c["status"] for c in payload["checks"]}[check] == "fail"
+
+
+def _whole_array_deviation(rho, obs, wr, sr) -> float:
+    """The sampler check's scores taken over whole arrays of weak readings
+    ``wr`` and strong readings ``sr``: the reference for the chunked sums."""
+    n, pm = len(wr), harness._verify_pointer(obs)
+    p = born_weights(rho, obs)
+    mean_a, var_a = expectation(rho, obs), variance(rho, obs)
+    s2 = pm.position_variance
+    weak_var = s2 + var_a
+    m4 = float(np.dot(p, (obs.eigenvalues - mean_a) ** 4)) + 6.0 * s2 * var_a + 3.0 * s2**2
+    spread = 5.0 * math.sqrt(max(m4 - weak_var**2, 0.0) * n) + 25.0 * weak_var
+    var_tol = max(0.02 * weak_var, spread / (n - 1))
+    q = np.array([np.count_nonzero(sr == a) for a in obs.eigenvalues]) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = (np.where(q > 0, q * np.log(q / p), 0.0)
+              + np.where(q < 1, (1 - q) * np.log((1 - q) / (1 - p)), 0.0))
+    level = math.log(2 * obs.n_outcomes / 1.7e-6)
+    return max(
+        abs(wr.mean() - mean_a) / (5.0 * math.sqrt(weak_var / n)),
+        abs(wr.var(ddof=1) - weak_var) / var_tol,
+        math.sqrt(max(n * float(kl.max()), 0.0) / level),
+    )
+
 
 class TestSamplerStatistics:
     # verify's stock probe (sigma_z in |+>), and a qutrit whose strong
@@ -539,7 +578,14 @@ class TestSamplerStatistics:
     @pytest.mark.parametrize("probe", sorted(PROBES))
     def test_no_false_failures_over_200_seeds(self, probe, n):
         obs, rho = self.PROBES[probe]
-        worst = max(_sampler_deviation(rho, obs, n, substream(seed, 107)) for seed in range(200))
+        worst = max(_sampler_deviation(rho, obs, n, seed, 107) for seed in range(200))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_two_chunks_no_false_failures_over_100_seeds(self, probe):
+        obs, rho = self.PROBES[probe]
+        n = DEFAULT_CHUNK_SIZE + 1_000
+        worst = max(_sampler_deviation(rho, obs, n, seed, 107) for seed in range(100))
         assert worst <= 1.0
 
     def test_rare_outcome_no_false_failures_over_1000_seeds(self):
@@ -547,8 +593,43 @@ class TestSamplerStatistics:
         # strong readings' moments failed seed 12
         obs = spectral_decompose(np.diag([0.0, 1.0]))
         rho = DensityMatrix(np.diag([0.99, 0.01]).astype(complex))
-        worst = max(_sampler_deviation(rho, obs, 100, substream(seed, 107)) for seed in range(1000))
+        worst = max(_sampler_deviation(rho, obs, 100, seed, 107) for seed in range(1000))
         assert worst <= 1.0
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_chunked_sums_match_whole_arrays(self, monkeypatch, probe):
+        # chunk c draws its weak, then its strong readings from (seed, 107, c);
+        # 7_000 leaves a ragged last chunk of 6_000
+        obs, rho = self.PROBES[probe]
+        monkeypatch.setattr(harness, "DEFAULT_CHUNK_SIZE", 7_000)
+        pm, wr, sr = harness._verify_pointer(obs), [], []
+        for c, m in enumerate([7_000, 7_000, 6_000]):
+            rng = substream(12, 107, c)
+            wr.append(harness.sample_weak_readings(rho, obs, pm, m, rng))
+            sr.append(harness.sample_strong_readings(rho, obs, m, rng))
+        want = _whole_array_deviation(rho, obs, np.concatenate(wr), np.concatenate(sr))
+        assert _sampler_deviation(rho, obs, 20_000, 12, 107) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_offset_spectrum_keeps_precision(self, seed):
+        # the same draws with every reading moved by 1e6: raw sums of x and
+        # x^2 would lose about ten of the variance's sixteen digits
+        z = pauli("z")
+        got = [_sampler_deviation(plus_state(), spectral_decompose(a), 200_000, seed, 107)
+               for a in (z, z + 1e6 * np.eye(2))]
+        assert got[1] == pytest.approx(got[0], rel=1e-6)
+
+    def test_peak_memory_is_bounded(self):
+        # one chunk's readings at a time; whole arrays of 1e6 qutrit readings
+        # peaked at 25.6 MiB
+        obs, rho = self.PROBES["qutrit"]
+        tracemalloc.start()
+        try:
+            _sampler_deviation(rho, obs, 10**6, 4, 107)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRunSweep:
