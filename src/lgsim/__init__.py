@@ -40,10 +40,9 @@ from .protocol import (
     DynamicsSpec,
     SeriesPlan,
     estimate_correlator,
-    k3_statistic,
-    lg_satisfied,
+    lg_statistic,
+    macrorealism_bounds,
     precession_qubit,
-    quantum_k3_oracle,
     run_series,
 )
 from .quantum import (

@@ -54,8 +54,8 @@ from .protocol import (
     _check_times,
     _estimate,
     _SeriesKernel,
-    k3_statistic,
-    lg_satisfied,
+    lg_statistic,
+    macrorealism_bounds,
     precession_qubit,
     run_series,
 )
@@ -146,17 +146,18 @@ def _budget_tables(payload: dict) -> dict:
 # lg_run scenario
 
 
-def _k3_block(estimates: list[CorrelatorEstimate]) -> dict | None:
-    if len(estimates) != 3:
-        return None
-    c12, c23, c13 = (e.value for e in estimates)
-    k3 = k3_statistic(c12, c23, c13)
-    se = math.sqrt(sum(e.std_error**2 for e in estimates))
+def _lg_block(estimates: list[CorrelatorEstimate], bounded: bool) -> dict:
+    """K_k of one mode's correlators. Its macrorealism bounds, and whether it
+    breaks them, are given when ``bounded`` and are null otherwise."""
+    k = len(estimates)
+    value = lg_statistic([e.value for e in estimates])
+    lo, hi = macrorealism_bounds(k)
     return {
-        "value": k3,
-        "std_error": se,
-        "satisfies_macrorealism": lg_satisfied(k3),
-        "violates_macrorealism": not lg_satisfied(k3),
+        "k": k,
+        "value": value,
+        "std_error": math.sqrt(sum(e.std_error**2 for e in estimates)),
+        "bounds": [lo, hi] if bounded else None,
+        "violates_macrorealism": not lo <= value <= hi if bounded else None,
     }
 
 
@@ -164,9 +165,9 @@ def run_lg(cfg: RunConfig) -> dict:
     dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
     plan = SeriesPlan(cfg.plan.k, cfg.plan.times)
     pm = PointerModel(width=cfg.pointer.width)
-    if len(plan.pairs) == 3 and not dyn.observable.is_dichotomic():
-        warnings.warn("observable eigenvalues are not all +/-1; correlators are fine but "
-                      "the K3 macrorealism bound does not apply", UserWarning, stacklevel=2)
+    # the bounds hold for readings in [-1, 1]: K_k is multilinear in them, so
+    # its macrorealist extremes sit at readings of +/-1
+    bounded = bool(np.abs(dyn.observable.eigenvalues).max() <= 1.0 + 1e-9)
 
     strong = run_series(plan, dyn, "strong", cfg.run.n_strong, cfg.seed, stream_base=0)
     weak = run_series(
@@ -197,20 +198,16 @@ def run_lg(cfg: RunConfig) -> dict:
             "mode": "strong",
             "n_per_series": cfg.run.n_strong,
             "correlators": [_estimate_dict(e) for e in strong],
-            "k3": _k3_block(strong),
+            "lg": _lg_block(strong, bounded),
         },
         "weak": {
             "mode": "weak",
             "pointer_width": pm.width,
             "n_per_series": cfg.run.n_weak,
             "correlators": [_estimate_dict(e) for e in weak],
-            "k3": _k3_block(weak),
+            "lg": _lg_block(weak, bounded),
         },
-        "comparison": {
-            "per_pair": per_pair,
-            "predicted_variance_inflation_per_event": pm.position_variance,
-            "predicted_stderr_ratio_small_c": math.sqrt(1.0 + pm.position_variance),
-        },
+        "comparison": {"per_pair": per_pair},
     }
 
 

@@ -32,6 +32,7 @@ unnormalised cumulative weights against u times their total.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,23 +327,21 @@ def estimate_correlator(
 # LG statistics
 
 
-def k3_statistic(c12: float, c23: float, c13: float) -> float:
-    """Three-time statistic K3 = C12 + C23 - C13."""
-    for v in (c12, c23, c13):
+def lg_statistic(correlators: Sequence[float]) -> float:
+    """K_k = sum_{i<k} C(i,i+1) - C(1,k) of the k correlators of a plan, in
+    its pair order (1,2), ..., (k-1,k), (1,k)."""
+    if len(correlators) < 3:
+        raise ValidationError(f"K_k needs k >= 3 correlators, got {len(correlators)}")
+    for v in correlators:
         if not math.isfinite(v):
             raise ValidationError(f"correlators must be finite, got {v!r}")
-    return c12 + c23 - c13
+    return sum(correlators[:-1]) - correlators[-1]
 
 
-def lg_satisfied(k3: float) -> bool:
-    """Macrorealism bound: -3 <= K3 <= 1."""
-    return -3.0 <= k3 <= 1.0
-
-
-def quantum_k3_oracle(omega: float, tau: float) -> float:
-    """Analytic K3 for the precessing qubit with equally spaced times.
-
-    With strong-first series and gap tau: C(i,i+1) = cos(omega tau) and
-    C(1,3) = cos(2 omega tau), so K3 = 2 cos(omega tau) - cos(2 omega tau).
-    """
-    return 2.0 * math.cos(omega * tau) - math.cos(2.0 * omega * tau)
+def macrorealism_bounds(k: int) -> tuple[int, int]:
+    """Range (lo, hi) of K_k under macrorealism for readings in [-1, 1]:
+    hi = k - 2, and lo = -k for odd k or -(k - 2) for even k (Emary, Lambert
+    and Nori, Rep. Prog. Phys. 77, 016001 (2014))."""
+    if k < 3:
+        raise ValidationError(f"K_k needs k >= 3, got {k}")
+    return (-k if k % 2 else 2 - k), k - 2

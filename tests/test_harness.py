@@ -63,13 +63,14 @@ PLUS = [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]
 TAU = math.pi / 3
 
 
-def lg_cfg(n_strong=20_000, n_weak=40_000, seed=5):
+def lg_cfg(n_strong=20_000, n_weak=40_000, seed=5, k=3, gap=TAU):
+    """The stock precessing qubit over k times spaced by ``gap``."""
     return parse_config({
         "scenario": "lg_run",
         "seed": seed,
         "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": KET0},
         "pointer": {"width": 10.0},
-        "plan": {"k": 3, "times": [0.0, TAU, 2 * TAU]},
+        "plan": {"k": k, "times": [i * gap for i in range(k)]},
         "run": {"n_strong": n_strong, "n_weak": n_weak},
     })
 
@@ -162,18 +163,21 @@ def payload():
 
 
 class TestRunLg:
-    def test_k3_violation_detected(self, payload):
-        k3 = payload["strong"]["k3"]
-        assert abs(k3["value"] - 1.5) < 4 * k3["std_error"]
-        assert k3["violates_macrorealism"]
+    def test_lg_violation_detected(self, payload):
+        lg = payload["strong"]["lg"]
+        assert (lg["k"], lg["bounds"]) == (3, [-3, 1])
+        assert abs(lg["value"] - 1.5) < 4 * lg["std_error"]
+        assert lg["violates_macrorealism"] is True
 
-    def test_weak_k3_agrees(self, payload):
-        ks, kw = payload["strong"]["k3"], payload["weak"]["k3"]
+    def test_weak_lg_agrees(self, payload):
+        ks, kw = payload["strong"]["lg"], payload["weak"]["lg"]
+        assert sorted(kw) == ["bounds", "k", "std_error", "value", "violates_macrorealism"]
         combined = math.hypot(ks["std_error"], kw["std_error"])
         assert abs(ks["value"] - kw["value"]) < 5 * combined
 
     def test_payload_blocks(self, payload):
         assert sorted(payload) == ["comparison", "plan", "strong", "weak"]
+        assert sorted(payload["comparison"]) == ["per_pair"]
         assert payload["plan"] == {
             "k": 3, "times": [0.0, TAU, 2 * TAU], "pairs": [[1, 2], [2, 3], [1, 3]],
         }
@@ -185,58 +189,59 @@ class TestRunLg:
             assert all(c["std_error"] > 0 for c in table)
 
     def test_variance_inflation_near_prediction(self, payload):
-        pred = payload["comparison"]["predicted_variance_inflation_per_event"]
-        assert pred == 50.0
+        # +/-1 readings near C = 0: the pointer adds width^2 / 2 = 50 per event
         for pair in payload["comparison"]["per_pair"]:
-            assert pair["variance_inflation_per_event"] == pytest.approx(pred, rel=0.10)
+            assert pair["variance_inflation_per_event"] == pytest.approx(50.0, rel=0.10)
 
-    def test_vanishing_gaps_drive_k3_to_one(self):
+    def test_vanishing_gaps_drive_lg_to_one(self):
         # repeated measurement limit: every correlator tends to 1, so K3 does
-        cfg = parse_config({
-            "scenario": "lg_run",
-            "seed": 5,
-            "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": KET0},
-            "pointer": {"width": 10.0},
-            "plan": {"k": 3, "times": [0.0, 1e-6, 2e-6]},
-            "run": {"n_strong": 20_000, "n_weak": 20_000},
-        })
-        k3 = run_lg(cfg)["strong"]["k3"]
-        assert abs(k3["value"] - 1.0) < 5 * k3["std_error"] + 1e-9
+        lg = run_lg(lg_cfg(20_000, 20_000, gap=1e-6))["strong"]["lg"]
+        assert abs(lg["value"] - 1.0) < 5 * lg["std_error"] + 1e-9
 
-    def test_k3_bound_warning_only_where_k3_is_reported(self):
-        # spin-1 J_z has eigenvalues 1, 0, -1: not dichotomic, so a reported
-        # K3 gets one warning; a k = 4 run and a sweep report no K3
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_strong_lg_matches_k_cos_pi_over_k(self, k):
+        # at omega tau = pi/k every strong correlator is cos(pi/k) but
+        # C(1, k) = cos((k-1) pi/k) = -cos(pi/k), so K_k = k cos(pi/k)
+        lg = run_lg(lg_cfg(100_000, 2, k=k, gap=math.pi / k))["strong"]["lg"]
+        assert lg["k"] == k
+        assert abs(lg["value"] - k * math.cos(math.pi / k)) < 5 * lg["std_error"]
+
+    def test_k4_qubit_reports_violation(self):
+        payload = run_lg(lg_cfg(20_000, 100_000, k=4, gap=math.pi / 4))
+        assert len(payload["strong"]["correlators"]) == 4
+        for mode in ("strong", "weak"):
+            lg = payload[mode]["lg"]
+            assert (lg["k"], lg["bounds"]) == (4, [-2, 2])
+            assert lg["violates_macrorealism"] is True
+
+    def test_bounds_need_readings_within_one(self):
+        # spin-1 J_z (eigenvalues 1, 0, -1) keeps every reading in [-1, 1], so
+        # the bounds apply; lg_qudit8's spin-7/2 J_z does not, so they are null.
+        # Neither warns, and neither does a sweep
         jz = _pairs(np.diag([1.0, 0.0, -1.0]))
         jx = _pairs(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2))
         system = {"dim": 3, "hamiltonian": jx, "observable": jz,
                   "initial_state": _pairs(np.diag([1.0, 0.0, 0.0]))}
         base = {"scenario": "lg_run", "seed": 5, "system": system, "pointer": {"width": 20.0},
                 "run": {"n_strong": 200, "n_weak": 200}}
-        with pytest.warns(UserWarning, match="K3 macrorealism bound") as record:
-            run_lg(parse_config({**base, "plan": {"k": 3, "times": [0.0, 1.0, 2.0]}}))
-        assert len(record) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_lg(parse_config({**base, "plan": {"k": 4, "times": [0.0, 1.0, 2.0, 3.0]}}))
+            for k, bounds in ((3, [-3, 1]), (4, [-2, 2])):
+                payload = run_lg(parse_config(
+                    {**base, "plan": {"k": k, "times": [float(t) for t in range(k)]}}))
+                for mode in ("strong", "weak"):
+                    assert payload[mode]["lg"]["bounds"] == bounds
+                    assert isinstance(payload[mode]["lg"]["violates_macrorealism"], bool)
             run_sweep(parse_config({
                 "scenario": "sweep", "seed": 3, "system": system,
                 "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
                 "sweep": {"tau": [0.5, 1.0], "n_per_point": 100},
             }))
-            execute(parse_config(_workload_config("lg_qudit8", 1)))
-
-    def test_k3_absent_for_k4(self):
-        cfg = parse_config({
-            "scenario": "lg_run",
-            "seed": 5,
-            "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": KET0},
-            "pointer": {"width": 10.0},
-            "plan": {"k": 4, "times": [0.0, 1.0, 2.0, 3.0]},
-            "run": {"n_strong": 2000, "n_weak": 2000},
-        })
-        payload = run_lg(cfg)
-        assert payload["strong"]["k3"] is None
-        assert len(payload["strong"]["correlators"]) == 4
+            payload = execute(parse_config(_workload_config("lg_qudit8", 1)))["payload"]
+        for mode in ("strong", "weak"):
+            lg = payload[mode]["lg"]
+            assert lg["k"] == 4 and math.isfinite(lg["value"])
+            assert lg["bounds"] is None and lg["violates_macrorealism"] is None
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -22,12 +23,11 @@ from lgsim import (
     born_weights,
     estimate_correlator,
     evolve,
-    k3_statistic,
-    lg_satisfied,
+    lg_statistic,
+    macrorealism_bounds,
     pauli,
     precession_qubit,
     propagator,
-    quantum_k3_oracle,
     run_series,
     sample_weak_readings,
     spectral_decompose,
@@ -85,7 +85,7 @@ class TestSeriesPlan:
 
 class TestDynamicsSpec:
     def test_benchmark_shape(self, bench):
-        assert bench.observable.is_dichotomic()
+        np.testing.assert_array_equal(bench.observable.eigenvalues, [1.0, -1.0])
         np.testing.assert_allclose(bench.hamiltonian, 0.5 * pauli("x"))
 
     def test_dim_mismatch_rejected(self):
@@ -561,39 +561,43 @@ class TestKernelMatchesBatchSamplers:
         assert status["pointer_sampler_statistics"] == "fail"
 
 
-class TestK3Statistic:
+class TestLgStatistic:
     def test_violating_combination(self):
-        k3 = k3_statistic(0.5, 0.5, -0.5)
-        assert k3 == pytest.approx(1.5)
-        assert not lg_satisfied(k3)
+        assert lg_statistic([0.5, 0.5, -0.5]) == pytest.approx(1.5)
+        assert macrorealism_bounds(3) == (-3, 1)
 
-    def test_upper_boundary_satisfied(self):
-        assert lg_satisfied(k3_statistic(1.0, 1.0, 1.0))  # K3 = 1
+    def test_k3_is_c12_plus_c23_minus_c13_bit_for_bit(self, rng):
+        for c12, c23, c13 in rng.uniform(-1.0, 1.0, size=(100, 3)):
+            assert lg_statistic([c12, c23, c13]) == c12 + c23 - c13
 
-    def test_lower_boundary_satisfied(self):
-        assert lg_satisfied(k3_statistic(-1.0, -1.0, 1.0))  # K3 = -3
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_bounds_are_extremes_over_sign_assignments(self, k):
+        # a macrorealist +/-1 history s gives C(i, j) = s_i s_j; K_k is
+        # multilinear, so its extremes over readings in [-1, 1] are among these
+        values = [
+            lg_statistic([s[i] * s[i + 1] for i in range(k - 1)] + [s[0] * s[-1]])
+            for s in itertools.product((-1.0, 1.0), repeat=k)
+        ]
+        assert macrorealism_bounds(k) == (min(values), max(values))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            k3_statistic(math.nan, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            lg_statistic([math.nan, 0.0, 0.0, 0.0])
 
-
-class TestQuantumK3Oracle:
-    def test_maximal_violation_angle(self):
-        assert quantum_k3_oracle(1.0, math.pi / 3) == pytest.approx(1.5, abs=1e-12)
-
-    def test_zero_gap(self):
-        assert quantum_k3_oracle(1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_quarter_period(self):
-        assert quantum_k3_oracle(1.0, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+    def test_fewer_than_three_rejected(self):
+        with pytest.raises(ValidationError, match="k >= 3"):
+            lg_statistic([0.5, 0.5])
+        with pytest.raises(ValidationError, match="k >= 3"):
+            macrorealism_bounds(2)
 
 
 class TestEstimatorConvergence:
     def test_k3_error_falls_as_inverse_sqrt_n(self, bench, plan3):
         # RMS error over replicate runs against the analytic K3, fitted on a
         # log-log grid; the estimator is unbiased so the slope sits at -1/2
-        oracle = quantum_k3_oracle(1.0, TAU)
+        # the precessing qubit's strong K_k at equal gaps tau, here k = 3:
+        # (k - 1) cos(omega tau) - cos((k - 1) omega tau)
+        oracle = 2.0 * math.cos(TAU) - math.cos(2.0 * TAU)
         ns = [1_000, 10_000, 100_000, 1_000_000]
         reps_per = [64, 64, 48, 24]
         rms = []
@@ -602,7 +606,7 @@ class TestEstimatorConvergence:
             for r in range(reps):
                 ests = run_series(plan3, bench, "strong", n, seed=9000 + r,
                                   stream_base=10 * i)
-                k3 = k3_statistic(ests[0].value, ests[1].value, ests[2].value)
+                k3 = lg_statistic([e.value for e in ests])
                 sq.append((k3 - oracle) ** 2)
             rms.append(math.sqrt(np.mean(sq)))
         slope = np.polyfit(np.log(ns), np.log(rms), 1)[0]

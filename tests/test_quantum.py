@@ -334,6 +334,14 @@ class TestExpectationVariance:
             direct = float(np.trace(rho.matrix @ obs.matrix()).real)
             assert expectation(rho, obs) == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize("offset, rel", [(0.0, 1e-12), (1e6, 1e-9), (1e8, 1e-7)])
+    def test_variance_keeps_its_digits_on_an_offset_spectrum(self, offset, rel):
+        # p = (0.37, 0.63) on a = (0.3, 1.7) + offset: var = p0 p1 1.4^2 at any
+        # offset; sum p a^2 - mean^2 gave 0.456787 at 1e6 and 2.0 at 1e8
+        obs = spectral_decompose(np.diag([0.3, 1.7]) + offset * np.eye(2))
+        rho = DensityMatrix(np.diag([0.37, 0.63]))
+        assert variance(rho, obs) == pytest.approx(0.37 * 0.63 * 1.4**2, rel=rel)
+
     def test_variance_nonnegative(self, rng):
         for _ in range(50):
             obs = spectral_decompose(random_hermitian(3, rng))
