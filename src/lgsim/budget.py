@@ -114,15 +114,13 @@ def strong_subensemble(var_a: float, eps: float) -> int:
 
 
 def total_strong_ensemble(ensemble_size: int, k: int, delta_p: float, var_a: float) -> int:
-    """Grand total for 2k strong measurements: 4 Var(A) M / delta_p^2.
+    """Grand total for 2k strong measurements, 2k * M_s: the closed form
+    4 Var(A) M / delta_p^2 rounded up per measurement.
 
-    Independent of k: the per-measurement demand shrinks as the number of
-    measurements grows, and the two factors cancel.
+    The closed form is independent of k: the per-measurement demand shrinks
+    as the number of measurements grows, and the two factors cancel.
     """
-    _check_mk(ensemble_size, k, delta_p)
-    if var_a < 0:
-        raise ValidationError(f"var_a must be >= 0, got {var_a!r}")
-    return _ceil_count(4.0 * var_a * ensemble_size / delta_p**2)
+    return 2 * k * strong_subensemble(var_a, target_error(ensemble_size, k, delta_p))
 
 
 def wastage_report(inp: BudgetInput) -> BudgetReport:
@@ -146,7 +144,7 @@ def wastage_report(inp: BudgetInput) -> BudgetReport:
         error_ratio_strong_over_weak=math.sqrt(2.0 * var) / dp,
         strong_subensemble=ms,
         total_strong_ensemble=mtot,
-        ensemble_ratio_strong_over_weak=4.0 * var / dp**2,
+        ensemble_ratio_strong_over_weak=mtot / m,
         strong_scheme_smaller=mtot < m,
         waste_weak_per_measurement=waste_weak,
         waste_weak_per_measurement_i2=waste_weak_i2,

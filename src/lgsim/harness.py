@@ -13,6 +13,7 @@ Reports are deterministic for a fixed (config, seed) apart from ``meta``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -42,7 +43,6 @@ from .measurement import (
     _weak_damping,
     sample_strong_readings,
     sample_weak_readings,
-    strong_channel,
     weak_channel_exact,
     weak_channel_perturbative,
 )
@@ -61,7 +61,6 @@ from .protocol import (
 )
 from .quantum import (
     DensityMatrix,
-    _check_density_stack,
     born_weights,
     expectation,
     pure_state,
@@ -381,7 +380,7 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
     return checks
 
 
-# verify maps its random states in blocks whose (block, n_outcomes, d, d)
+# verify maps its states in blocks whose (block, n_outcomes, d, d)
 # complex intermediate holds at most this many bytes
 _STACK_BYTES = 1 << 20
 
@@ -393,24 +392,26 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     rho = dyn.initial_state if cfg.system else probe  # the x-eigenstate for the stock qubit
     checks: list[dict] = []
 
-    # channel sanity on n_random random states: trace, and strong output
-    # commutes with A. The states are drawn, mapped through both channels and
-    # validated as stacks, a block at a time. Hermiticity needs no measuring:
-    # _eigenbasis_map symmetrises every output and the validator rejects a
-    # non-Hermitian one
+    # channel sanity on the configured state, then on n_random random states
+    # drawn a block at a time, each stack mapped through both channels: trace,
+    # strong output commutes with A, and the smallest eigenvalue of every
+    # output. Hermiticity needs no measuring: _eigenbasis_map symmetrises
+    # every output. Per-stack values are reduced with numpy, so a NaN fails
     rng = substream(cfg.seed, 102)
     tables = (np.eye(obs.n_outcomes), _weak_damping(obs, _verify_pointer(obs)))
     a = obs.matrix()
     block = max(1, _STACK_BYTES // (16 * obs.n_outcomes * obs.dim**2))
-    worst = worst_comm = 0.0
-    for start in range(0, vc.n_random, block):
-        states = random_density_matrices(min(block, vc.n_random - start), obs.dim, rng)
-        _check_density_stack(states)
+    stacks = itertools.chain([rho.matrix[None]], (
+        random_density_matrices(min(block, vc.n_random - start), obs.dim, rng)
+        for start in range(0, vc.n_random, block)))
+    traces, comms, evals = [], [], []
+    for states in stacks:
         strong, weak = (_eigenbasis_map(states, obs, w) for w in tables)
         for out in (strong, weak):
-            _check_density_stack(out)
-            worst = max(worst, float(np.abs(out.trace(axis1=1, axis2=2).real - 1.0).max()))
-        worst_comm = max(worst_comm, float(np.abs(strong @ a - a @ strong).max()))
+            traces.append(np.abs(out.trace(axis1=1, axis2=2).real - 1.0).max())
+            evals.append(np.linalg.eigvalsh(out)[:, 0].min())
+        comms.append(np.abs(strong @ a - a @ strong).max())
+    worst, worst_comm, min_eval = float(np.max(traces)), float(np.max(comms)), float(np.min(evals))
     checks.append(_check(
         "channel_trace", worst, 1e-12,
         f"worst trace defect {worst:.2e}",
@@ -431,16 +432,13 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         f"worst normalized deviation {worst:.3f} (1.0 = tolerance) at n = {vc.n_samples}",
     ))
 
-    # positivity guard over the states the pipeline produces. Only
-    # corrupt_state can fail it: the strong channel's output is a
-    # DensityMatrix, which already rejects an eigenvalue below -1e-10
-    states = [strong_channel(rho, obs).matrix]
+    # corrupt_state adds -0.5 I, eigenvalue -0.5 at any dimension, to the
+    # judged outputs
     if vc.corrupt_state:
-        states.append(-0.5 * np.eye(obs.dim))  # eigenvalue -0.5 at any dimension
-    min_eval = min(float(np.linalg.eigvalsh(s).min()) for s in states)
+        min_eval = min(min_eval, -0.5)
     checks.append(_check(
         "state_positivity", -min_eval, 1e-10,
-        f"smallest eigenvalue across checked states {min_eval:.2e}",
+        f"smallest eigenvalue of the channel outputs {min_eval:.2e}",
     ))
 
     return checks

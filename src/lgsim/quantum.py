@@ -41,44 +41,11 @@ def _check_hermitian(a: np.ndarray, name: str, tol: float = STRUCTURAL_TOL) -> N
         raise _hermitian_error(name, asym, tol)
 
 
-def _first_true(bad: np.ndarray) -> int | None:
-    """Index of the first true entry, or None."""
-    i = int(bad.argmax())
-    return i if bad[i] else None
-
-
 def _first_above(values: np.ndarray, tol: float) -> int | None:
     """Index of the first entry above tol or NaN, or None."""
-    return _first_true(~(values <= tol))
-
-
-def _check_density_stack(m: np.ndarray) -> None:
-    """Raise ValidationError unless every matrix of the complex (..., d, d)
-    stack ``m`` is a density matrix: Hermitian and of unit trace to 1e-10, no
-    eigenvalue below -1e-10, purity in [1/d, 1] to 1e-9. The error is the one
-    ``DensityMatrix`` gives for the failing member alone: the first
-    non-Hermitian member if there is one, as eigenvalues are only taken of a
-    Hermitian stack, else the first member failing any other check."""
-    d = m.shape[-1]
-    s = m.reshape(-1, d, d)
-    asym = np.abs(s - s.swapaxes(1, 2).conj())
-    if not asym.max() <= STRUCTURAL_TOL:  # a NaN or infinite entry fails here too
-        err = asym.max(axis=(1, 2))
-        raise _hermitian_error("density matrix", err[_first_above(err, STRUCTURAL_TOL)],
-                               STRUCTURAL_TOL)
-    tr = s.trace(axis1=1, axis2=2).real
-    evals = np.linalg.eigvalsh(s)  # ascending in each member
-    # tr(rho^2) is the sum of squared eigenvalues of a Hermitian rho
-    pur = (evals * evals).sum(axis=1)
-    i = _first_true((np.abs(tr - 1.0) > STRUCTURAL_TOL) | (evals[:, 0] < -STRUCTURAL_TOL)
-                    | (pur < 1.0 / d - 1e-9) | (pur > 1.0 + 1e-9))
-    if i is None:
-        return
-    if abs(tr[i] - 1.0) > STRUCTURAL_TOL:
-        raise ValidationError(f"density matrix trace is {float(tr[i])!r}, not 1")
-    if evals[i, 0] < -STRUCTURAL_TOL:
-        raise ValidationError(f"density matrix has negative eigenvalue {evals[i, 0]:.3e}")
-    raise ValidationError(f"purity {float(pur[i])!r} outside [1/dim, 1] for dim {d}")
+    bad = ~(values <= tol)
+    i = int(bad.argmax())
+    return i if bad[i] else None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -164,7 +131,17 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix, "density matrix")
-        _check_density_stack(m)
+        _check_hermitian(m, "density matrix")  # eigenvalues are only taken of a Hermitian m
+        tr = float(np.trace(m).real)
+        if abs(tr - 1.0) > STRUCTURAL_TOL:
+            raise ValidationError(f"density matrix trace is {tr!r}, not 1")
+        evals = np.linalg.eigvalsh(m)  # ascending
+        if evals[0] < -STRUCTURAL_TOL:
+            raise ValidationError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
+        # tr(rho^2) is the sum of squared eigenvalues of a Hermitian rho
+        pur, d = float((evals * evals).sum()), m.shape[0]
+        if not 1.0 / d - 1e-9 <= pur <= 1.0 + 1e-9:
+            raise ValidationError(f"purity {pur!r} outside [1/dim, 1] for dim {d}")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property

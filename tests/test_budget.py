@@ -108,13 +108,14 @@ class TestWastageReport:
         assert rep.strong_scheme_smaller
 
     def test_mtot_is_2k_times_ms_up_to_rounding(self):
-        # pre-rounding reals satisfy M_tot = 2k M_s exactly; after the
-        # per-count ceilings the totals can disagree by at most 2k
+        # M_tot is 2k M_s, the closed form rounded up per measurement, so the
+        # strong scheme's total waste equals the members it needs
         for var, dp in [(1.0, 10.0), (0.25, 10.0), (0.7, 33.0)]:
-            rep = wastage_report(BudgetInput(M, K, dp, var))
-            rounded_up = 2 * K * rep.strong_subensemble
-            assert rep.total_strong_ensemble <= rounded_up
-            assert rounded_up - rep.total_strong_ensemble < 2 * K
+            for k in (3, K):
+                rep = wastage_report(BudgetInput(M, k, dp, var))
+                assert rep.total_strong_ensemble == 2 * k * rep.strong_subensemble
+                assert rep.total_strong_ensemble == rep.waste_total_strong_scheme
+                assert rep.ensemble_ratio_strong_over_weak == rep.total_strong_ensemble / M
 
     def test_qubit_like_bound(self):
         # (Delta A)^2 = 1/4 for a +-1/2-valued observable

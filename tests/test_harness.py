@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 import tracemalloc
 import warnings
@@ -30,7 +29,7 @@ from lgsim.harness import (
 )
 from lgsim.invasiveness import measure_invasiveness, predicted_weak
 from lgsim.cli import main
-from lgsim.errors import ValidationError, WeakRegimeWarning
+from lgsim.errors import WeakRegimeWarning
 from lgsim.measurement import (
     PointerModel,
     _eigenbasis_map,
@@ -401,14 +400,11 @@ class TestVerifyStacks:
                                        rtol=0, atol=1e-15)
 
     def test_margins_match_per_state_loop_across_blocks(self, monkeypatch):
-        # every state is mapped through both channels, and every state and
-        # channel output is validated, in a full block and a one-state block
-        members = {"_eigenbasis_map": [], "_check_density_stack": []}
-        for name, seen in members.items():
-            def counting(m, *args, _f=getattr(harness, name), _seen=seen):
-                _seen.append(len(m))
-                return _f(m, *args)
-            monkeypatch.setattr(harness, name, counting)
+        # the configured state and every random state are mapped through both
+        # channels, in its own one-state stack, a full block and a one-state block
+        seen = []
+        monkeypatch.setattr(harness, "_eigenbasis_map",
+                            lambda m, *a, _f=harness._eigenbasis_map: seen.append(len(m)) or _f(m, *a))
         spin = STACK_OBSERVABLES["spin_7_2"]
         obs = spectral_decompose(spin)
         block = harness._STACK_BYTES // (16 * obs.n_outcomes * obs.dim**2)
@@ -420,41 +416,48 @@ class TestVerifyStacks:
             "verify": {"n_samples": 20_000, "n_random": block + 1},
         })
         margins = {c["name"]: c["margin"] for c in run_verify(cfg)["checks"]}
-        assert members == {"_eigenbasis_map": [block, block, 1, 1],
-                           "_check_density_stack": [block] * 3 + [1] * 3}
+        assert seen == [1, 1, block, block, 1, 1]
 
-        # the loop verify ran before its states were stacked
-        obs = harness._system_objects(cfg.system, cfg.tolerances.eigen_gap).observable
+        # the loop verify ran before its states were stacked, over the
+        # configured state and then the random ones
+        dyn = harness._system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        obs = dyn.observable
         rng, pm, a = substream(cfg.seed, 102), harness._verify_pointer(obs), obs.matrix()
+        states = [dyn.initial_state] + [random_density_matrix(obs.dim, rng) for _ in range(block + 1)]
         worst = worst_comm = 0.0
-        for _ in range(block + 1):
-            state = random_density_matrix(obs.dim, rng)
+        min_eval = math.inf
+        for state in states:
             strong = strong_channel(state, obs)
             for out in (strong, weak_channel_exact(state, obs, pm)):
                 worst = max(worst, abs(float(np.trace(out.matrix).real) - 1.0))
+                min_eval = min(min_eval, float(np.linalg.eigvalsh(out.matrix)[0]))
             post = strong.matrix
             worst_comm = max(worst_comm, float(np.max(np.abs(post @ a - a @ post))))
         assert worst_comm > 0  # the rotated basis leaves round-off to compare
         assert margins["channel_trace"] == 1e-12 - worst
         assert margins["strong_channel_commutes"] == 1e-10 - worst_comm
+        assert margins["state_positivity"] == 1e-10 + min_eval
 
-    @pytest.mark.parametrize("defect, message", [
-        (lambda out: out * 1.5, "density matrix trace is"),
-        (lambda out: np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+    @pytest.mark.parametrize("defect, check", [
+        (lambda out: out * 1.5, "channel_trace"),
+        (lambda out: np.diag([1.5, -0.5]), "state_positivity"),
     ], ids=["trace", "negative"])
-    def test_invalid_channel_output_is_a_validation_error(
-            self, monkeypatch, tmp_path, capsys, defect, message):
+    def test_invalid_channel_output_fails_its_check(
+            self, monkeypatch, tmp_path, capsys, defect, check):
+        # a channel output that is not a state fails a check, which the CLI
+        # reports as a verification failure, exit 2, not a bad input
         def broken(rho, obs, weights):
             out = _eigenbasis_map(rho, obs, weights)
-            out[2] = defect(out[2])  # one member, not the first
+            if len(out) > 2:
+                out[2] = defect(out[2])  # one member of a random block, not the first
             return out
         monkeypatch.setattr(harness, "_eigenbasis_map", broken)
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            run_verify(parse_config(VERIFY_SMALL))
+        payload = run_verify(parse_config(VERIFY_SMALL))
+        assert [c["name"] for c in payload["checks"] if c["status"] == "fail"] == [check]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(VERIFY_SMALL))
-        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert message in capsys.readouterr().err
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"verification failed: {check}\n"
 
 
 def _verify_system_cfg(observable, widths):
@@ -474,21 +477,30 @@ def _biased_strong(f, rho, obs, n, rng):
     return readings
 
 
-# each judged verify check with a defect it must catch: the function it checks,
-# as lgsim.harness calls it, wrapped to push its result off the exact value
+# each judged verify check with a defect it must catch, by test id: the
+# function it checks, as lgsim.harness calls it, the check, and a wrap that
+# pushes the function's result off the exact value
 BROKEN = {
-    "_weak_damping": ("channel_trace", lambda f, *a: f(*a) * (1.0 + 1e-11)),
-    "_eigenbasis_map": ("strong_channel_commutes", lambda f, rho, obs, weights: rho),
+    "_weak_damping": ("_weak_damping", "channel_trace", lambda f, *a: f(*a) * (1.0 + 1e-11)),
+    "_eigenbasis_map": (
+        "_eigenbasis_map", "strong_channel_commutes", lambda f, rho, obs, weights: rho),
     "weak_channel_perturbative": (
-        "weak_expansion_convergence",
+        "weak_channel_perturbative", "weak_expansion_convergence",
         lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.01 * pm.width))),
     "predicted_weak": (
-        "weak_invasiveness_expansion",
+        "predicted_weak", "weak_invasiveness_expansion",
         lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.001 * pm.width))),
     "measure_invasiveness": (
-        "invasiveness_ratio_two", lambda f, *a: dataclasses.replace(f(*a), i1=1.02 * f(*a).i1)),
-    "sample_weak_readings": ("pointer_sampler_statistics", lambda f, *a: 1.1 * f(*a)),
-    "sample_strong_readings": ("pointer_sampler_statistics", _biased_strong),
+        "measure_invasiveness", "invasiveness_ratio_two",
+        lambda f, *a: dataclasses.replace(f(*a), i1=1.02 * f(*a).i1)),
+    "sample_weak_readings": (
+        "sample_weak_readings", "pointer_sampler_statistics", lambda f, *a: 1.1 * f(*a)),
+    "sample_strong_readings": (
+        "sample_strong_readings", "pointer_sampler_statistics", _biased_strong),
+    # off-diagonal weights doubled: the trace is kept, positivity is not
+    "_weak_damping_coherences": (
+        "_weak_damping", "state_positivity",
+        lambda f, *a: 2.0 * f(*a) - np.diag(np.diag(f(*a)))),
 }
 # library identities that hold for any input, so unit tests check them and
 # verify does not: the function, the unit test that must catch its defect, and
@@ -511,9 +523,9 @@ VERIFY_SMALL = {"scenario": "verify", "seed": 3, "verify": {"n_samples": 20_000,
 
 
 class TestVerifyChecksCanFail:
-    @pytest.mark.parametrize("function", sorted(BROKEN))
-    def test_defect_fails_its_check(self, monkeypatch, function):
-        check, wrap = BROKEN[function]
+    @pytest.mark.parametrize("defect", sorted(BROKEN))
+    def test_defect_fails_its_check(self, monkeypatch, defect):
+        function, check, wrap = BROKEN[defect]
         original = getattr(harness, function)
         monkeypatch.setattr(harness, function, lambda *a, **k: wrap(original, *a, **k))
         payload = run_verify(parse_config(VERIFY_SMALL))
@@ -521,9 +533,8 @@ class TestVerifyChecksCanFail:
         assert not payload["passed"]
 
     def test_every_judged_check_has_a_defect(self):
-        # state_positivity's failing input is corrupt_state, tested above
         names = {c["name"] for c in run_verify(parse_config(VERIFY_SMALL))["checks"]}
-        assert names - {"state_positivity"} == {check for check, _ in BROKEN.values()}
+        assert names == {check for _, check, _ in BROKEN.values()}
 
     @pytest.mark.parametrize("function", sorted(BROKEN_IDENTITY))
     def test_defect_fails_its_unit_test(self, monkeypatch, rng, function):
@@ -537,7 +548,7 @@ class TestVerifyChecksCanFail:
     @pytest.mark.parametrize("function", ["sample_strong_readings", "sample_weak_readings"])
     def test_sampler_defect_fails_across_chunks(self, monkeypatch, function):
         # the defect is applied chunk by chunk, a full chunk and a ragged one
-        check, wrap = BROKEN[function]
+        _, check, wrap = BROKEN[function]
         original, sizes = getattr(harness, function), []
         monkeypatch.setattr(harness, function,
                             lambda *a: sizes.append(a[-2]) or wrap(original, *a))

@@ -22,7 +22,6 @@ from lgsim import (
 )
 from lgsim.errors import DimensionMismatchError, ValidationError
 from lgsim.quantum import (
-    _check_density_stack,
     random_density_matrices,
     random_density_matrix,
     random_pure_state,
@@ -228,38 +227,6 @@ class TestDensityMatrixMessages:
 
 
 class TestDensityStack:
-    # one bad member per defect, each with its DensityMatrix message
-    BAD = {
-        "hermitian": np.array([[0.5, 0.3], [0.0, 0.5]]),
-        "trace": np.diag([0.7, 0.7]),
-        "negative": np.diag([1.5, -0.5]),
-        "purity": np.diag([1.0 + 9e-10] + [-0.9e-10] * 9),
-    }
-
-    @pytest.mark.parametrize("defect", sorted(BAD))
-    def test_bad_member_named_in_density_matrix_words(self, rng, defect):
-        bad = self.BAD[defect].astype(complex)
-        with pytest.raises(ValidationError) as single:
-            DensityMatrix(bad)
-        stack = random_density_matrices(5, bad.shape[0], rng)
-        _check_density_stack(stack)  # the good members pass
-        stack[3] = bad
-        _raises_exactly(str(single.value), _check_density_stack, stack)
-
-    def test_leading_axes_are_stack_axes(self, rng):
-        stack = random_density_matrices(6, 3, rng).reshape(2, 3, 3, 3)
-        _check_density_stack(stack)
-        stack[1, 2] *= 1.5
-        with pytest.raises(ValidationError, match="trace"):
-            _check_density_stack(stack)
-
-    def test_first_defective_member_is_named(self, rng):
-        # member 1 is non-positive, member 2 has a wrong trace: member 1 is named
-        stack = random_density_matrices(3, 2, rng)
-        stack[1], stack[2] = np.diag([1.5, -0.5]), np.diag([0.7, 0.7])
-        _raises_exactly("density matrix has negative eigenvalue -5.000e-01",
-                        _check_density_stack, stack)
-
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     def test_single_draw_is_random_density_matrix(self, dim):
         one = random_density_matrices(1, dim, np.random.default_rng(3))
