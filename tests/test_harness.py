@@ -459,6 +459,21 @@ class TestVerifyStacks:
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"verification failed: {check}\n"
 
+    @pytest.mark.parametrize("defect, check", [
+        (lambda out: out * 1.5, "channel_trace"),
+        (lambda out: np.diag([1.5, -0.5]), "state_positivity"),
+    ], ids=["trace", "negative"])
+    def test_invalid_configured_output_fails_its_check(self, monkeypatch, defect, check):
+        # the configured state's outputs are judged too: its stack is the only
+        # one-state stack when n_random fills one block
+        def broken(rho, obs, weights):
+            out = _eigenbasis_map(rho, obs, weights)
+            if len(out) == 1:
+                out[0] = defect(out[0])
+            return out
+        monkeypatch.setattr(harness, "_eigenbasis_map", broken)
+        payload = run_verify(parse_config(VERIFY_SMALL))
+        assert [c["name"] for c in payload["checks"] if c["status"] == "fail"] == [check]
 
 def _verify_system_cfg(observable, widths):
     verify = {"n_samples": 20_000, "n_random": 20}

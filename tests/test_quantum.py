@@ -22,6 +22,7 @@ from lgsim import (
 )
 from lgsim.errors import DimensionMismatchError, ValidationError
 from lgsim.quantum import (
+    _first_above,
     random_density_matrices,
     random_density_matrix,
     random_pure_state,
@@ -215,6 +216,20 @@ class TestDensityMatrixMessages:
     def test_message(self, matrix, message):
         _raises_exactly(message, DensityMatrix, matrix)
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.array([[0.7, 0.3], [0.0, 0.7]]),
+             "density matrix is not Hermitian: max |A - A^dagger| = 3.000e-01 exceeds 1e-10"),
+            (np.diag([1.5, -0.7]), "density matrix trace is 0.8, not 1"),
+            (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+        ],
+        ids=["hermitian-before-trace", "trace-before-negative", "negative-before-purity"],
+    )
+    def test_first_failing_check_is_named(self, matrix, message):
+        # each matrix also fails every later check
+        _raises_exactly(message, DensityMatrix, matrix)
+
     def test_purity_above_one(self):
         # every eigenvalue and the trace sit inside their 1e-10 tolerances,
         # yet tr(rho^2) = 1 + 1.8e-9 exceeds the purity bound
@@ -224,6 +239,16 @@ class TestDensityMatrixMessages:
         assert re.fullmatch(
             r"purity 1\.0000000018\d* outside \[1/dim, 1\] for dim 10", str(info.value)
         )
+
+
+class TestFirstAbove:
+    @pytest.mark.parametrize("values, index", [
+        ([0.0, 2.0, 3.0], 1),
+        ([0.0, np.nan, 3.0], 1),
+        ([0.0, 1.0, -np.inf], None),
+    ], ids=["above", "nan", "none"])
+    def test_first_entry_above_tol_or_nan(self, values, index):
+        assert _first_above(np.array(values), 1.0) == index
 
 
 class TestDensityStack:
