@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .invasiveness import ORDER_UNITY_THRESHOLD, wasted_resource
+from .invasiveness import wasted_resource
 
 
 def _ceil_count(x: float) -> int:
@@ -54,16 +54,11 @@ class BudgetInput:
     k: int                        # number of time slices / series
     delta_p: float                # pointer width of the weak apparatus
     var_a: float                  # observable variance in the prepared state
-    order_unity_threshold: float = ORDER_UNITY_THRESHOLD
 
     def __post_init__(self):
         _check_mk(self.ensemble_size, self.k, self.delta_p)
         if self.var_a < 0:
             raise ValidationError(f"var_a must be >= 0, got {self.var_a!r}")
-        if not (0 < self.order_unity_threshold <= 1):
-            raise ValidationError(
-                f"order-unity threshold must lie in (0, 1], got {self.order_unity_threshold!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,8 @@ def wastage_report(inp: BudgetInput) -> BudgetReport:
     # leading-order indices; capped at 1 so the wastage rule stays total
     i1_weak = min(var / dp**2, 1.0)
     i2_weak = i1_weak / 2.0
-    waste_weak = wasted_resource(_ceil_count(subensemble), i1_weak, inp.order_unity_threshold)
-    waste_weak_i2 = wasted_resource(_ceil_count(subensemble), i2_weak, inp.order_unity_threshold)
+    waste_weak = wasted_resource(_ceil_count(subensemble), i1_weak)
+    waste_weak_i2 = wasted_resource(_ceil_count(subensemble), i2_weak)
     waste_strong = ms  # worst case: the whole subensemble
 
     return BudgetReport(

@@ -10,8 +10,8 @@ The section dataclasses below are the schema. Each field's type, default
 and range live on the field and nowhere else: a field without a default
 is required, ``X | None`` accepts ``null`` (a section may be left out but
 not given as ``null``), and ``field(metadata=...)`` holds the range checks
-``min``, ``max``, ``positive`` and ``choices`` (applied to each entry of a
-list field). Every number must be finite. ``_parse_section`` walks these
+``min``, ``positive`` and ``choices`` (applied to each entry of a list
+field). Every number must be finite. ``_parse_section`` walks these
 fields and checks a matrix's length against its section's ``dim``; the
 other rules that tie fields or sections together are plain code in
 ``parse_config``.
@@ -29,15 +29,13 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ValidationError
-from .invasiveness import ORDER_UNITY_THRESHOLD
 from .measurement import MODE_STRONG, MODE_WEAK
-from .quantum import EIGEN_GAP_TOL
 from .streams import MAX_SEED
 
 SCHEMA_VERSION = "1"
 
 _REQUIRED_SECTIONS = {
-    "budget": ("budget",),
+    "budget": ("budget", "pointer"),
     "lg_run": ("system", "pointer", "plan", "run"),
     "verify": (),
     "sweep": ("system", "sweep"),
@@ -110,9 +108,7 @@ class LgRunConfig:
 class BudgetConfig:
     ensemble_size: int = _field(min=1)
     k: int = _field(min=3)
-    delta_p: float | None = _field(None, positive=True)
     var_a: float | None = _field(None, min=0)
-    order_unity_threshold: float = _field(ORDER_UNITY_THRESHOLD, positive=True, max=1)
 
 
 @dataclass(frozen=True)
@@ -128,13 +124,7 @@ class SweepConfig:
     delta_p: tuple[float, ...] = _field((), positive=True)
     n: tuple[int, ...] = _field((), min=2)
     tau: tuple[float, ...] = _field((), positive=True)
-    n_per_point: int = _field(10_000, min=2)
     mode: str = _field(MODE_STRONG, choices=SWEEP_MODES)
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    eigen_gap: float = _field(EIGEN_GAP_TOL, positive=True)
 
 
 @dataclass(frozen=True)
@@ -155,7 +145,6 @@ class RunConfig:
     budget: BudgetConfig | None = None
     verify: VerifyConfig | None = None
     sweep: SweepConfig | None = None
-    tolerances: ToleranceConfig = ToleranceConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +235,6 @@ def _in_range(value, path: str, checks):
         _fail(path, f"must be positive, got {value}")
     if "min" in checks and value < checks["min"]:
         _fail(path, f"must be >= {checks['min']}, got {value}")
-    if "max" in checks and value > checks["max"]:
-        _fail(path, f"must be <= {checks['max']}, got {value}")
     return value
 
 
@@ -296,11 +283,8 @@ def parse_config(data: dict) -> RunConfig:
             _fail("config.plan", "is required when sweeping n or tau")
         if sw.mode == MODE_WEAK and cfg.pointer is None and not sw.delta_p:
             _fail("config.pointer", "is required for weak-mode sweeps without a delta_p axis")
-    if scenario == "budget":
-        if b.delta_p is None and cfg.pointer is None:
-            _fail("config.budget.delta_p", "is required (or provide a pointer section)")
-        if b.var_a is None and cfg.system is None:
-            _fail("config.budget.var_a", "is required (or provide a system section)")
+    if scenario == "budget" and b.var_a is None and cfg.system is None:
+        _fail("config.budget.var_a", "is required (or provide a system section)")
     return cfg
 
 

@@ -73,15 +73,17 @@ from .writers import write_csv, write_json
 
 OUT_DIR_ENV = "LGSIM_OUT_DIR"
 DEFAULT_OUT_DIR = "lgsim_out"
+# events per sweep point when the grid has no n axis
+SWEEP_N_EVENTS = 10_000
 
 
 # ---------------------------------------------------------------------------
 # config materialization
 
 
-def _system_objects(system: SystemConfig, eigen_gap: float) -> DynamicsSpec:
+def _system_objects(system: SystemConfig) -> DynamicsSpec:
     h = pairs_to_matrix(system.hamiltonian, system.dim)
-    obs = spectral_decompose(pairs_to_matrix(system.observable, system.dim), gap_tol=eigen_gap)
+    obs = spectral_decompose(pairs_to_matrix(system.observable, system.dim))
     rho = DensityMatrix(pairs_to_matrix(system.initial_state, system.dim))
     return DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)  # checks H
 
@@ -101,11 +103,10 @@ def _estimate_dict(est: CorrelatorEstimate) -> dict:
 
 def run_budget(cfg: RunConfig) -> dict:
     b = cfg.budget
-    delta_p = b.delta_p if b.delta_p is not None else cfg.pointer.width
     if b.var_a is not None:
         var_a, var_source = b.var_a, "config"
     else:
-        dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        dyn = _system_objects(cfg.system)
         var_a, var_source = variance(dyn.initial_state, dyn.observable), "system"
         if var_a == 0.0:
             # an eigenstate of the observable: the formulas then say no
@@ -118,7 +119,7 @@ def run_budget(cfg: RunConfig) -> dict:
                 stacklevel=2,
             )
 
-    inp = BudgetInput(**{**asdict(b), "delta_p": delta_p, "var_a": var_a})
+    inp = BudgetInput(**{**asdict(b), "delta_p": cfg.pointer.width, "var_a": var_a})
     return {
         "input": {**asdict(inp), "var_a_source": var_source},
         "report": asdict(wastage_report(inp)),
@@ -161,7 +162,7 @@ def _lg_block(estimates: list[CorrelatorEstimate], bounded: bool) -> dict:
 
 
 def run_lg(cfg: RunConfig) -> dict:
-    dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+    dyn = _system_objects(cfg.system)
     plan = SeriesPlan(cfg.plan.k, cfg.plan.times)
     pm = PointerModel(width=cfg.pointer.width)
     # the bounds hold for readings in [-1, 1]: K_k is multilinear in them, so
@@ -387,7 +388,7 @@ _STACK_BYTES = 1 << 20
 
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     vc = cfg.verify or VerifyConfig()
-    dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap) if cfg.system else precession_qubit()
+    dyn = _system_objects(cfg.system) if cfg.system else precession_qubit()
     obs, probe = dyn.observable, _coherent_probe(dyn.observable)
     rho = dyn.initial_state if cfg.system else probe  # the x-eigenstate for the stock qubit
     checks: list[dict] = []
@@ -476,7 +477,7 @@ def run_sweep(cfg: RunConfig) -> dict:
     once per delta_p and repeated at each (n, tau) point. Nothing is kept
     beyond the call."""
     sw: SweepConfig = cfg.sweep
-    dyn = _system_objects(cfg.system, cfg.tolerances.eigen_gap)
+    dyn = _system_objects(cfg.system)
     obs, rho = dyn.observable, dyn.initial_state
     mc_wanted = bool(sw.n or sw.tau)
 
@@ -508,7 +509,7 @@ def run_sweep(cfg: RunConfig) -> dict:
                 if mc_wanted:
                     t_first = cfg.plan.times[0]
                     t_second = t_first + t if t is not None else cfg.plan.times[1]
-                    n_events = n if n is not None else sw.n_per_point
+                    n_events = n if n is not None else SWEEP_N_EVENTS
                     width = d if d is not None else (cfg.pointer.width if cfg.pointer else None)
                     pointer = PointerModel(width=width) if sw.mode == "weak" else None
                     _check_times(t_first, t_second)

@@ -101,20 +101,16 @@ def predicted_weak(
     return _report(purity_ini=1.0, purity_post=1.0 - i1, fidelity=1.0 - i1 / 2.0)
 
 
-def wasted_resource(
-    ensemble_size: int,
-    invasiveness: float,
-    order_unity_threshold: float = ORDER_UNITY_THRESHOLD,
-) -> int:
+def wasted_resource(ensemble_size: int, invasiveness: float) -> int:
     """Members written off by one measurement of the given invasiveness.
 
-    At or above the order-unity threshold the whole ensemble is lost;
+    At or above ``ORDER_UNITY_THRESHOLD`` the whole ensemble is lost;
     below it, the fraction ``invasiveness`` of it (rounded to nearest).
     """
     if ensemble_size < 0:
         raise ValidationError(f"ensemble size must be >= 0, got {ensemble_size}")
     if not (0.0 <= invasiveness <= 1.0):
         raise ValidationError(f"invasiveness must lie in [0, 1], got {invasiveness!r}")
-    if invasiveness >= order_unity_threshold:
+    if invasiveness >= ORDER_UNITY_THRESHOLD:
         return int(ensemble_size)
     return int(round(invasiveness * ensemble_size))

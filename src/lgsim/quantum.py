@@ -29,16 +29,16 @@ def _as_complex_matrix(m, name: str) -> np.ndarray:
     return a
 
 
-def _hermitian_error(name: str, asym: float, tol: float) -> ValidationError:
+def _hermitian_error(name: str, asym: float) -> ValidationError:
     return ValidationError(
-        f"{name} is not Hermitian: max |A - A^dagger| = {asym:.3e} exceeds {tol:.0e}"
+        f"{name} is not Hermitian: max |A - A^dagger| = {asym:.3e} exceeds {STRUCTURAL_TOL:.0e}"
     )
 
 
-def _check_hermitian(a: np.ndarray, name: str, tol: float = STRUCTURAL_TOL) -> None:
+def _check_hermitian(a: np.ndarray, name: str) -> None:
     asym = np.abs(a - a.T.conj()).max()
-    if not asym <= tol:  # a NaN or infinite entry fails here too
-        raise _hermitian_error(name, asym, tol)
+    if not asym <= STRUCTURAL_TOL:  # a NaN or infinite entry fails here too
+        raise _hermitian_error(name, asym)
 
 
 def _first_above(values: np.ndarray, tol: float) -> int | None:
@@ -86,7 +86,7 @@ class Observable:
         asym = np.abs(projs - projs.transpose(0, 2, 1).conj()).max(axis=(1, 2))
         i = _first_above(asym, STRUCTURAL_TOL)
         if i is not None:
-            raise _hermitian_error(f"projector {i}", asym[i], STRUCTURAL_TOL)
+            raise _hermitian_error(f"projector {i}", asym[i])
         for i, p in enumerate(projs):
             # P_i P_j - delta_ij P_i for every j: one batched product per row
             defect = p @ projs
@@ -148,8 +148,8 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_pure(self, tol: float = 1e-8) -> bool:
-        return purity(self) >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return purity(self) >= 1.0 - 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +218,10 @@ def pauli(which: str) -> np.ndarray:
 # operations
 
 
-def spectral_decompose(hermitian, gap_tol: float = EIGEN_GAP_TOL) -> Observable:
+def spectral_decompose(hermitian) -> Observable:
     """Spectral decomposition of a Hermitian matrix into eigenspaces.
 
-    Eigenvalues closer than ``gap_tol`` are merged into one eigenspace,
+    Eigenvalues closer than ``EIGEN_GAP_TOL`` are merged into one eigenspace,
     so degenerate spectra yield rank>1 projectors instead of an arbitrary
     eigenvector split. Result is ordered by non-increasing eigenvalue.
     """
@@ -233,9 +233,9 @@ def spectral_decompose(hermitian, gap_tol: float = EIGEN_GAP_TOL) -> Observable:
     vecs = evecs.T[order]  # row k is the eigenvector of evals[k]
 
     # an eigenspace starts wherever the gap to the previous eigenvalue is not
-    # below gap_tol; its value is the mean of its members and its projector
+    # below EIGEN_GAP_TOL; its value is the mean of its members and its projector
     # the sum of their outer products |v><v|
-    starts = np.flatnonzero(np.concatenate(([True], ~(evals[:-1] - evals[1:] < gap_tol))))
+    starts = np.flatnonzero(np.concatenate(([True], ~(evals[:-1] - evals[1:] < EIGEN_GAP_TOL))))
     merged_vals = np.add.reduceat(evals, starts) / np.add.reduceat(np.ones_like(evals), starts)
     projs = np.add.reduceat(vecs[:, :, None] * vecs.conj()[:, None, :], starts, axis=0)
     # symmetrize away eigh round-off so the Observable invariants hold exactly

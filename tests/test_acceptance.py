@@ -65,7 +65,8 @@ def lg_run_config(seed=SEED, n_strong=100_000, n_weak=1_000_000):
 BUDGET_CONFIG = {
     "scenario": "budget",
     "seed": SEED,
-    "budget": {"ensemble_size": 10**6, "k": 4, "delta_p": 10.0, "var_a": 1.0},
+    "pointer": {"width": 10.0},
+    "budget": {"ensemble_size": 10**6, "k": 4, "var_a": 1.0},
 }
 
 

@@ -11,7 +11,8 @@ BUDGET = {
     "scenario": "budget",
     "seed": 1,
     "output": {"format": "both"},
-    "budget": {"ensemble_size": 10**6, "k": 4, "delta_p": 10.0, "var_a": 1.0},
+    "pointer": {"width": 10.0},
+    "budget": {"ensemble_size": 10**6, "k": 4, "var_a": 1.0},
 }
 
 LG_RUN = {
@@ -61,16 +62,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value, message", [
         ("var_a", float("nan"), "config.budget.var_a: must be finite, got nan"),
-        ("order_unity_threshold", 2.0,
-         "config.budget.order_unity_threshold: must be <= 1, got 2.0"),
         ("ensemble_size", 7, "config.budget.ensemble_size: must be >= 2k = 8, got 7"),
-    ], ids=["nan", "threshold", "ensemble"])
+    ], ids=["nan", "ensemble"])
     def test_budget_range_error_is_one(self, tmp_path, capsys, key, value, message):
         bad = dict(BUDGET, budget=dict(BUDGET["budget"], **{key: value}))
         code = main(["budget", "--config", write_cfg(tmp_path, bad),
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("path, value", [
+        ("budget.delta_p", 10.0),
+        ("budget.order_unity_threshold", 0.1),
+        ("sweep.n_per_point", 10_000),
+        ("tolerances", {"eigen_gap": 1e-9}),
+    ], ids=["delta_p", "order_unity_threshold", "n_per_point", "tolerances"])
+    def test_removed_key_is_one(self, tmp_path, capsys, path, value):
+        # each has one spelling now: pointer.width, the constant 0.1, an n axis
+        # and the constant eigen-gap 1e-9. The sweep section only carries its key
+        bad = json.loads(json.dumps(dict(BUDGET, sweep={"delta_p": [10.0]})))
+        *section, key = path.split(".")
+        (bad[section[0]] if section else bad)[key] = value
+        code = main(["budget", "--config", write_cfg(tmp_path, bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config.{path}: unknown key\n"
 
     def test_second_order_truncation_is_one(self, tmp_path, capsys):
         bad = dict(LG_RUN, pointer={"width": 10.0, "truncation": "perturbative_o2"})

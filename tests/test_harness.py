@@ -80,12 +80,12 @@ def _pairs(m) -> list[list[float]]:
 
 def sweep_cfg(grid: str) -> dict:
     """A sweep config: "strong" (2 widths x 2 n x 3 tau, one tau repeated),
-    "weak" (2 widths x 2 tau) or "stock" (``configs/sweep.json``, no tau)."""
+    "weak" (2 widths x 1 n x 2 tau) or "stock" (``configs/sweep.json``, no tau)."""
     if grid == "stock":
         return json.loads((Path(__file__).parent.parent / "configs" / "sweep.json").read_text())
     sweep = {"delta_p": [10.0, 25.0], "tau": [0.5, 1.2, 0.5], "n": [300, 1_000], "mode": grid}
     if grid == "weak":
-        sweep = {"delta_p": [10.0, 25.0], "tau": [0.5, 1.2], "mode": grid, "n_per_point": 2_000}
+        sweep = {"delta_p": [10.0, 25.0], "tau": [0.5, 1.2], "mode": grid, "n": [2_000]}
     return {
         "scenario": "sweep", "seed": 9,
         "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
@@ -95,9 +95,11 @@ def sweep_cfg(grid: str) -> dict:
 
 
 def budget_cfg(**budget):
-    section = {"ensemble_size": 10**6, "k": 4, "delta_p": 10.0, "var_a": 1.0}
+    section = {"ensemble_size": 10**6, "k": 4, "var_a": 1.0}
     section.update(budget)
-    return parse_config({"scenario": "budget", "seed": 1, "budget": section})
+    return parse_config({
+        "scenario": "budget", "seed": 1, "pointer": {"width": 10.0}, "budget": section,
+    })
 
 
 class TestRunBudget:
@@ -120,7 +122,8 @@ class TestRunBudget:
         cfg = parse_config({
             "scenario": "budget",
             "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
-            "budget": {"ensemble_size": 10**6, "k": 4, "delta_p": 10.0},
+            "pointer": {"width": 10.0},
+            "budget": {"ensemble_size": 10**6, "k": 4},
         })
         payload = run_budget(cfg)
         assert payload["input"]["var_a"] == pytest.approx(1.0, abs=1e-12)
@@ -154,6 +157,20 @@ class TestRunBudget:
             "budget": {"ensemble_size": 10**6, "k": 4, "var_a": 1.0},
         })
         assert run_budget(cfg)["input"]["delta_p"] == 10.0
+
+    def test_stock_report_unchanged(self):
+        # pinned bytes: reading the width from pointer.width and the constant
+        # order-unity threshold must give the same report as before
+        report = run_budget(parse_config(STOCK_CONFIGS["budget"]))["report"]
+        assert json.dumps(report, sort_keys=True) == (
+            '{"ensemble_ratio_strong_over_weak": 0.04, "eps_target": 0.01414213562373095, '
+            '"eps_weak_both": 0.02, "error_ratio_strong_over_weak": 0.1414213562373095, '
+            '"strong_scheme_smaller": true, "strong_subensemble": 5000, '
+            '"total_strong_ensemble": 40000, "waste_ratio_strong_over_weak": 2.0, '
+            '"waste_strong_per_measurement": 5000, "waste_total_strong_scheme": 40000, '
+            '"waste_total_weak_scheme": 10000, "waste_weak_per_measurement": 2500, '
+            '"waste_weak_per_measurement_i2": 1250}'
+        )
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +251,7 @@ class TestRunLg:
             run_sweep(parse_config({
                 "scenario": "sweep", "seed": 3, "system": system,
                 "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
-                "sweep": {"tau": [0.5, 1.0], "n_per_point": 100},
+                "sweep": {"tau": [0.5, 1.0], "n": [100]},
             }))
             payload = execute(parse_config(_workload_config("lg_qudit8", 1)))["payload"]
         for mode in ("strong", "weak"):
@@ -420,7 +437,7 @@ class TestVerifyStacks:
 
         # the loop verify ran before its states were stacked, over the
         # configured state and then the random ones
-        dyn = harness._system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        dyn = harness._system_objects(cfg.system)
         obs = dyn.observable
         rng, pm, a = substream(cfg.seed, 102), harness._verify_pointer(obs), obs.matrix()
         states = [dyn.initial_state] + [random_density_matrix(obs.dim, rng) for _ in range(block + 1)]
@@ -692,7 +709,7 @@ class TestRunSweep:
             "scenario": "sweep", "seed": 2,
             "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": KET0},
             "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
-            "sweep": {"tau": [0.5, 1.0, 2.0], "n_per_point": 40_000},
+            "sweep": {"tau": [0.5, 1.0, 2.0], "n": [40_000]},
         })
         rows = run_sweep(cfg)["rows"]
         values = {r["tau"]: r["value"] for r in rows if r["metric"] == "corr_value"}
@@ -708,7 +725,7 @@ class TestRunSweep:
         # repeats a tau, and the stock one has no tau axis
         cfg = parse_config(sweep_cfg(grid))
         sw = cfg.sweep
-        dyn = harness._system_objects(cfg.system, cfg.tolerances.eigen_gap)
+        dyn = harness._system_objects(cfg.system)
         obs, rho = dyn.observable, dyn.initial_state
         t1 = cfg.plan.times[0]
         want = []
@@ -722,13 +739,29 @@ class TestRunSweep:
                                   ("i2_measured", meas.i2), ("i2_predicted", pred.i2)):
                 want.append({**coords, "metric": metric, "value": value})
             est = estimate_correlator(
-                dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1], sw.mode,
-                n if n is not None else sw.n_per_point, cfg.seed,
-                pm if sw.mode == "weak" else None, stream_base=point_index,
+                dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1], sw.mode, n,
+                cfg.seed, pm if sw.mode == "weak" else None, stream_base=point_index,
             )
             want.append({**coords, "metric": "corr_value", "value": est.value})
             want.append({**coords, "metric": "corr_std_error", "value": est.std_error})
         assert run_sweep(cfg)["rows"] == want
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_no_n_axis_is_a_one_value_n_axis(self, mode):
+        # a sweep without an n axis draws 10,000 events per point from the
+        # same streams as the one-value axis
+        data = {
+            "scenario": "sweep", "seed": 4,
+            "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
+            "pointer": {"width": 10.0},
+            "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+            "sweep": {"tau": [0.5, 1.2], "mode": mode},
+        }
+        with_n = {**data, "sweep": {**data["sweep"], "n": [10_000]}}
+        metrics = ("corr_value", "corr_std_error")
+        rows = [[(r["metric"], r["value"]) for r in run_sweep(parse_config(d))["rows"]
+                 if r["metric"] in metrics] for d in (data, with_n)]
+        assert rows[0] == rows[1] and len(rows[0]) == 4
 
     @pytest.mark.parametrize("mode, kernels", [("strong", 3), ("weak", 2 * 3)])
     def test_builds_each_kernel_and_channel_once(self, monkeypatch, mode, kernels):
@@ -761,7 +794,7 @@ class TestRunSweep:
             "scenario": "sweep", "seed": 3,
             "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
             "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
-            "sweep": {"delta_p": [1.0], "tau": [0.5], "mode": "weak", "n_per_point": 100},
+            "sweep": {"delta_p": [1.0], "tau": [0.5], "mode": "weak", "n": [100]},
         })
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
@@ -917,7 +950,8 @@ class TestResolveOutDir:
         cfg = parse_config({
             "scenario": "budget",
             "output": {"dir": "cfgdir"},
-            "budget": {"ensemble_size": 100, "k": 3, "delta_p": 1.0, "var_a": 0.5},
+            "pointer": {"width": 1.0},
+            "budget": {"ensemble_size": 100, "k": 3, "var_a": 0.5},
         })
         assert resolve_out_dir(None, cfg) == "cfgdir"
 

@@ -150,23 +150,24 @@ class TestWeakConsistency:
 
 class TestWastedResource:
     def test_order_unity_invasiveness_wastes_everything(self):
-        assert wasted_resource(5000, 0.5, 0.1) == 5000
+        assert wasted_resource(5000, 0.5) == 5000
 
     def test_small_invasiveness_wastes_fraction(self):
-        assert wasted_resource(250_000, 0.01, 0.1) == 2500
+        assert wasted_resource(250_000, 0.01) == 2500
 
     def test_zero_invasiveness_wastes_nothing(self):
-        assert wasted_resource(123_456, 0.0, 0.1) == 0
+        assert wasted_resource(123_456, 0.0) == 0
 
     def test_threshold_boundary_is_inclusive(self):
-        assert wasted_resource(1000, 0.1, 0.1) == 1000
+        assert wasted_resource(1000, 0.1) == 1000
+        assert wasted_resource(1000, 0.0999) == 100
 
     def test_invasiveness_range_enforced(self):
         with pytest.raises(ValidationError):
-            wasted_resource(100, 1.5, 0.1)
+            wasted_resource(100, 1.5)
         with pytest.raises(ValidationError):
-            wasted_resource(100, -0.1, 0.1)
+            wasted_resource(100, -0.1)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValidationError):
-            wasted_resource(-1, 0.5, 0.1)
+            wasted_resource(-1, 0.5)

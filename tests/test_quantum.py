@@ -22,6 +22,7 @@ from lgsim import (
 )
 from lgsim.errors import DimensionMismatchError, ValidationError
 from lgsim.quantum import (
+    EIGEN_GAP_TOL,
     _first_above,
     random_density_matrices,
     random_density_matrix,
@@ -115,6 +116,12 @@ class TestSpectralDecompose:
         np.testing.assert_allclose(
             np.trace(obs.projectors, axis1=1, axis2=2).real, [2.0, 1.0, 2.0], atol=1e-12
         )
+
+    @pytest.mark.parametrize("gap, n_outcomes", [(0.5, 1), (2.0, 2)])
+    def test_eigen_gap_is_the_constant(self, gap, n_outcomes):
+        # eigenvalues closer than EIGEN_GAP_TOL share an eigenspace
+        obs = spectral_decompose(np.diag([1.0, 1.0 - gap * EIGEN_GAP_TOL]))
+        assert obs.n_outcomes == n_outcomes
 
     def test_non_hermitian_rejected_naming_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
