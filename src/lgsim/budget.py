@@ -16,8 +16,8 @@ At equal error the two figures differ by exactly a factor 2, so the
 schemes waste comparable amounts while the strong one needs a far
 smaller ensemble.
 
-All member counts round up; a 1e-12 relative guard keeps float dust from
-bumping exact integers.
+All member counts round up; a count within a few ulps of an integer is
+that integer, so float dust does not bump an exact count.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .invasiveness import wasted_resource
-
-
-def _ceil_count(x: float) -> int:
-    if x < 0:
-        raise ValidationError(f"count must be nonnegative, got {x!r}")
-    return int(math.ceil(x * (1.0 - 1e-12)))
 
 
 def _check_mk(ensemble_size: int, k: int, delta_p: float) -> None:
@@ -100,12 +94,13 @@ def target_error(ensemble_size: int, k: int, delta_p: float) -> float:
 
 
 def strong_subensemble(var_a: float, eps: float) -> int:
-    """Members per strong measurement to reach error eps: Var(A)/eps^2."""
+    """Members per strong measurement to reach error eps: Var(A)/eps^2, rounded up."""
     if var_a < 0:
         raise ValidationError(f"var_a must be >= 0, got {var_a!r}")
     if not (eps > 0):
         raise ValidationError(f"eps must be positive, got {eps!r}")
-    return _ceil_count(var_a / eps**2)
+    x = var_a / eps**2
+    return round(x) if abs(x - round(x)) <= 4 * math.ulp(x) else math.ceil(x)
 
 
 def total_strong_ensemble(ensemble_size: int, k: int, delta_p: float, var_a: float) -> int:
@@ -122,15 +117,15 @@ def wastage_report(inp: BudgetInput) -> BudgetReport:
     """Full two-scheme comparison at the common error target."""
     m, k, dp, var = inp.ensemble_size, inp.k, inp.delta_p, inp.var_a
     eps = target_error(m, k, dp)
-    subensemble = m / k
+    subensemble = -(-m // k)  # M/k rounded up, exactly
     ms = strong_subensemble(var, eps)
     mtot = total_strong_ensemble(m, k, dp, var)
 
     # leading-order indices; capped at 1 so the wastage rule stays total
     i1_weak = min(var / dp**2, 1.0)
     i2_weak = i1_weak / 2.0
-    waste_weak = wasted_resource(_ceil_count(subensemble), i1_weak)
-    waste_weak_i2 = wasted_resource(_ceil_count(subensemble), i2_weak)
+    waste_weak = wasted_resource(subensemble, i1_weak)
+    waste_weak_i2 = wasted_resource(subensemble, i2_weak)
     waste_strong = ms  # worst case: the whole subensemble
 
     return BudgetReport(

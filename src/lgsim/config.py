@@ -48,13 +48,7 @@ MatrixPairs = tuple[tuple[float, float], ...]
 
 
 # ---------------------------------------------------------------------------
-# matrix <-> pair-list codecs
-
-
-def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
-    """Row-major [re, im] pair list of a square complex matrix."""
-    a = np.asarray(m, dtype=np.complex128)
-    return [[float(x.real), float(x.imag)] for x in a.ravel(order="C")]
+# pair-list codec
 
 
 def pairs_to_matrix(pairs, dim: int) -> np.ndarray:

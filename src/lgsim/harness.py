@@ -52,7 +52,9 @@ from .protocol import (
     SeriesPlan,
     _check_run_args,
     _check_times,
+    _chunk_moments,
     _estimate,
+    _moments,
     _SeriesKernel,
     lg_statistic,
     macrorealism_bounds,
@@ -68,7 +70,7 @@ from .quantum import (
     spectral_decompose,
     variance,
 )
-from .streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
+from .streams import substream
 from .writers import write_csv, write_json
 
 OUT_DIR_ENV = "LGSIM_OUT_DIR"
@@ -89,12 +91,7 @@ def _system_objects(system: SystemConfig) -> DynamicsSpec:
 
 
 def _estimate_dict(est: CorrelatorEstimate) -> dict:
-    return {
-        "pair": list(est.pair),
-        "value": est.value,
-        "std_error": est.std_error,
-        "n_events": est.n_events,
-    }
+    return {**asdict(est), "pair": list(est.pair)}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ def _budget_tables(payload: dict) -> dict:
         ["scheme", "eps", "events_per_measurement",
          "waste_per_measurement", "waste_total", "total_ensemble_required"],
         [
-            ["weak_first", rep["eps_target"], math.ceil(inp["ensemble_size"] / inp["k"]),
+            ["weak_first", rep["eps_target"], -(-inp["ensemble_size"] // inp["k"]),
              rep["waste_weak_per_measurement"], rep["waste_total_weak_scheme"],
              inp["ensemble_size"]],
             ["all_strong", rep["eps_target"], rep["strong_subensemble"],
@@ -253,10 +250,10 @@ def _verify_pointer(obs) -> PointerModel:
 
 def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     """Worst deviation of n weak and n strong readings from their exact law, in
-    tolerances (1.0 = tolerance). Chunk c of ``chunk_sizes(n, DEFAULT_CHUNK_SIZE)``
-    draws weak, then strong readings from ``substream(seed, stream, c)``; only
-    counts and sums shifted by the exact mean (raw ones cancel on an offset
-    spectrum) are kept. The weak mean gets 5 standard errors. As
+    tolerances (1.0 = tolerance). ``_chunk_moments`` runs the chunks on stream
+    ``stream``; each draws weak, then strong readings and keeps only the weak
+    readings' moments and the strong outcome counts. The weak mean gets 5
+    standard errors. As
     s^2 - var = (n (S - var) + var - n (m - mean)^2) / (n-1), S the mean squared
     deviation from the true mean, the weak variance gets 5 standard errors of S
     (from the exact fourth central moment) plus a 5-sigma m, and at least 2%.
@@ -275,23 +272,22 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     spread = 5.0 * math.sqrt(max(m4 - weak_var**2, 0.0) * n) + 25.0 * weak_var
     var_tol = max(0.02 * weak_var, spread / (n - 1))
 
-    dev_sum = dev_sq = 0.0
-    counts = np.zeros(obs.n_outcomes, dtype=np.int64)
-    for c, m in enumerate(chunk_sizes(n, DEFAULT_CHUNK_SIZE)):
-        rng = substream(seed, stream, c)
-        dev = sample_weak_readings(rho, obs, pm, m, rng) - mean_a
-        dev_sum += float(dev.sum())
-        dev_sq += float(np.square(dev, out=dev).sum())
-        sr = sample_strong_readings(rho, obs, m, rng)
-        counts += [np.count_nonzero(sr == a) for a in obs.eigenvalues]
-    q = counts / n
+    counts = []
+
+    def draw(rng, m):
+        weak = sample_weak_readings(rho, obs, pm, m, rng)
+        strong = sample_strong_readings(rho, obs, m, rng)
+        counts.append([np.count_nonzero(strong == a) for a in obs.eigenvalues])
+        return _moments(weak)
+    total, sq_dev = _chunk_moments(n, seed, stream, draw)
+    q = np.sum(counts, axis=0) / n
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0; a count where p_i = 0 scores inf
         kl = (np.where(q > 0, q * np.log(q / p), 0.0)
               + np.where(q < 1, (1 - q) * np.log((1 - q) / (1 - p)), 0.0))
     level = math.log(2 * obs.n_outcomes / 1.7e-6)
     return max(
-        abs(dev_sum / n) / (5.0 * math.sqrt(weak_var / n)),
-        abs((dev_sq - dev_sum**2 / n) / (n - 1) - weak_var) / var_tol,
+        abs(total / n - mean_a) / (5.0 * math.sqrt(weak_var / n)),
+        abs(sq_dev / (n - 1) - weak_var) / var_tol,
         math.sqrt(max(n * float(kl.max()), 0.0) / level),
     )
 

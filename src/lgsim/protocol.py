@@ -10,10 +10,10 @@ contributes the product of the two readings to the correlator estimate.
 The earlier measurement of each series is the one that must approximate
 a non-invasive measurement, which is why only it can be weak.
 
-Sampling is chunked and vectorized: chunk c of series s holds up to
-``DEFAULT_CHUNK_SIZE`` events and draws from ``substream(seed, s, c)``,
-and partial sums merge in chunk order, so an estimate does not depend
-on the order the chunks are run in.
+Sampling is chunked and vectorized: ``_chunk_moments`` runs chunk c of
+series s on ``substream(seed, s, c)`` and merges each chunk's sum and
+squared deviations in chunk order, so an estimate does not depend on the
+order the chunks are run in, and a spectrum far from zero costs no digits.
 
 Both modes read one table per series, G[b, i, j] = tr(B_b P_i rho P_j),
 with B_b the projector onto outcome b carried back over the gap. A
@@ -57,7 +57,7 @@ from .quantum import (
     propagator,
     spectral_decompose,
 )
-from .streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
+from .streams import chunk_sizes, substream
 
 # Events per column block of a chunk. A (d, 8192) float64 table is 512 KiB
 # at d = 8, so the three tables of a weak block fit in a 2 MiB L2 together.
@@ -213,8 +213,8 @@ class _SeriesKernel:
                 row += cum[b - 1]
         return cum
 
-    def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[int, float, float]:
-        """Simulate m events; return (count, sum, sum of squares) of products.
+    def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[float, float]:
+        """Simulate m events; return the ``_moments`` of their products.
 
         A strong chunk is one multinomial draw of the events over the
         outcome pairs. A weak chunk draws its first readings (uniforms, then
@@ -222,12 +222,13 @@ class _SeriesKernel:
         the events in column blocks of ``_BLOCK`` so the per-event tables of
         a block stay in cache; each block's products overwrite its readings.
         """
-        # both sums stay out of BLAS: OpenBLAS splits a long ddot over its
+        # the sums stay out of BLAS: OpenBLAS splits a long ddot over its
         # threads, which would tie the result to the thread count
         if self.first_mode == MODE_STRONG:
             counts = rng.multinomial(m, self.joint)
-            prod = self.pair_products
-            return m, float((counts * prod).sum()), float((counts * prod * prod).sum())
+            total = float((counts * self.pair_products).sum())
+            dev = self.pair_products - total / m
+            return total, float((counts * dev * dev).sum())
         a = self.eigenvalues
         products = _weak_readings(self.rho_first, self.observable, self.pointer, m, rng)
         u_second = rng.random(m)
@@ -238,11 +239,30 @@ class _SeriesKernel:
             # when cum[b-1] <= u * cum[-1] < cum[b]; with a positive total,
             # u < 1 keeps the last row out
             first *= a[_inverse_cdf(cum, u_second[lo:lo + _BLOCK] * cum[-1])]
-        # both sums run once over the whole chunk, so their pairwise order
+        # the moments run once over the whole chunk, so their pairwise order
         # does not depend on the block size
-        s1 = products.sum()
-        s2 = np.square(products, out=products).sum()
-        return m, float(s1), float(s2)
+        return _moments(products)
+
+
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """Sum of x and sum of squared deviations from its mean; overwrites x."""
+    total = float(x.sum())
+    x -= total / x.size
+    return total, float(np.square(x, out=x).sum())
+
+
+def _chunk_moments(n: int, seed: int, stream: int, draw) -> tuple[float, float]:
+    """``_moments`` of n values drawn by chunk: ``draw(substream(seed, stream, c), m)``
+    gives those of chunk c, m values from ``chunk_sizes(n)``, merged in chunk
+    order by Chan, Golub and LeVeque's update (Am. Stat. 37, 242 (1983))."""
+    count, total, sq_dev = 0, 0.0, 0.0
+    for c, m in enumerate(chunk_sizes(n)):
+        s, q = draw(substream(seed, stream, c), m)
+        if count:
+            delta = s / m - total / count
+            q += delta * delta * count * m / (count + m)
+        count, total, sq_dev = count + m, total + s, sq_dev + q
+    return total, sq_dev
 
 
 def _check_times(t_first: float, t_second: float) -> None:
@@ -264,21 +284,11 @@ def _check_run_args(first_mode, pointer, obs, n, stacklevel: int = 3) -> None:
 
 
 def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimate:
-    """One series of n events in chunks of ``DEFAULT_CHUNK_SIZE``: chunk c
-    draws from ``substream(seed, stream, c)`` and the (count, sum, sum of
-    squares) of the chunks add up in chunk order. The kernel holds no state
+    """One series of n events on stream ``stream``. The kernel holds no state
     between chunks, so one kernel serves any series of its times and mode."""
-    count, s1, s2 = 0, 0.0, 0.0
-    for c, m in enumerate(chunk_sizes(n, DEFAULT_CHUNK_SIZE)):
-        dn, d1, d2 = kernel.run_chunk(substream(seed, stream, c), m)
-        count += dn
-        s1 += d1
-        s2 += d2
-    mean = s1 / count
-    sample_var = max(s2 - count * mean * mean, 0.0) / (count - 1)
-    return CorrelatorEstimate(
-        pair=pair, value=mean, std_error=math.sqrt(sample_var / count), n_events=count
-    )
+    total, sq_dev = _chunk_moments(n, seed, stream, kernel.run_chunk)
+    return CorrelatorEstimate(pair=pair, value=total / n, n_events=n,
+                              std_error=math.sqrt(sq_dev / (n - 1) / n))
 
 
 def run_series(

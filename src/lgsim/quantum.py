@@ -1,7 +1,7 @@
 """Finite-dimensional quantum states and observables.
 
-Observables carry an explicit spectral decomposition (eigenvalues in
-non-increasing order with eigenspace projectors), density matrices are
+Observables carry an explicit spectral decomposition (distinct eigenvalues
+in decreasing order with eigenspace projectors), density matrices are
 validated on construction, and everything downstream works through Born
 weights ``p_i = tr(rho P_i)``, expectations, purity ``tr(rho^2)`` and the
 trace overlap ``tr(rho1 rho2)``.
@@ -59,7 +59,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Observable:
     """Hermitian observable given by its spectral data.
 
-    ``eigenvalues`` are distinct and sorted non-increasing (the canonical
+    ``eigenvalues`` are strictly decreasing, so distinct (the canonical
     order used for outcome sampling); ``projectors[i]`` is the orthogonal
     projector onto the corresponding eigenspace. Orthogonality,
     completeness and Hermiticity are enforced entrywise at 1e-10.
@@ -78,8 +78,8 @@ class Observable:
                 f"projectors must have shape (n, dim, dim) with n = {evals.size}, "
                 f"got {projs.shape}"
             )
-        if (evals[1:] > evals[:-1]).any():
-            raise ValidationError("eigenvalues must be in non-increasing order")
+        if not (evals[1:] < evals[:-1]).all():
+            raise ValidationError("eigenvalues must be strictly decreasing")
         dim = projs.shape[1]
         # each check runs over the whole (n, dim, dim) stack and names the
         # first failing projector, or pair (i, j) in row-major order
@@ -181,29 +181,14 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim) / dim)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_state(v)
-
-
 def random_density_matrices(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Unvalidated (n, dim, dim) stack of states G G^dagger / tr(G G^dagger),
-    G complex Gaussian, from one normal draw: member k is what the k-th of n
-    ``random_density_matrix`` calls on ``rng`` would give."""
+    G complex Gaussian, from one normal draw: member k is the state the k-th
+    of n one-member draws from ``rng`` would give."""
     g = rng.normal(size=(n, 2, dim, dim))
     g = g[:, 0] + 1j * g[:, 1]
     m = g @ g.conj().transpose(0, 2, 1)
     return m / m.trace(axis1=1, axis2=2).real[:, None, None]
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    return DensityMatrix(random_density_matrices(1, dim, rng)[0])
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def pauli(which: str) -> np.ndarray:
@@ -223,7 +208,7 @@ def spectral_decompose(hermitian) -> Observable:
 
     Eigenvalues closer than ``EIGEN_GAP_TOL`` are merged into one eigenspace,
     so degenerate spectra yield rank>1 projectors instead of an arbitrary
-    eigenvector split. Result is ordered by non-increasing eigenvalue.
+    eigenvector split. Result is ordered by decreasing eigenvalue.
     """
     h = _as_complex_matrix(hermitian, "operator")
     _check_hermitian(h, "operator")

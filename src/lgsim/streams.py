@@ -8,8 +8,8 @@ chunk for chunk whatever order its chunks are run in.
 
 Event batches are carved into fixed-size chunks; chunk ``c`` of series
 ``s`` (verify's sampler check is s = 107) draws from ``substream(seed, s,
-c)``, and per-chunk partial results are merged in chunk order, which makes
-merged statistics bit-identical whatever order the chunks ran in.
+c)``, and ``protocol._chunk_moments`` merges the chunks' moments in chunk
+order, so merged statistics are bit-identical whatever order chunks ran in.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def chunk_sizes(n: int, chunk_size: int) -> list[int]:
-    """Fixed partition of n events into chunks of ``chunk_size`` and a remainder."""
+def chunk_sizes(n: int) -> list[int]:
+    """Fixed partition of n events into chunks of ``DEFAULT_CHUNK_SIZE`` and a remainder."""
     if n < 0:
         raise ValidationError(f"event count must be >= 0, got {n}")
-    if chunk_size < 1:
-        raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
-    full, rem = divmod(n, chunk_size)
-    return [chunk_size] * full + ([rem] if rem else [])
+    full, rem = divmod(n, DEFAULT_CHUNK_SIZE)
+    return [DEFAULT_CHUNK_SIZE] * full + ([rem] if rem else [])

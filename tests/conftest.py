@@ -1,5 +1,9 @@
+"""Fixtures and the random-input helpers the tests share."""
+
 import numpy as np
 import pytest
+
+from lgsim.quantum import DensityMatrix, pure_state, random_density_matrices
 
 
 @pytest.fixture
@@ -10,3 +14,24 @@ def rng():
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (g + g.conj().T)
+
+
+def random_pure_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return pure_state(v)
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    return DensityMatrix(random_density_matrices(1, dim, rng)[0])
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
+    """Row-major [re, im] pair list of a square complex matrix."""
+    a = np.asarray(m, dtype=np.complex128)
+    return [[float(x.real), float(x.imag)] for x in a.ravel(order="C")]

@@ -26,8 +26,10 @@ from lgsim import (
 )
 from lgsim.config import parse_config
 from lgsim.harness import execute, payload_json
-from lgsim.quantum import born_weights, random_pure_state
+from lgsim.quantum import born_weights
 from lgsim.streams import substream
+
+from conftest import random_pure_state
 
 SEED = 20250808
 TAU = math.pi / 3

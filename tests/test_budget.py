@@ -72,6 +72,18 @@ class TestSubensembleSizes:
     def test_total_strong_ensemble_benchmark(self):
         assert total_strong_ensemble(M, K, DP, VAR) == 40_000  # 4 * 10^6 / 100
 
+    def test_counts_above_1e12_are_not_rounded_down(self):
+        # var/eps^2 lands one ulp from 10^14 and 2 * 10^12; a relative guard
+        # of 1e-12 would take a whole member or more off either
+        assert strong_subensemble(1.0, 1e-7) == 10**14
+        assert total_strong_ensemble(4 * 10**14, 4, DP, VAR) == 16 * 10**12  # 4 M / dp^2
+        rep = wastage_report(BudgetInput(4 * 10**14, 4, DP, VAR))
+        assert rep.total_strong_ensemble == 16 * 10**12
+
+    def test_count_off_an_integer_rounds_up(self):
+        assert strong_subensemble(2.5, 1.0) == 3
+        assert strong_subensemble(1e12 + 0.5, 1.0) == 10**12 + 1
+
     def test_total_independent_of_k(self):
         assert total_strong_ensemble(M, 4, DP, VAR) == total_strong_ensemble(M, 8, DP, VAR)
 
@@ -116,6 +128,14 @@ class TestWastageReport:
                 assert rep.total_strong_ensemble == 2 * k * rep.strong_subensemble
                 assert rep.total_strong_ensemble == rep.waste_total_strong_scheme
                 assert rep.ensemble_ratio_strong_over_weak == rep.total_strong_ensemble / M
+
+    def test_weak_subensemble_is_exact_ceiling(self):
+        # M/k in float64 is 10^17, one below the members each weak
+        # measurement gets; at I1 = 1 the whole subensemble is written off
+        rep = wastage_report(BudgetInput(3 * 10**17 + 1, 3, 1.0, 1.0))
+        assert rep.waste_weak_per_measurement == 10**17 + 1
+        rep = wastage_report(BudgetInput(M + 1, K, 1.0, 1.0))
+        assert rep.waste_weak_per_measurement == M // K + 1
 
     def test_qubit_like_bound(self):
         # (Delta A)^2 = 1/4 for a +-1/2-valued observable

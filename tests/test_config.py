@@ -9,11 +9,12 @@ import pytest
 from lgsim.config import (
     config_to_dict,
     load_config,
-    matrix_to_pairs,
     pairs_to_matrix,
     parse_config,
 )
 from lgsim.errors import ValidationError
+
+from conftest import matrix_to_pairs
 
 SX = [[0, 0], [0.5, 0], [0.5, 0], [0, 0]]
 SZ = [[1, 0], [0, 0], [0, 0], [-1, 0]]

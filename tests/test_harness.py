@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lgsim import harness
+from lgsim import harness, streams
 from lgsim.config import parse_config
 from lgsim.harness import (
     _sampler_deviation,
@@ -46,12 +46,12 @@ from lgsim.quantum import (
     pauli,
     plus_state,
     random_density_matrices,
-    random_density_matrix,
     spectral_decompose,
     variance,
 )
 from lgsim.streams import DEFAULT_CHUNK_SIZE, substream
 
+from conftest import random_density_matrix
 import test_invasiveness
 import test_quantum
 
@@ -647,9 +647,10 @@ class TestSamplerStatistics:
     @pytest.mark.parametrize("probe", sorted(PROBES))
     def test_chunked_sums_match_whole_arrays(self, monkeypatch, probe):
         # chunk c draws its weak, then its strong readings from (seed, 107, c);
-        # 7_000 leaves a ragged last chunk of 6_000
+        # 7_000 leaves a ragged last chunk of 6_000, and the merged chunk
+        # moments match numpy's over the whole arrays
         obs, rho = self.PROBES[probe]
-        monkeypatch.setattr(harness, "DEFAULT_CHUNK_SIZE", 7_000)
+        monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 7_000)
         pm, wr, sr = harness._verify_pointer(obs), [], []
         for c, m in enumerate([7_000, 7_000, 6_000]):
             rng = substream(12, 107, c)
@@ -835,6 +836,13 @@ class TestWriteReport:
             "waste_total,total_ensemble_required"
         )
         assert csv_text.count("\n") == 3
+
+    def test_budget_csv_weak_events_are_exact_ceiling(self, tmp_path):
+        # M/k in float64 is 10^17, one below ceil(M / k)
+        write_report(execute(budget_cfg(ensemble_size=3 * 10**17 + 1, k=3)), str(tmp_path), "csv")
+        with open(tmp_path / "budget_comparison.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert (rows[1][0], rows[1][2]) == ("weak_first", str(10**17 + 1))
 
     def test_correlator_csv_columns(self, tmp_path):
         report = execute(lg_cfg(n_strong=2_000, n_weak=2_000))

@@ -19,9 +19,8 @@ from lgsim import (
     weak_channel_exact,
 )
 from lgsim.errors import DimensionMismatchError, PureStateRequiredError, ValidationError
-from lgsim.quantum import random_density_matrix, random_pure_state
 
-from conftest import random_hermitian
+from conftest import random_density_matrix, random_hermitian, random_pure_state
 
 
 @pytest.fixture

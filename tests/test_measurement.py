@@ -25,9 +25,9 @@ from lgsim.errors import (
     WeakRegimeWarning,
 )
 from lgsim.measurement import _inverse_cdf
-from lgsim.quantum import purity, random_density_matrix
+from lgsim.quantum import purity
 
-from conftest import random_hermitian
+from conftest import random_density_matrix, random_hermitian
 
 
 @pytest.fixture

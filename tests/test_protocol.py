@@ -35,14 +35,13 @@ from lgsim import (
     weak_channel_exact,
 )
 from lgsim.errors import ValidationError, WeakRegimeWarning
-from lgsim import measurement, protocol
+from lgsim import measurement, protocol, streams
 from lgsim.config import parse_config
 from lgsim.harness import run_verify
 from lgsim.protocol import _SeriesKernel
-from lgsim.quantum import random_density_matrix, random_unitary
 from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
 
-from conftest import random_hermitian
+from conftest import random_density_matrix, random_hermitian, random_unitary
 
 TAU = math.pi / 3
 
@@ -110,26 +109,31 @@ class TestStrongFirstCorrelators:
         est = estimate_correlator(bench, 0.0, 1e-6, "strong", 20_000, seed=12)
         assert abs(est.value - 1.0) < 5 * est.std_error + 1e-9
 
-    def test_sum_of_squares_equals_count_for_dichotomic_products(self, bench):
-        # every product of two +-1 readings squares to 1, so the chunk's sum
-        # of squares is its event count, exactly
+    def test_squared_deviations_for_dichotomic_products(self, bench):
+        # every product of two +-1 readings squares to 1, so the chunk's
+        # squared deviations from its mean are m (1 - mean^2)
+        m = 100_000
         kernel = _SeriesKernel(bench, 0.0, TAU, "strong", None)
-        m, _, s2 = kernel.run_chunk(substream(5, 0, 0), 100_000)
-        assert s2 == m
+        total, sq_dev = kernel.run_chunk(substream(5, 0, 0), m)
+        assert sq_dev == pytest.approx(m * (1.0 - (total / m) ** 2), rel=1e-12)
 
     def test_chunk_is_one_multinomial_draw(self, bench):
         # a strong chunk draws its pair counts and nothing else
         calls = []
 
         class Recorder:
+            def multinomial(self, n, pvals):
+                calls.append(("multinomial", n))
+                return rng.multinomial(n, pvals)
+
             def __getattr__(self, name):
                 calls.append(name)
                 return getattr(rng, name)
 
         rng = substream(6, 0, 0)
         kernel = _SeriesKernel(bench, 0.0, TAU, "strong", None)
-        assert kernel.run_chunk(Recorder(), 1_000)[0] == 1_000
-        assert calls == ["multinomial"]
+        kernel.run_chunk(Recorder(), 1_000)
+        assert calls == [("multinomial", 1_000)]
 
     def test_estimate_magnitude_bounded(self, bench, plan3):
         for est in run_series(plan3, bench, "strong", 5_000, seed=13):
@@ -217,25 +221,29 @@ class TestDeterminismAndMerging:
     )
     def test_chunk_order_does_not_change_results(self, monkeypatch, bench, plan3, mode, pointer):
         # each chunk draws from its own (seed, series, chunk) stream, so chunks
-        # run last to first and then added in chunk order reproduce the
+        # run last to first and then merged in chunk order (Chan, Golub and
+        # LeVeque's update of the sum and squared deviations) reproduce the
         # estimates of run_series bitwise
         n, chunk, base = 150_000, 20_000, 3  # ragged last chunk of 10,000
-        monkeypatch.setattr(protocol, "DEFAULT_CHUNK_SIZE", chunk)
+        monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", chunk)
         want = run_series(plan3, bench, mode, n, seed=78, pointer=pointer, stream_base=base)
-        sizes = chunk_sizes(n, chunk)
+        sizes = chunk_sizes(n)
+        assert sizes == [chunk] * 7 + [10_000]
         for s, pair in enumerate(plan3.pairs):
             kernel = _SeriesKernel(bench, *plan3.pair_times(pair), mode, pointer)
             partials = {}
             for c in reversed(range(len(sizes))):
                 partials[c] = kernel.run_chunk(substream(78, base + s, c), sizes[c])
-            total, s1, s2 = 0, 0.0, 0.0
-            for c in range(len(sizes)):
-                total += partials[c][0]
-                s1 += partials[c][1]
-                s2 += partials[c][2]
-            mean = s1 / total
-            std_error = math.sqrt(max(s2 - total * mean * mean, 0.0) / (total - 1) / total)
-            assert (want[s].n_events, want[s].value, want[s].std_error) == (total, mean, std_error)
+            count, total, sq_dev = 0, 0.0, 0.0
+            for c, m in enumerate(sizes):
+                part_sum, part_sq = partials[c]
+                if count:
+                    delta = part_sum / m - total / count
+                    part_sq += delta * delta * count * m / (count + m)
+                count, total, sq_dev = count + m, total + part_sum, sq_dev + part_sq
+            std_error = math.sqrt(sq_dev / (count - 1) / count)
+            assert (want[s].n_events, want[s].value, want[s].std_error) == (
+                count, total / count, std_error)
 
     @pytest.mark.parametrize(
         "mode, pointer",
@@ -247,7 +255,7 @@ class TestDeterminismAndMerging:
         # from stream stream_base + s, labelled with the pair
         plan = SeriesPlan(4, [0.0, 0.4, 1.1, 1.5])
         n, base = 30_000, 5
-        monkeypatch.setattr(protocol, "DEFAULT_CHUNK_SIZE", 7_000)
+        monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 7_000)
         got = run_series(plan, bench, mode, n, seed=80, pointer=pointer, stream_base=base)
         want = [
             dataclasses.replace(
@@ -272,7 +280,7 @@ class TestDeterminismAndMerging:
         # different chunking draws different events; estimates stay compatible.
         # 7_000 leaves a ragged last chunk of 5_000 events
         a = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer)
-        monkeypatch.setattr(protocol, "DEFAULT_CHUNK_SIZE", chunk_size)
+        monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", chunk_size)
         b = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer)
         for ea, eb in zip(a, b):
             assert abs(ea.value - eb.value) < 5 * math.hypot(ea.std_error, eb.std_error)
@@ -290,7 +298,7 @@ class TestDeterminismAndMerging:
             "import numpy as np\n"
             "from lgsim import (DynamicsSpec, PointerModel, estimate_correlator,\n"
             "                   precession_qubit, spectral_decompose)\n"
-            "from lgsim.quantum import random_density_matrix\n"
+            "from conftest import random_density_matrix\n"
             "warnings.simplefilter('ignore')\n"
             "rng = np.random.default_rng(8)\n"
             "h = rng.normal(size=(8, 8))\n"
@@ -303,7 +311,8 @@ class TestDeterminismAndMerging:
             "        print(repr((e.value, e.std_error)))\n"
         )
         assert 2 * protocol._BLOCK < 60_000 <= DEFAULT_CHUNK_SIZE
-        path = [str(Path(lgsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        path = [str(Path(lgsim.__file__).resolve().parents[1]), str(Path(__file__).parent),
+                os.environ.get("PYTHONPATH")]
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -316,14 +325,16 @@ class TestDeterminismAndMerging:
 
 
 def _random_dynamics(rng, dim, case):
-    """Random (H, A, rho); "degenerate" merges eigenvalues, "offset" adds 1e6 I to A."""
+    """Random (H, A, rho); "degenerate" merges eigenvalues, "offset" adds 1e6 I
+    to A and "far_offset" 1e8 I."""
     basis = random_unitary(dim, rng)
     evals = np.sort(rng.normal(size=dim))[::-1]
     if case == "degenerate":
         evals = np.repeat(evals[: (dim + 1) // 2], 2)[:dim]
     obs = spectral_decompose((basis * evals) @ basis.conj().T)
-    if case == "offset":
-        obs = Observable(obs.eigenvalues + 1e6, obs.projectors)
+    if case in ("offset", "far_offset"):
+        offset = 1e6 if case == "offset" else 1e8
+        obs = Observable(obs.eigenvalues + offset, obs.projectors)
     return DynamicsSpec(random_hermitian(dim, rng), obs, random_density_matrix(dim, rng))
 
 
@@ -503,12 +514,13 @@ class TestStrongEstimatesMatchExactMoments:
     An estimate fails when |value - E[x]| exceeds 5 exact standard errors
     sqrt(Var x / n); for a normal estimate that happens with probability
     5.7e-7 per correlator. Its std_error must also lie within 10% of the
-    exact one.
+    exact one, which the far offset checks where products sit near 1e16 and
+    raw sums of x^2 would cancel all of the spread's digits.
     """
 
     N = 10**6
 
-    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES + [(2, "far_offset"), (3, "far_offset")])
     def test_estimate_within_five_exact_standard_errors(self, dim, case):
         dyn = _random_dynamics(np.random.default_rng(400 + dim), dim, case)
         _, _, _, g = _reference_tables(dyn, 0.4, 1.3)
@@ -518,6 +530,31 @@ class TestStrongEstimatesMatchExactMoments:
         mean = (prob * prod).sum()
         exact_se = math.sqrt((prob * (prod - mean) ** 2).sum() / self.N)
         est = estimate_correlator(dyn, 0.4, 1.3, "strong", self.N, seed=dim)
+        assert abs(est.value - mean) <= 5.0 * exact_se
+        assert est.std_error == pytest.approx(exact_se, rel=0.1)
+
+
+class TestWeakEstimatesMatchExactMoments:
+    """A weak estimate with no evolution between its two measurements. The
+    later outcome b then has the Born law w_b, and the weak reading before it
+    is a_b + Z with Z ~ N(0, width^2/2), so the product x = a_b^2 + Z a_b has
+    mean E[a_b^2] and variance Var(a_b^2) + E[a_b^2] width^2/2, both taken
+    about the mean. Acceptance as for the strong estimates: 5 exact standard
+    errors (5.7e-7 per correlator) and std_error within 10%."""
+
+    N = 10**6
+
+    @pytest.mark.parametrize("dim, case", [(2, "plain"), (3, "offset"), (3, "far_offset")])
+    def test_std_error_matches_centred_variance(self, dim, case):
+        dyn = _random_dynamics(np.random.default_rng(500 + dim), dim, case)
+        dyn = dataclasses.replace(dyn, hamiltonian=np.zeros((dim, dim)))
+        pointer = PointerModel(width=40.0)
+        w = born_weights(dyn.initial_state, dyn.observable)
+        sq = dyn.observable.eigenvalues ** 2
+        mean = w @ sq
+        var = w @ (sq - mean) ** 2 + mean * pointer.position_variance
+        exact_se = math.sqrt(var / self.N)
+        est = estimate_correlator(dyn, 0.4, 1.3, "weak", self.N, seed=dim, pointer=pointer)
         assert abs(est.value - mean) <= 5.0 * exact_se
         assert est.std_error == pytest.approx(exact_se, rel=0.1)
 
@@ -539,8 +576,9 @@ class TestKernelMatchesBatchSamplers:
         readings = sample_weak_readings(dyn.initial_state, obs, pointer, 50_000,
                                         substream(4, 0, 0))
         kernel = _SeriesKernel(dyn, 0.0, 1.0, "weak", pointer)
-        _, s1, s2 = kernel.run_chunk(substream(4, 0, 0), 50_000)
-        assert (s1, s2) == (readings.sum(), np.square(readings).sum())
+        total, sq_dev = kernel.run_chunk(substream(4, 0, 0), 50_000)
+        assert total == readings.sum()
+        assert sq_dev == np.square(readings - total / readings.size).sum()
 
     def test_defect_in_shared_draw_reaches_verify_and_kernel(self, monkeypatch, bench):
         # pointer noise scaled by 1.1, injected into the one first-reading

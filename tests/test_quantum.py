@@ -25,12 +25,9 @@ from lgsim.quantum import (
     EIGEN_GAP_TOL,
     _first_above,
     random_density_matrices,
-    random_density_matrix,
-    random_pure_state,
-    random_unitary,
 )
 
-from conftest import random_hermitian
+from conftest import random_density_matrix, random_hermitian, random_pure_state, random_unitary
 
 
 def _grouping_loop_reference(h, gap_tol=1e-9):
@@ -192,8 +189,17 @@ class TestObservableValidation:
             Observable, np.array([1.0, 0.0, -1.0]), np.stack([_P0, _P1]),
         )
         _raises_exactly(
-            "eigenvalues must be in non-increasing order",
+            "eigenvalues must be strictly decreasing",
             Observable, np.array([1.0, 2.0, -1.0]), np.stack([_P0, _P1, _P2]),
+        )
+
+    @pytest.mark.parametrize("evals", [[1.0, 1.0, -1.0], [1.0, -1.0, -1.0], [1.0, np.nan, -1.0]])
+    def test_repeated_eigenvalue_rejected(self, evals):
+        # a repeated eigenvalue split over rank-1 projectors would let the
+        # strong channel dephase inside its eigenspace
+        _raises_exactly(
+            "eigenvalues must be strictly decreasing",
+            Observable, np.array(evals), np.stack([_P0, _P1, _P2]),
         )
 
     def test_valid_family_is_frozen(self):

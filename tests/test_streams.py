@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lgsim.errors import ValidationError
-from lgsim.streams import chunk_sizes, check_seed, substream
+from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, check_seed, substream
 
 
 class TestSubstream:
@@ -53,24 +53,26 @@ class TestCheckSeed:
 
 
 class TestChunkSizes:
+    """Every batch is cut into chunks of ``DEFAULT_CHUNK_SIZE`` and a remainder."""
+
     def test_exact_multiple(self):
-        assert chunk_sizes(200, 100) == [100, 100]
+        assert chunk_sizes(2 * DEFAULT_CHUNK_SIZE) == [DEFAULT_CHUNK_SIZE] * 2
 
     def test_remainder_chunk(self):
-        assert chunk_sizes(250, 100) == [100, 100, 50]
+        assert chunk_sizes(2 * DEFAULT_CHUNK_SIZE + 50) == [DEFAULT_CHUNK_SIZE] * 2 + [50]
 
     def test_small_n_single_chunk(self):
-        assert chunk_sizes(7, 100) == [7]
+        assert chunk_sizes(7) == [7]
 
     def test_zero_events(self):
-        assert chunk_sizes(0, 100) == []
+        assert chunk_sizes(0) == []
 
-    def test_partition_is_worker_independent(self):
-        # the partition depends only on (n, chunk_size)
-        assert sum(chunk_sizes(123_456, 4096)) == 123_456
+    def test_fixed_size(self):
+        # 65,536 events per chunk, the size the README and every stream
+        # address (seed, series, chunk) are written against
+        assert DEFAULT_CHUNK_SIZE == 1 << 16
+        assert sum(chunk_sizes(123_456)) == 123_456
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
-            chunk_sizes(-1, 100)
-        with pytest.raises(ValidationError):
-            chunk_sizes(100, 0)
+            chunk_sizes(-1)
