@@ -4,10 +4,10 @@ Each scenario is one ``_SCENARIOS`` entry: a runner that maps a validated
 RunConfig to a JSON-ready payload dict, and a function that derives the
 scenario's CSV tables, {file name: (header, rows)}, from that payload alone.
 ``execute`` wraps the payload in a report envelope carrying the schema
-version, the resolved-config echo and wall-clock metadata. ``write_report``
-writes the envelope as report.json, with the bytes of the stdlib's
-``json.dump(indent=2, sort_keys=True)``, and each table as one CSV file,
-both through ``writers``.
+version, the resolved-config echo and ``meta``: wall clock and environment.
+``write_report`` writes the envelope as report.json, with the bytes of the
+stdlib's ``json.dump(indent=2, sort_keys=True)``, and each table as one CSV
+file, both through ``writers``.
 Reports are deterministic for a fixed (config, seed) apart from ``meta``.
 """
 
@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import time
 import warnings
 from dataclasses import asdict
@@ -70,7 +71,7 @@ from .quantum import (
     spectral_decompose,
     variance,
 )
-from .streams import substream
+from .streams import BIT_GENERATOR, substream
 from .writers import write_csv, write_json
 
 OUT_DIR_ENV = "LGSIM_OUT_DIR"
@@ -556,6 +557,8 @@ def execute(cfg: RunConfig) -> dict:
             "started_at": started,
             "duration_s": time.perf_counter() - t0,
             "lgsim_version": __version__,
+            "env": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+                    "bit_generator": BIT_GENERATOR},
         },
     }
 

@@ -1,7 +1,8 @@
 """Reproducible, splittable random streams for chunked Monte Carlo.
 
-Every stream is a counter-based Philox generator derived from
-``SeedSequence(seed, spawn_key=path)``. A stream's identity depends only
+Every stream is an SFC64 generator seeded from
+``SeedSequence(seed, spawn_key=path)``; the spawn key alone keeps streams
+apart, so no stream needs to skip ahead. A stream's identity depends only
 on the root seed and its integer path - never on the order streams are
 used in or how many draws other streams made - so a run is reproducible
 chunk for chunk whatever order its chunks are run in.
@@ -20,6 +21,10 @@ from .errors import ValidationError
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 MAX_SEED = 2**64 - 1
+# the numpy.random bit generator behind every stream, which reports name in
+# meta.env; a name, not the class, so importing lgsim leaves numpy.random
+# unloaded until the first draw
+BIT_GENERATOR = "SFC64"
 
 
 def check_seed(seed: int) -> int:
@@ -31,9 +36,13 @@ def check_seed(seed: int) -> int:
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator addressed by (seed, path...)."""
+    """Independent ``BIT_GENERATOR`` stream addressed by (seed, path...).
+
+    This is the only place lgsim builds a generator, so every random draw,
+    in the Monte Carlo kernels and in verify alike, comes from one of these.
+    """
     seq = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(getattr(np.random, BIT_GENERATOR)(seq))
 
 
 def chunk_sizes(n: int) -> list[int]:

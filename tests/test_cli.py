@@ -231,6 +231,7 @@ class TestDeterministicReports:
             assert main([path.stem.replace("_", "-"), "--config", str(path),
                          "--out", str(out)]) == 0
             report = json.loads((out / "report.json").read_text())
+            assert set(report["meta"]["env"]) == {"python", "numpy", "bit_generator"}
             payloads.append(json.dumps(report["payload"], sort_keys=True))
         assert payloads[0] == payloads[1]
 

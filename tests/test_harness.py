@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lgsim
 from lgsim import harness, streams
 from lgsim.config import parse_config
 from lgsim.harness import (
@@ -815,6 +817,30 @@ class TestReportEnvelope:
         assert report["scenario"] == "budget"
         assert report["seed"] == 1
         assert "started_at" in report["meta"]
+
+    def test_meta_env(self):
+        env = execute(budget_cfg())["meta"]["env"]
+        assert env == {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "bit_generator": "SFC64",
+        }
+        assert env["bit_generator"] == streams.BIT_GENERATOR
+
+    def test_env_stays_out_of_payload(self, monkeypatch):
+        cfg = lg_cfg(n_strong=2_000, n_weak=2_000)
+        a = execute(cfg)
+        monkeypatch.setattr(harness.np, "__version__", "0.0.0")
+        b = execute(cfg)
+        assert b["meta"]["env"]["numpy"] == "0.0.0" != a["meta"]["env"]["numpy"]
+        assert payload_json(a) == payload_json(b)
+        assert "SFC64" not in payload_json(a)
+
+    def test_version_matches_pyproject(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        version = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+        assert version == lgsim.__version__ == execute(budget_cfg())["meta"]["lgsim_version"]
 
     def test_config_echo_reparses_equal(self):
         cfg = lg_cfg(n_strong=2_000, n_weak=2_000)

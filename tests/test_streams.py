@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lgsim.errors import ValidationError
-from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, check_seed, substream
+from lgsim.streams import BIT_GENERATOR, DEFAULT_CHUNK_SIZE, chunk_sizes, check_seed, substream
 
 
 class TestSubstream:
@@ -32,6 +32,24 @@ class TestSubstream:
         _ = substream(9, 6).normal(size=12345)
         b = substream(9, 5)
         np.testing.assert_array_equal(a.uniform(size=50), b.uniform(size=50))
+
+
+class TestStreamPin:
+    """Every stream is SFC64, pinned by the first raw words of two addresses,
+    so a change of generator or of its seeding fails here rather than
+    silently changing every stochastic payload."""
+
+    def test_bit_generator_is_sfc64(self):
+        assert getattr(np.random, BIT_GENERATOR) is np.random.SFC64
+        for path in ((0,), (5, 0, 0), (11, 107, 3)):
+            assert type(substream(*path).bit_generator) is np.random.SFC64
+
+    @pytest.mark.parametrize("path, words", [
+        ((0, 0, 0), [6436986145989974540, 15791485155117540672, 10798289216808124728]),
+        ((42, 3, 7), [16052872178147697903, 13096533914751326895, 8806184087595207997]),
+    ], ids=["0-0-0", "42-3-7"])
+    def test_first_raw_words(self, path, words):
+        assert substream(*path).bit_generator.random_raw(3).tolist() == words
 
 
 class TestCheckSeed:
