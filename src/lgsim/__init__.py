@@ -15,7 +15,6 @@ from .budget import (
 )
 from .errors import (
     DimensionMismatchError,
-    PerturbationAccuracyWarning,
     PureStateRequiredError,
     ValidationError,
     WeakRegimeWarning,

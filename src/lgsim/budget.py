@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .invasiveness import wasted_resource
+from .measurement import PointerModel
 
 
 def _check_mk(ensemble_size: int, k: int, delta_p: float) -> None:
@@ -36,8 +37,7 @@ def _check_mk(ensemble_size: int, k: int, delta_p: float) -> None:
         raise ValidationError(
             f"ensemble size {ensemble_size} cannot cover 2k = {2 * k} measurements"
         )
-    if not (delta_p > 0):
-        raise ValidationError(f"delta_p must be positive, got {delta_p!r}")
+    PointerModel(width=delta_p)  # the pointer's own width rules
 
 
 @dataclass(frozen=True)

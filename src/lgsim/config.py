@@ -10,8 +10,8 @@ The section dataclasses below are the schema. Each field's type, default
 and range live on the field and nowhere else: a field without a default
 is required, ``X | None`` accepts ``null`` (a section may be left out but
 not given as ``null``), and ``field(metadata=...)`` holds the range checks
-``min``, ``positive`` and ``choices`` (applied to each entry of a list
-field). Every number must be finite. ``_parse_section`` walks these
+``min``, ``max``, ``positive`` and ``choices`` (applied to each entry of a
+list field). Every number must be finite. ``_parse_section`` walks these
 fields and checks a matrix's length against its section's ``dim``; the
 other rules that tie fields or sections together are plain code in
 ``parse_config``.
@@ -29,7 +29,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ValidationError
-from .measurement import MODE_STRONG, MODE_WEAK
+from .measurement import MODE_STRONG, MODE_WEAK, WIDTH_RANGE
 from .streams import MAX_SEED
 
 SCHEMA_VERSION = "1"
@@ -70,6 +70,10 @@ def _field(default=MISSING, **checks):
     return field(default=default, metadata=checks)
 
 
+# the range checks of every pointer width, PointerModel's rules with the key path
+_WIDTH = {"positive": True, "min": WIDTH_RANGE[0], "max": WIDTH_RANGE[1]}
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     dim: int = _field(min=1)
@@ -80,7 +84,7 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class PointerConfig:
-    width: float = _field(positive=True)
+    width: float = _field(**_WIDTH)
     # runs always use the exact weak channel; the key stays accepted, with
     # that one value, because existing configs set it
     truncation: str = _field("exact", choices=("exact",))
@@ -107,7 +111,7 @@ class BudgetConfig:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    widths: tuple[float, ...] = _field((10.0, 20.0, 40.0, 80.0), positive=True)
+    widths: tuple[float, ...] = _field((10.0, 20.0, 40.0, 80.0), **_WIDTH)
     n_samples: int = _field(200_000, min=100)
     n_random: int = _field(100, min=1)
     corrupt_state: bool = False
@@ -115,7 +119,7 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    delta_p: tuple[float, ...] = _field((), positive=True)
+    delta_p: tuple[float, ...] = _field((), **_WIDTH)
     n: tuple[int, ...] = _field((), min=2)
     tau: tuple[float, ...] = _field((), positive=True)
     mode: str = _field(MODE_STRONG, choices=SWEEP_MODES)
@@ -229,6 +233,8 @@ def _in_range(value, path: str, checks):
         _fail(path, f"must be positive, got {value}")
     if "min" in checks and value < checks["min"]:
         _fail(path, f"must be >= {checks['min']}, got {value}")
+    if "max" in checks and value > checks["max"]:
+        _fail(path, f"must be <= {checks['max']}, got {value}")
     return value
 
 

@@ -17,10 +17,6 @@ class WeakRegimeWarning(UserWarning):
     """Pointer width is small against the spectral diameter; weak-limit formulas degrade."""
 
 
-class PerturbationAccuracyWarning(UserWarning):
-    """Second-order truncation was used where the expansion parameter exceeds 0.1."""
-
-
 def require_same_dim(*dims: int) -> int:
     first = dims[0]
     for d in dims[1:]:

@@ -41,6 +41,7 @@ from .measurement import (
     WEAK_REGIME_FACTOR,
     PointerModel,
     _eigenbasis_map,
+    _warn_if_not_weak,
     _weak_damping,
     sample_strong_readings,
     sample_weak_readings,
@@ -51,7 +52,6 @@ from .protocol import (
     CorrelatorEstimate,
     DynamicsSpec,
     SeriesPlan,
-    _check_run_args,
     _check_times,
     _chunk_moments,
     _estimate,
@@ -312,7 +312,7 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
     judged builds no channel and raises no warning."""
     diam = obs.spectral_diameter
     if diam == 0:
-        return [_check(name, 0.0, 0.0, f"observable has a single eigenspace; {why}") for name, why in (
+        return [_unjudged(name, f"observable has a single eigenspace; {why}") for name, why in (
             ("weak_expansion_convergence", "both channels are the identity"),
             ("weak_invasiveness_expansion", "nothing is disturbed"),
             ("invasiveness_ratio_two", "ratio law is vacuous"),
@@ -464,12 +464,15 @@ def _verify_tables(payload: dict) -> dict:
 
 def run_sweep(cfg: RunConfig) -> dict:
     """Each grid point is the correlator ``estimate_correlator`` would give it,
-    drawn from streams (seed, point_index, chunk), with the same checks and
-    warnings; only work that repeats across points is shared.
+    drawn from streams (seed, point_index, chunk); only work that repeats
+    across points is shared.
 
     A kernel depends on the two times, the mode and, in weak mode only, the
     pointer, so the sweep builds one per distinct (t_first, t_second, pointer),
     with pointer None in strong mode, where the width does not enter. The
+    times and the pointer are judged once, when their kernel is built, so a
+    narrow pointer warns once per kernel, not once per n; ``parse_config``
+    already holds the mode, the weak pointer and n to their ranges. The
     weak-channel invasiveness depends on the width alone, so it is computed
     once per delta_p and repeated at each (n, tau) point. Nothing is kept
     beyond the call."""
@@ -509,10 +512,11 @@ def run_sweep(cfg: RunConfig) -> dict:
                     n_events = n if n is not None else SWEEP_N_EVENTS
                     width = d if d is not None else (cfg.pointer.width if cfg.pointer else None)
                     pointer = PointerModel(width=width) if sw.mode == "weak" else None
-                    _check_times(t_first, t_second)
-                    _check_run_args(sw.mode, pointer, obs, n_events, stacklevel=2)
                     key = (t_first, t_second, pointer)
                     if key not in kernels:
+                        _check_times(t_first, t_second)
+                        if pointer is not None:
+                            _warn_if_not_weak(pointer, obs, stacklevel=2)
                         kernels[key] = _SeriesKernel(dyn, t_first, t_second, sw.mode, pointer)
                     est = _estimate(kernels[key], n_events, cfg.seed, point_index, (1, 2))
                     rows.append({**coords, "metric": "corr_value", "value": est.value})

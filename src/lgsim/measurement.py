@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    PerturbationAccuracyWarning,
-    ValidationError,
-    WeakRegimeWarning,
-    require_same_dim,
-)
+from .errors import ValidationError, WeakRegimeWarning, require_same_dim
 from .quantum import DensityMatrix, Observable, born_weights
 
 MODE_STRONG = "strong"
@@ -35,8 +30,9 @@ MODE_WEAK = "weak"
 
 # width below this multiple of the spectral diameter draws a weak-regime warning
 WEAK_REGIME_FACTOR = 5.0
-# expansion parameter (a_i-a_j)^2/(4 width^2) above this draws an accuracy warning
-PERTURBATION_LIMIT = 0.1
+# the widths a pointer may have: width^2 and a reading's square stay finite
+# and nonzero in float64 for observables of unit scale
+WIDTH_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -52,6 +48,9 @@ class PointerModel:
     def __post_init__(self):
         if not (self.width > 0):
             raise ValidationError(f"pointer width must be positive, got {self.width!r}")
+        lo, hi = WIDTH_RANGE
+        if not lo <= self.width <= hi:
+            raise ValidationError(f"pointer width must lie in [{lo:g}, {hi:g}], got {self.width!r}")
 
     @property
     def position_variance(self) -> float:
@@ -118,19 +117,12 @@ def weak_channel_perturbative(
     Returns the Hermitian output matrix, not a ``DensityMatrix``: with three
     or more outcomes the weights 1 - x_ij are not a positive map, so the
     output can have a slightly negative eigenvalue even in the weak regime.
-    Warns (without refusing) when the largest expansion parameter exceeds 0.1.
+    Warns, as the exact channel does, only below the weak regime, where the
+    largest expansion parameter (a_i - a_j)^2 / (4 width^2) exceeds 0.01.
     """
     require_same_dim(rho.dim, obs.dim)
     _warn_if_not_weak(pm, obs)
-    x = _pair_gaps_squared(obs) / (4.0 * pm.width**2)
-    if x.max() > PERTURBATION_LIMIT:
-        warnings.warn(
-            f"expansion parameter {x.max():.3g} exceeds {PERTURBATION_LIMIT}; "
-            "second-order truncation is inaccurate",
-            PerturbationAccuracyWarning,
-            stacklevel=2,
-        )
-    return _eigenbasis_map(rho.matrix, obs, 1.0 - x)
+    return _eigenbasis_map(rho.matrix, obs, 1.0 - _pair_gaps_squared(obs) / (4.0 * pm.width**2))
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -270,15 +270,14 @@ def _check_times(t_first: float, t_second: float) -> None:
         raise ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
 
 
-def _check_run_args(first_mode, pointer, obs, n, stacklevel: int = 3) -> None:
-    """Argument checks shared by the runners. Warnings name the frame
-    ``stacklevel`` above this one, by default the caller of the runner."""
+def _check_run_args(first_mode, pointer, obs, n) -> None:
+    """Argument checks shared by the runners. Warnings name the runner's caller."""
     if first_mode not in (MODE_STRONG, MODE_WEAK):
         raise ValidationError(f"first_mode must be 'strong' or 'weak', got {first_mode!r}")
     if first_mode == MODE_WEAK:
         if pointer is None:
             raise ValidationError("weak first measurements need a pointer model")
-        _warn_if_not_weak(pointer, obs, stacklevel=stacklevel + 1)
+        _warn_if_not_weak(pointer, obs, stacklevel=4)
     if n < 2:
         raise ValidationError(f"n_per_series must be >= 2, got {n}")
 

@@ -175,7 +175,7 @@ class TestWastageReport:
         assert rep.ensemble_ratio_strong_over_weak > 1.0
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValidationError, match="delta_p"):
+        with pytest.raises(ValidationError, match="pointer width"):
             BudgetInput(M, K, 0.0, VAR)
         with pytest.raises(ValidationError, match="2k"):
             BudgetInput(6, 4, DP, VAR)
@@ -189,7 +189,7 @@ class TestWastageReport:
         [
             (M, 2, DP, "k must be >= 3, got 2"),
             (6, 4, DP, "ensemble size 6 cannot cover 2k = 8 measurements"),
-            (M, K, 0.0, "delta_p must be positive, got 0.0"),
+            (M, K, 0.0, "pointer width must be positive, got 0.0"),
         ],
         ids=["k", "ensemble", "delta_p"],
     )
@@ -198,6 +198,15 @@ class TestWastageReport:
             with pytest.raises(ValidationError) as exc:
                 call()
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dp", [0.0, -1.0, math.nan, 1e-170, 1e153, 1e200, math.inf])
+    def test_width_rules_are_the_pointer_models(self, dp):
+        with pytest.raises(ValidationError) as pointer:
+            PointerModel(width=dp)
+        for call in (lambda: BudgetInput(M, K, dp, VAR), lambda: target_error(M, K, dp)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == str(pointer.value)
 
 
 class TestMonteCarloValidation:

@@ -35,6 +35,28 @@ VERIFY_FAST = {
     "verify": {"n_samples": 20_000, "n_random": 15},
 }
 
+SWEEP_WEAK = {
+    "scenario": "sweep",
+    "seed": 5,
+    "system": LG_RUN["system"],
+    "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
+    "sweep": {"delta_p": [10.0], "n": [1000], "mode": "weak"},
+}
+
+
+def with_width(subcommand, width):
+    """A fast config of ``subcommand`` with one pointer width set to ``width``,
+    and the key path of that width."""
+    if subcommand == "verify":
+        return (dict(VERIFY_FAST, verify=dict(VERIFY_FAST["verify"], widths=[width, 10.0])),
+                "config.verify.widths[0]")
+    if subcommand == "sweep":
+        return (dict(SWEEP_WEAK, sweep=dict(SWEEP_WEAK["sweep"], delta_p=[width])),
+                "config.sweep.delta_p[0]")
+    base = BUDGET if subcommand == "budget" else LG_RUN
+    return dict(base, pointer={"width": width}), "config.pointer.width"
+
+
 STOCK_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
@@ -184,6 +206,30 @@ class TestExitCodes:
                      "--seed", "-4", "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == "error: config.seed: must be >= 0, got -4\n"
+
+
+class TestWidthRange:
+    SUBCOMMANDS = ["budget", "lg-run", "sweep", "verify"]
+
+    @pytest.mark.filterwarnings("ignore::lgsim.WeakRegimeWarning")
+    @pytest.mark.parametrize("width", [1e-100, 1e100])
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_range_ends_give_finite_reports(self, tmp_path, subcommand, width):
+        cfg, _ = with_width(subcommand, width)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
+    @pytest.mark.parametrize("width", [1e-170, 1e153, 1e200])
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_widths_outside_the_range_are_one(self, tmp_path, capsys, subcommand, width):
+        cfg, path = with_width(subcommand, width)
+        code = main([subcommand, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        bound = ">= 1e-100" if width < 1 else "<= 1e+100"
+        assert capsys.readouterr().err == f"error: {path}: must be {bound}, got {width}\n"
 
 
 class TestOverrides:

@@ -234,6 +234,8 @@ MESSAGES = [
     (LG, "pointer.width", False, "config.pointer.width: must be a number, got False"),
     (LG, "pointer.width", 0, "config.pointer.width: must be positive, got 0"),
     (LG, "pointer.width", -1.5, "config.pointer.width: must be positive, got -1.5"),
+    (LG, "pointer.width", 1e-170, "config.pointer.width: must be >= 1e-100, got 1e-170"),
+    (LG, "pointer.width", 1e153, "config.pointer.width: must be <= 1e+100, got 1e+153"),
     (LG, "pointer.truncation", "third",
      "config.pointer.truncation: must be one of ['exact'], got 'third'"),
     (LG, "pointer.truncation", None,
@@ -263,6 +265,8 @@ MESSAGES = [
     # verify
     (VERIFY, "verify.widths", 5, "config.verify.widths: must be a list of numbers, got 5"),
     (VERIFY, "verify.widths", [-1], "config.verify.widths[0]: must be positive, got -1"),
+    (VERIFY, "verify.widths", [10.0, 1e200],
+     "config.verify.widths[1]: must be <= 1e+100, got 1e+200"),
     (VERIFY, "verify.widths", [10.0],
      "config.verify.widths: must hold at least two distinct widths, got [10.0]"),
     (VERIFY, "verify.widths", [10.0, 10.0],
@@ -276,6 +280,8 @@ MESSAGES = [
     # sweep
     (SWEEP, "sweep.delta_p", 10, "config.sweep.delta_p: must be a list of numbers, got 10"),
     (SWEEP, "sweep.delta_p", [0], "config.sweep.delta_p[0]: must be positive, got 0"),
+    (SWEEP, "sweep.delta_p", [10.0, 1e-101],
+     "config.sweep.delta_p[1]: must be >= 1e-100, got 1e-101"),
     (SWEEP, "sweep.n", 5, "config.sweep.n: must be a list of integers, got 5"),
     (SWEEP, "sweep.n", None, "config.sweep.n: must be a list of integers, got None"),
     (SWEEP, "sweep.n", [100, 1], "config.sweep.n[1]: must be >= 2, got 1"),

@@ -380,6 +380,24 @@ class TestRunVerify:
         assert by_name["weak_expansion_convergence"]["status"] == "pass"
         assert payload["passed"] and payload["n_out_of_regime"] == 1
 
+    @pytest.mark.parametrize("system", [
+        {"dim": 1, "hamiltonian": [[0.5, 0]], "observable": [[1, 0]], "initial_state": [[1, 0]]},
+        {"dim": 2, "hamiltonian": SX, "observable": [[2, 0], [0, 0], [0, 0], [2, 0]],
+         "initial_state": PLUS},
+    ], ids=["dim1", "qubit-2I"])
+    def test_single_eigenspace_leaves_width_laws_unjudged(self, system):
+        # with one eigenspace every weak channel is the identity, so the three
+        # width laws hold at margin 0 whatever the code does
+        cfg = parse_config({"scenario": "verify", "seed": 3, "system": system,
+                            "verify": {"n_samples": 20_000, "n_random": 5}})
+        payload = run_verify(cfg)
+        by_name = {c["name"]: c for c in payload["checks"]}
+        for name in ("weak_expansion_convergence", "weak_invasiveness_expansion",
+                     "invasiveness_ratio_two"):
+            assert by_name[name]["status"] == "out_of_regime"
+            assert by_name[name]["detail"].startswith("observable has a single eigenspace")
+        assert payload["passed"] and payload["n_out_of_regime"] == 3
+
     def test_corrupt_state_injection_fails_positivity(self):
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"corrupt_state": True, "n_samples": 20_000,
@@ -806,6 +824,22 @@ class TestRunSweep:
         hits = [w for w in record if w.category is WeakRegimeWarning]
         assert len(hits) == 2
         for w in hits:
+            assert w.filename == harness.__file__
+            assert start <= w.lineno < start + len(lines)
+
+
+    def test_weak_sweep_judges_each_pointer_once(self):
+        # delta_p 1 is below the weak regime: one warning from its weak channel
+        # and one per kernel it builds (two gaps), not one per (n, tau) point
+        cfg = sweep_cfg("stock")
+        cfg["sweep"] = {"delta_p": [1.0, 10.0], "tau": [0.3, 0.6],
+                        "n": [1000, 10000, 100000], "mode": "weak"}
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run_sweep(parse_config(cfg))
+        lines, start = inspect.getsourcelines(run_sweep)
+        assert [w.category for w in record] == [WeakRegimeWarning] * 3
+        for w in record:
             assert w.filename == harness.__file__
             assert start <= w.lineno < start + len(lines)
 

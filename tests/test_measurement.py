@@ -20,7 +20,6 @@ from lgsim import (
 )
 from lgsim.errors import (
     DimensionMismatchError,
-    PerturbationAccuracyWarning,
     ValidationError,
     WeakRegimeWarning,
 )
@@ -223,11 +222,13 @@ class TestWeakChannelPerturbative:
         slope = np.polyfit(np.log(widths), np.log(gaps), 1)[0]
         assert slope == pytest.approx(-4.0, abs=0.1)
 
-    def test_warns_when_expansion_parameter_large(self, qubit_z):
-        # x = 4 / (4 * 2.5^2) = 0.16 > 0.1 but width still sane enough to run
-        with pytest.warns(PerturbationAccuracyWarning):
-            with pytest.warns(WeakRegimeWarning):
-                weak_channel_perturbative(plus_state(), qubit_z, pm_pert(2.5))
+    def test_below_weak_regime_warns_once(self, qubit_z):
+        # x = 4 / (4 * 2.5^2) = 0.16: the width is below 5 x diameter 2, and
+        # the weak-regime warning is the only one
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            weak_channel_perturbative(plus_state(), qubit_z, pm_pert(2.5))
+        assert [w.category for w in record] == [WeakRegimeWarning]
 
 
 class TestWeakRegimeGuardrail:
@@ -267,6 +268,11 @@ class TestPointerModelValidation:
     def test_width_must_be_positive(self):
         with pytest.raises(ValidationError):
             PointerModel(width=0.0)
+
+    @pytest.mark.parametrize("width", [1e-170, 1e-101, 1.01e100, 1e153, 1e200, np.inf])
+    def test_width_outside_the_range_is_rejected(self, width):
+        with pytest.raises(ValidationError, match=r"must lie in \[1e-100, 1e\+100\]"):
+            PointerModel(width=width)
 
     def test_takes_no_truncation(self):
         # the exact channel is the only run path; the second-order one is a check
