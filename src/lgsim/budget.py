@@ -100,6 +100,8 @@ def strong_subensemble(var_a: float, eps: float) -> int:
     if not (eps > 0):
         raise ValidationError(f"eps must be positive, got {eps!r}")
     x = var_a / eps**2
+    if not math.isfinite(x):
+        raise ValidationError(f"var_a / eps^2 overflows: var_a {var_a!r}, eps {eps!r}")
     return round(x) if abs(x - round(x)) <= 4 * math.ulp(x) else math.ceil(x)
 
 

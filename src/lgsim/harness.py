@@ -40,11 +40,11 @@ from .invasiveness import measure_invasiveness, predicted_weak
 from .measurement import (
     WEAK_REGIME_FACTOR,
     PointerModel,
+    _add_pointer_noise,
     _eigenbasis_map,
     _warn_if_not_weak,
     _weak_damping,
     sample_strong_readings,
-    sample_weak_readings,
     weak_channel_exact,
     weak_channel_perturbative,
 )
@@ -252,9 +252,10 @@ def _verify_pointer(obs) -> PointerModel:
 def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     """Worst deviation of n weak and n strong readings from their exact law, in
     tolerances (1.0 = tolerance). ``_chunk_moments`` runs the chunks on stream
-    ``stream``; each draws weak, then strong readings and keeps only the weak
-    readings' moments and the strong outcome counts. The weak mean gets 5
-    standard errors. As
+    ``stream``; each draws m strong readings, keeps their outcome counts, and
+    turns them in place into weak readings by ``_add_pointer_noise``, as
+    ``_weak_readings`` does for every weak correlator, keeping only their
+    moments. The weak mean gets 5 standard errors. As
     s^2 - var = (n (S - var) + var - n (m - mean)^2) / (n-1), S the mean squared
     deviation from the true mean, the weak variance gets 5 standard errors of S
     (from the exact fourth central moment) plus a 5-sigma m, and at least 2%.
@@ -262,7 +263,8 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     L = ln(2d / 1.7e-6), and P(n KL > L) <= 2 e^-L for any n and p (Chernoff).
     So correct code fails at most 1.7e-6 of the time on the strong counts, rare
     outcomes included, plus 1.7e-6 on the weak terms while S and m are near
-    normal (pointer variance >= 50 against a spectral diameter <= width/5)."""
+    normal (pointer variance >= 50 against a spectral diameter <= width/5). The
+    sum is a union bound, so it holds though both come from the same draw."""
     pm = _verify_pointer(obs)
     p = born_weights(rho, obs)
     mean_a = expectation(rho, obs)
@@ -276,10 +278,9 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     counts = []
 
     def draw(rng, m):
-        weak = sample_weak_readings(rho, obs, pm, m, rng)
-        strong = sample_strong_readings(rho, obs, m, rng)
-        counts.append([np.count_nonzero(strong == a) for a in obs.eigenvalues])
-        return _moments(weak)
+        readings = sample_strong_readings(rho, obs, m, rng)
+        counts.append([np.count_nonzero(readings == a) for a in obs.eigenvalues])
+        return _moments(_add_pointer_noise(readings, pm, rng))
     total, sq_dev = _chunk_moments(n, seed, stream, draw)
     q = np.sum(counts, axis=0) / n
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0; a count where p_i = 0 scores inf

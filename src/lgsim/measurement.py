@@ -147,12 +147,18 @@ def sample_strong_readings(
     return obs.eigenvalues[_inverse_cdf(cum, rng.random(n))]
 
 
-def _weak_readings(rho, obs, pm, n, rng) -> np.ndarray:
-    """``sample_weak_readings`` without its warning: the strong readings from
-    ``rng``, then pointer noise from it. Weak correlators draw from it too."""
-    readings = sample_strong_readings(rho, obs, n, rng)
-    readings += np.sqrt(pm.position_variance) * rng.standard_normal(n)
+def _add_pointer_noise(readings: np.ndarray, pm: PointerModel, rng) -> np.ndarray:
+    """Turn strong readings into weak ones in place: add the pointer's Gaussian
+    noise, one normal from ``rng`` per reading."""
+    readings += np.sqrt(pm.position_variance) * rng.standard_normal(readings.size)
     return readings
+
+
+def _weak_readings(rho, obs, pm, n, rng) -> np.ndarray:
+    """``sample_weak_readings`` without its warning: n strong readings from
+    ``rng``, then their pointer noise from it. Weak correlators draw from it,
+    and verify runs the same two steps."""
+    return _add_pointer_noise(sample_strong_readings(rho, obs, n, rng), pm, rng)
 
 
 def sample_weak_readings(

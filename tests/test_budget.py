@@ -84,6 +84,13 @@ class TestSubensembleSizes:
         assert strong_subensemble(2.5, 1.0) == 3
         assert strong_subensemble(1e12 + 0.5, 1.0) == 10**12 + 1
 
+    def test_overflowing_count_is_rejected(self):
+        # Var/eps^2 = 1e300 / (1e-100)^2 is inf in float64, and round(inf) raises
+        with pytest.raises(ValidationError, match=r"var_a 1e\+300, eps 1e-100"):
+            strong_subensemble(1e300, 1e-100)
+        with pytest.raises(ValidationError, match="var_a / eps"):
+            wastage_report(BudgetInput(1000, 3, 1e-100, 1e300))
+
     def test_total_independent_of_k(self):
         assert total_strong_ensemble(M, 4, DP, VAR) == total_strong_ensemble(M, 8, DP, VAR)
 

@@ -293,6 +293,18 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert "report.json" in proc.stdout
 
+    def test_overflowing_budget_is_one_without_traceback(self, tmp_path):
+        # Var/eps^2 overflows float64 at the narrowest width the range allows
+        bad = dict(BUDGET, pointer={"width": 1e-100}, budget=dict(BUDGET["budget"], var_a=1e300))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lgsim", "budget", "--config", write_cfg(tmp_path, bad),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: var_a / eps^2 overflows: var_a 1e+300, eps ")
+        assert "Traceback" not in proc.stderr
+
     def test_help_lists_subcommands(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lgsim", "--help"],

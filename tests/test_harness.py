@@ -36,6 +36,7 @@ from lgsim.measurement import (
     PointerModel,
     _eigenbasis_map,
     _weak_damping,
+    _weak_readings,
     strong_channel,
     weak_channel_exact,
 )
@@ -545,8 +546,8 @@ BROKEN = {
     "measure_invasiveness": (
         "measure_invasiveness", "invasiveness_ratio_two",
         lambda f, *a: dataclasses.replace(f(*a), i1=1.02 * f(*a).i1)),
-    "sample_weak_readings": (
-        "sample_weak_readings", "pointer_sampler_statistics", lambda f, *a: 1.1 * f(*a)),
+    "_add_pointer_noise": (
+        "_add_pointer_noise", "pointer_sampler_statistics", lambda f, *a: 1.1 * f(*a)),
     "sample_strong_readings": (
         "sample_strong_readings", "pointer_sampler_statistics", _biased_strong),
     # off-diagonal weights doubled: the trace is kept, positivity is not
@@ -597,13 +598,18 @@ class TestVerifyChecksCanFail:
         with pytest.raises(AssertionError):
             test(None, rng)  # the unit tests keep no instance state
 
-    @pytest.mark.parametrize("function", ["sample_strong_readings", "sample_weak_readings"])
+    @pytest.mark.parametrize("function", ["sample_strong_readings", "_add_pointer_noise"])
     def test_sampler_defect_fails_across_chunks(self, monkeypatch, function):
         # the defect is applied chunk by chunk, a full chunk and a ragged one
         _, check, wrap = BROKEN[function]
         original, sizes = getattr(harness, function), []
-        monkeypatch.setattr(harness, function,
-                            lambda *a: sizes.append(a[-2]) or wrap(original, *a))
+
+        def broken(*a):
+            readings = wrap(original, *a)
+            sizes.append(readings.size)
+            return readings
+
+        monkeypatch.setattr(harness, function, broken)
         n = DEFAULT_CHUNK_SIZE + 1_000
         payload = run_verify(parse_config({**VERIFY_SMALL, "verify": {"n_samples": n, "n_random": 20}}))
         assert sizes == [DEFAULT_CHUNK_SIZE, 1_000]
@@ -666,18 +672,60 @@ class TestSamplerStatistics:
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
     def test_chunked_sums_match_whole_arrays(self, monkeypatch, probe):
-        # chunk c draws its weak, then its strong readings from (seed, 107, c);
-        # 7_000 leaves a ragged last chunk of 6_000, and the merged chunk
-        # moments match numpy's over the whole arrays
+        # chunk c draws its strong readings from (seed, 107, c), counts them
+        # and adds their pointer noise; 7_000 leaves a ragged last chunk of
+        # 6_000, and the merged chunk moments match numpy's over the whole arrays
         obs, rho = self.PROBES[probe]
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 7_000)
         pm, wr, sr = harness._verify_pointer(obs), [], []
         for c, m in enumerate([7_000, 7_000, 6_000]):
             rng = substream(12, 107, c)
-            wr.append(harness.sample_weak_readings(rho, obs, pm, m, rng))
-            sr.append(harness.sample_strong_readings(rho, obs, m, rng))
+            readings = harness.sample_strong_readings(rho, obs, m, rng)
+            sr.append(readings.copy())
+            wr.append(harness._add_pointer_noise(readings, pm, rng))
         want = _whole_array_deviation(rho, obs, np.concatenate(wr), np.concatenate(sr))
         assert _sampler_deviation(rho, obs, 20_000, 12, 107) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_counts_and_weak_moments_share_one_draw(self, monkeypatch, probe):
+        # with the pointer noise taken out, each weak reading is the strong
+        # reading counted for it, so the weak sum is sum_i K_i a_i exactly
+        # (the spectra are integers); fresh readings for the counts would miss
+        obs, rho = self.PROBES[probe]
+        count_nonzero, chunk_moments, counted, merged = (
+            np.count_nonzero, harness._chunk_moments, [], [])
+
+        def spy_count(x):
+            counted.append(count_nonzero(x))
+            return counted[-1]
+
+        def spy_moments(*a):
+            merged.append(chunk_moments(*a))
+            return merged[-1]
+
+        monkeypatch.setattr(harness, "_add_pointer_noise", lambda readings, pm, rng: readings)
+        monkeypatch.setattr(np, "count_nonzero", spy_count)
+        monkeypatch.setattr(harness, "_chunk_moments", spy_moments)
+        n = DEFAULT_CHUNK_SIZE + 1_000
+        _sampler_deviation(rho, obs, n, 5, 107)
+        # one count per outcome in each of the two chunks
+        counts = np.reshape(counted, (2, obs.n_outcomes)).sum(axis=0)
+        assert counts.sum() == n
+        assert merged[0][0] == float(counts @ obs.eigenvalues)
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_judges_the_weak_correlators_draw(self, monkeypatch, probe):
+        # chunk c's weak readings are _weak_readings' from (seed, 107, c),
+        # draw for draw
+        obs, rho = self.PROBES[probe]
+        moments, judged = harness._moments, []
+        monkeypatch.setattr(harness, "_moments", lambda x: judged.append(x.copy()) or moments(x))
+        _sampler_deviation(rho, obs, DEFAULT_CHUNK_SIZE + 1_000, 9, 107)
+        pm = harness._verify_pointer(obs)
+        assert [r.size for r in judged] == [DEFAULT_CHUNK_SIZE, 1_000]
+        for c, readings in enumerate(judged):
+            want = _weak_readings(rho, obs, pm, readings.size, substream(9, 107, c))
+            assert np.array_equal(readings, want)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_offset_spectrum_keeps_precision(self, seed):

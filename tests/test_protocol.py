@@ -35,7 +35,7 @@ from lgsim import (
     weak_channel_exact,
 )
 from lgsim.errors import ValidationError, WeakRegimeWarning
-from lgsim import measurement, protocol, streams
+from lgsim import harness, measurement, protocol, streams
 from lgsim.config import parse_config
 from lgsim.harness import run_verify
 from lgsim.protocol import _SeriesKernel
@@ -561,9 +561,10 @@ class TestWeakEstimatesMatchExactMoments:
 
 class TestKernelMatchesBatchSamplers:
     """A weak kernel draws its first readings with ``measurement._weak_readings``,
-    the function ``sample_weak_readings`` wraps, so verify's
-    ``pointer_sampler_statistics`` and acceptance criterion 4 judge the readings
-    every weak correlator uses. With no evolution between the two
+    the function ``sample_weak_readings`` wraps: strong readings, then
+    ``_add_pointer_noise``. Verify's ``pointer_sampler_statistics`` runs the
+    same two steps and acceptance criterion 4 calls the wrapper, so both judge
+    the readings every weak correlator uses. With no evolution between the two
     measurements, the kernel's events are the batch sampler's readings, draw
     for draw."""
 
@@ -581,17 +582,17 @@ class TestKernelMatchesBatchSamplers:
         assert sq_dev == np.square(readings - total / readings.size).sum()
 
     def test_defect_in_shared_draw_reaches_verify_and_kernel(self, monkeypatch, bench):
-        # pointer noise scaled by 1.1, injected into the one first-reading
-        # draw as each of its two callers looks it up
+        # pointer noise scaled by 1.1, injected into the one noise step as
+        # each of its two callers, the weak draw and verify, looks it up
         kernel = _SeriesKernel(bench, 0.0, 1.0, "weak", PointerModel(width=10.0))
         want = kernel.run_chunk(substream(6, 0, 0), 5_000)
-        original = measurement._weak_readings
+        original = measurement._add_pointer_noise
 
-        def noisier(rho, obs, pm, n, rng):
-            return original(rho, obs, PointerModel(width=1.1 * pm.width), n, rng)
+        def noisier(readings, pm, rng):
+            return original(readings, PointerModel(width=1.1 * pm.width), rng)
 
-        for module in (measurement, protocol):
-            monkeypatch.setattr(module, "_weak_readings", noisier)
+        for module in (measurement, harness):
+            monkeypatch.setattr(module, "_add_pointer_noise", noisier)
         assert kernel.run_chunk(substream(6, 0, 0), 5_000) != want
         payload = run_verify(parse_config(
             {"scenario": "verify", "seed": 3, "verify": {"n_samples": 20_000, "n_random": 20}}))
