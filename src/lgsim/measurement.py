@@ -125,26 +125,21 @@ def weak_channel_perturbative(
     return _eigenbasis_map(rho.matrix, obs, 1.0 - _pair_gaps_squared(obs) / (4.0 * pm.width**2))
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome index of each draw in ``u`` against cumulative weights ``cum``.
-
-    ``cum`` runs over outcomes on axis 0, shape (d, 1) for one table shared
-    by every draw or (d, m) for one column per draw. The index is the count
-    of cumulative weights, the last one excluded, at or below u, so a u
-    above a total that round-off left short of 1 lands on the last outcome.
-    """
-    return (cum[:-1] <= u).sum(axis=0)
-
-
 def sample_strong_readings(
     rho: DensityMatrix, obs: Observable, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized batch of n projective readings (no conditional states)."""
+    """Vectorized batch of n projective readings (no conditional states).
+
+    The readings come grouped by outcome, in the observable's order: one
+    multinomial draw of the outcome counts, each eigenvalue repeated as often
+    as it was drawn. They are i.i.d. readings up to their order, so every
+    statistic that ignores order has its exact law; callers to whom the order
+    matters should shuffle them (``rng.permutation``).
+    """
     require_same_dim(rho.dim, obs.dim)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    cum = np.cumsum(born_weights(rho, obs))[:, None]
-    return obs.eigenvalues[_inverse_cdf(cum, rng.random(n))]
+    return np.repeat(obs.eigenvalues, rng.multinomial(n, born_weights(rho, obs)))
 
 
 def _add_pointer_noise(readings: np.ndarray, pm: PointerModel, rng) -> np.ndarray:

@@ -22,11 +22,14 @@ and its product a_i a_b depends on nothing else; so a strong chunk is
 one multinomial draw of its m events over the d^2 pairs. A weak reading
 p leaves the second-outcome weights sum_ij phi_i(p) Re G[b, i, j] phi_j(p)
 with real pointer amplitudes phi, so weak events are drawn one by one: a
-chunk draws all its random numbers first, its first readings by the
-sampler behind ``measurement.sample_weak_readings``, and then builds its
-per-event tables one column block of ``_BLOCK`` events at a time. The
-tables are outcome-major, shape (d, block), and the draw compares
-unnormalised cumulative weights against u times their total.
+chunk draws all its random numbers first, and then builds its per-event
+tables one column block of ``_BLOCK`` events at a time. Its first readings
+come from the sampler behind ``measurement.sample_weak_readings``: one
+multinomial count vector of the first outcomes over the Born weights p,
+readings grouped by outcome, then the pointer noise. The tables are
+outcome-major, shape (d, block), and the second draw compares unnormalised
+cumulative weights against u times their total, sum_i p_i phi_i(p)^2, as
+the B_b sum to the identity.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .measurement import (
     MODE_STRONG,
     MODE_WEAK,
     PointerModel,
-    _inverse_cdf,
     _warn_if_not_weak,
     _weak_readings,
 )
@@ -142,6 +144,17 @@ def precession_qubit(omega: float = 1.0) -> DynamicsSpec:
 # series execution
 
 
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index of each draw in ``u`` against cumulative weights ``cum``.
+
+    ``cum`` runs over outcomes on axis 0, shape (d, 1) for one table shared
+    by every draw or (d, m) for one column per draw. The index is the count
+    of cumulative weights, the last one excluded, at or below u, so a u
+    above a total that round-off left short of 1 lands on the last outcome.
+    """
+    return (cum[:-1] <= u).sum(axis=0)
+
+
 class _SeriesKernel:
     """Precomputed per-series tables; maps one rng chunk to outcome products.
 
@@ -177,11 +190,15 @@ class _SeriesKernel:
             # row-major in i, beside the product a_i a_b of each pair
             joint = np.clip(np.einsum("bii->ib", re_g), 0.0, None).ravel()
             self.joint = joint / joint.sum()
-            self.pair_products = np.multiply.outer(self.eigenvalues, self.eigenvalues).ravel()
+            with np.errstate(over="ignore"):  # _estimate refuses what overflows
+                self.pair_products = np.multiply.outer(self.eigenvalues, self.eigenvalues).ravel()
         else:
             assert pointer is not None
             self.rho_first, self.observable, self.pointer = rho_first, obs, pointer
             self.re_g = np.ascontiguousarray(re_g)
+            # the B_b sum to I, so the Re G[b] sum to diag(p) with p the Born
+            # weights at t_first: a reading's total weight is sum_i p_i phi_i^2
+            self.born = re_g.sum(axis=0).diagonal()[:, None].copy()
 
     def _second_cum(self, first: np.ndarray) -> np.ndarray:
         """(d, block) unnormalised cumulative weights of the second outcome
@@ -197,28 +214,32 @@ class _SeriesKernel:
         phi -= phi.max(axis=0)
         np.exp(phi, out=phi)
         # joint weight of reading p and second outcome b:
-        # sum_ij phi_i Re G[b,i,j] phi_j, as d real (d, d) @ (d, block)
-        # products; one (d, block) buffer at a time, never a (block, d^2)
-        # array. Row b is clipped at zero and accumulated onto row b-1 as it
-        # is made, which is the same sum as np.cumsum(axis=0) at a fraction
-        # of its cost.
+        # sum_ij phi_i Re G[b,i,j] phi_j, as real (d, d) @ (d, block)
+        # products for b = 0 ... d-2; one (d, block) buffer at a time, never
+        # a (block, d^2) array. Row b is clipped at zero and accumulated onto
+        # row b-1 as it is made, which is the same sum as np.cumsum(axis=0)
+        # at a fraction of its cost. The last row, the total over every b,
+        # needs no contraction: it is sum_i p_i phi_i^2.
         cum = np.empty_like(phi)
         buf = np.empty_like(phi)
-        for b, g_b in enumerate(self.re_g):
+        for b, g_b in enumerate(self.re_g[:-1]):
             np.matmul(g_b, phi, out=buf)
             buf *= phi
             row = buf.sum(axis=0, out=cum[b])
             np.maximum(row, 0.0, out=row)
             if b:
                 row += cum[b - 1]
+        np.multiply(phi, self.born, out=buf)
+        buf *= phi
+        buf.sum(axis=0, out=cum[-1])
         return cum
 
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[float, float]:
         """Simulate m events; return the ``_moments`` of their products.
 
         A strong chunk is one multinomial draw of the events over the
-        outcome pairs. A weak chunk draws its first readings (uniforms, then
-        pointer noise) and its second uniforms first, and then works through
+        outcome pairs. A weak chunk draws its first readings (outcome counts,
+        then pointer noise) and its second uniforms first, and then works through
         the events in column blocks of ``_BLOCK`` so the per-event tables of
         a block stay in cache; each block's products overwrite its readings.
         """
@@ -284,8 +305,15 @@ def _check_run_args(first_mode, pointer, obs, n) -> None:
 
 def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimate:
     """One series of n events on stream ``stream``. The kernel holds no state
-    between chunks, so one kernel serves any series of its times and mode."""
-    total, sq_dev = _chunk_moments(n, seed, stream, kernel.run_chunk)
+    between chunks, so one kernel serves any series of its times and mode.
+    Sums that overflow float64, as an observable far from unit scale makes
+    them, raise ``ValidationError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, sq_dev = _chunk_moments(n, seed, stream, kernel.run_chunk)
+    if not (math.isfinite(total) and math.isfinite(sq_dev)):
+        raise ValidationError(
+            f"pair {pair}: the correlator's sums overflow float64; the observable's "
+            f"largest |eigenvalue| is {np.abs(kernel.eigenvalues).max():g}")
     return CorrelatorEstimate(pair=pair, value=total / n, n_events=n,
                               std_error=math.sqrt(sq_dev / (n - 1) / n))
 

@@ -232,6 +232,38 @@ class TestWidthRange:
         assert capsys.readouterr().err == f"error: {path}: must be {bound}, got {width}\n"
 
 
+class TestObservableScale:
+    """A = s sigma_z: the products' squares overflow float64 near s = 1e77, and
+    such a run exits 1 with one error line, no numpy warning and no report."""
+
+    @staticmethod
+    def scaled(base, scale):
+        return dict(base, system=dict(base["system"],
+                                      observable=[[scale, 0], [0, 0], [0, 0], [-scale, 0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::lgsim.WeakRegimeWarning")
+    @pytest.mark.parametrize("subcommand, scale", [
+        ("lg-run", 1e140), ("lg-run", 1e154), ("lg-run", 1e160), ("sweep", 1e140),
+    ])
+    def test_overflowing_sums_are_one(self, tmp_path, capsys, subcommand, scale):
+        cfg = self.scaled(LG_RUN if subcommand == "lg-run" else SWEEP_WEAK, scale)
+        out = tmp_path / "out"
+        code = main([subcommand, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: pair (1, 2): the correlator's sums overflow float64; the observable's "
+            f"largest |eigenvalue| is {scale:g}\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::lgsim.WeakRegimeWarning")
+    def test_large_but_finite_scale_runs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self.scaled(LG_RUN, 1e75)
+        assert main(["lg-run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
+
 class TestOverrides:
     def test_seed_override_lands_in_report(self, tmp_path):
         out = tmp_path / "out"

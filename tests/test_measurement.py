@@ -23,8 +23,9 @@ from lgsim.errors import (
     ValidationError,
     WeakRegimeWarning,
 )
-from lgsim.measurement import _inverse_cdf
-from lgsim.quantum import purity
+from lgsim.protocol import _inverse_cdf
+from lgsim.quantum import born_weights, purity
+from lgsim.streams import substream
 
 from conftest import random_density_matrix, random_hermitian
 
@@ -101,6 +102,20 @@ class TestStrongSample:
     def test_dim_mismatch(self, qubit_z, rng):
         with pytest.raises(DimensionMismatchError):
             sample_strong_readings(random_density_matrix(3, rng), qubit_z, 10, rng)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_readings_are_multinomial_counts_in_outcome_order(self, dim, rng):
+        # one multinomial draw of the outcome counts from the same stream
+        # address, each eigenvalue repeated its count, grouped in the
+        # observable's order
+        obs = spectral_decompose(random_hermitian(dim, rng))
+        rho = random_density_matrix(dim, rng)
+        readings = sample_strong_readings(rho, obs, 10_000, substream(12, 3, dim))
+        counts = substream(12, 3, dim).multinomial(10_000, born_weights(rho, obs))
+        outcome = np.searchsorted(-obs.eigenvalues, -readings)
+        np.testing.assert_array_equal(obs.eigenvalues[outcome], readings)
+        assert (np.diff(outcome) >= 0).all()
+        np.testing.assert_array_equal(np.bincount(outcome, minlength=dim), counts)
 
 
 def _searchsorted_draw(cum, u):

@@ -417,6 +417,24 @@ class TestSecondOutcomeWeights:
             want /= want.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
+    @pytest.mark.parametrize("width", [0.01, 0.5, 10.0, 100.0])
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES + [(2, "far_offset"), (3, "far_offset")])
+    def test_total_row_is_sum_over_every_outcome(self, dim, case, width):
+        # the last cumulative row comes from the Born weights, not from a
+        # contraction with Re G[d-1]; it must equal the d-row sum it replaces
+        dyn = _random_dynamics(np.random.default_rng(600 + dim), dim, case)
+        pointer = PointerModel(width=width)
+        with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakRegimeWarning)
+            kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", pointer)
+            first = measurement._weak_readings(kernel.rho_first, dyn.observable, pointer, 301,
+                                               substream(60, dim, 0))
+            total = kernel._second_cum(first)[-1]
+            phi = np.subtract.outer(kernel.eigenvalues, first) ** 2 / (-2.0 * width**2)
+            phi = np.exp(phi - phi.max(axis=0))
+            want = np.einsum("ie,bij,je->e", phi, kernel.re_g, phi)
+        np.testing.assert_allclose(total, want, rtol=1e-12)
+
 
 class TestColumnBlocks:
     """A weak run_chunk draws a chunk's random numbers first and then works
