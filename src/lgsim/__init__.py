@@ -2,7 +2,7 @@
 for Leggett-Garg style two-time measurement runs.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .budget import (
     BudgetInput,

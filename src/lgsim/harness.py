@@ -36,9 +36,11 @@ from .config import (
     config_to_dict,
     pairs_to_matrix,
 )
+from .errors import ValidationError
 from .invasiveness import measure_invasiveness, predicted_weak
 from .measurement import (
     WEAK_REGIME_FACTOR,
+    WIDTH_RANGE,
     PointerModel,
     _add_pointer_noise,
     _eigenbasis_map,
@@ -52,7 +54,6 @@ from .protocol import (
     CorrelatorEstimate,
     DynamicsSpec,
     SeriesPlan,
-    _check_times,
     _chunk_moments,
     _estimate,
     _moments,
@@ -167,10 +168,8 @@ def run_lg(cfg: RunConfig) -> dict:
     # its macrorealist extremes sit at readings of +/-1
     bounded = bool(np.abs(dyn.observable.eigenvalues).max() <= 1.0 + 1e-9)
 
-    strong = run_series(plan, dyn, "strong", cfg.run.n_strong, cfg.seed, stream_base=0)
-    weak = run_series(
-        plan, dyn, "weak", cfg.run.n_weak, cfg.seed, pointer=pm, stream_base=plan.k
-    )
+    strong = run_series(plan, dyn, cfg.run.n_strong, cfg.seed, stream_base=0)
+    weak = run_series(plan, dyn, cfg.run.n_weak, cfg.seed, pointer=pm, stream_base=plan.k)
 
     per_pair = []
     for es, ew in zip(strong, weak):
@@ -301,6 +300,8 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
 # the 10% spread tolerance, and the slope by 1e-3 against 0.1 (scans over
 # d = 2 to 24); at 56 ulps it moved a qutrit's coefficient by 29%.
 _RESOLVABLE_EFFECT = 1e3 * np.finfo(float).eps
+# verify's widest pointer, the I1 = 2 I2 check's, in spectral diameters
+_RATIO_WIDTH_FACTOR = 50.0
 
 
 def _unjudged(name: str, detail: str) -> dict:
@@ -369,7 +370,7 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
         checks.append(_unjudged("weak_invasiveness_expansion", skip[1]))
 
     # purity drop approaches twice the fidelity deficit; x = 1e-4 at any diameter
-    w_ratio = 50.0 * diam
+    w_ratio = _RATIO_WIDTH_FACTOR * diam
     meas = measure_invasiveness(probe, weak_channel_exact(probe, obs, PointerModel(width=w_ratio)))
     ratio = meas.i1 / meas.i2 if meas.i2 else math.nan
     ratio_err = abs(ratio / 2.0 - 1.0) if math.isfinite(ratio) else math.inf
@@ -388,6 +389,11 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     vc = cfg.verify or VerifyConfig()
     dyn = _system_objects(cfg.system) if cfg.system else precession_qubit()
     obs, probe = dyn.observable, _coherent_probe(dyn.observable)
+    if _RATIO_WIDTH_FACTOR * obs.spectral_diameter > WIDTH_RANGE[1]:
+        raise ValidationError(
+            f"system.observable: spectral diameter {obs.spectral_diameter:g} is too large for "
+            f"verify, whose widest pointer, {_RATIO_WIDTH_FACTOR:g} x diameter, passes the "
+            f"largest width {WIDTH_RANGE[1]:g}")
     rho = dyn.initial_state if cfg.system else probe  # the x-eigenstate for the stock qubit
     checks: list[dict] = []
 
@@ -468,15 +474,15 @@ def run_sweep(cfg: RunConfig) -> dict:
     drawn from streams (seed, point_index, chunk); only work that repeats
     across points is shared.
 
-    A kernel depends on the two times, the mode and, in weak mode only, the
-    pointer, so the sweep builds one per distinct (t_first, t_second, pointer),
-    with pointer None in strong mode, where the width does not enter. The
-    times and the pointer are judged once, when their kernel is built, so a
-    narrow pointer warns once per kernel, not once per n; ``parse_config``
-    already holds the mode, the weak pointer and n to their ranges. The
-    weak-channel invasiveness depends on the width alone, so it is computed
-    once per delta_p and repeated at each (n, tau) point. Nothing is kept
-    beyond the call."""
+    A kernel depends on the two times and the pointer, None in strong mode,
+    where the width does not enter, so the sweep builds one per distinct
+    (t_first, t_second, pointer). The kernel checks its times and the pointer
+    is judged when the kernel is built, so a narrow pointer warns once per
+    kernel, not once per n; ``parse_config`` already holds the mode, the weak
+    pointer and n to their ranges. The weak-channel invasiveness depends on
+    the width alone, so it is computed once per delta_p and repeated at each
+    (n, tau) point; a width whose predicted invasiveness overflows float64 is
+    refused. Nothing is kept beyond the call."""
     sw: SweepConfig = cfg.sweep
     dyn = _system_objects(cfg.system)
     obs, rho = dyn.observable, dyn.initial_state
@@ -494,8 +500,14 @@ def run_sweep(cfg: RunConfig) -> dict:
         invasiveness = []
         if d is not None:
             pmw = PointerModel(width=d)
-            meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
-            pred = predicted_weak(rho, obs, pmw)
+            # a gap (a_i - a_j)^2 that overflows damps its coherence to 0, as it should
+            with np.errstate(over="ignore", invalid="ignore"):
+                meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
+                pred = predicted_weak(rho, obs, pmw)
+            if not math.isfinite(pred.i1):
+                raise ValidationError(
+                    f"sweep.delta_p {d:g}: Var(A) / delta_p^2 overflows float64; the "
+                    f"observable's largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
             invasiveness = [
                 ("i1_measured", meas.i1),
                 ("i1_predicted", pred.i1),
@@ -515,10 +527,9 @@ def run_sweep(cfg: RunConfig) -> dict:
                     pointer = PointerModel(width=width) if sw.mode == "weak" else None
                     key = (t_first, t_second, pointer)
                     if key not in kernels:
-                        _check_times(t_first, t_second)
+                        kernels[key] = _SeriesKernel(dyn, t_first, t_second, pointer)
                         if pointer is not None:
                             _warn_if_not_weak(pointer, obs, stacklevel=2)
-                        kernels[key] = _SeriesKernel(dyn, t_first, t_second, sw.mode, pointer)
                     est = _estimate(kernels[key], n_events, cfg.seed, point_index, (1, 2))
                     rows.append({**coords, "metric": "corr_value", "value": est.value})
                     rows.append({**coords, "metric": "corr_std_error", "value": est.std_error})

@@ -8,7 +8,8 @@ evolves the conditional state to the later time, measures strongly, and
 contributes the product of the two readings to the correlator estimate.
 
 The earlier measurement of each series is the one that must approximate
-a non-invasive measurement, which is why only it can be weak.
+a non-invasive measurement, which is why only it can be weak: the runners
+read it out through their ``pointer``, or strongly when that is None.
 
 Sampling is chunked and vectorized: ``_chunk_moments`` runs chunk c of
 series s on ``substream(seed, s, c)`` and merges each chunk's sum and
@@ -157,6 +158,7 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 class _SeriesKernel:
     """Precomputed per-series tables; maps one rng chunk to outcome products.
+    Its ``first_mode`` label is "strong" when ``pointer`` is None, else "weak".
 
     Weak per-event tables are outcome-major, shape (d, block): outcome on the
     first axis, event on the second, so every reduction over the short
@@ -164,15 +166,12 @@ class _SeriesKernel:
     """
 
     def __init__(
-        self,
-        dyn: DynamicsSpec,
-        t_first: float,
-        t_second: float,
-        first_mode: str,
-        pointer: PointerModel | None,
+        self, dyn: DynamicsSpec, t_first: float, t_second: float, pointer: PointerModel | None
     ):
+        if t_second <= t_first:
+            raise ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
         obs = dyn.observable
-        self.first_mode = first_mode
+        self.first_mode = MODE_STRONG if pointer is None else MODE_WEAK
         self.eigenvalues = obs.eigenvalues
         rho0 = dyn.initial_state
         rho_first = evolve(rho0, propagator(dyn.hamiltonian, t_first)) if t_first else rho0
@@ -185,7 +184,7 @@ class _SeriesKernel:
         # cancel in sum_ij phi_i G[b,i,j] phi_j and only Re G is needed
         re_g = np.einsum("bad,ijda->bij", heis, blocks).real
 
-        if first_mode == MODE_STRONG:
+        if pointer is None:
             # joint law P(i, b) = Re G[b,i,i] of the outcome pair, flattened
             # row-major in i, beside the product a_i a_b of each pair
             joint = np.clip(np.einsum("bii->ib", re_g), 0.0, None).ravel()
@@ -193,7 +192,6 @@ class _SeriesKernel:
             with np.errstate(over="ignore"):  # _estimate refuses what overflows
                 self.pair_products = np.multiply.outer(self.eigenvalues, self.eigenvalues).ravel()
         else:
-            assert pointer is not None
             self.rho_first, self.observable, self.pointer = rho_first, obs, pointer
             self.re_g = np.ascontiguousarray(re_g)
             # the B_b sum to I, so the Re G[b] sum to diag(p) with p the Born
@@ -286,18 +284,9 @@ def _chunk_moments(n: int, seed: int, stream: int, draw) -> tuple[float, float]:
     return total, sq_dev
 
 
-def _check_times(t_first: float, t_second: float) -> None:
-    if t_second <= t_first:
-        raise ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
-
-
-def _check_run_args(first_mode, pointer, obs, n) -> None:
+def _check_run_args(pointer, obs, n) -> None:
     """Argument checks shared by the runners. Warnings name the runner's caller."""
-    if first_mode not in (MODE_STRONG, MODE_WEAK):
-        raise ValidationError(f"first_mode must be 'strong' or 'weak', got {first_mode!r}")
-    if first_mode == MODE_WEAK:
-        if pointer is None:
-            raise ValidationError("weak first measurements need a pointer model")
+    if pointer is not None:
         _warn_if_not_weak(pointer, obs, stacklevel=4)
     if n < 2:
         raise ValidationError(f"n_per_series must be >= 2, got {n}")
@@ -305,7 +294,7 @@ def _check_run_args(first_mode, pointer, obs, n) -> None:
 
 def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimate:
     """One series of n events on stream ``stream``. The kernel holds no state
-    between chunks, so one kernel serves any series of its times and mode.
+    between chunks, so one kernel serves any series of its times and pointer.
     Sums that overflow float64, as an observable far from unit scale makes
     them, raise ``ValidationError``."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,7 +310,6 @@ def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimat
 def run_series(
     plan: SeriesPlan,
     dyn: DynamicsSpec,
-    first_mode: str,
     n_per_series: int,
     seed: int,
     pointer: PointerModel | None = None,
@@ -329,15 +317,15 @@ def run_series(
 ) -> list[CorrelatorEstimate]:
     """Estimate every correlator of the plan from fresh subensembles.
 
-    ``first_mode`` selects how the earlier measurement of each series is
-    done ("strong" or "weak"; the later one is always strong). The
-    estimate for pair (i, j) is the mean of (first reading x second
-    reading) over ``n_per_series`` events, with its standard error.
-    Series s draws from streams (seed, stream_base + s, chunk).
+    The earlier measurement of each series reads out through ``pointer``,
+    weakly, or projectively (strong) when it is None; the later one is
+    always strong. The estimate for pair (i, j) is the mean of (first
+    reading x second reading) over ``n_per_series`` events, with its
+    standard error. Series s draws from streams (seed, stream_base + s, chunk).
     """
-    _check_run_args(first_mode, pointer, dyn.observable, n_per_series)
+    _check_run_args(pointer, dyn.observable, n_per_series)
     return [
-        _estimate(_SeriesKernel(dyn, *plan.pair_times(pair), first_mode, pointer),
+        _estimate(_SeriesKernel(dyn, *plan.pair_times(pair), pointer),
                   n_per_series, seed, stream_base + s, pair)
         for s, pair in enumerate(plan.pairs)
     ]
@@ -347,17 +335,17 @@ def estimate_correlator(
     dyn: DynamicsSpec,
     t_first: float,
     t_second: float,
-    first_mode: str,
     n_events: int,
     seed: int,
     pointer: PointerModel | None = None,
     stream_base: int = 0,
 ) -> CorrelatorEstimate:
-    """One two-time correlator outside any plan (sweeps, convergence studies)."""
-    _check_times(t_first, t_second)
-    _check_run_args(first_mode, pointer, dyn.observable, n_events)
-    kernel = _SeriesKernel(dyn, t_first, t_second, first_mode, pointer)
-    return _estimate(kernel, n_events, seed, stream_base, (1, 2))
+    """One two-time correlator outside any plan, as pair (1, 2) on stream
+    ``stream_base``; ``pointer`` as in ``run_series``. A sweep point equals
+    this call, though ``run_sweep`` shares kernels across points instead."""
+    _check_run_args(pointer, dyn.observable, n_events)
+    return _estimate(_SeriesKernel(dyn, t_first, t_second, pointer),
+                     n_events, seed, stream_base, (1, 2))
 
 
 # ---------------------------------------------------------------------------

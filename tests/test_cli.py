@@ -256,6 +256,26 @@ class TestObservableScale:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::lgsim.WeakRegimeWarning")
+    @pytest.mark.parametrize("subcommand, scale, error", [
+        # a width-only sweep has no correlator sums; Var(A) / delta_p^2 overflows
+        ("sweep", 1e160, "sweep.delta_p 10: Var(A) / delta_p^2 overflows float64; the "
+                         "observable's largest |eigenvalue| is 1e+160"),
+        # verify's own pointers reach 50 x the spectral diameter 2e99
+        ("verify", 1e99, "system.observable: spectral diameter 2e+99 is too large for verify, "
+                         "whose widest pointer, 50 x diameter, passes the largest width 1e+100"),
+    ], ids=["sweep", "verify"])
+    def test_pointer_figures_past_float64_are_one(self, tmp_path, capsys, subcommand, scale,
+                                                  error):
+        base = (dict(SWEEP_WEAK, sweep={"delta_p": [10.0]}) if subcommand == "sweep"
+                else dict(VERIFY_FAST, system=LG_RUN["system"]))
+        out = tmp_path / "out"
+        cfg = self.scaled(base, scale)
+        code = main([subcommand, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::lgsim.WeakRegimeWarning")
     def test_large_but_finite_scale_runs(self, tmp_path):
         out = tmp_path / "out"
         cfg = self.scaled(LG_RUN, 1e75)

@@ -31,7 +31,7 @@ from lgsim.harness import (
 )
 from lgsim.invasiveness import measure_invasiveness, predicted_weak
 from lgsim.cli import main
-from lgsim.errors import WeakRegimeWarning
+from lgsim.errors import ValidationError, WeakRegimeWarning
 from lgsim.measurement import (
     PointerModel,
     _eigenbasis_map,
@@ -808,7 +808,7 @@ class TestRunSweep:
                                   ("i2_measured", meas.i2), ("i2_predicted", pred.i2)):
                 want.append({**coords, "metric": metric, "value": value})
             est = estimate_correlator(
-                dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1], sw.mode, n,
+                dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1], n,
                 cfg.seed, pm if sw.mode == "weak" else None, stream_base=point_index,
             )
             want.append({**coords, "metric": "corr_value", "value": est.value})
@@ -855,6 +855,29 @@ class TestRunSweep:
         rows = run_sweep(parse_config(cfg))["rows"]
         assert len(rows) == 2 * 2 * 3 * 6
         assert calls == {"kernel": kernels, "channel": 2}
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_times_out_of_order_are_refused(self, mode):
+        # 1e17 + 1 rounds back to 1e17, so tau 1 gives t_second == t_first
+        cfg = sweep_cfg(mode)
+        cfg["plan"]["times"] = [1e17, 2e17, 3e17]
+        cfg["sweep"]["tau"] = [1.0]
+        with pytest.raises(ValidationError, match=r"need t_second > t_first, got 1e\+17 >= 1e\+17"):
+            run_sweep(parse_config(cfg))
+
+    @pytest.mark.parametrize("state", [KET0, PLUS], ids=["nan", "inf"])
+    def test_overflowing_invasiveness_is_refused(self, state):
+        # A = 1e160 sigma_z: Var(A) = (a - mean)^2 overflows on |+> and makes
+        # 0 * inf = NaN on |0>; a width-only sweep has no correlator to refuse
+        cfg = sweep_cfg("strong")
+        cfg["system"].update(observable=[[1e160, 0], [0, 0], [0, 0], [-1e160, 0]],
+                             initial_state=state)
+        cfg["sweep"] = {"delta_p": [10.0]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", WeakRegimeWarning)  # width 10 against 2e160
+            with pytest.raises(ValidationError, match=r"sweep\.delta_p 10: .* 1e\+160$"):
+                run_sweep(parse_config(cfg))
 
     def test_weak_regime_warnings_name_run_sweep(self):
         # width 1 is below 5 x the spectral diameter 2 of sigma_z; both the

@@ -100,20 +100,20 @@ class TestStrongFirstCorrelators:
     def test_matches_cosine_oracle(self, bench, plan3):
         # after a strong first measurement the qubit sits in a sigma_z
         # eigenstate, so <Q(t + tau)> = +-cos(tau) and C(tau) = cos(tau)
-        ests = run_series(plan3, bench, "strong", 100_000, seed=11)
+        ests = run_series(plan3, bench, 100_000, seed=11)
         gaps = [TAU, TAU, 2 * TAU]
         for est, gap in zip(ests, gaps):
             assert abs(est.value - math.cos(gap)) < 5 * est.std_error
 
     def test_near_zero_gap_gives_unit_correlator(self, bench):
-        est = estimate_correlator(bench, 0.0, 1e-6, "strong", 20_000, seed=12)
+        est = estimate_correlator(bench, 0.0, 1e-6, 20_000, seed=12)
         assert abs(est.value - 1.0) < 5 * est.std_error + 1e-9
 
     def test_squared_deviations_for_dichotomic_products(self, bench):
         # every product of two +-1 readings squares to 1, so the chunk's
         # squared deviations from its mean are m (1 - mean^2)
         m = 100_000
-        kernel = _SeriesKernel(bench, 0.0, TAU, "strong", None)
+        kernel = _SeriesKernel(bench, 0.0, TAU, None)
         total, sq_dev = kernel.run_chunk(substream(5, 0, 0), m)
         assert sq_dev == pytest.approx(m * (1.0 - (total / m) ** 2), rel=1e-12)
 
@@ -131,24 +131,24 @@ class TestStrongFirstCorrelators:
                 return getattr(rng, name)
 
         rng = substream(6, 0, 0)
-        kernel = _SeriesKernel(bench, 0.0, TAU, "strong", None)
+        kernel = _SeriesKernel(bench, 0.0, TAU, None)
         kernel.run_chunk(Recorder(), 1_000)
         assert calls == [("multinomial", 1_000)]
 
     def test_estimate_magnitude_bounded(self, bench, plan3):
-        for est in run_series(plan3, bench, "strong", 5_000, seed=13):
+        for est in run_series(plan3, bench, 5_000, seed=13):
             assert abs(est.value) <= 1.0 + 3.0 * est.std_error
 
     def test_reported_counts(self, bench, plan3):
-        ests = run_series(plan3, bench, "strong", 5_000, seed=14)
+        ests = run_series(plan3, bench, 5_000, seed=14)
         assert all(e.n_events == 5_000 for e in ests)
 
 
 class TestWeakFirstCorrelators:
     def test_mean_agrees_with_strong_first(self, bench, plan3):
-        strong = run_series(plan3, bench, "strong", 100_000, seed=21)
+        strong = run_series(plan3, bench, 100_000, seed=21)
         weak = run_series(
-            plan3, bench, "weak", 100_000, seed=22, pointer=PointerModel(width=10.0)
+            plan3, bench, 100_000, seed=22, pointer=PointerModel(width=10.0)
         )
         for es, ew in zip(strong, weak):
             combined = math.hypot(es.std_error, ew.std_error)
@@ -157,9 +157,9 @@ class TestWeakFirstCorrelators:
     def test_stderr_inflated_by_pointer_noise(self, bench):
         # per-event variances: strong 1 - C^2, weak width^2/2 + 1 - C^2
         n = 200_000
-        strong = estimate_correlator(bench, 0.0, 1.0, "strong", n, seed=23)
+        strong = estimate_correlator(bench, 0.0, 1.0, n, seed=23)
         weak = estimate_correlator(
-            bench, 0.0, 1.0, "weak", n, seed=24, pointer=PointerModel(width=10.0)
+            bench, 0.0, 1.0, n, seed=24, pointer=PointerModel(width=10.0)
         )
         c = math.cos(1.0)
         predicted_ratio = math.sqrt((50.0 + 1.0 - c * c) / (1.0 - c * c))
@@ -168,23 +168,22 @@ class TestWeakFirstCorrelators:
         # loose sanity against the small-C inflation factor sqrt(1 + width^2/2)
         assert measured_ratio == pytest.approx(math.sqrt(51.0), rel=0.30)
 
-    def test_weak_mode_requires_pointer(self, bench, plan3):
-        with pytest.raises(ValidationError, match="pointer"):
-            run_series(plan3, bench, "weak", 1_000, seed=25)
-
 
 class TestRunSeriesValidation:
-    def test_unknown_mode_rejected(self, bench, plan3):
-        with pytest.raises(ValidationError, match="first_mode"):
-            run_series(plan3, bench, "medium", 1_000, seed=1)
+    def test_kernel_names_its_first_measurement_from_the_pointer(self, bench):
+        # the label span tracers read: no pointer is a strong first measurement
+        assert _SeriesKernel(bench, 0.0, 1.0, None).first_mode == "strong"
+        assert _SeriesKernel(bench, 0.0, 1.0, PointerModel(width=10.0)).first_mode == "weak"
 
     def test_n_too_small_rejected(self, bench, plan3):
         with pytest.raises(ValidationError, match="n_per_series"):
-            run_series(plan3, bench, "strong", 1, seed=1)
+            run_series(plan3, bench, 1, seed=1)
 
     def test_estimate_correlator_needs_ordered_times(self, bench):
-        with pytest.raises(ValidationError, match="t_second"):
-            estimate_correlator(bench, 1.0, 1.0, "strong", 100, seed=1)
+        with pytest.raises(ValidationError, match="need t_second > t_first"):
+            estimate_correlator(bench, 1.0, 1.0, 100, seed=1)
+        with pytest.raises(ValidationError, match="need t_second > t_first"):
+            _SeriesKernel(bench, 2.0, 1.0, PointerModel(width=10.0))
 
 
 class TestWarningsNameTheCaller:
@@ -198,9 +197,9 @@ class TestWarningsNameTheCaller:
         rho, obs = bench.initial_state, bench.observable
         with pytest.warns(WeakRegimeWarning) as record:
             if call == "run_series":
-                run_series(plan3, bench, "weak", 100, seed=1, pointer=narrow)
+                run_series(plan3, bench, 100, seed=1, pointer=narrow)
             elif call == "estimate_correlator":
-                estimate_correlator(bench, 0.0, 1.0, "weak", 100, seed=1, pointer=narrow)
+                estimate_correlator(bench, 0.0, 1.0, 100, seed=1, pointer=narrow)
             elif call == "weak_channel_exact":
                 weak_channel_exact(rho, obs, narrow)
             else:
@@ -210,27 +209,23 @@ class TestWarningsNameTheCaller:
 
 class TestDeterminismAndMerging:
     def test_same_seed_reproduces_exactly(self, bench, plan3):
-        a = run_series(plan3, bench, "strong", 30_000, seed=77)
-        b = run_series(plan3, bench, "strong", 30_000, seed=77)
+        a = run_series(plan3, bench, 30_000, seed=77)
+        b = run_series(plan3, bench, 30_000, seed=77)
         assert a == b
 
-    @pytest.mark.parametrize(
-        "mode, pointer",
-        [("strong", None), ("weak", PointerModel(width=10.0))],
-        ids=["strong", "weak"],
-    )
-    def test_chunk_order_does_not_change_results(self, monkeypatch, bench, plan3, mode, pointer):
+    @pytest.mark.parametrize("pointer", [None, PointerModel(width=10.0)], ids=["strong", "weak"])
+    def test_chunk_order_does_not_change_results(self, monkeypatch, bench, plan3, pointer):
         # each chunk draws from its own (seed, series, chunk) stream, so chunks
         # run last to first and then merged in chunk order (Chan, Golub and
         # LeVeque's update of the sum and squared deviations) reproduce the
         # estimates of run_series bitwise
         n, chunk, base = 150_000, 20_000, 3  # ragged last chunk of 10,000
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", chunk)
-        want = run_series(plan3, bench, mode, n, seed=78, pointer=pointer, stream_base=base)
+        want = run_series(plan3, bench, n, seed=78, pointer=pointer, stream_base=base)
         sizes = chunk_sizes(n)
         assert sizes == [chunk] * 7 + [10_000]
         for s, pair in enumerate(plan3.pairs):
-            kernel = _SeriesKernel(bench, *plan3.pair_times(pair), mode, pointer)
+            kernel = _SeriesKernel(bench, *plan3.pair_times(pair), pointer)
             partials = {}
             for c in reversed(range(len(sizes))):
                 partials[c] = kernel.run_chunk(substream(78, base + s, c), sizes[c])
@@ -245,21 +240,17 @@ class TestDeterminismAndMerging:
             assert (want[s].n_events, want[s].value, want[s].std_error) == (
                 count, total / count, std_error)
 
-    @pytest.mark.parametrize(
-        "mode, pointer",
-        [("strong", None), ("weak", PointerModel(width=10.0))],
-        ids=["strong", "weak"],
-    )
-    def test_run_series_is_estimate_correlator_per_pair(self, monkeypatch, bench, mode, pointer):
+    @pytest.mark.parametrize("pointer", [None, PointerModel(width=10.0)], ids=["strong", "weak"])
+    def test_run_series_is_estimate_correlator_per_pair(self, monkeypatch, bench, pointer):
         # series s of a plan is the single correlator of its pair's times drawn
         # from stream stream_base + s, labelled with the pair
         plan = SeriesPlan(4, [0.0, 0.4, 1.1, 1.5])
         n, base = 30_000, 5
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 7_000)
-        got = run_series(plan, bench, mode, n, seed=80, pointer=pointer, stream_base=base)
+        got = run_series(plan, bench, n, seed=80, pointer=pointer, stream_base=base)
         want = [
             dataclasses.replace(
-                estimate_correlator(bench, *plan.pair_times(pair), mode, n, 80, pointer=pointer,
+                estimate_correlator(bench, *plan.pair_times(pair), n, 80, pointer=pointer,
                                     stream_base=base + s),
                 pair=pair,
             )
@@ -268,20 +259,20 @@ class TestDeterminismAndMerging:
         assert got == want
 
     @pytest.mark.parametrize(
-        "mode, pointer, chunk_size",
+        "pointer, chunk_size",
         [
-            pytest.param("strong", None, 10_000, id="strong"),
-            pytest.param("weak", PointerModel(width=10.0), 7_000, id="weak"),
+            pytest.param(None, 10_000, id="strong"),
+            pytest.param(PointerModel(width=10.0), 7_000, id="weak"),
         ],
     )
     def test_chunk_size_changes_stream_but_not_law(
-        self, monkeypatch, bench, plan3, mode, pointer, chunk_size
+        self, monkeypatch, bench, plan3, pointer, chunk_size
     ):
         # different chunking draws different events; estimates stay compatible.
         # 7_000 leaves a ragged last chunk of 5_000 events
-        a = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer)
+        a = run_series(plan3, bench, 40_000, seed=79, pointer=pointer)
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", chunk_size)
-        b = run_series(plan3, bench, mode, 40_000, seed=79, pointer=pointer)
+        b = run_series(plan3, bench, 40_000, seed=79, pointer=pointer)
         for ea, eb in zip(a, b):
             assert abs(ea.value - eb.value) < 5 * math.hypot(ea.std_error, eb.std_error)
 
@@ -306,7 +297,7 @@ class TestDeterminismAndMerging:
             "                     random_density_matrix(8, rng))\n"
             "for dyn, width in ((precession_qubit(), 10.0), (qudit, 40.0)):\n"
             "    for seed in range(80, 84):\n"
-            "        e = estimate_correlator(dyn, 0.0, 1.0, 'weak', 60_000, seed,\n"
+            "        e = estimate_correlator(dyn, 0.0, 1.0, 60_000, seed,\n"
             "                                pointer=PointerModel(width=width))\n"
             "        print(repr((e.value, e.std_error)))\n"
         )
@@ -381,7 +372,7 @@ class TestSecondOutcomeWeights:
         proj, rho, u, _ = _reference_tables(dyn, 0.4, 1.3)
         w1 = born_weights(rho, obs)
         with np.errstate(over="raise", invalid="raise"):
-            got = _joint_table(_SeriesKernel(dyn, 0.4, 1.3, "strong", None))
+            got = _joint_table(_SeriesKernel(dyn, 0.4, 1.3, None))
         for i in range(obs.n_outcomes):
             cond = proj[i] @ rho.matrix @ proj[i] / w1[i]
             cond = DensityMatrix(0.5 * (cond + cond.conj().T))
@@ -395,7 +386,7 @@ class TestSecondOutcomeWeights:
         dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
         dyn = dataclasses.replace(dyn, hamiltonian=np.zeros((dim, dim)))
         w = born_weights(dyn.initial_state, dyn.observable)
-        got = _joint_table(_SeriesKernel(dyn, 0.4, 1.3, "strong", None))
+        got = _joint_table(_SeriesKernel(dyn, 0.4, 1.3, None))
         np.testing.assert_allclose(got, np.diag(w), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("width", [0.01, 0.5, 10.0, 100.0])
@@ -409,7 +400,7 @@ class TestSecondOutcomeWeights:
         idx1 = rng.integers(0, a.size, size=301)
         first = a[idx1] + math.sqrt(pointer.position_variance) * rng.standard_normal(idx1.size)
         with np.errstate(over="raise", invalid="raise"):
-            kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", pointer)
+            kernel = _SeriesKernel(dyn, 0.4, 1.3, pointer)
             got = _kernel_weights(kernel, first)
             logphi = -((first[:, None] - a[None, :]) ** 2) / (2.0 * width**2)
             phi = np.exp(logphi - logphi.max(axis=1, keepdims=True))
@@ -426,7 +417,7 @@ class TestSecondOutcomeWeights:
         pointer = PointerModel(width=width)
         with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakRegimeWarning)
-            kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", pointer)
+            kernel = _SeriesKernel(dyn, 0.4, 1.3, pointer)
             first = measurement._weak_readings(kernel.rho_first, dyn.observable, pointer, 301,
                                                substream(60, dim, 0))
             total = kernel._second_cum(first)[-1]
@@ -447,7 +438,7 @@ class TestColumnBlocks:
         # whole chunk, so any block size gives the one-block result bitwise,
         # ragged last blocks included
         dyn = _random_dynamics(np.random.default_rng(300 + dim), dim, case)
-        kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", PointerModel(width=10.0))
+        kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=10.0))
         block = protocol._BLOCK
         for m, sizes in ((23, (1, 7)), (2 * block + 5, (block,))):
             monkeypatch.setattr(protocol, "_BLOCK", m + 1)
@@ -462,7 +453,7 @@ class TestColumnBlocks:
         # (d, block) tables of one block at a time; (d, m) tables of the
         # whole chunk are 4 MiB each and peak near 13 MiB
         dyn = _random_dynamics(np.random.default_rng(8), 8, "plain")
-        kernel = _SeriesKernel(dyn, 0.4, 1.3, "weak", PointerModel(width=10.0))
+        kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=10.0))
         rng = substream(91, 0, 0)
         tracemalloc.start()
         try:
@@ -491,9 +482,9 @@ class TestChannelIdentities:
         pointer = PointerModel(width=width)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakRegimeWarning)
-            weak = _SeriesKernel(dyn, self.T1, self.T2, "weak", pointer)
+            weak = _SeriesKernel(dyn, self.T1, self.T2, pointer)
             weak_out = weak_channel_exact(rho, dyn.observable, pointer)
-        joint = _joint_table(_SeriesKernel(dyn, self.T1, self.T2, "strong", None))
+        joint = _joint_table(_SeriesKernel(dyn, self.T1, self.T2, None))
         return dyn.observable, rho, u, weak.re_g, joint, weak_out
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
@@ -547,7 +538,7 @@ class TestStrongEstimatesMatchExactMoments:
         prod = np.multiply.outer(a, a)
         mean = (prob * prod).sum()
         exact_se = math.sqrt((prob * (prod - mean) ** 2).sum() / self.N)
-        est = estimate_correlator(dyn, 0.4, 1.3, "strong", self.N, seed=dim)
+        est = estimate_correlator(dyn, 0.4, 1.3, self.N, seed=dim)
         assert abs(est.value - mean) <= 5.0 * exact_se
         assert est.std_error == pytest.approx(exact_se, rel=0.1)
 
@@ -572,7 +563,7 @@ class TestWeakEstimatesMatchExactMoments:
         mean = w @ sq
         var = w @ (sq - mean) ** 2 + mean * pointer.position_variance
         exact_se = math.sqrt(var / self.N)
-        est = estimate_correlator(dyn, 0.4, 1.3, "weak", self.N, seed=dim, pointer=pointer)
+        est = estimate_correlator(dyn, 0.4, 1.3, self.N, seed=dim, pointer=pointer)
         assert abs(est.value - mean) <= 5.0 * exact_se
         assert est.std_error == pytest.approx(exact_se, rel=0.1)
 
@@ -594,7 +585,7 @@ class TestKernelMatchesBatchSamplers:
         pointer = PointerModel(width=10.0)
         readings = sample_weak_readings(dyn.initial_state, obs, pointer, 50_000,
                                         substream(4, 0, 0))
-        kernel = _SeriesKernel(dyn, 0.0, 1.0, "weak", pointer)
+        kernel = _SeriesKernel(dyn, 0.0, 1.0, pointer)
         total, sq_dev = kernel.run_chunk(substream(4, 0, 0), 50_000)
         assert total == readings.sum()
         assert sq_dev == np.square(readings - total / readings.size).sum()
@@ -602,7 +593,7 @@ class TestKernelMatchesBatchSamplers:
     def test_defect_in_shared_draw_reaches_verify_and_kernel(self, monkeypatch, bench):
         # pointer noise scaled by 1.1, injected into the one noise step as
         # each of its two callers, the weak draw and verify, looks it up
-        kernel = _SeriesKernel(bench, 0.0, 1.0, "weak", PointerModel(width=10.0))
+        kernel = _SeriesKernel(bench, 0.0, 1.0, PointerModel(width=10.0))
         want = kernel.run_chunk(substream(6, 0, 0), 5_000)
         original = measurement._add_pointer_noise
 
@@ -661,7 +652,7 @@ class TestEstimatorConvergence:
         for i, (n, reps) in enumerate(zip(ns, reps_per)):
             sq = []
             for r in range(reps):
-                ests = run_series(plan3, bench, "strong", n, seed=9000 + r,
+                ests = run_series(plan3, bench, n, seed=9000 + r,
                                   stream_base=10 * i)
                 k3 = lg_statistic([e.value for e in ests])
                 sq.append((k3 - oracle) ** 2)
