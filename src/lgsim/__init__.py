@@ -2,7 +2,7 @@
 for Leggett-Garg style two-time measurement runs.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .budget import (
     BudgetInput,
@@ -32,7 +32,6 @@ from .measurement import (
     sample_weak_readings,
     strong_channel,
     weak_channel_exact,
-    weak_channel_perturbative,
 )
 from .protocol import (
     CorrelatorEstimate,

@@ -40,7 +40,6 @@ from .errors import ValidationError
 from .invasiveness import measure_invasiveness, predicted_weak
 from .measurement import (
     WEAK_REGIME_FACTOR,
-    WIDTH_RANGE,
     PointerModel,
     _add_pointer_noise,
     _eigenbasis_map,
@@ -48,7 +47,6 @@ from .measurement import (
     _weak_damping,
     sample_strong_readings,
     weak_channel_exact,
-    weak_channel_perturbative,
 )
 from .protocol import (
     CorrelatorEstimate,
@@ -243,9 +241,10 @@ def _coherent_probe(obs) -> DensityMatrix:
     return pure_state(np.sum(vecs, axis=0))
 
 
-def _verify_pointer(obs) -> PointerModel:
-    """In the weak regime of ``obs``, with a position variance of at least 50."""
-    return PointerModel(width=max(WEAK_REGIME_FACTOR * obs.spectral_diameter, 10.0))
+def _verify_width(obs) -> float:
+    """Verify's pointer width: in the weak regime of ``obs``, with a position
+    variance of at least 50."""
+    return max(WEAK_REGIME_FACTOR * obs.spectral_diameter, 10.0)
 
 
 def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
@@ -263,16 +262,29 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     So correct code fails at most 1.7e-6 of the time on the strong counts, rare
     outcomes included, plus 1.7e-6 on the weak terms while S and m are near
     normal (pointer variance >= 50 against a spectral diameter <= width/5). The
-    sum is a union bound, so it holds though both come from the same draw."""
-    pm = _verify_pointer(obs)
-    p = born_weights(rho, obs)
-    mean_a = expectation(rho, obs)
-    var_a = variance(rho, obs)
-    s2 = pm.position_variance
-    weak_var = s2 + var_a
-    m4 = float(np.dot(p, (obs.eigenvalues - mean_a) ** 4)) + 6.0 * s2 * var_a + 3.0 * s2**2
-    spread = 5.0 * math.sqrt(max(m4 - weak_var**2, 0.0) * n) + 25.0 * weak_var
+    sum is a union bound, so it holds though both come from the same draw.
+
+    The law's figures come first, computed so that an overflow gives inf. An
+    observable so far from unit scale that one of them is not finite is
+    refused before anything is drawn: an infinite tolerance would pass any
+    readings."""
+    width = _verify_width(obs)
+    s2 = width * width / 2.0  # the pointer's position variance
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = born_weights(rho, obs)
+        mean_a = expectation(rho, obs)
+        var_a = variance(rho, obs)
+        weak_var = s2 + var_a
+        m4 = float(np.dot(p, (obs.eigenvalues - mean_a) ** 4)) + 6.0 * s2 * var_a + 3.0 * s2 * s2
+    # Python floats: an overflow gives inf, and inf - inf a NaN, neither of
+    # which raises or warns
+    spread = 5.0 * math.sqrt(max(m4 - weak_var * weak_var, 0.0) * n) + 25.0 * weak_var
     var_tol = max(0.02 * weak_var, spread / (n - 1))
+    if not all(map(math.isfinite, (mean_a, weak_var, m4, spread, var_tol))):
+        raise ValidationError(
+            f"system.observable: spectral diameter {obs.spectral_diameter:g} is too large for "
+            f"verify; its pointer sampler check's tolerances overflow float64 at n_samples {n}")
+    pm = PointerModel(width=width)
 
     counts = []
 
@@ -293,12 +305,12 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     )
 
 
-# A w^-4 law is judged only where its effect, x^2 with x = (diameter / 2w)^2
-# at the fit's widest width, is at least 1e3 float64 ulps: the channel entries
-# and purities it is a difference of are O(1) and known to a few ulps. Just
-# above the bound, round-off moved a fitted coefficient by at most 6% against
-# the 10% spread tolerance, and the slope by 1e-3 against 0.1 (scans over
-# d = 2 to 24); at 56 ulps it moved a qutrit's coefficient by 29%.
+# The w^-4 coefficient fit is judged only where its effect, x^2 with
+# x = (diameter / 2w)^2 at the fit's widest width, is at least 1e3 float64
+# ulps: the purities it is a difference of are O(1) and known to a few ulps.
+# Just above the bound, round-off moved a fitted coefficient by at most 6%
+# against the 10% spread tolerance (scans over d = 2 to 24); at 56 ulps it
+# moved a qutrit's coefficient by 29%.
 _RESOLVABLE_EFFECT = 1e3 * np.finfo(float).eps
 # verify's widest pointer, the I1 = 2 I2 check's, in spectral diameters
 _RATIO_WIDTH_FACTOR = 50.0
@@ -309,65 +321,44 @@ def _unjudged(name: str, detail: str) -> dict:
 
 
 def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dict]:
-    """The weak channel's width laws on ``probe``, for sorted ``widths``. Which
-    can be judged is decided before anything is built, so a law that is not
-    judged builds no channel and raises no warning."""
+    """The weak channel's width laws on ``probe``, for sorted ``widths``. Whether
+    the coefficient fit can be judged is decided before anything is built, so
+    an unjudged fit builds no channel and raises no warning."""
     diam = obs.spectral_diameter
     if diam == 0:
         return [_unjudged(name, f"observable has a single eigenspace; {why}") for name, why in (
-            ("weak_expansion_convergence", "both channels are the identity"),
             ("weak_invasiveness_expansion", "nothing is disturbed"),
             ("invasiveness_ratio_two", "ratio law is vacuous"),
         )]
-    # the coefficient fit's widths, the first three distinct ones (not by
-    # np.unique, whose first call adds about 1.5 MB to peak RSS under numpy 2)
-    fit = np.array(sorted(set(widths.tolist()))[:3])
-    # why each fit (the slope over all widths, the coefficients over fit) is
-    # not judged, or None
-    if not PointerModel(width=float(widths[0])).in_weak_regime(obs):
-        skip = [f"widths {widths.tolist()} below {WEAK_REGIME_FACTOR * diam:.3g} "
-                f"({WEAK_REGIME_FACTOR:g} x spectral diameter); asymptotic slope not judged",
-                "pointer widths below the weak regime; coefficient fit not judged"]
+    # the fit's widths, the distinct ones (not by np.unique, whose first call
+    # adds about 1.5 MB to peak RSS under numpy 2)
+    fit = sorted(set(widths.tolist()))
+    if not PointerModel(width=fit[0]).in_weak_regime(obs):
+        skip = "pointer widths below the weak regime; coefficient fit not judged"
+    elif (effect := (diam / (2.0 * fit[-1])) ** 4) < _RESOLVABLE_EFFECT:
+        skip = (f"(diameter / 2 width)^4 = {effect:.3g} at width {fit[-1]:g} is below "
+                f"{_RESOLVABLE_EFFECT:.3g} (1e3 float64 ulps); coefficient fit not judged")
+    elif len(fit) < 3:
+        skip = (f"widths {widths.tolist()} hold {len(fit)} distinct values and the "
+                "coefficient fit needs three; coefficient fit not judged")
     else:
-        skip = []
-        for w, what in ((widths[-1], "slope"), (fit[-1], "coefficient fit")):
-            effect = (diam / (2.0 * w)) ** 4
-            skip.append(None if effect >= _RESOLVABLE_EFFECT else (
-                f"(diameter / 2 width)^4 = {effect:.3g} at width {w:g} is below "
-                f"{_RESOLVABLE_EFFECT:.3g} (1e3 float64 ulps); {what} not judged"))
-        if skip[1] is None and len(fit) < 3:
-            skip[1] = (f"widths {widths.tolist()} hold {len(fit)} distinct values and the "
-                       "coefficient fit needs three; coefficient fit not judged")
-    # one exact channel per distinct width feeds both fits: the slope fit's
-    # widths hold the coefficient fit's
-    built = widths if skip[0] is None else fit if skip[1] is None else fit[:0]
-    channels = {w: weak_channel_exact(probe, obs, PointerModel(width=w))
-                for w in dict.fromkeys(built.tolist())}
+        skip = None
 
-    if skip[0] is None:
-        gaps = [float(np.max(np.abs(channels[w].matrix - weak_channel_perturbative(
-                    probe, obs, PointerModel(width=w)))))
-                for w in widths.tolist()]
-        slope = float(np.polyfit(np.log(widths), np.log(gaps), 1)[0])
-        checks = [_check("weak_expansion_convergence", abs(slope + 4.0), 0.1,
-                         f"log-log slope {slope:.3f} over widths {widths.tolist()}")]
-    else:
-        checks = [_unjudged("weak_expansion_convergence", skip[0])]
-
-    if skip[1] is None:
+    if skip is None:
         coeffs_i1, coeffs_i2 = [], []
-        for w in fit.tolist():
-            meas = measure_invasiveness(probe, channels[w])
-            pred = predicted_weak(probe, obs, PointerModel(width=w))
+        for w in fit:
+            pm = PointerModel(width=w)
+            meas = measure_invasiveness(probe, weak_channel_exact(probe, obs, pm))
+            pred = predicted_weak(probe, obs, pm)
             coeffs_i1.append(abs(meas.i1 - pred.i1) * w**4)
             coeffs_i2.append(abs(meas.i2 - pred.i2) * w**4)
         spread = max(max(c) / min(c) if min(c) > 0 else math.inf for c in (coeffs_i1, coeffs_i2))
-        checks.append(_check(
+        checks = [_check(
             "weak_invasiveness_expansion", spread, 1.1,
-            f"fitted width^4 coefficient spread x{spread:.4f} across widths {fit.tolist()}",
-        ))
+            f"fitted width^4 coefficient spread x{spread:.4f} across widths {fit}",
+        )]
     else:
-        checks.append(_unjudged("weak_invasiveness_expansion", skip[1]))
+        checks = [_unjudged("weak_invasiveness_expansion", skip)]
 
     # purity drop approaches twice the fidelity deficit; x = 1e-4 at any diameter
     w_ratio = _RATIO_WIDTH_FACTOR * diam
@@ -389,12 +380,11 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     vc = cfg.verify or VerifyConfig()
     dyn = _system_objects(cfg.system) if cfg.system else precession_qubit()
     obs, probe = dyn.observable, _coherent_probe(dyn.observable)
-    if _RATIO_WIDTH_FACTOR * obs.spectral_diameter > WIDTH_RANGE[1]:
-        raise ValidationError(
-            f"system.observable: spectral diameter {obs.spectral_diameter:g} is too large for "
-            f"verify, whose widest pointer, {_RATIO_WIDTH_FACTOR:g} x diameter, passes the "
-            f"largest width {WIDTH_RANGE[1]:g}")
     rho = dyn.initial_state if cfg.system else probe  # the x-eigenstate for the stock qubit
+    # sampled pointer statistics against the closed forms, first: the check
+    # refuses an observable whose tolerances overflow float64, and with them
+    # every pointer verify builds, up to 50 x diameter, stays in WIDTH_RANGE
+    sampler = _sampler_deviation(rho, obs, vc.n_samples, cfg.seed, 107)
     checks: list[dict] = []
 
     # channel sanity on the configured state, then on n_random random states
@@ -403,7 +393,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     # output. Hermiticity needs no measuring: _eigenbasis_map symmetrises
     # every output. Per-stack values are reduced with numpy, so a NaN fails
     rng = substream(cfg.seed, 102)
-    tables = (np.eye(obs.n_outcomes), _weak_damping(obs, _verify_pointer(obs)))
+    tables = (np.eye(obs.n_outcomes), _weak_damping(obs, PointerModel(width=_verify_width(obs))))
     a = obs.matrix()
     block = max(1, _STACK_BYTES // (16 * obs.n_outcomes * obs.dim**2))
     stacks = itertools.chain([rho.matrix[None]], (
@@ -426,15 +416,13 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         f"worst commutator entry {worst_comm:.2e}",
     ))
 
-    # exact-vs-second-order gap ~ width^-4, invasiveness deficit ~ width^-4
-    # with a stable coefficient, and I1 = 2 I2, on the coherent probe
+    # invasiveness deficit ~ width^-4 with a stable coefficient, and
+    # I1 = 2 I2, on the coherent probe
     checks.extend(_width_law_checks(obs, probe, np.array(sorted(vc.widths))))
 
-    # sampled pointer statistics against the closed forms
-    worst = _sampler_deviation(rho, obs, vc.n_samples, cfg.seed, 107)
     checks.append(_check(
-        "pointer_sampler_statistics", worst, 1.0,
-        f"worst normalized deviation {worst:.3f} (1.0 = tolerance) at n = {vc.n_samples}",
+        "pointer_sampler_statistics", sampler, 1.0,
+        f"worst normalized deviation {sampler:.3f} (1.0 = tolerance) at n = {vc.n_samples}",
     ))
 
     # corrupt_state adds -0.5 I, eigenvalue -0.5 at any dimension, to the

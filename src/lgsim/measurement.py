@@ -6,13 +6,12 @@ eigenvalue. A weak measurement couples the system to a broad Gaussian
 pointer whose position distribution has variance ``width^2 / 2`` per
 branch; tracing the pointer out damps eigenbasis coherences,
 
-    rho_ij -> rho_ij * exp(-(a_i - a_j)^2 / (4 width^2))        (exact)
-    rho_ij -> rho_ij * (1 - (a_i - a_j)^2 / (4 width^2))        (order 2)
+    rho_ij -> rho_ij * exp(-(a_i - a_j)^2 / (4 width^2)),
 
-so the second-order map reproduces the exact one up to O(width^-4).
-Runs use the exact map; the second-order one only serves to check it.
-Pointer readings follow the mixture sum_i p_i Normal(a_i, width^2/2):
-same mean as the strong case, variance inflated by width^2/2.
+the one weak map lgsim has: every run uses it, and verify fits its
+disturbance against the closed forms of ``invasiveness.predicted_weak``.
+Pointer readings follow the mixture sum_i p_i Normal(a_i, width^2/2): same
+mean as the strong case, variance inflated by width^2/2.
 """
 
 from __future__ import annotations
@@ -92,14 +91,10 @@ def strong_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     return DensityMatrix(_eigenbasis_map(rho.matrix, obs, np.eye(obs.n_outcomes)))
 
 
-def _pair_gaps_squared(obs: Observable) -> np.ndarray:
-    a = obs.eigenvalues
-    return (a[:, None] - a[None, :]) ** 2
-
-
 def _weak_damping(obs: Observable, pm: PointerModel) -> np.ndarray:
     """The exact weak channel's weight table exp(-(a_i - a_j)^2 / (4 width^2))."""
-    return np.exp(-_pair_gaps_squared(obs) / (4.0 * pm.width**2))
+    a = obs.eigenvalues
+    return np.exp(-((a[:, None] - a[None, :]) ** 2) / (4.0 * pm.width**2))
 
 
 def weak_channel_exact(rho: DensityMatrix, obs: Observable, pm: PointerModel) -> DensityMatrix:
@@ -107,22 +102,6 @@ def weak_channel_exact(rho: DensityMatrix, obs: Observable, pm: PointerModel) ->
     require_same_dim(rho.dim, obs.dim)
     _warn_if_not_weak(pm, obs)
     return DensityMatrix(_eigenbasis_map(rho.matrix, obs, _weak_damping(obs, pm)))
-
-
-def weak_channel_perturbative(
-    rho: DensityMatrix, obs: Observable, pm: PointerModel
-) -> np.ndarray:
-    """Second-order truncation of the weak channel, the check on the exact one.
-
-    Returns the Hermitian output matrix, not a ``DensityMatrix``: with three
-    or more outcomes the weights 1 - x_ij are not a positive map, so the
-    output can have a slightly negative eigenvalue even in the weak regime.
-    Warns, as the exact channel does, only below the weak regime, where the
-    largest expansion parameter (a_i - a_j)^2 / (4 width^2) exceeds 0.01.
-    """
-    require_same_dim(rho.dim, obs.dim)
-    _warn_if_not_weak(pm, obs)
-    return _eigenbasis_map(rho.matrix, obs, 1.0 - _pair_gaps_squared(obs) / (4.0 * pm.width**2))
 
 
 def sample_strong_readings(

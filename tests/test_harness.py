@@ -284,14 +284,14 @@ class TestRunVerify:
         assert payload["passed"]
         assert {c["status"] for c in payload["checks"]} == {"pass"}
         assert [c["name"] for c in payload["checks"]] == [
-            "channel_trace", "strong_channel_commutes", "weak_expansion_convergence",
-            "weak_invasiveness_expansion", "invasiveness_ratio_two",
+            "channel_trace", "strong_channel_commutes", "weak_invasiveness_expansion",
+            "invasiveness_ratio_two",
             "pointer_sampler_statistics", "state_positivity",
         ]
 
     def test_narrow_pointer_flagged_not_failed(self):
-        # widths below the weak regime leave both fits unjudged, and an
-        # unjudged fit builds no channel, so nothing warns
+        # widths below the weak regime leave the coefficient fit unjudged, and
+        # an unjudged fit builds no channel, so nothing warns
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"widths": [1.0, 2.0], "n_samples": 20_000,
                                         "n_random": 20}})
@@ -299,10 +299,9 @@ class TestRunVerify:
             warnings.simplefilter("error")
             payload = run_verify(cfg)
         by_name = {c["name"]: c for c in payload["checks"]}
-        assert by_name["weak_expansion_convergence"]["status"] == "out_of_regime"
         assert by_name["weak_invasiveness_expansion"]["status"] == "out_of_regime"
         assert payload["passed"]
-        assert payload["n_out_of_regime"] == 2
+        assert payload["n_out_of_regime"] == 1
 
     def test_user_system_with_mixed_state(self):
         # invasiveness checks probe with a coherent pure state built from
@@ -321,18 +320,16 @@ class TestRunVerify:
         assert payload["passed"], [c for c in payload["checks"] if c["status"] == "fail"]
 
     def test_builds_each_width_channel_once(self, monkeypatch):
-        # one exact channel per width and for the ratio law; the second-order
-        # map once per width. The random state goes through the stacked map
-        calls = {"weak_channel_exact": 0, "weak_channel_perturbative": 0}
-        for name in calls:
-            def counting(*args, _f=getattr(harness, name), _name=name):
-                calls[_name] += 1
-                return _f(*args)
-            monkeypatch.setattr(harness, name, counting)
+        # one exact channel per distinct width and one for the ratio law; the
+        # random states go through the stacked map
+        calls = []
+        monkeypatch.setattr(harness, "weak_channel_exact",
+                            lambda *a, _f=harness.weak_channel_exact: calls.append(a[2]) or _f(*a))
         cfg = parse_config({"scenario": "verify", "seed": 3,
-                            "verify": {"n_samples": 20_000, "n_random": 1}})
+                            "verify": {"widths": [40.0, 10.0, 20.0, 10.0, 80.0],
+                                       "n_samples": 20_000, "n_random": 1}})
         assert run_verify(cfg)["passed"]
-        assert calls == {"weak_channel_exact": 4 + 1, "weak_channel_perturbative": 4}
+        assert [pm.width for pm in calls] == [10.0, 20.0, 40.0, 80.0, 100.0]
 
     @pytest.mark.parametrize("widths, observable", [
         ([10.0, 1e4], SZ), ([10.0, 1e5], SZ), ([10.0, 3000.0], SZ),
@@ -340,36 +337,36 @@ class TestRunVerify:
         (None, [[0.001, 0], [0, 0], [0, 0], [-0.001, 0]]),
     ], ids=["sz-1e4", "sz-1e5", "sz-3000", "diag0.01", "diag0.001"])
     def test_widths_too_wide_to_resolve_not_judged(self, widths, observable):
-        # x = (diameter / 2w)^2 at the widest width puts every w^-4 effect
-        # near round-off; both fits are left unjudged, naming the limit
+        # x = (diameter / 2w)^2 at the widest width puts the w^-4 effect near
+        # round-off; the coefficient fit is left unjudged, naming the limit
         cfg = _verify_system_cfg(observable, widths)
         payload = run_verify(cfg)
         by_name = {c["name"]: c for c in payload["checks"]}
         assert payload["passed"]
-        for name in ("weak_expansion_convergence", "weak_invasiveness_expansion"):
-            assert by_name[name]["status"] == "out_of_regime"
-            assert "float64 ulps" in by_name[name]["detail"]
+        fit = by_name["weak_invasiveness_expansion"]
+        assert fit["status"] == "out_of_regime"
+        assert "float64 ulps" in fit["detail"]
         assert by_name["invasiveness_ratio_two"]["status"] == "pass"
         assert not any("single eigenspace" in c["detail"] for c in payload["checks"])
 
     def test_resolvable_widths_stay_judged(self):
         # A = diag(0.1, -0.1) puts the default widths at up to 400 diameters,
-        # x^2 = 1.1e4 ulps at the widest: both fits are still judged
+        # x^2 = 1.1e4 ulps at the widest: the coefficient fit is still judged
         payload = run_verify(_verify_system_cfg([[0.1, 0], [0, 0], [0, 0], [-0.1, 0]], None))
         assert {c["status"] for c in payload["checks"]} == {"pass"}
 
-    def test_coefficient_fit_takes_first_three_distinct_widths(self):
+    def test_coefficient_fit_takes_every_distinct_width(self):
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"widths": [20.0, 10.0, 10.0, 40.0, 80.0],
                                        "n_samples": 20_000, "n_random": 5}})
         by_name = {c["name"]: c for c in run_verify(cfg)["checks"]}
         fit = by_name["weak_invasiveness_expansion"]
         assert fit["status"] == "pass"
-        assert fit["detail"].endswith("across widths [10.0, 20.0, 40.0]")
+        assert fit["detail"].endswith("across widths [10.0, 20.0, 40.0, 80.0]")
 
     def test_fewer_than_three_distinct_widths_leave_fit_unjudged(self):
         # [10, 10, 10, 20] once fitted three equal widths, a spread of x1 that
-        # could not fail; the slope still has two distinct widths to fit
+        # could not fail
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"widths": [10.0, 10.0, 10.0, 20.0],
                                        "n_samples": 20_000, "n_random": 5}})
@@ -378,7 +375,6 @@ class TestRunVerify:
         fit = by_name["weak_invasiveness_expansion"]
         assert fit["status"] == "out_of_regime"
         assert "hold 2 distinct values and the coefficient fit needs three" in fit["detail"]
-        assert by_name["weak_expansion_convergence"]["status"] == "pass"
         assert payload["passed"] and payload["n_out_of_regime"] == 1
 
     @pytest.mark.parametrize("system", [
@@ -387,17 +383,16 @@ class TestRunVerify:
          "initial_state": PLUS},
     ], ids=["dim1", "qubit-2I"])
     def test_single_eigenspace_leaves_width_laws_unjudged(self, system):
-        # with one eigenspace every weak channel is the identity, so the three
+        # with one eigenspace every weak channel is the identity, so the two
         # width laws hold at margin 0 whatever the code does
         cfg = parse_config({"scenario": "verify", "seed": 3, "system": system,
                             "verify": {"n_samples": 20_000, "n_random": 5}})
         payload = run_verify(cfg)
         by_name = {c["name"]: c for c in payload["checks"]}
-        for name in ("weak_expansion_convergence", "weak_invasiveness_expansion",
-                     "invasiveness_ratio_two"):
+        for name in ("weak_invasiveness_expansion", "invasiveness_ratio_two"):
             assert by_name[name]["status"] == "out_of_regime"
             assert by_name[name]["detail"].startswith("observable has a single eigenspace")
-        assert payload["passed"] and payload["n_out_of_regime"] == 3
+        assert payload["passed"] and payload["n_out_of_regime"] == 2
 
     def test_corrupt_state_injection_fails_positivity(self):
         cfg = parse_config({"scenario": "verify", "seed": 3,
@@ -426,7 +421,7 @@ class TestVerifyStacks:
     @pytest.mark.parametrize("name", sorted(STACK_OBSERVABLES))
     def test_stacked_channels_match_single_state_channels(self, rng, name):
         obs = spectral_decompose(STACK_OBSERVABLES[name])
-        pm = harness._verify_pointer(obs)
+        pm = PointerModel(width=harness._verify_width(obs))
         states = random_density_matrices(7, obs.dim, rng)
         strong = _eigenbasis_map(states, obs, np.eye(obs.n_outcomes))
         weak = _eigenbasis_map(states, obs, _weak_damping(obs, pm))
@@ -460,7 +455,7 @@ class TestVerifyStacks:
         # configured state and then the random ones
         dyn = harness._system_objects(cfg.system)
         obs = dyn.observable
-        rng, pm, a = substream(cfg.seed, 102), harness._verify_pointer(obs), obs.matrix()
+        rng, pm, a = substream(cfg.seed, 102), PointerModel(width=harness._verify_width(obs)), obs.matrix()
         states = [dyn.initial_state] + [random_density_matrix(obs.dim, rng) for _ in range(block + 1)]
         worst = worst_comm = 0.0
         min_eval = math.inf
@@ -531,15 +526,17 @@ def _biased_strong(f, rho, obs, n, rng):
 
 
 # each judged verify check with a defect it must catch, by test id: the
-# function it checks, as lgsim.harness calls it, the check, and a wrap that
-# pushes the function's result off the exact value
+# function it checks, as lgsim.harness calls it or, with a module prefix, as
+# that module calls it, the check, and a wrap that pushes the function's
+# result off the exact value
 BROKEN = {
     "_weak_damping": ("_weak_damping", "channel_trace", lambda f, *a: f(*a) * (1.0 + 1e-11)),
     "_eigenbasis_map": (
         "_eigenbasis_map", "strong_channel_commutes", lambda f, rho, obs, weights: rho),
-    "weak_channel_perturbative": (
-        "weak_channel_perturbative", "weak_expansion_convergence",
-        lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.01 * pm.width))),
+    # a first-order defect in the exact channel: exp(-gap^2 / (4.04 w^2))
+    "measurement._weak_damping": (
+        "measurement._weak_damping", "weak_invasiveness_expansion",
+        lambda f, *a: f(*a) ** (1 / 1.01)),
     "predicted_weak": (
         "predicted_weak", "weak_invasiveness_expansion",
         lambda f, rho, obs, pm: f(rho, obs, PointerModel(width=1.001 * pm.width))),
@@ -579,8 +576,10 @@ class TestVerifyChecksCanFail:
     @pytest.mark.parametrize("defect", sorted(BROKEN))
     def test_defect_fails_its_check(self, monkeypatch, defect):
         function, check, wrap = BROKEN[defect]
-        original = getattr(harness, function)
-        monkeypatch.setattr(harness, function, lambda *a, **k: wrap(original, *a, **k))
+        module, _, function = function.rpartition(".")
+        owner = getattr(lgsim, module) if module else harness
+        original = getattr(owner, function)
+        monkeypatch.setattr(owner, function, lambda *a, **k: wrap(original, *a, **k))
         payload = run_verify(parse_config(VERIFY_SMALL))
         assert {c["name"]: c["status"] for c in payload["checks"]}[check] == "fail"
         assert not payload["passed"]
@@ -619,7 +618,7 @@ class TestVerifyChecksCanFail:
 def _whole_array_deviation(rho, obs, wr, sr) -> float:
     """The sampler check's scores taken over whole arrays of weak readings
     ``wr`` and strong readings ``sr``: the reference for the chunked sums."""
-    n, pm = len(wr), harness._verify_pointer(obs)
+    n, pm = len(wr), PointerModel(width=harness._verify_width(obs))
     p = born_weights(rho, obs)
     mean_a, var_a = expectation(rho, obs), variance(rho, obs)
     s2 = pm.position_variance
@@ -677,7 +676,7 @@ class TestSamplerStatistics:
         # 6_000, and the merged chunk moments match numpy's over the whole arrays
         obs, rho = self.PROBES[probe]
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 7_000)
-        pm, wr, sr = harness._verify_pointer(obs), [], []
+        pm, wr, sr = PointerModel(width=harness._verify_width(obs)), [], []
         for c, m in enumerate([7_000, 7_000, 6_000]):
             rng = substream(12, 107, c)
             readings = harness.sample_strong_readings(rho, obs, m, rng)
@@ -721,7 +720,7 @@ class TestSamplerStatistics:
         moments, judged = harness._moments, []
         monkeypatch.setattr(harness, "_moments", lambda x: judged.append(x.copy()) or moments(x))
         _sampler_deviation(rho, obs, DEFAULT_CHUNK_SIZE + 1_000, 9, 107)
-        pm = harness._verify_pointer(obs)
+        pm = PointerModel(width=harness._verify_width(obs))
         assert [r.size for r in judged] == [DEFAULT_CHUNK_SIZE, 1_000]
         for c, readings in enumerate(judged):
             want = _weak_readings(rho, obs, pm, readings.size, substream(9, 107, c))

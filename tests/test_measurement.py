@@ -16,7 +16,6 @@ from lgsim import (
     spectral_decompose,
     strong_channel,
     weak_channel_exact,
-    weak_channel_perturbative,
 )
 from lgsim.errors import (
     DimensionMismatchError,
@@ -36,10 +35,6 @@ def qubit_z():
 
 
 def pm_exact(width):
-    return PointerModel(width=width)
-
-
-def pm_pert(width):
     return PointerModel(width=width)
 
 
@@ -207,14 +202,13 @@ class TestWeakChannelExact:
 
 
 class TestWeakChannelPerturbative:
-    def test_second_order_coherence(self, qubit_z):
-        out = weak_channel_perturbative(plus_state(), qubit_z, pm_pert(10.0))
-        assert out[0, 1].real == pytest.approx(0.495, abs=1e-14)
+    """The exact channel against its order-2 expansion, which on sigma_z
+    scales the coherences by 1 - x with x = 4 / (4 w^2) = 1 / w^2."""
 
-    def test_diagonal_state_unchanged(self, qubit_z):
-        rho = DensityMatrix(np.diag([0.7, 0.3]))
-        out = weak_channel_perturbative(rho, qubit_z, pm_pert(10.0))
-        np.testing.assert_allclose(out, rho.matrix, atol=1e-14)
+    @staticmethod
+    def order_two(rho, width):
+        x = 1.0 / width**2
+        return rho.matrix * np.array([[1.0, 1.0 - x], [1.0 - x, 1.0]])
 
     def test_taylor_remainder_bound(self, qubit_z, rng):
         # |exp(-x) - (1 - x)| <= x^2/2 with x <= diam^2/(4 w^2) gives
@@ -224,26 +218,16 @@ class TestWeakChannelPerturbative:
         for _ in range(20):
             rho = random_density_matrix(2, rng)
             exact = weak_channel_exact(rho, qubit_z, pm_exact(width))
-            pert = weak_channel_perturbative(rho, qubit_z, pm_pert(width))
-            assert np.max(np.abs(exact.matrix - pert)) <= bound
+            assert np.max(np.abs(exact.matrix - self.order_two(rho, width))) <= bound
 
     def test_gap_falls_off_as_fourth_power(self, qubit_z):
         widths = np.array([10.0, 20.0, 40.0, 80.0])
         gaps = []
         for w in widths:
             exact = weak_channel_exact(plus_state(), qubit_z, pm_exact(w))
-            pert = weak_channel_perturbative(plus_state(), qubit_z, pm_pert(w))
-            gaps.append(np.max(np.abs(exact.matrix - pert)))
+            gaps.append(np.max(np.abs(exact.matrix - self.order_two(plus_state(), w))))
         slope = np.polyfit(np.log(widths), np.log(gaps), 1)[0]
         assert slope == pytest.approx(-4.0, abs=0.1)
-
-    def test_below_weak_regime_warns_once(self, qubit_z):
-        # x = 4 / (4 * 2.5^2) = 0.16: the width is below 5 x diameter 2, and
-        # the weak-regime warning is the only one
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            weak_channel_perturbative(plus_state(), qubit_z, pm_pert(2.5))
-        assert [w.category for w in record] == [WeakRegimeWarning]
 
 
 class TestWeakRegimeGuardrail:
@@ -290,7 +274,7 @@ class TestPointerModelValidation:
             PointerModel(width=width)
 
     def test_takes_no_truncation(self):
-        # the exact channel is the only run path; the second-order one is a check
+        # the exact channel is the only weak map
         with pytest.raises(TypeError):
             PointerModel(width=10.0, truncation="exact")
 
