@@ -236,6 +236,15 @@ class TestWeakRegimeGuardrail:
             out = weak_channel_exact(plus_state(), qubit_z, pm_exact(1.0))
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
 
+    def test_below_weak_regime_warns_once(self, qubit_z):
+        # x = 4 / (4 * 2.5^2) = 0.16: the width is below 5 x diameter 2, and
+        # the weak-regime warning is the only one
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            out = weak_channel_exact(plus_state(), qubit_z, pm_exact(2.5))
+        assert [w.category for w in record] == [WeakRegimeWarning]
+        assert out.matrix[0, 1].real == pytest.approx(0.5 * np.exp(-0.16), abs=1e-14)
+
     def test_boundary_width_does_not_warn(self, qubit_z, recwarn):
         weak_channel_exact(plus_state(), qubit_z, pm_exact(10.0))  # 5 x diameter exactly
         assert not [w for w in recwarn if issubclass(w.category, WeakRegimeWarning)]
