@@ -305,12 +305,12 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     )
 
 
-# The w^-4 coefficient fit is judged only where its effect, x^2 with
-# x = (diameter / 2w)^2 at the fit's widest width, is at least 1e3 float64
-# ulps: the purities it is a difference of are O(1) and known to a few ulps.
-# Just above the bound, round-off moved a fitted coefficient by at most 6%
-# against the 10% spread tolerance (scans over d = 2 to 24); at 56 ulps it
-# moved a qutrit's coefficient by 29%.
+# A width enters the w^-4 coefficient fit only where its effect, x^2 with
+# x = (diameter / 2w)^2, is at least 1e3 float64 ulps: the purities it is a
+# difference of are O(1) and known to a few ulps. Just above the bound,
+# round-off moved a fitted coefficient by at most 6% against the 10% spread
+# tolerance (scans over d = 2 to 24); at 56 ulps it moved a qutrit's
+# coefficient by 29%.
 _RESOLVABLE_EFFECT = 1e3 * np.finfo(float).eps
 # verify's widest pointer, the I1 = 2 I2 check's, in spectral diameters
 _RATIO_WIDTH_FACTOR = 50.0
@@ -330,17 +330,22 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
             ("weak_invasiveness_expansion", "nothing is disturbed"),
             ("invasiveness_ratio_two", "ratio law is vacuous"),
         )]
-    # the fit's widths, the distinct ones (not by np.unique, whose first call
-    # adds about 1.5 MB to peak RSS under numpy 2)
-    fit = sorted(set(widths.tolist()))
-    if not PointerModel(width=fit[0]).in_weak_regime(obs):
+    # the fit's widths: the distinct ones (not by np.unique, whose first call
+    # adds about 1.5 MB to peak RSS under numpy 2) at which the w^-4 effect is
+    # resolvable. The effect falls with width, so the widest are dropped; it is
+    # computed only in the weak regime, where it cannot overflow
+    distinct = sorted(set(widths.tolist()))
+    weak = PointerModel(width=distinct[0]).in_weak_regime(obs)
+    fit = [w for w in distinct if weak and (diam / (2.0 * w)) ** 4 >= _RESOLVABLE_EFFECT]
+    unresolved = (f"widths {distinct[len(fit):]} put (diameter / 2 width)^4 below "
+                  f"{_RESOLVABLE_EFFECT:.3g} (1e3 float64 ulps) and are not fitted")
+    if not weak:
         skip = "pointer widths below the weak regime; coefficient fit not judged"
-    elif (effect := (diam / (2.0 * fit[-1])) ** 4) < _RESOLVABLE_EFFECT:
-        skip = (f"(diameter / 2 width)^4 = {effect:.3g} at width {fit[-1]:g} is below "
-                f"{_RESOLVABLE_EFFECT:.3g} (1e3 float64 ulps); coefficient fit not judged")
     elif len(fit) < 3:
-        skip = (f"widths {widths.tolist()} hold {len(fit)} distinct values and the "
-                "coefficient fit needs three; coefficient fit not judged")
+        skip = (f"{unresolved}, leaving {len(fit)} of the three distinct widths the fit needs"
+                if len(fit) < len(distinct) else
+                f"widths {widths.tolist()} hold {len(fit)} distinct values and the "
+                "coefficient fit needs three") + "; coefficient fit not judged"
     else:
         skip = None
 
@@ -355,7 +360,8 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
         spread = max(max(c) / min(c) if min(c) > 0 else math.inf for c in (coeffs_i1, coeffs_i2))
         checks = [_check(
             "weak_invasiveness_expansion", spread, 1.1,
-            f"fitted width^4 coefficient spread x{spread:.4f} across widths {fit}",
+            f"fitted width^4 coefficient spread x{spread:.4f} across widths {fit}"
+            + (f"; {unresolved}" if len(fit) < len(distinct) else ""),
         )]
     else:
         checks = [_unjudged("weak_invasiveness_expansion", skip)]

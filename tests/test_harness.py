@@ -355,6 +355,14 @@ class TestRunVerify:
         payload = run_verify(_verify_system_cfg([[0.1, 0], [0, 0], [0, 0], [-0.1, 0]], None))
         assert {c["status"] for c in payload["checks"]} == {"pass"}
 
+    def test_one_unresolvable_width_is_dropped_not_the_fit(self):
+        # width 1e4 alone is past round-off on sigma_z; the fit is judged on
+        # the other three and names the one it dropped
+        payload = run_verify(_verify_system_cfg(SZ, [10.0, 20.0, 40.0, 1e4]))
+        assert {c["status"] for c in payload["checks"]} == {"pass"}
+        fit = {c["name"]: c for c in payload["checks"]}["weak_invasiveness_expansion"]
+        assert "across widths [10.0, 20.0, 40.0]; widths [10000.0] put" in fit["detail"]
+
     def test_coefficient_fit_takes_every_distinct_width(self):
         cfg = parse_config({"scenario": "verify", "seed": 3,
                             "verify": {"widths": [20.0, 10.0, 10.0, 40.0, 80.0],

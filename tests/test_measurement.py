@@ -201,7 +201,7 @@ class TestWeakChannelExact:
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
 
 
-class TestWeakChannelPerturbative:
+class TestWeakChannelExpansion:
     """The exact channel against its order-2 expansion, which on sigma_z
     scales the coherences by 1 - x with x = 4 / (4 w^2) = 1 / w^2."""
 
