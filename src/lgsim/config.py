@@ -266,9 +266,9 @@ def parse_config(data: dict) -> RunConfig:
             _fail("config.plan.times", "must be strictly increasing")
     if cfg.sweep is not None and not (cfg.sweep.delta_p or cfg.sweep.n or cfg.sweep.tau):
         _fail("config.sweep", "sweep grid is empty: provide at least one of delta_p, n, tau")
-    if cfg.verify is not None and len(set(cfg.verify.widths)) < 2:
-        _fail("config.verify.widths",
-              f"must hold at least two distinct widths, got {list(cfg.verify.widths)}")
+    if cfg.verify is not None and len(set(cfg.verify.widths)) < 3:
+        _fail("config.verify.widths", "must hold at least three distinct widths, the "
+              f"coefficient fit's minimum, got {list(cfg.verify.widths)}")
     b = cfg.budget
     if b is not None and b.ensemble_size < 2 * b.k:
         _fail("config.budget.ensemble_size", f"must be >= 2k = {2 * b.k}, got {b.ensemble_size}")

@@ -342,10 +342,10 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
     if not weak:
         skip = "pointer widths below the weak regime; coefficient fit not judged"
     elif len(fit) < 3:
-        skip = (f"{unresolved}, leaving {len(fit)} of the three distinct widths the fit needs"
-                if len(fit) < len(distinct) else
-                f"widths {widths.tolist()} hold {len(fit)} distinct values and the "
-                "coefficient fit needs three") + "; coefficient fit not judged"
+        # parse_config asks for three distinct widths, so unresolvable ones
+        # are what leave fewer
+        skip = (f"{unresolved}, leaving {len(fit)} of the three distinct widths the fit "
+                "needs; coefficient fit not judged")
     else:
         skip = None
 
@@ -490,44 +490,46 @@ def run_sweep(cfg: RunConfig) -> dict:
     kernels: dict[tuple, _SeriesKernel] = {}
     rows: list[dict] = []
     point_index = 0
-    for d in axes["delta_p"]:
-        invasiveness = []
-        if d is not None:
-            pmw = PointerModel(width=d)
-            # a gap (a_i - a_j)^2 that overflows damps its coherence to 0, as it should
-            with np.errstate(over="ignore", invalid="ignore"):
+    # one error state for the whole grid: overflows become inf or NaN, which
+    # the width and correlator refusals turn into a ValidationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in axes["delta_p"]:
+            invasiveness = []
+            if d is not None:
+                pmw = PointerModel(width=d)
+                # a gap (a_i - a_j)^2 that overflows damps its coherence to 0, as it should
                 meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
                 pred = predicted_weak(rho, obs, pmw)
-            if not math.isfinite(pred.i1):
-                raise ValidationError(
-                    f"sweep.delta_p {d:g}: Var(A) / delta_p^2 overflows float64; the "
-                    f"observable's largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
-            invasiveness = [
-                ("i1_measured", meas.i1),
-                ("i1_predicted", pred.i1),
-                ("i2_measured", meas.i2),
-                ("i2_predicted", pred.i2),
-            ]
-        for n in axes["n"]:
-            for t in axes["tau"]:
-                coords = {"delta_p": d, "n": n, "tau": t}
-                rows.extend({**coords, "metric": m, "value": v} for m, v in invasiveness)
+                if not math.isfinite(pred.i1):
+                    raise ValidationError(
+                        f"sweep.delta_p {d:g}: Var(A) / delta_p^2 overflows float64; the "
+                        f"observable's largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
+                invasiveness = [
+                    ("i1_measured", meas.i1),
+                    ("i1_predicted", pred.i1),
+                    ("i2_measured", meas.i2),
+                    ("i2_predicted", pred.i2),
+                ]
+            for n in axes["n"]:
+                for t in axes["tau"]:
+                    coords = {"delta_p": d, "n": n, "tau": t}
+                    rows.extend({**coords, "metric": m, "value": v} for m, v in invasiveness)
 
-                if mc_wanted:
-                    t_first = cfg.plan.times[0]
-                    t_second = t_first + t if t is not None else cfg.plan.times[1]
-                    n_events = n if n is not None else SWEEP_N_EVENTS
-                    width = d if d is not None else (cfg.pointer.width if cfg.pointer else None)
-                    pointer = PointerModel(width=width) if sw.mode == "weak" else None
-                    key = (t_first, t_second, pointer)
-                    if key not in kernels:
-                        kernels[key] = _SeriesKernel(dyn, t_first, t_second, pointer)
-                        if pointer is not None:
-                            _warn_if_not_weak(pointer, obs, stacklevel=2)
-                    est = _estimate(kernels[key], n_events, cfg.seed, point_index, (1, 2))
-                    rows.append({**coords, "metric": "corr_value", "value": est.value})
-                    rows.append({**coords, "metric": "corr_std_error", "value": est.std_error})
-                point_index += 1
+                    if mc_wanted:
+                        t_first = cfg.plan.times[0]
+                        t_second = t_first + t if t is not None else cfg.plan.times[1]
+                        n_events = n if n is not None else SWEEP_N_EVENTS
+                        width = d if d is not None else (cfg.pointer.width if cfg.pointer else None)
+                        pointer = PointerModel(width=width) if sw.mode == "weak" else None
+                        key = (t_first, t_second, pointer)
+                        if key not in kernels:
+                            kernels[key] = _SeriesKernel(dyn, t_first, t_second, pointer)
+                            if pointer is not None:
+                                _warn_if_not_weak(pointer, obs, stacklevel=2)
+                        est = _estimate(kernels[key], n_events, cfg.seed, point_index, (1, 2))
+                        rows.append({**coords, "metric": "corr_value", "value": est.value})
+                        rows.append({**coords, "metric": "corr_std_error", "value": est.std_error})
+                    point_index += 1
 
     return {"axes": {k: [v for v in vs if v is not None] for k, vs in axes.items()}, "rows": rows}
 

@@ -24,13 +24,17 @@ one multinomial draw of its m events over the d^2 pairs. A weak reading
 p leaves the second-outcome weights sum_ij phi_i(p) Re G[b, i, j] phi_j(p)
 with real pointer amplitudes phi, so weak events are drawn one by one: a
 chunk draws all its random numbers first, and then builds its per-event
-tables one column block of ``_BLOCK`` events at a time. Its first readings
+tables one column block of events at a time. Its first readings
 come from the sampler behind ``measurement.sample_weak_readings``: one
 multinomial count vector of the first outcomes over the Born weights p,
-readings grouped by outcome, then the pointer noise. The tables are
-outcome-major, shape (d, block), and the second draw compares unnormalised
-cumulative weights against u times their total, sum_i p_i phi_i(p)^2, as
-the B_b sum to the identity.
+readings grouped by outcome, then the pointer noise. A product
+phi_i phi_j depends on the reading only through the midpoint
+(a_i + a_j) / 2, so the kernel folds G over the K distinct midpoints of
+the spectrum into one (d, K) table, and a block's weights are one matrix
+product of it with the (K, block) table of pair products. Its last row
+gives their total, sum_i p_i phi_i(p)^2, as the B_b sum to the identity,
+and the second draw compares unnormalised cumulative weights against u
+times that total.
 """
 
 from __future__ import annotations
@@ -62,11 +66,14 @@ from .quantum import (
 )
 from .streams import chunk_sizes, substream
 
-# Events per column block of a chunk. A (d, 8192) float64 table is 512 KiB
-# at d = 8, so the three tables of a weak block fit in a 2 MiB L2 together.
-# Results do not depend on it: every event sees the same random numbers and
-# the sums run over the whole chunk.
+# Events per column block of a chunk, at most. A (d, 8192) float64 table is
+# 512 KiB at d = 8. A weak block also holds a (K, block) table of pair
+# products, K the spectrum's distinct midpoints, and takes fewer events where
+# that table would pass _PAIR_FLOATS floats (1 MiB). Results do not depend on
+# either: every event sees the same random numbers and the sums run over the
+# whole chunk.
 _BLOCK = 8192
+_PAIR_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -156,13 +163,79 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum[:-1] <= u).sum(axis=0)
 
 
+def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
+    """The weak kernel's runs of pairs (r, s) and (d, K) table over the K
+    distinct midpoints (a_i + a_j) / 2 of the spectrum ``a``, for pointer
+    ``width``.
+
+    phi_i phi_j = exp(-(p - m)^2 / w^2 - (a_i - a_j)^2 / 4w^2) depends on the
+    reading p only through the midpoint m of a_i and a_j. So pairs that share
+    a midpoint share phi_r phi_s up to a constant factor, with (r, s), r <= s,
+    the pair of the smallest gap, which makes every factor at most 1. Row
+    b < d-1 holds sum Re G[b, i, j] exp(-((a_i - a_j)^2 - (a_r - a_s)^2) / 4w^2)
+    over the midpoint's ordered pairs, so that sum_ij phi_i Re G[b, i, j] phi_j
+    = sum_k table[b, k] phi_r phi_s. The last row holds the Born weight p_i at
+    the midpoint a_i of the pair (i, i), of gap 0: the Re G[b] sum to diag(p),
+    so it gives the total over every outcome, sum_i p_i phi_i^2.
+
+    Midpoints merge on exact float equality only: an equally spaced spectrum
+    has 2d - 1 of them, a generic one d(d + 1) / 2. The columns run in the
+    order of their pairs (r, s), and a run (r, lo, hi, k) gives columns k to
+    k + hi - lo - 1 the pairs (r, lo) ... (r, hi - 1), so that one ufunc call
+    per run forms their products phi_r phi_s: d calls for an equally spaced
+    or a generic spectrum, not K.
+    """
+    values = a.tolist()
+    groups: dict[float, list[tuple[int, int]]] = {}
+    for i, a_i in enumerate(values):
+        for j, a_j in enumerate(values):
+            groups.setdefault((a_i + a_j) / 2.0, []).append((i, j))
+
+    def gap(pair):
+        return abs(values[pair[0]] - values[pair[1]])
+
+    born = re_g.sum(axis=0).diagonal()
+    # min keeps the first of (r, s) and (s, r), the one with r <= s
+    columns = sorted((min(members, key=gap), members) for members in groups.values())
+    table = np.zeros((len(values), len(columns)))
+    runs: list[tuple[int, int, int, int]] = []
+    for k, ((r, s), members) in enumerate(columns):
+        g0 = gap((r, s))
+        for i, j in members:
+            # (g - g0)(g + g0) >= 0, so the factor never exceeds 1
+            g = gap((i, j))
+            table[:-1, k] += re_g[:-1, i, j] * math.exp(-(g - g0) * (g + g0) / (4.0 * width**2))
+        if r == s:
+            table[-1, k] = born[r]
+        if runs and runs[-1][0] == r and runs[-1][2] == s:
+            runs[-1] = (r, runs[-1][1], s + 1, runs[-1][3])
+        else:
+            runs.append((r, s, s + 1, k))
+    return tuple(runs), table
+
+
+def _outcome_table(dyn: DynamicsSpec, t_first: float, t_second: float):
+    """The state at ``t_first`` and the (d, d, d) table Re G[b, i, j] of a
+    series, G[b, i, j] = tr(B_b P_i rho P_j) with B_b the projector onto
+    outcome b carried back over the gap ``t_second - t_first``."""
+    rho0 = dyn.initial_state
+    rho_first = evolve(rho0, propagator(dyn.hamiltonian, t_first)) if t_first else rho0
+    u_gap = propagator(dyn.hamiltonian, t_second - t_first)
+    proj = dyn.observable.projectors
+    blocks = (proj @ rho_first.matrix)[:, None] @ proj[None]  # P_i rho P_j
+    heis = np.stack([u_gap.conj().T @ p @ u_gap for p in proj])
+    # phi is real and G is Hermitian in (i, j), so the imaginary parts
+    # cancel in sum_ij phi_i G[b,i,j] phi_j and only Re G is needed
+    return rho_first, np.einsum("bad,ijda->bij", heis, blocks).real
+
+
 class _SeriesKernel:
     """Precomputed per-series tables; maps one rng chunk to outcome products.
     Its ``first_mode`` label is "strong" when ``pointer`` is None, else "weak".
 
-    Weak per-event tables are outcome-major, shape (d, block): outcome on the
-    first axis, event on the second, so every reduction over the short
-    outcome axis is an elementwise pass over whole rows of a block.
+    Weak per-event tables are outcome-major, shape (d, block), or pair-major,
+    shape (K, block): the short axis first, event on the second, so every
+    reduction over it is an elementwise pass over whole rows of a block.
     """
 
     def __init__(
@@ -173,16 +246,7 @@ class _SeriesKernel:
         obs = dyn.observable
         self.first_mode = MODE_STRONG if pointer is None else MODE_WEAK
         self.eigenvalues = obs.eigenvalues
-        rho0 = dyn.initial_state
-        rho_first = evolve(rho0, propagator(dyn.hamiltonian, t_first)) if t_first else rho0
-        u_gap = propagator(dyn.hamiltonian, t_second - t_first)
-        # G[b, i, j] = tr(B_b P_i rho P_j) with B_b the Heisenberg projector
-        proj = obs.projectors
-        blocks = (proj @ rho_first.matrix)[:, None] @ proj[None]  # P_i rho P_j
-        heis = np.stack([u_gap.conj().T @ p @ u_gap for p in proj])
-        # phi is real and G is Hermitian in (i, j), so the imaginary parts
-        # cancel in sum_ij phi_i G[b,i,j] phi_j and only Re G is needed
-        re_g = np.einsum("bad,ijda->bij", heis, blocks).real
+        rho_first, re_g = _outcome_table(dyn, t_first, t_second)
 
         if pointer is None:
             # joint law P(i, b) = Re G[b,i,i] of the outcome pair, flattened
@@ -193,10 +257,7 @@ class _SeriesKernel:
                 self.pair_products = np.multiply.outer(self.eigenvalues, self.eigenvalues).ravel()
         else:
             self.rho_first, self.observable, self.pointer = rho_first, obs, pointer
-            self.re_g = np.ascontiguousarray(re_g)
-            # the B_b sum to I, so the Re G[b] sum to diag(p) with p the Born
-            # weights at t_first: a reading's total weight is sum_i p_i phi_i^2
-            self.born = re_g.sum(axis=0).diagonal()[:, None].copy()
+            self.runs, self.table = _midpoint_table(re_g, self.eigenvalues, pointer.width)
 
     def _second_cum(self, first: np.ndarray) -> np.ndarray:
         """(d, block) unnormalised cumulative weights of the second outcome
@@ -211,25 +272,18 @@ class _SeriesKernel:
         phi /= -2.0 * self.pointer.width**2
         phi -= phi.max(axis=0)
         np.exp(phi, out=phi)
-        # joint weight of reading p and second outcome b:
-        # sum_ij phi_i Re G[b,i,j] phi_j, as real (d, d) @ (d, block)
-        # products for b = 0 ... d-2; one (d, block) buffer at a time, never
-        # a (block, d^2) array. Row b is clipped at zero and accumulated onto
-        # row b-1 as it is made, which is the same sum as np.cumsum(axis=0)
-        # at a fraction of its cost. The last row, the total over every b,
-        # needs no contraction: it is sum_i p_i phi_i^2.
-        cum = np.empty_like(phi)
-        buf = np.empty_like(phi)
-        for b, g_b in enumerate(self.re_g[:-1]):
-            np.matmul(g_b, phi, out=buf)
-            buf *= phi
-            row = buf.sum(axis=0, out=cum[b])
-            np.maximum(row, 0.0, out=row)
-            if b:
-                row += cum[b - 1]
-        np.multiply(phi, self.born, out=buf)
-        buf *= phi
-        buf.sum(axis=0, out=cum[-1])
+        # one product phi_r phi_s per distinct midpoint, then the joint weight
+        # of reading p and each second outcome b < d-1, and their total, as
+        # one (d, K) @ (K, block) product. Rows 0 ... d-2 are clipped at zero
+        # and accumulated onto the row before, the same sum as
+        # np.cumsum(axis=0) at a fraction of its cost.
+        prods = np.empty((self.table.shape[1], first.size))
+        for r, lo, hi, k in self.runs:
+            np.multiply(phi[r], phi[lo:hi], out=prods[k:k + hi - lo])
+        cum = self.table @ prods
+        np.maximum(cum[:-1], 0.0, out=cum[:-1])
+        for b in range(1, len(cum) - 1):
+            cum[b] += cum[b - 1]
         return cum
 
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[float, float]:
@@ -238,8 +292,9 @@ class _SeriesKernel:
         A strong chunk is one multinomial draw of the events over the
         outcome pairs. A weak chunk draws its first readings (outcome counts,
         then pointer noise) and its second uniforms first, and then works through
-        the events in column blocks of ``_BLOCK`` so the per-event tables of
-        a block stay in cache; each block's products overwrite its readings.
+        the events in column blocks of at most ``_BLOCK`` so the per-event
+        tables of a block stay in cache; each block's products overwrite its
+        readings.
         """
         # the sums stay out of BLAS: OpenBLAS splits a long ddot over its
         # threads, which would tie the result to the thread count
@@ -251,13 +306,14 @@ class _SeriesKernel:
         a = self.eigenvalues
         products = _weak_readings(self.rho_first, self.observable, self.pointer, m, rng)
         u_second = rng.random(m)
-        for lo in range(0, m, _BLOCK):
-            first = products[lo:lo + _BLOCK]
+        block = max(1, min(_BLOCK, _PAIR_FLOATS // self.table.shape[1]))
+        for lo in range(0, m, block):
+            first = products[lo:lo + block]
             cum = self._second_cum(first)
             # inverse CDF against the unnormalised total: outcome b is drawn
             # when cum[b-1] <= u * cum[-1] < cum[b]; with a positive total,
             # u < 1 keeps the last row out
-            first *= a[_inverse_cdf(cum, u_second[lo:lo + _BLOCK] * cum[-1])]
+            first *= a[_inverse_cdf(cum, u_second[lo:lo + block] * cum[-1])]
         # the moments run once over the whole chunk, so their pairwise order
         # does not depend on the block size
         return _moments(products)
@@ -296,9 +352,11 @@ def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimat
     """One series of n events on stream ``stream``. The kernel holds no state
     between chunks, so one kernel serves any series of its times and pointer.
     Sums that overflow float64, as an observable far from unit scale makes
-    them, raise ``ValidationError``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total, sq_dev = _chunk_moments(n, seed, stream, kernel.run_chunk)
+    them, raise ``ValidationError``. Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``, entered once per call
+    of theirs rather than once per correlator, so that an overflow reaches
+    this refusal without a numpy warning."""
+    total, sq_dev = _chunk_moments(n, seed, stream, kernel.run_chunk)
     if not (math.isfinite(total) and math.isfinite(sq_dev)):
         raise ValidationError(
             f"pair {pair}: the correlator's sums overflow float64; the observable's "
@@ -324,11 +382,12 @@ def run_series(
     standard error. Series s draws from streams (seed, stream_base + s, chunk).
     """
     _check_run_args(pointer, dyn.observable, n_per_series)
-    return [
-        _estimate(_SeriesKernel(dyn, *plan.pair_times(pair), pointer),
-                  n_per_series, seed, stream_base + s, pair)
-        for s, pair in enumerate(plan.pairs)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [
+            _estimate(_SeriesKernel(dyn, *plan.pair_times(pair), pointer),
+                      n_per_series, seed, stream_base + s, pair)
+            for s, pair in enumerate(plan.pairs)
+        ]
 
 
 def estimate_correlator(
@@ -344,8 +403,9 @@ def estimate_correlator(
     ``stream_base``; ``pointer`` as in ``run_series``. A sweep point equals
     this call, though ``run_sweep`` shares kernels across points instead."""
     _check_run_args(pointer, dyn.observable, n_events)
-    return _estimate(_SeriesKernel(dyn, t_first, t_second, pointer),
-                     n_events, seed, stream_base, (1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _estimate(_SeriesKernel(dyn, t_first, t_second, pointer),
+                         n_events, seed, stream_base, (1, 2))
 
 
 # ---------------------------------------------------------------------------

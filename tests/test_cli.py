@@ -48,7 +48,7 @@ def with_width(subcommand, width):
     """A fast config of ``subcommand`` with one pointer width set to ``width``,
     and the key path of that width."""
     if subcommand == "verify":
-        return (dict(VERIFY_FAST, verify=dict(VERIFY_FAST["verify"], widths=[width, 10.0])),
+        return (dict(VERIFY_FAST, verify=dict(VERIFY_FAST["verify"], widths=[width, 10.0, 20.0])),
                 "config.verify.widths[0]")
     if subcommand == "sweep":
         return (dict(SWEEP_WEAK, sweep=dict(SWEEP_WEAK["sweep"], delta_p=[width])),

@@ -168,7 +168,7 @@ SWEEP = {
     "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
     "sweep": {"delta_p": [10.0], "n": [100], "tau": [0.5]},
 }
-VERIFY = {"scenario": "verify", "verify": {"widths": [10.0, 20.0], "n_samples": 1000}}
+VERIFY = {"scenario": "verify", "verify": {"widths": [10.0, 20.0, 40.0], "n_samples": 1000}}
 LG = lg_config()
 
 # One single-defect input per message the parser can raise, with the full
@@ -267,12 +267,15 @@ MESSAGES = [
     (VERIFY, "verify.widths", [-1], "config.verify.widths[0]: must be positive, got -1"),
     (VERIFY, "verify.widths", [10.0, 1e200],
      "config.verify.widths[1]: must be <= 1e+100, got 1e+200"),
-    (VERIFY, "verify.widths", [10.0],
-     "config.verify.widths: must hold at least two distinct widths, got [10.0]"),
-    (VERIFY, "verify.widths", [10.0, 10.0],
-     "config.verify.widths: must hold at least two distinct widths, got [10.0, 10.0]"),
+    (VERIFY, "verify.widths", [10.0, 20.0],
+     "config.verify.widths: must hold at least three distinct widths, the coefficient fit's "
+     "minimum, got [10.0, 20.0]"),
+    (VERIFY, "verify.widths", [10.0, 10.0, 10.0, 20.0],
+     "config.verify.widths: must hold at least three distinct widths, the coefficient fit's "
+     "minimum, got [10.0, 10.0, 10.0, 20.0]"),
     (VERIFY, "verify.widths", [],
-     "config.verify.widths: must hold at least two distinct widths, got []"),
+     "config.verify.widths: must hold at least three distinct widths, the coefficient fit's "
+     "minimum, got []"),
     (VERIFY, "verify.n_samples", 99, "config.verify.n_samples: must be >= 100, got 99"),
     (VERIFY, "verify.n_samples", None, "config.verify.n_samples: must be an integer, got None"),
     (VERIFY, "verify.n_random", 0, "config.verify.n_random: must be >= 1, got 0"),
@@ -415,7 +418,7 @@ class TestRoundTrip:
         data = lg_config(
             output={"dir": "somewhere", "format": "both"},
             budget={"ensemble_size": 10**6, "k": 4, "var_a": 1.0},
-            verify={"widths": [5.0, 50.0], "corrupt_state": True},
+            verify={"widths": [5.0, 50.0, 500.0], "corrupt_state": True},
             sweep={"delta_p": [10, 20], "n": [500]},
         )
         cfg = parse_config(data)

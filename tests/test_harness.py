@@ -293,7 +293,7 @@ class TestRunVerify:
         # widths below the weak regime leave the coefficient fit unjudged, and
         # an unjudged fit builds no channel, so nothing warns
         cfg = parse_config({"scenario": "verify", "seed": 3,
-                            "verify": {"widths": [1.0, 2.0], "n_samples": 20_000,
+                            "verify": {"widths": [1.0, 2.0, 4.0], "n_samples": 20_000,
                                         "n_random": 20}})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -332,7 +332,7 @@ class TestRunVerify:
         assert [pm.width for pm in calls] == [10.0, 20.0, 40.0, 80.0, 100.0]
 
     @pytest.mark.parametrize("widths, observable", [
-        ([10.0, 1e4], SZ), ([10.0, 1e5], SZ), ([10.0, 3000.0], SZ),
+        ([10.0, 20.0, 1e4], SZ), ([10.0, 20.0, 1e5], SZ), ([10.0, 20.0, 3000.0], SZ),
         (None, [[0.01, 0], [0, 0], [0, 0], [-0.01, 0]]),
         (None, [[0.001, 0], [0, 0], [0, 0], [-0.001, 0]]),
     ], ids=["sz-1e4", "sz-1e5", "sz-3000", "diag0.01", "diag0.001"])
@@ -372,18 +372,14 @@ class TestRunVerify:
         assert fit["status"] == "pass"
         assert fit["detail"].endswith("across widths [10.0, 20.0, 40.0, 80.0]")
 
-    def test_fewer_than_three_distinct_widths_leave_fit_unjudged(self):
-        # [10, 10, 10, 20] once fitted three equal widths, a spread of x1 that
-        # could not fail
-        cfg = parse_config({"scenario": "verify", "seed": 3,
-                            "verify": {"widths": [10.0, 10.0, 10.0, 20.0],
-                                       "n_samples": 20_000, "n_random": 5}})
-        payload = run_verify(cfg)
-        by_name = {c["name"]: c for c in payload["checks"]}
-        fit = by_name["weak_invasiveness_expansion"]
-        assert fit["status"] == "out_of_regime"
-        assert "hold 2 distinct values and the coefficient fit needs three" in fit["detail"]
-        assert payload["passed"] and payload["n_out_of_regime"] == 1
+    def test_fewer_than_three_distinct_widths_rejected_at_parse(self):
+        # the coefficient fit needs three distinct widths; [10, 10, 10, 20]
+        # once fitted three equal widths, a spread of x1 that could not fail,
+        # and [10, 20] parsed only to leave the fit unjudged
+        for widths in ([10.0, 10.0, 10.0, 20.0], [10.0, 20.0]):
+            with pytest.raises(ValidationError, match=r"config\.verify\.widths: must hold at "
+                               "least three distinct widths"):
+                parse_config({"scenario": "verify", "seed": 3, "verify": {"widths": widths}})
 
     @pytest.mark.parametrize("system", [
         {"dim": 1, "hamiltonian": [[0.5, 0]], "observable": [[1, 0]], "initial_state": [[1, 0]]},

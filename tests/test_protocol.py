@@ -317,14 +317,18 @@ class TestDeterminismAndMerging:
 
 def _random_dynamics(rng, dim, case):
     """Random (H, A, rho); "degenerate" merges eigenvalues, "offset" adds 1e6 I
-    to A and "far_offset" 1e8 I."""
+    to A and "far_offset" 1e8 I. "spin" is a diagonal spin-(dim-1)/2 J_z, an
+    equally spaced spectrum whose pair midpoints coincide, and "spin_offset"
+    that J_z plus 1e6 I."""
     basis = random_unitary(dim, rng)
     evals = np.sort(rng.normal(size=dim))[::-1]
     if case == "degenerate":
         evals = np.repeat(evals[: (dim + 1) // 2], 2)[:dim]
+    if case.startswith("spin"):
+        basis, evals = np.eye(dim), (dim - 1) / 2.0 - np.arange(dim)
     obs = spectral_decompose((basis * evals) @ basis.conj().T)
-    if case in ("offset", "far_offset"):
-        offset = 1e6 if case == "offset" else 1e8
+    if case in ("offset", "far_offset", "spin_offset"):
+        offset = 1e8 if case == "far_offset" else 1e6
         obs = Observable(obs.eigenvalues + offset, obs.projectors)
     return DynamicsSpec(random_hermitian(dim, rng), obs, random_density_matrix(dim, rng))
 
@@ -358,7 +362,8 @@ def _joint_table(kernel):
 
 
 DYNAMICS_CASES = [(2, "plain"), (3, "plain"), (5, "plain"), (8, "plain"),
-                  (5, "degenerate"), (3, "offset")]
+                  (5, "degenerate"), (3, "offset"),
+                  (3, "spin"), (8, "spin"), (3, "spin_offset")]
 
 
 class TestSecondOutcomeWeights:
@@ -423,36 +428,61 @@ class TestSecondOutcomeWeights:
             total = kernel._second_cum(first)[-1]
             phi = np.subtract.outer(kernel.eigenvalues, first) ** 2 / (-2.0 * width**2)
             phi = np.exp(phi - phi.max(axis=0))
-            want = np.einsum("ie,bij,je->e", phi, kernel.re_g, phi)
+            _, re_g = protocol._outcome_table(dyn, 0.4, 1.3)
+            want = np.einsum("ie,bij,je->e", phi, re_g, phi)
         np.testing.assert_allclose(total, want, rtol=1e-12)
+
+
+    @pytest.mark.parametrize("dim, case, want", [
+        (2, "plain", 3), (3, "spin", 5), (8, "spin", 15), (16, "spin", 31),
+        (3, "spin_offset", 5), (3, "plain", 6), (8, "plain", 36), (16, "plain", 136),
+    ])
+    def test_pairs_with_one_midpoint_share_a_column(self, dim, case, want):
+        # K distinct midpoints (a_i + a_j) / 2: 3 for a qubit, 2d - 1 for an
+        # equally spaced J_z, d(d + 1) / 2 for a generic spectrum; the table
+        # has one column per midpoint, and the runs form one product
+        # phi_r phi_s, r <= s, for each
+        dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
+        kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=0.5))
+        assert kernel.table.shape == (dim, want)
+        pairs = [(r, s) for r, lo, hi, _ in kernel.runs for s in range(lo, hi)]
+        assert len(set(pairs)) == want and all(r <= s for r, s in pairs)
 
 
 class TestColumnBlocks:
     """A weak run_chunk draws a chunk's random numbers first and then works
-    through it in column blocks of ``protocol._BLOCK`` events. A strong chunk
-    has no per-event tables and so no blocks."""
+    through it in column blocks of ``protocol._BLOCK`` events, fewer where the
+    block's (K, block) table of pair products would pass
+    ``protocol._PAIR_FLOATS`` floats. A strong chunk has no per-event tables
+    and so no blocks."""
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_block_size_does_not_change_results(self, monkeypatch, dim, case):
         # every event sees the same random numbers and both sums run over the
         # whole chunk, so any block size gives the one-block result bitwise,
-        # ragged last blocks included
+        # ragged last blocks included; the default cap on the pair table too
         dyn = _random_dynamics(np.random.default_rng(300 + dim), dim, case)
         kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=10.0))
-        block = protocol._BLOCK
+        block, n_pairs = protocol._BLOCK, kernel.table.shape[1]
         for m, sizes in ((23, (1, 7)), (2 * block + 5, (block,))):
+            monkeypatch.setattr(protocol, "_PAIR_FLOATS", (m + 1) * n_pairs)
             monkeypatch.setattr(protocol, "_BLOCK", m + 1)
             want = kernel.run_chunk(substream(90, dim, m), m)
             for size in sizes:
                 monkeypatch.setattr(protocol, "_BLOCK", size)
                 assert kernel.run_chunk(substream(90, dim, m), m) == want
+            monkeypatch.undo()
+            assert kernel.run_chunk(substream(90, dim, m), m) == want
 
-    def test_weak_chunk_peak_memory_is_bounded(self):
-        # a full weak chunk at d = 8 holds its first readings, which become
-        # its products, and its second uniforms (2 x 512 KiB), beside the
-        # (d, block) tables of one block at a time; (d, m) tables of the
-        # whole chunk are 4 MiB each and peak near 13 MiB
-        dyn = _random_dynamics(np.random.default_rng(8), 8, "plain")
+    @pytest.mark.parametrize("dim, case", [(8, "plain"), (8, "spin"), (16, "plain"), (16, "spin")])
+    def test_weak_chunk_peak_memory_is_bounded(self, dim, case):
+        # a full weak chunk holds its first readings, which become its
+        # products, and its second uniforms (2 x 512 KiB), beside the tables
+        # of one block at a time: (d, block) ones and the (K, block) pair
+        # products, at most 1 MiB whatever K is (136 at d = 16 generic); at
+        # d = 8, (d, m) tables of the whole chunk are 4 MiB each and peak
+        # near 13 MiB
+        dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
         kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=10.0))
         rng = substream(91, 0, 0)
         tracemalloc.start()
@@ -485,11 +515,12 @@ class TestChannelIdentities:
             weak = _SeriesKernel(dyn, self.T1, self.T2, pointer)
             weak_out = weak_channel_exact(rho, dyn.observable, pointer)
         joint = _joint_table(_SeriesKernel(dyn, self.T1, self.T2, None))
-        return dyn.observable, rho, u, weak.re_g, joint, weak_out
+        _, re_g = protocol._outcome_table(dyn, self.T1, self.T2)
+        return dyn.observable, rho, u, re_g, joint, weak, weak_out
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_strong_channel(self, dim, case):
-        obs, rho, u, re_g, joint, _ = self._tables(dim, case, 10.0)
+        obs, rho, u, re_g, joint, _, _ = self._tables(dim, case, 10.0)
         want = born_weights(evolve(strong_channel(rho, obs), u), obs)
         np.testing.assert_allclose(np.einsum("bii->b", re_g), want, rtol=0, atol=1e-14)
         # the strong kernel's own table: its marginal over the first outcome
@@ -498,11 +529,17 @@ class TestChannelIdentities:
     @pytest.mark.parametrize("width", [0.5, 10.0])
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_weak_channel(self, dim, case, width):
-        obs, _, u, re_g, _, weak_out = self._tables(dim, case, width)
+        obs, _, u, re_g, _, weak, weak_out = self._tables(dim, case, width)
         a = obs.eigenvalues
         damping = np.exp(-((a[:, None] - a[None, :]) ** 2) / (4.0 * width**2))
         want = born_weights(evolve(weak_out, u), obs)
         np.testing.assert_allclose((re_g * damping).sum(axis=(1, 2)), want, rtol=0, atol=1e-14)
+        # the kernel's midpoint table: column k times its representative
+        # pair's damping sums every pair of that midpoint, so its outcome
+        # rows give the same weights and its total row the trace, 1
+        got = weak.table @ np.concatenate([damping[r, lo:hi] for r, lo, hi, _ in weak.runs])
+        np.testing.assert_allclose(got[:-1], want[:-1], rtol=0, atol=1e-14)
+        assert got[-1] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_conditional_states_are_states(self, dim, case):
@@ -510,7 +547,7 @@ class TestChannelIdentities:
         # real phi (each Re G[b] is positive semidefinite) and sum over b to
         # sum_i phi_i^2 w_i (the G[b] add up to diag(w)): whatever the
         # reading, the conditional state is a density matrix
-        obs, rho, _, re_g, _, _ = self._tables(dim, case, 10.0)
+        obs, rho, _, re_g, _, _, _ = self._tables(dim, case, 10.0)
         w = born_weights(rho, obs)
         assert np.linalg.eigvalsh(re_g).min() >= -1e-14
         np.testing.assert_allclose(re_g.sum(axis=0), np.diag(w), rtol=0, atol=1e-14)
