@@ -2,17 +2,9 @@
 for Leggett-Garg style two-time measurement runs.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
-from .budget import (
-    BudgetInput,
-    BudgetReport,
-    strong_subensemble,
-    target_error,
-    total_strong_ensemble,
-    wastage_report,
-    weak_error_both,
-)
+from .budget import BudgetInput, BudgetReport, strong_subensemble, wastage_report
 from .errors import (
     DimensionMismatchError,
     PureStateRequiredError,

@@ -30,19 +30,9 @@ from .invasiveness import wasted_resource
 from .measurement import PointerModel
 
 
-def _check_mk(ensemble_size: int, k: int, delta_p: float) -> None:
-    if k < 3:
-        raise ValidationError(f"k must be >= 3, got {k}")
-    if ensemble_size < 2 * k:
-        raise ValidationError(
-            f"ensemble size {ensemble_size} cannot cover 2k = {2 * k} measurements"
-        )
-    PointerModel(width=delta_p)  # the pointer's own width rules
-
-
 @dataclass(frozen=True)
 class BudgetInput:
-    """Knobs of the budget calculation."""
+    """Knobs of the budget calculation; the one place they are validated."""
 
     ensemble_size: int            # M, total prepared members
     k: int                        # number of time slices / series
@@ -50,7 +40,13 @@ class BudgetInput:
     var_a: float                  # observable variance in the prepared state
 
     def __post_init__(self):
-        _check_mk(self.ensemble_size, self.k, self.delta_p)
+        if self.k < 3:
+            raise ValidationError(f"k must be >= 3, got {self.k}")
+        if self.ensemble_size < 2 * self.k:
+            raise ValidationError(
+                f"ensemble size {self.ensemble_size} cannot cover 2k = {2 * self.k} measurements"
+            )
+        PointerModel(width=self.delta_p)  # the pointer's own width rules
         if self.var_a < 0:
             raise ValidationError(f"var_a must be >= 0, got {self.var_a!r}")
 
@@ -74,25 +70,6 @@ class BudgetReport:
     waste_ratio_strong_over_weak: float | None  # per-measurement ratio (2 at leading order); None when both vanish
 
 
-def weak_error_both(ensemble_size: int, k: int, delta_p: float) -> float:
-    """Per-measurement error if both series measurements were weak.
-
-    Each weak measurement then gets only M/2k events of pointer variance
-    delta_p^2/2, so the error is delta_p / sqrt(M/k).
-    """
-    _check_mk(ensemble_size, k, delta_p)
-    return delta_p / math.sqrt(ensemble_size / k)
-
-
-def target_error(ensemble_size: int, k: int, delta_p: float) -> float:
-    """Common error target: one weak measurement using the whole M/k subensemble.
-
-    eps = delta_p / sqrt(2M/k), a factor sqrt(2) below the both-weak case.
-    """
-    _check_mk(ensemble_size, k, delta_p)
-    return delta_p / math.sqrt(2.0 * ensemble_size / k)
-
-
 def strong_subensemble(var_a: float, eps: float) -> int:
     """Members per strong measurement to reach error eps: Var(A)/eps^2, rounded up."""
     if var_a < 0:
@@ -105,23 +82,14 @@ def strong_subensemble(var_a: float, eps: float) -> int:
     return round(x) if abs(x - round(x)) <= 4 * math.ulp(x) else math.ceil(x)
 
 
-def total_strong_ensemble(ensemble_size: int, k: int, delta_p: float, var_a: float) -> int:
-    """Grand total for 2k strong measurements, 2k * M_s: the closed form
-    4 Var(A) M / delta_p^2 rounded up per measurement.
-
-    The closed form is independent of k: the per-measurement demand shrinks
-    as the number of measurements grows, and the two factors cancel.
-    """
-    return 2 * k * strong_subensemble(var_a, target_error(ensemble_size, k, delta_p))
-
-
 def wastage_report(inp: BudgetInput) -> BudgetReport:
-    """Full two-scheme comparison at the common error target."""
+    """Full two-scheme comparison at the common error target; the formulas
+    are the module docstring's, M_tot rounded up per measurement."""
     m, k, dp, var = inp.ensemble_size, inp.k, inp.delta_p, inp.var_a
-    eps = target_error(m, k, dp)
+    eps = dp / math.sqrt(2.0 * m / k)
     subensemble = -(-m // k)  # M/k rounded up, exactly
     ms = strong_subensemble(var, eps)
-    mtot = total_strong_ensemble(m, k, dp, var)
+    mtot = 2 * k * ms
 
     # leading-order indices; capped at 1 so the wastage rule stays total
     i1_weak = min(var / dp**2, 1.0)
@@ -131,7 +99,7 @@ def wastage_report(inp: BudgetInput) -> BudgetReport:
     waste_strong = ms  # worst case: the whole subensemble
 
     return BudgetReport(
-        eps_weak_both=weak_error_both(m, k, dp),
+        eps_weak_both=dp / math.sqrt(m / k),
         eps_target=eps,
         error_ratio_strong_over_weak=math.sqrt(2.0 * var) / dp,
         strong_subensemble=ms,

@@ -470,17 +470,23 @@ def run_sweep(cfg: RunConfig) -> dict:
 
     A kernel depends on the two times and the pointer, None in strong mode,
     where the width does not enter, so the sweep builds one per distinct
-    (t_first, t_second, pointer). The kernel checks its times and the pointer
-    is judged when the kernel is built, so a narrow pointer warns once per
-    kernel, not once per n; ``parse_config`` already holds the mode, the weak
-    pointer and n to their ranges. The weak-channel invasiveness depends on
-    the width alone, so it is computed once per delta_p and repeated at each
-    (n, tau) point; a width whose predicted invasiveness overflows float64 is
-    refused. Nothing is kept beyond the call."""
+    (t_first, t_second, pointer); the kernel checks its times, and
+    ``parse_config`` already holds the mode, the weak pointer and n to their
+    ranges. Each narrow width warns once: a delta_p width from its weak
+    channel, the pointer of a weak sweep without a delta_p axis before the
+    grid. The weak-channel invasiveness depends on the width alone, so it is
+    computed once per delta_p and repeated at each (n, tau) point. Its
+    measured rows hold for any state; the predicted ones, a closed form for
+    pure states, are emitted only when the prepared state is pure, and a
+    width whose predicted invasiveness overflows float64 is refused.
+    Nothing is kept beyond the call."""
     sw: SweepConfig = cfg.sweep
     dyn = _system_objects(cfg.system)
     obs, rho = dyn.observable, dyn.initial_state
     mc_wanted = bool(sw.n or sw.tau)
+    pure = rho.is_pure()
+    if sw.mode == "weak" and not sw.delta_p:
+        _warn_if_not_weak(PointerModel(width=cfg.pointer.width), obs, stacklevel=2)
 
     axes = {
         "delta_p": list(sw.delta_p) or [None],
@@ -499,17 +505,15 @@ def run_sweep(cfg: RunConfig) -> dict:
                 pmw = PointerModel(width=d)
                 # a gap (a_i - a_j)^2 that overflows damps its coherence to 0, as it should
                 meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
-                pred = predicted_weak(rho, obs, pmw)
-                if not math.isfinite(pred.i1):
-                    raise ValidationError(
-                        f"sweep.delta_p {d:g}: Var(A) / delta_p^2 overflows float64; the "
-                        f"observable's largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
-                invasiveness = [
-                    ("i1_measured", meas.i1),
-                    ("i1_predicted", pred.i1),
-                    ("i2_measured", meas.i2),
-                    ("i2_predicted", pred.i2),
-                ]
+                invasiveness = [("i1_measured", meas.i1), ("i2_measured", meas.i2)]
+                if pure:
+                    pred = predicted_weak(rho, obs, pmw)
+                    if not math.isfinite(pred.i1):
+                        raise ValidationError(
+                            f"sweep.delta_p {d:g}: Var(A) / delta_p^2 overflows float64; the "
+                            f"observable's largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
+                    invasiveness = [("i1_measured", meas.i1), ("i1_predicted", pred.i1),
+                                    ("i2_measured", meas.i2), ("i2_predicted", pred.i2)]
             for n in axes["n"]:
                 for t in axes["tau"]:
                     coords = {"delta_p": d, "n": n, "tau": t}
@@ -524,8 +528,6 @@ def run_sweep(cfg: RunConfig) -> dict:
                         key = (t_first, t_second, pointer)
                         if key not in kernels:
                             kernels[key] = _SeriesKernel(dyn, t_first, t_second, pointer)
-                            if pointer is not None:
-                                _warn_if_not_weak(pointer, obs, stacklevel=2)
                         est = _estimate(kernels[key], n_events, cfg.seed, point_index, (1, 2))
                         rows.append({**coords, "metric": "corr_value", "value": est.value})
                         rows.append({**coords, "metric": "corr_std_error", "value": est.std_error})

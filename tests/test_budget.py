@@ -11,48 +11,55 @@ from lgsim import (
     sample_weak_readings,
     spectral_decompose,
     strong_subensemble,
-    target_error,
-    total_strong_ensemble,
     wastage_report,
-    weak_error_both,
 )
+from lgsim import budget
 from lgsim.errors import ValidationError
 from lgsim.streams import substream
 
 M, K, DP, VAR = 10**6, 4, 10.0, 1.0
 
 
+def report(m=M, k=K, dp=DP, var=VAR):
+    return wastage_report(BudgetInput(m, k, dp, var))
+
+
+def target(m, k, dp):
+    # the report's eps_target, one weak measurement on the whole M/k subensemble
+    return dp / math.sqrt(2.0 * m / k)
+
+
 class TestErrorFormulas:
     def test_weak_error_both_benchmark(self):
         # delta_p / sqrt(M/k) = 10 / sqrt(250000)
-        assert weak_error_both(M, K, DP) == pytest.approx(0.02, abs=1e-15)
+        assert report().eps_weak_both == pytest.approx(0.02, abs=1e-15)
 
     def test_weak_error_scales_with_sqrt_k(self):
-        assert weak_error_both(M, 8, DP) / weak_error_both(M, 4, DP) == pytest.approx(
+        assert report(k=8).eps_weak_both / report(k=4).eps_weak_both == pytest.approx(
             math.sqrt(2.0), rel=1e-12
         )
 
     def test_doubling_m_divides_by_sqrt2(self):
-        assert weak_error_both(2 * M, K, DP) == pytest.approx(
-            weak_error_both(M, K, DP) / math.sqrt(2.0), rel=1e-12
+        assert report(m=2 * M).eps_weak_both == pytest.approx(
+            report().eps_weak_both / math.sqrt(2.0), rel=1e-12
         )
 
     def test_target_error_benchmark(self):
-        assert target_error(M, K, DP) == pytest.approx(0.0141421356, abs=1e-9)
+        assert report().eps_target == pytest.approx(0.0141421356, abs=1e-9)
+        assert report().eps_target == target(M, K, DP)
 
     def test_target_is_sqrt2_below_both_weak(self):
-        assert target_error(M, K, DP) / weak_error_both(M, K, DP) == pytest.approx(
-            1 / math.sqrt(2.0), rel=1e-12
-        )
+        rep = report()
+        assert rep.eps_target / rep.eps_weak_both == pytest.approx(1 / math.sqrt(2.0), rel=1e-12)
 
     def test_target_error_with_more_slices(self):
-        assert target_error(M, 8, DP) == pytest.approx(0.02, abs=1e-15)
+        assert report(k=8).eps_target == pytest.approx(0.02, abs=1e-15)
 
 
 class TestSubensembleSizes:
     def test_benchmark_subensemble(self):
         # eps = sqrt(2)/100 exactly: var/eps^2 = 1/2e-4 = 5000
-        assert strong_subensemble(VAR, target_error(M, K, DP)) == 5000
+        assert strong_subensemble(VAR, target(M, K, DP)) == 5000
 
     def test_zero_variance_needs_nothing(self):
         assert strong_subensemble(0.0, 0.01) == 0
@@ -65,20 +72,18 @@ class TestSubensembleSizes:
             assert math.sqrt(var / (ms - 1)) > eps
 
     def test_two_routes_agree_at_benchmark(self):
-        # var/eps^2 with eps = target_error equals (var/dp^2) * 2M/k
-        direct = strong_subensemble(VAR, target_error(M, K, DP))
+        # var/eps^2 with eps = the target error equals (var/dp^2) * 2M/k
+        direct = strong_subensemble(VAR, target(M, K, DP))
         assert direct == (VAR / DP**2) * (2 * M / K) == 5000
 
     def test_total_strong_ensemble_benchmark(self):
-        assert total_strong_ensemble(M, K, DP, VAR) == 40_000  # 4 * 10^6 / 100
+        assert report().total_strong_ensemble == 40_000  # 4 * 10^6 / 100
 
     def test_counts_above_1e12_are_not_rounded_down(self):
         # var/eps^2 lands one ulp from 10^14 and 2 * 10^12; a relative guard
         # of 1e-12 would take a whole member or more off either
         assert strong_subensemble(1.0, 1e-7) == 10**14
-        assert total_strong_ensemble(4 * 10**14, 4, DP, VAR) == 16 * 10**12  # 4 M / dp^2
-        rep = wastage_report(BudgetInput(4 * 10**14, 4, DP, VAR))
-        assert rep.total_strong_ensemble == 16 * 10**12
+        assert report(m=4 * 10**14, k=4).total_strong_ensemble == 16 * 10**12  # 4 M / dp^2
 
     def test_count_off_an_integer_rounds_up(self):
         assert strong_subensemble(2.5, 1.0) == 3
@@ -92,12 +97,12 @@ class TestSubensembleSizes:
             wastage_report(BudgetInput(1000, 3, 1e-100, 1e300))
 
     def test_total_independent_of_k(self):
-        assert total_strong_ensemble(M, 4, DP, VAR) == total_strong_ensemble(M, 8, DP, VAR)
+        assert report(k=4).total_strong_ensemble == report(k=8).total_strong_ensemble
 
     def test_total_small_fraction_in_weak_regime(self):
         for dp in (10.0, 20.0, 50.0):
             for var in (0.25, 1.0):
-                assert total_strong_ensemble(M, K, dp, var) < M
+                assert report(dp=dp, var=var).total_strong_ensemble < M
 
     def test_formula_consistency_random_inputs(self, rng):
         for _ in range(1000):
@@ -107,7 +112,7 @@ class TestSubensembleSizes:
                 continue
             dp = float(rng.uniform(0.5, 200.0))
             var = float(rng.uniform(0.0, 5.0))
-            direct = strong_subensemble(var, target_error(m, k, dp))
+            direct = report(m, k, dp, var).strong_subensemble
             alt = math.ceil((var / dp**2) * (2 * m / k) * (1 - 1e-12))
             assert abs(direct - alt) <= 1
 
@@ -201,19 +206,37 @@ class TestWastageReport:
         ids=["k", "ensemble", "delta_p"],
     )
     def test_input_and_formulas_share_one_check(self, m, k, dp, message):
-        for call in (lambda: BudgetInput(m, k, dp, VAR), lambda: target_error(m, k, dp)):
-            with pytest.raises(ValidationError) as exc:
-                call()
-            assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            BudgetInput(m, k, dp, VAR)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("dp", [0.0, -1.0, math.nan, 1e-170, 1e153, 1e200, math.inf])
     def test_width_rules_are_the_pointer_models(self, dp):
         with pytest.raises(ValidationError) as pointer:
             PointerModel(width=dp)
-        for call in (lambda: BudgetInput(M, K, dp, VAR), lambda: target_error(M, K, dp)):
-            with pytest.raises(ValidationError) as exc:
-                call()
-            assert str(exc.value) == str(pointer.value)
+        with pytest.raises(ValidationError) as exc:
+            BudgetInput(M, K, dp, VAR)
+        assert str(exc.value) == str(pointer.value)
+
+    def test_report_reads_the_validated_input(self, monkeypatch):
+        # BudgetInput holds every input rule: a report on a built input
+        # builds no pointer and rounds the strong subensemble once
+        inp, want = BudgetInput(M, K, DP, VAR), report()
+        calls = {"pointer": 0, "subensemble": 0}
+        init, subensemble = PointerModel.__init__, budget.strong_subensemble
+
+        def counting_init(self, *args, **kwargs):
+            calls["pointer"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_subensemble(*args):
+            calls["subensemble"] += 1
+            return subensemble(*args)
+
+        monkeypatch.setattr(PointerModel, "__init__", counting_init)
+        monkeypatch.setattr(budget, "strong_subensemble", counting_subensemble)
+        assert wastage_report(inp) == want
+        assert calls == {"pointer": 0, "subensemble": 1}
 
 
 class TestMonteCarloValidation:
@@ -222,7 +245,7 @@ class TestMonteCarloValidation:
     def setup_method(self):
         self.obs = spectral_decompose(pauli("z"))
         self.rho = plus_state()  # <A> = 0, Var A = 1
-        self.eps = target_error(M, K, DP)
+        self.eps = report().eps_target
 
     def test_weak_rms_error_meets_target(self):
         # the weak measurement spends the whole M/k subensemble; its realized

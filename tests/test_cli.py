@@ -207,6 +207,18 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == "error: config.seed: must be >= 0, got -4\n"
 
+    def test_delta_p_sweep_on_a_mixed_state_is_zero(self, tmp_path, capsys):
+        # the stock sweep on I/2: the measured invasiveness and the correlators
+        # hold for any state; the predicted rows are a pure-state closed form
+        cfg = json.loads((Path(__file__).parent.parent / "configs" / "sweep.json").read_text())
+        cfg["system"]["initial_state"] = [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        assert "error:" not in capsys.readouterr().err
+        metrics = {r["metric"] for r in json.loads((out / "report.json").read_text())
+                   ["payload"]["rows"]}
+        assert metrics == {"i1_measured", "i2_measured", "corr_value", "corr_std_error"}
+
 
 class TestWidthRange:
     SUBCOMMANDS = ["budget", "lg-run", "sweep", "verify"]

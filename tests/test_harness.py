@@ -883,8 +883,8 @@ class TestRunSweep:
                 run_sweep(parse_config(cfg))
 
     def test_weak_regime_warnings_name_run_sweep(self):
-        # width 1 is below 5 x the spectral diameter 2 of sigma_z; both the
-        # weak channel and the Monte Carlo checks warn
+        # width 1 is below 5 x the spectral diameter 2 of sigma_z; its weak
+        # channel judges it, and the Monte Carlo kernel does not judge it again
         cfg = parse_config({
             "scenario": "sweep", "seed": 3,
             "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
@@ -896,15 +896,14 @@ class TestRunSweep:
             run_sweep(cfg)
         lines, start = inspect.getsourcelines(run_sweep)
         hits = [w for w in record if w.category is WeakRegimeWarning]
-        assert len(hits) == 2
+        assert len(hits) == 1
         for w in hits:
             assert w.filename == harness.__file__
             assert start <= w.lineno < start + len(lines)
 
-
     def test_weak_sweep_judges_each_pointer_once(self):
-        # delta_p 1 is below the weak regime: one warning from its weak channel
-        # and one per kernel it builds (two gaps), not one per (n, tau) point
+        # delta_p 1 is below the weak regime: one warning from its weak
+        # channel, none from the two kernels it builds or the (n, tau) points
         cfg = sweep_cfg("stock")
         cfg["sweep"] = {"delta_p": [1.0, 10.0], "tau": [0.3, 0.6],
                         "n": [1000, 10000, 100000], "mode": "weak"}
@@ -912,10 +911,24 @@ class TestRunSweep:
             warnings.simplefilter("always")
             run_sweep(parse_config(cfg))
         lines, start = inspect.getsourcelines(run_sweep)
-        assert [w.category for w in record] == [WeakRegimeWarning] * 3
+        assert [w.category for w in record] == [WeakRegimeWarning]
         for w in record:
             assert w.filename == harness.__file__
             assert start <= w.lineno < start + len(lines)
+
+    def test_pointer_only_weak_sweep_warns_once(self):
+        # no delta_p axis: the pointer's width 1 is judged once, before the
+        # grid, not once per kernel (two tau values)
+        cfg = sweep_cfg("stock")
+        cfg["pointer"] = {"width": 1.0}
+        cfg["sweep"] = {"tau": [0.3, 0.6], "mode": "weak"}
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run_sweep(parse_config(cfg))
+        lines, start = inspect.getsourcelines(run_sweep)
+        assert [w.category for w in record] == [WeakRegimeWarning]
+        assert record[0].filename == harness.__file__
+        assert start <= record[0].lineno < start + len(lines)
 
 
 class TestReportEnvelope:
