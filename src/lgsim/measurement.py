@@ -124,7 +124,8 @@ def sample_strong_readings(
 def _add_pointer_noise(readings: np.ndarray, pm: PointerModel, rng) -> np.ndarray:
     """Turn strong readings into weak ones in place: add the pointer's Gaussian
     noise, one normal from ``rng`` per reading."""
-    readings += np.sqrt(pm.position_variance) * rng.standard_normal(readings.size)
+    noise = rng.standard_normal(readings.size)
+    readings += np.multiply(noise, np.sqrt(pm.position_variance), out=noise)
     return readings
 
 

@@ -30,10 +30,11 @@ multinomial count vector of the first outcomes over the Born weights p,
 readings grouped by outcome, then the pointer noise. A product
 phi_i phi_j depends on the reading only through the midpoint
 (a_i + a_j) / 2, so the kernel folds G over the K distinct midpoints of
-the spectrum into one (d, K) table, and a block's weights are one matrix
-product of it with the (K, block) table of pair products. Its last row
-gives their total, sum_i p_i phi_i(p)^2, as the B_b sum to the identity,
-and the second draw compares unnormalised cumulative weights against u
+the spectrum into one (d, K) table, its outcome rows cumulated when it is
+built, and a block's cumulative weights are one matrix product of it with
+the (K, block) table of pair products. Its last row gives their
+total, sum_i p_i phi_i(p)^2, as the B_b sum to the identity, and the
+second draw compares those unnormalised cumulative weights against u
 times that total.
 """
 
@@ -157,10 +158,12 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``cum`` runs over outcomes on axis 0, shape (d, 1) for one table shared
     by every draw or (d, m) for one column per draw. The index is the count
-    of cumulative weights, the last one excluded, at or below u, so a u
-    above a total that round-off left short of 1 lands on the last outcome.
+    of cumulative weights, the last one excluded, at or below u (summed as
+    bytes), so it lies in [0, d - 1] for any rows, and a u above a total that
+    round-off left short of 1 lands on the last outcome.
     """
-    return (cum[:-1] <= u).sum(axis=0)
+    return np.add.reduce((cum[:-1] <= u).view(np.uint8), axis=0,
+                         dtype=np.min_scalar_type(len(cum)))
 
 
 def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
@@ -171,12 +174,13 @@ def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
     phi_i phi_j = exp(-(p - m)^2 / w^2 - (a_i - a_j)^2 / 4w^2) depends on the
     reading p only through the midpoint m of a_i and a_j. So pairs that share
     a midpoint share phi_r phi_s up to a constant factor, with (r, s), r <= s,
-    the pair of the smallest gap, which makes every factor at most 1. Row
-    b < d-1 holds sum Re G[b, i, j] exp(-((a_i - a_j)^2 - (a_r - a_s)^2) / 4w^2)
-    over the midpoint's ordered pairs, so that sum_ij phi_i Re G[b, i, j] phi_j
-    = sum_k table[b, k] phi_r phi_s. The last row holds the Born weight p_i at
-    the midpoint a_i of the pair (i, i), of gap 0: the Re G[b] sum to diag(p),
-    so it gives the total over every outcome, sum_i p_i phi_i^2.
+    the pair of the smallest gap, which makes every factor at most 1. One
+    product of Re G with a (d^2, K) table of the factors gives W[b, k], the sum
+    of Re G[b, i, j] exp(-((a_i - a_j)^2 - (a_r - a_s)^2) / 4w^2) over the
+    midpoint's ordered pairs, so that sum_ij phi_i Re G[b, i, j] phi_j =
+    sum_k W[b, k] phi_r phi_s; row b < d-1 holds W[0] + ... + W[b]. The last
+    row holds the Born weight p_i at the midpoint a_i of the pair (i, i), of
+    gap 0: the Re G[b] sum to diag(p), so it gives sum_i p_i phi_i^2.
 
     Midpoints merge on exact float equality only: an equally spaced spectrum
     has 2d - 1 of them, a generic one d(d + 1) / 2. The columns run in the
@@ -186,6 +190,7 @@ def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
     or a generic spectrum, not K.
     """
     values = a.tolist()
+    d = len(values)
     groups: dict[float, list[tuple[int, int]]] = {}
     for i, a_i in enumerate(values):
         for j, a_j in enumerate(values):
@@ -197,20 +202,22 @@ def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
     born = re_g.sum(axis=0).diagonal()
     # min keeps the first of (r, s) and (s, r), the one with r <= s
     columns = sorted((min(members, key=gap), members) for members in groups.values())
-    table = np.zeros((len(values), len(columns)))
+    table = np.zeros((d, len(columns)))
+    scale = np.zeros((d * d, len(columns)))
     runs: list[tuple[int, int, int, int]] = []
     for k, ((r, s), members) in enumerate(columns):
         g0 = gap((r, s))
         for i, j in members:
             # (g - g0)(g + g0) >= 0, so the factor never exceeds 1
             g = gap((i, j))
-            table[:-1, k] += re_g[:-1, i, j] * math.exp(-(g - g0) * (g + g0) / (4.0 * width**2))
+            scale[i * d + j, k] = math.exp(-(g - g0) * (g + g0) / (4.0 * width**2))
         if r == s:
             table[-1, k] = born[r]
         if runs and runs[-1][0] == r and runs[-1][2] == s:
             runs[-1] = (r, runs[-1][1], s + 1, runs[-1][3])
         else:
             runs.append((r, s, s + 1, k))
+    np.cumsum(re_g[:-1].reshape(d - 1, d * d) @ scale, axis=0, out=table[:-1])
     return tuple(runs), table
 
 
@@ -258,33 +265,32 @@ class _SeriesKernel:
         else:
             self.rho_first, self.observable, self.pointer = rho_first, obs, pointer
             self.runs, self.table = _midpoint_table(re_g, self.eigenvalues, pointer.width)
+            self.phi_scale = -0.5 / pointer.width**2
 
     def _second_cum(self, first: np.ndarray) -> np.ndarray:
         """(d, block) unnormalised cumulative weights of the second outcome
         per weak event, given the block's first readings ``first``.
         """
-        # phi_i(p) = exp(-(p - a_i)^2 / 2w^2), shifted by its per-event
-        # maximum. The difference form keeps full precision when the
-        # spectrum sits far from zero relative to w; factoring out
-        # exp(p a_i / w^2) would not.
+        # phi_i(p) = exp(-(p - a_i)^2 / 2w^2). The difference form keeps full
+        # precision when the spectrum sits far from zero relative to w;
+        # factoring out exp(p a_i / w^2) would not. No per-event shift guards
+        # against underflow, and none is needed: the drawn outcome's phi_i is
+        # exp(-Z^2 / 4) for its normal Z, numpy's ziggurat never returns
+        # |Z| > 13.71 (its tail is r + (-log1p(-U)) / r with U <= 1 - 2^-53),
+        # so phi_i >= e^-47 and the total is at least p_i e^-94.
         phi = np.subtract.outer(self.eigenvalues, first)
         np.square(phi, out=phi)
-        phi /= -2.0 * self.pointer.width**2
-        phi -= phi.max(axis=0)
+        phi *= self.phi_scale
         np.exp(phi, out=phi)
-        # one product phi_r phi_s per distinct midpoint, then the joint weight
-        # of reading p and each second outcome b < d-1, and their total, as
-        # one (d, K) @ (K, block) product. Rows 0 ... d-2 are clipped at zero
-        # and accumulated onto the row before, the same sum as
-        # np.cumsum(axis=0) at a fraction of its cost.
+        # one product phi_r phi_s per distinct midpoint, then the cumulative
+        # joint weight of reading p and each second outcome b < d-1, and
+        # their total, as one (d, K) @ (K, block) product. Each weight is
+        # tr(B_b M rho M) >= 0 for the reading's Kraus operator M, so only
+        # round-off can make a cumulative row fall, and none is clipped.
         prods = np.empty((self.table.shape[1], first.size))
         for r, lo, hi, k in self.runs:
             np.multiply(phi[r], phi[lo:hi], out=prods[k:k + hi - lo])
-        cum = self.table @ prods
-        np.maximum(cum[:-1], 0.0, out=cum[:-1])
-        for b in range(1, len(cum) - 1):
-            cum[b] += cum[b - 1]
-        return cum
+        return self.table @ prods
 
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[float, float]:
         """Simulate m events; return the ``_moments`` of their products.
@@ -313,7 +319,9 @@ class _SeriesKernel:
             # inverse CDF against the unnormalised total: outcome b is drawn
             # when cum[b-1] <= u * cum[-1] < cum[b]; with a positive total,
             # u < 1 keeps the last row out
-            first *= a[_inverse_cdf(cum, u_second[lo:lo + block] * cum[-1])]
+            u = u_second[lo:lo + block]
+            u *= cum[-1]
+            first *= a.take(_inverse_cdf(cum, u))
         # the moments run once over the whole chunk, so their pairwise order
         # does not depend on the block size
         return _moments(products)

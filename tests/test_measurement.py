@@ -149,6 +149,18 @@ class TestInverseCdf:
         want = [_searchsorted_draw(c, x) for c, x in zip(cum, u)]
         np.testing.assert_array_equal(_inverse_cdf(cum.T, u), want)
 
+    @pytest.mark.parametrize("dim", [2, 255, 256, 257])
+    def test_count_fits_its_byte_wide_type(self, dim, rng):
+        # the count is reduced in the smallest unsigned type that holds dim,
+        # one byte up to 255 outcomes; u above the total counts dim - 1
+        cum = np.cumsum(rng.uniform(size=(dim, 40)), axis=0)
+        u = np.concatenate([cum[dim // 2, :10], cum[-1, 10:20] * 2.0,
+                            rng.uniform(0.0, cum[-1, 20:])])
+        for table in (cum, cum[:, :1]):
+            want = (table[:-1] <= u).sum(axis=0)
+            np.testing.assert_array_equal(_inverse_cdf(table, u), want)
+        assert _inverse_cdf(cum, u)[10:20].tolist() == [dim - 1] * 10
+
 
 class TestEigenbasisMapReference:
     @pytest.mark.parametrize("dim, degenerate", [(2, False), (3, False), (5, False), (5, True)])

@@ -417,7 +417,8 @@ class TestSecondOutcomeWeights:
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES + [(2, "far_offset"), (3, "far_offset")])
     def test_total_row_is_sum_over_every_outcome(self, dim, case, width):
         # the last cumulative row comes from the Born weights, not from a
-        # contraction with Re G[d-1]; it must equal the d-row sum it replaces
+        # contraction with Re G[d-1]; it must equal the d-row sum it replaces,
+        # over amplitudes that no per-event maximum scales
         dyn = _random_dynamics(np.random.default_rng(600 + dim), dim, case)
         pointer = PointerModel(width=width)
         with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
@@ -426,8 +427,7 @@ class TestSecondOutcomeWeights:
             first = measurement._weak_readings(kernel.rho_first, dyn.observable, pointer, 301,
                                                substream(60, dim, 0))
             total = kernel._second_cum(first)[-1]
-            phi = np.subtract.outer(kernel.eigenvalues, first) ** 2 / (-2.0 * width**2)
-            phi = np.exp(phi - phi.max(axis=0))
+            phi = np.exp(np.subtract.outer(kernel.eigenvalues, first) ** 2 / (-2.0 * width**2))
             _, re_g = protocol._outcome_table(dyn, 0.4, 1.3)
             want = np.einsum("ie,bij,je->e", phi, re_g, phi)
         np.testing.assert_allclose(total, want, rtol=1e-12)
@@ -447,6 +447,102 @@ class TestSecondOutcomeWeights:
         assert kernel.table.shape == (dim, want)
         pairs = [(r, s) for r, lo, hi, _ in kernel.runs for s in range(lo, hi)]
         assert len(set(pairs)) == want and all(r <= s for r, s in pairs)
+
+
+def _per_row_table(re_g, a, width, runs):
+    """The midpoint table as first built: rows b < d-1 add Re G[b, i, j] times
+    its factor pair by pair, uncumulated; the last row the Born weights."""
+    values = a.tolist()
+    reps = [(r, s) for r, lo, hi, _ in runs for s in range(lo, hi)]
+    column = {(values[r] + values[s]) / 2.0: k for k, (r, s) in enumerate(reps)}
+    table = np.zeros((a.size, len(reps)))
+    for i, a_i in enumerate(values):
+        for j, a_j in enumerate(values):
+            k = column[(a_i + a_j) / 2.0]
+            g, g0 = abs(a_i - a_j), abs(values[reps[k][0]] - values[reps[k][1]])
+            table[:-1, k] += re_g[:-1, i, j] * math.exp(-(g - g0) * (g + g0) / (4.0 * width**2))
+    born = re_g.sum(axis=0).diagonal()
+    for k, (r, s) in enumerate(reps):
+        if r == s:
+            table[-1, k] = born[r]
+    return table
+
+
+def _shifted_kernel_products(kernel, table, rng, m):
+    """A weak chunk's products as the kernel first drew them: amplitudes
+    shifted by their per-event maximum, weights clipped at zero and summed
+    row by row, the outcome counted as int64."""
+    a, width = kernel.eigenvalues, kernel.pointer.width
+    products = measurement.sample_strong_readings(kernel.rho_first, kernel.observable, m, rng)
+    products += np.sqrt(kernel.pointer.position_variance) * rng.standard_normal(m)
+    u_second = rng.random(m)
+    block = max(1, min(protocol._BLOCK, protocol._PAIR_FLOATS // table.shape[1]))
+    for lo in range(0, m, block):
+        first = products[lo:lo + block]
+        phi = np.subtract.outer(a, first)
+        np.square(phi, out=phi)
+        phi /= -2.0 * width**2
+        phi -= phi.max(axis=0)
+        np.exp(phi, out=phi)
+        prods = np.empty((table.shape[1], first.size))
+        for r, p_lo, p_hi, k in kernel.runs:
+            np.multiply(phi[r], phi[p_lo:p_hi], out=prods[k:k + p_hi - p_lo])
+        cum = table @ prods
+        np.maximum(cum[:-1], 0.0, out=cum[:-1])
+        for b in range(1, len(cum) - 1):
+            cum[b] += cum[b - 1]
+        idx = (cum[:-1] <= u_second[lo:lo + block] * cum[-1]).sum(axis=0, dtype=np.int64)
+        first *= a[idx]
+    return products
+
+
+class TestUnshiftedKernel:
+    """The weak kernel reads unshifted pointer amplitudes against a table
+    whose outcome rows were cumulated when it was built, and counts the
+    drawn outcome in bytes. Neither changes a draw: the passes it dropped
+    (per-event shift, clip, running sum) only moved round-off."""
+
+    @pytest.mark.parametrize("width", [0.5, 10.0])
+    @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
+    def test_products_match_the_shifted_kernel(self, monkeypatch, dim, case, width):
+        dyn = _random_dynamics(np.random.default_rng(800 + dim), dim, case)
+        kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=width))
+        _, re_g = protocol._outcome_table(dyn, 0.4, 1.3)
+        table = _per_row_table(re_g, kernel.eigenvalues, width, kernel.runs)
+        # one product sums each column in another order: d^2 terms of at
+        # most 1 each, so a few ulps of 1 apart
+        np.testing.assert_allclose(kernel.table[:-1], np.cumsum(table[:-1], axis=0),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(kernel.table[-1], table[-1])
+        m = 2**16
+        want = _shifted_kernel_products(kernel, table, substream(70, dim, 0), m)
+        got = []
+        monkeypatch.setattr(protocol, "_moments", lambda x: got.append(x.copy()) or (0.0, 0.0))
+        kernel.run_chunk(substream(70, dim, 0), m)
+        np.testing.assert_array_equal(got[0], want)
+
+    @pytest.mark.parametrize("width", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("dim, case", [(2, "plain"), (3, "plain"), (8, "spin"),
+                                           (2, "far_offset"), (3, "far_offset")])
+    def test_readings_far_in_the_tail_keep_a_positive_total(self, dim, case, width):
+        # readings at a_i +- 13.71 sigma, the farthest a normal draw reaches,
+        # and at +- 30 sigma, beyond it; sigma^2 = width^2 / 2
+        dyn = _random_dynamics(np.random.default_rng(900 + dim), dim, case)
+        a = dyn.observable.eigenvalues
+        pointer = PointerModel(width=width)
+        sigma = math.sqrt(pointer.position_variance)
+        first = (a[:, None] + np.array([-30.0, -13.71, 13.71, 30.0]) * sigma).ravel()
+        _, _, _, g = _reference_tables(dyn, 0.4, 1.3)
+        with np.errstate(over="raise", invalid="raise"):
+            kernel = _SeriesKernel(dyn, 0.4, 1.3, pointer)
+            cum = kernel._second_cum(first)
+            logphi = -((first[:, None] - a[None, :]) ** 2) / (2.0 * width**2)
+            phi = np.exp(logphi - logphi.max(axis=1, keepdims=True))
+            want = np.einsum("ei,bij,ej->eb", phi, g, phi).real
+            want /= want.sum(axis=1, keepdims=True)
+        assert np.isfinite(cum).all() and (cum[-1] > 0).all()
+        got = (np.diff(cum, axis=0, prepend=0.0) / cum[-1]).T
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 class TestColumnBlocks:
@@ -536,9 +632,9 @@ class TestChannelIdentities:
         np.testing.assert_allclose((re_g * damping).sum(axis=(1, 2)), want, rtol=0, atol=1e-14)
         # the kernel's midpoint table: column k times its representative
         # pair's damping sums every pair of that midpoint, so its outcome
-        # rows give the same weights and its total row the trace, 1
+        # rows give the same weights, cumulated, and its total row the trace, 1
         got = weak.table @ np.concatenate([damping[r, lo:hi] for r, lo, hi, _ in weak.runs])
-        np.testing.assert_allclose(got[:-1], want[:-1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got[:-1], np.cumsum(want)[:-1], rtol=0, atol=1e-14)
         assert got[-1] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
