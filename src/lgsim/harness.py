@@ -41,11 +41,10 @@ from .invasiveness import measure_invasiveness, predicted_weak
 from .measurement import (
     WEAK_REGIME_FACTOR,
     PointerModel,
-    _add_pointer_noise,
     _eigenbasis_map,
     _warn_if_not_weak,
     _weak_damping,
-    sample_strong_readings,
+    _weak_draw,
     weak_channel_exact,
 )
 from .protocol import (
@@ -250,10 +249,9 @@ def _verify_width(obs) -> float:
 def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     """Worst deviation of n weak and n strong readings from their exact law, in
     tolerances (1.0 = tolerance). ``_chunk_moments`` runs the chunks on stream
-    ``stream``; each draws m strong readings, keeps their outcome counts, and
-    turns them in place into weak readings by ``_add_pointer_noise``, as
-    ``_weak_readings`` does for every weak correlator, keeping only their
-    moments. The weak mean gets 5 standard errors. As
+    ``stream``; each takes the outcome counts and m weak readings of one
+    ``_weak_draw``, the draw behind every weak correlator, and keeps only the
+    counts and the readings' moments. The weak mean gets 5 standard errors. As
     s^2 - var = (n (S - var) + var - n (m - mean)^2) / (n-1), S the mean squared
     deviation from the true mean, the weak variance gets 5 standard errors of S
     (from the exact fourth central moment) plus a 5-sigma m, and at least 2%.
@@ -289,9 +287,9 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     counts = []
 
     def draw(rng, m):
-        readings = sample_strong_readings(rho, obs, m, rng)
-        counts.append([np.count_nonzero(readings == a) for a in obs.eigenvalues])
-        return _moments(_add_pointer_noise(readings, pm, rng))
+        k, readings = _weak_draw(rho, obs, pm, m, rng)
+        counts.append(k)
+        return _moments(readings)
     total, sq_dev = _chunk_moments(n, seed, stream, draw)
     q = np.sum(counts, axis=0) / n
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0; a count where p_i = 0 scores inf

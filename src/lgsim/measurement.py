@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ValidationError, WeakRegimeWarning, require_same_dim
 from .quantum import DensityMatrix, Observable, born_weights
+from .streams import aligned_empty
 
 MODE_STRONG = "strong"
 MODE_WEAK = "weak"
@@ -121,19 +122,21 @@ def sample_strong_readings(
     return np.repeat(obs.eigenvalues, rng.multinomial(n, born_weights(rho, obs)))
 
 
-def _add_pointer_noise(readings: np.ndarray, pm: PointerModel, rng) -> np.ndarray:
-    """Turn strong readings into weak ones in place: add the pointer's Gaussian
-    noise, one normal from ``rng`` per reading."""
-    noise = rng.standard_normal(readings.size)
-    readings += np.multiply(noise, np.sqrt(pm.position_variance), out=noise)
-    return readings
-
-
-def _weak_readings(rho, obs, pm, n, rng) -> np.ndarray:
-    """``sample_weak_readings`` without its warning: n strong readings from
-    ``rng``, then their pointer noise from it. Weak correlators draw from it,
-    and verify runs the same two steps."""
-    return _add_pointer_noise(sample_strong_readings(rho, obs, n, rng), pm, rng)
+def _weak_draw(rho, obs, pm, n, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_weak_readings`` without its warning, with the outcome counts:
+    a multinomial over the Born weights, then n aligned pointer normals, each
+    outcome's slice shifted in place by its eigenvalue. Weak correlators and
+    verify's sampler check draw from it."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    counts = rng.multinomial(n, born_weights(rho, obs))
+    readings = rng.standard_normal(out=aligned_empty((n,)))
+    readings *= np.sqrt(pm.position_variance)
+    lo = 0
+    for a_i, k in zip(obs.eigenvalues.tolist(), counts.tolist()):
+        readings[lo:lo + k] += a_i
+        lo += k
+    return counts, readings
 
 
 def sample_weak_readings(
@@ -141,4 +144,4 @@ def sample_weak_readings(
 ) -> np.ndarray:
     """Vectorized batch of n weak pointer readings (no conditional states)."""
     _warn_if_not_weak(pm, obs)
-    return _weak_readings(rho, obs, pm, n, rng)
+    return _weak_draw(rho, obs, pm, n, rng)[1]

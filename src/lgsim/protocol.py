@@ -23,12 +23,11 @@ and its product a_i a_b depends on nothing else; so a strong chunk is
 one multinomial draw of its m events over the d^2 pairs. A weak reading
 p leaves the second-outcome weights sum_ij phi_i(p) Re G[b, i, j] phi_j(p)
 with real pointer amplitudes phi, so weak events are drawn one by one: a
-chunk draws all its random numbers first, and then builds its per-event
-tables one column block of events at a time. Its first readings
-come from the sampler behind ``measurement.sample_weak_readings``: one
-multinomial count vector of the first outcomes over the Born weights p,
-readings grouped by outcome, then the pointer noise. A product
-phi_i phi_j depends on the reading only through the midpoint
+chunk draws its first readings, the draw behind
+``measurement.sample_weak_readings`` (outcome counts over the Born weights p,
+then pointer noise), and then fills its per-event tables and draws its second
+uniforms one column block at a time. A product phi_i phi_j depends on the
+reading only through the midpoint
 (a_i + a_j) / 2, so the kernel folds G over the K distinct midpoints of
 the spectrum into one (d, K) table, its outcome rows cumulated when it is
 built, and a block's cumulative weights are one matrix product of it with
@@ -52,7 +51,7 @@ from .measurement import (
     MODE_WEAK,
     PointerModel,
     _warn_if_not_weak,
-    _weak_readings,
+    _weak_draw,
 )
 from .quantum import (
     DensityMatrix,
@@ -65,16 +64,16 @@ from .quantum import (
     propagator,
     spectral_decompose,
 )
-from .streams import chunk_sizes, substream
+from .streams import aligned_empty, chunk_sizes, substream
 
-# Events per column block of a chunk, at most. A (d, 8192) float64 table is
-# 512 KiB at d = 8. A weak block also holds a (K, block) table of pair
-# products, K the spectrum's distinct midpoints, and takes fewer events where
-# that table would pass _PAIR_FLOATS floats (1 MiB). Results do not depend on
-# either: every event sees the same random numbers and the sums run over the
-# whole chunk.
+# Events per column block of a chunk, at most. A weak block holds two (d, block)
+# tables and a (K, block) one, K the distinct midpoints, and takes fewer events
+# where the three would pass _BLOCK_FLOATS floats (1 MiB), in a multiple of 64
+# so that every table row is 64-byte aligned: 4224 for a d = 8 J_z. Results do
+# not depend on either: every event sees the same random numbers and the sums
+# run over the whole chunk.
 _BLOCK = 8192
-_PAIR_FLOATS = 2**17
+_BLOCK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -153,17 +152,17 @@ def precession_qubit(omega: float = 1.0) -> DynamicsSpec:
 # series execution
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Outcome index of each draw in ``u`` against cumulative weights ``cum``.
 
     ``cum`` runs over outcomes on axis 0, shape (d, 1) for one table shared
     by every draw or (d, m) for one column per draw. The index is the count
     of cumulative weights, the last one excluded, at or below u (summed as
     bytes), so it lies in [0, d - 1] for any rows, and a u above a total that
-    round-off left short of 1 lands on the last outcome.
-    """
-    return np.add.reduce((cum[:-1] <= u).view(np.uint8), axis=0,
-                         dtype=np.min_scalar_type(len(cum)))
+    round-off left short of 1 lands on the last outcome; ``mask`` takes the
+    (d - 1, m) comparisons."""
+    mask = np.less_equal(cum[:-1], u, out=mask)
+    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.min_scalar_type(len(cum)))
 
 
 def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
@@ -184,10 +183,10 @@ def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
 
     Midpoints merge on exact float equality only: an equally spaced spectrum
     has 2d - 1 of them, a generic one d(d + 1) / 2. The columns run in the
-    order of their pairs (r, s), and a run (r, lo, hi, k) gives columns k to
-    k + hi - lo - 1 the pairs (r, lo) ... (r, hi - 1), so that one ufunc call
-    per run forms their products phi_r phi_s: d calls for an equally spaced
-    or a generic spectrum, not K.
+    order of (s - r, r), and a run (j, lo, hi, k) gives columns k to k + hi -
+    lo - 1 the pairs (lo, lo + j) ... (hi - 1, hi - 1 + j), so that one ufunc
+    call on two row blocks forms their products phi_r phi_s: 2 calls for an
+    equally spaced spectrum (diagonals j = 0, 1), d for a generic one.
     """
     values = a.tolist()
     d = len(values)
@@ -201,7 +200,8 @@ def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
 
     born = re_g.sum(axis=0).diagonal()
     # min keeps the first of (r, s) and (s, r), the one with r <= s
-    columns = sorted((min(members, key=gap), members) for members in groups.values())
+    columns = sorted(((min(members, key=gap), members) for members in groups.values()),
+                     key=lambda column: (column[0][1] - column[0][0], column[0][0]))
     table = np.zeros((d, len(columns)))
     scale = np.zeros((d * d, len(columns)))
     runs: list[tuple[int, int, int, int]] = []
@@ -213,10 +213,10 @@ def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
             scale[i * d + j, k] = math.exp(-(g - g0) * (g + g0) / (4.0 * width**2))
         if r == s:
             table[-1, k] = born[r]
-        if runs and runs[-1][0] == r and runs[-1][2] == s:
-            runs[-1] = (r, runs[-1][1], s + 1, runs[-1][3])
+        if runs and runs[-1][0] == s - r and runs[-1][2] == r:
+            runs[-1] = (s - r, runs[-1][1], r + 1, runs[-1][3])
         else:
-            runs.append((r, s, s + 1, k))
+            runs.append((s - r, r, r + 1, k))
     np.cumsum(re_g[:-1].reshape(d - 1, d * d) @ scale, axis=0, out=table[:-1])
     return tuple(runs), table
 
@@ -267,10 +267,10 @@ class _SeriesKernel:
             self.runs, self.table = _midpoint_table(re_g, self.eigenvalues, pointer.width)
             self.phi_scale = -0.5 / pointer.width**2
 
-    def _second_cum(self, first: np.ndarray) -> np.ndarray:
-        """(d, block) unnormalised cumulative weights of the second outcome
-        per weak event, given the block's first readings ``first``.
-        """
+    def _second_cum(self, first: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+        """(d, block) unnormalised cumulative weights of the second outcome per
+        weak event, given the block's first readings ``first``, in the last of
+        the (d, block), (K, block) and (d, block) ``tables`` it fills."""
         # phi_i(p) = exp(-(p - a_i)^2 / 2w^2). The difference form keeps full
         # precision when the spectrum sits far from zero relative to w;
         # factoring out exp(p a_i / w^2) would not. No per-event shift guards
@@ -278,7 +278,8 @@ class _SeriesKernel:
         # exp(-Z^2 / 4) for its normal Z, numpy's ziggurat never returns
         # |Z| > 13.71 (its tail is r + (-log1p(-U)) / r with U <= 1 - 2^-53),
         # so phi_i >= e^-47 and the total is at least p_i e^-94.
-        phi = np.subtract.outer(self.eigenvalues, first)
+        phi, prods, cum = tables
+        np.subtract(self.eigenvalues[:, None], first, out=phi)
         np.square(phi, out=phi)
         phi *= self.phi_scale
         np.exp(phi, out=phi)
@@ -287,20 +288,19 @@ class _SeriesKernel:
         # their total, as one (d, K) @ (K, block) product. Each weight is
         # tr(B_b M rho M) >= 0 for the reading's Kraus operator M, so only
         # round-off can make a cumulative row fall, and none is clipped.
-        prods = np.empty((self.table.shape[1], first.size))
-        for r, lo, hi, k in self.runs:
-            np.multiply(phi[r], phi[lo:hi], out=prods[k:k + hi - lo])
-        return self.table @ prods
+        for j, lo, hi, k in self.runs:
+            np.multiply(phi[lo:hi], phi[lo + j:hi + j], out=prods[k:k + hi - lo])
+        return np.matmul(self.table, prods, out=cum)
 
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[float, float]:
         """Simulate m events; return the ``_moments`` of their products.
 
         A strong chunk is one multinomial draw of the events over the
         outcome pairs. A weak chunk draws its first readings (outcome counts,
-        then pointer noise) and its second uniforms first, and then works through
-        the events in column blocks of at most ``_BLOCK`` so the per-event
-        tables of a block stay in cache; each block's products overwrite its
-        readings.
+        then pointer noise) first, and then works through the events in column
+        blocks of at most ``_BLOCK``, sized to stay in cache, which all reuse
+        one set of aligned tables; each draws its second uniforms, which follow
+        every normal on the stream, and its products overwrite its readings.
         """
         # the sums stay out of BLAS: OpenBLAS splits a long ddot over its
         # threads, which would tie the result to the thread count
@@ -310,18 +310,21 @@ class _SeriesKernel:
             dev = self.pair_products - total / m
             return total, float((counts * dev * dev).sum())
         a = self.eigenvalues
-        products = _weak_readings(self.rho_first, self.observable, self.pointer, m, rng)
-        u_second = rng.random(m)
-        block = max(1, min(_BLOCK, _PAIR_FLOATS // self.table.shape[1]))
+        _, products = _weak_draw(self.rho_first, self.observable, self.pointer, m, rng)
+        d, n_pairs = self.table.shape
+        block = max(64, min(_BLOCK, _BLOCK_FLOATS // (2 * d + n_pairs)) // 64 * 64)
+        shapes = ((d, block), (n_pairs, block), (d, block), (block,), (block,))
+        tables = [aligned_empty(s) for s in shapes] + [aligned_empty((d - 1, block), bool)]
         for lo in range(0, m, block):
             first = products[lo:lo + block]
-            cum = self._second_cum(first)
+            *weights, u, values, mask = (t[..., :first.size] for t in tables)
+            cum = self._second_cum(first, weights)
             # inverse CDF against the unnormalised total: outcome b is drawn
             # when cum[b-1] <= u * cum[-1] < cum[b]; with a positive total,
             # u < 1 keeps the last row out
-            u = u_second[lo:lo + block]
+            rng.random(out=u)
             u *= cum[-1]
-            first *= a.take(_inverse_cdf(cum, u))
+            first *= a.take(_inverse_cdf(cum, u, mask), out=values)
         # the moments run once over the whole chunk, so their pairwise order
         # does not depend on the block size
         return _moments(products)

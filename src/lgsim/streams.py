@@ -51,3 +51,13 @@ def chunk_sizes(n: int) -> list[int]:
         raise ValidationError(f"event count must be >= 0, got {n}")
     full, rem = divmod(n, DEFAULT_CHUNK_SIZE)
     return [DEFAULT_CHUNK_SIZE] * full + ([rem] if rem else [])
+
+
+def aligned_empty(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """Uninitialised array whose data starts on a 64-byte boundary. numpy's
+    own start on 16, and an elementwise pass over an array that starts inside
+    a cache line ran up to twice as slow (AVX-512), as each vector split."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)

@@ -36,7 +36,7 @@ from lgsim.measurement import (
     PointerModel,
     _eigenbasis_map,
     _weak_damping,
-    _weak_readings,
+    _weak_draw,
     strong_channel,
     weak_channel_exact,
 )
@@ -523,10 +523,17 @@ def _verify_system_cfg(observable, widths):
     })
 
 
-def _biased_strong(f, rho, obs, n, rng):
-    readings = f(rho, obs, n, rng)
-    readings[::20] = obs.eigenvalues[0]  # one reading in 20 forced to the first outcome
-    return readings
+def _biased_counts(f, *a):
+    counts, readings = f(*a)
+    moved = counts[1:] // 20  # one count in 20 moved to the first outcome
+    counts[1:] -= moved
+    counts[0] += moved.sum()
+    return counts, readings
+
+
+def _noisier(f, rho, obs, pm, n, rng):
+    # pointer noise scaled by 1.1: the readings' variance by 1.21
+    return f(rho, obs, PointerModel(width=1.1 * pm.width), n, rng)
 
 
 # each judged verify check with a defect it must catch, by test id: the
@@ -547,10 +554,8 @@ BROKEN = {
     "measure_invasiveness": (
         "measure_invasiveness", "invasiveness_ratio_two",
         lambda f, *a: dataclasses.replace(f(*a), i1=1.02 * f(*a).i1)),
-    "_add_pointer_noise": (
-        "_add_pointer_noise", "pointer_sampler_statistics", lambda f, *a: 1.1 * f(*a)),
-    "sample_strong_readings": (
-        "sample_strong_readings", "pointer_sampler_statistics", _biased_strong),
+    "_weak_draw_noise": ("_weak_draw", "pointer_sampler_statistics", _noisier),
+    "_weak_draw_counts": ("_weak_draw", "pointer_sampler_statistics", _biased_counts),
     # off-diagonal weights doubled: the trace is kept, positivity is not
     "_weak_damping_coherences": (
         "_weak_damping", "state_positivity",
@@ -601,16 +606,16 @@ class TestVerifyChecksCanFail:
         with pytest.raises(AssertionError):
             test(None, rng)  # the unit tests keep no instance state
 
-    @pytest.mark.parametrize("function", ["sample_strong_readings", "_add_pointer_noise"])
-    def test_sampler_defect_fails_across_chunks(self, monkeypatch, function):
+    @pytest.mark.parametrize("defect", ["_weak_draw_counts", "_weak_draw_noise"])
+    def test_sampler_defect_fails_across_chunks(self, monkeypatch, defect):
         # the defect is applied chunk by chunk, a full chunk and a ragged one
-        _, check, wrap = BROKEN[function]
+        function, check, wrap = BROKEN[defect]
         original, sizes = getattr(harness, function), []
 
         def broken(*a):
-            readings = wrap(original, *a)
+            counts, readings = wrap(original, *a)
             sizes.append(readings.size)
-            return readings
+            return counts, readings
 
         monkeypatch.setattr(harness, function, broken)
         n = DEFAULT_CHUNK_SIZE + 1_000
@@ -619,9 +624,10 @@ class TestVerifyChecksCanFail:
         assert {c["name"]: c["status"] for c in payload["checks"]}[check] == "fail"
 
 
-def _whole_array_deviation(rho, obs, wr, sr) -> float:
-    """The sampler check's scores taken over whole arrays of weak readings
-    ``wr`` and strong readings ``sr``: the reference for the chunked sums."""
+def _whole_array_deviation(rho, obs, wr, counts) -> float:
+    """The sampler check's scores taken over a whole array of weak readings
+    ``wr`` and the outcome ``counts`` drawn with them: the reference for the
+    chunked sums."""
     n, pm = len(wr), PointerModel(width=harness._verify_width(obs))
     p = born_weights(rho, obs)
     mean_a, var_a = expectation(rho, obs), variance(rho, obs)
@@ -630,7 +636,7 @@ def _whole_array_deviation(rho, obs, wr, sr) -> float:
     m4 = float(np.dot(p, (obs.eigenvalues - mean_a) ** 4)) + 6.0 * s2 * var_a + 3.0 * s2**2
     spread = 5.0 * math.sqrt(max(m4 - weak_var**2, 0.0) * n) + 25.0 * weak_var
     var_tol = max(0.02 * weak_var, spread / (n - 1))
-    q = np.array([np.count_nonzero(sr == a) for a in obs.eigenvalues]) / n
+    q = counts / n
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = (np.where(q > 0, q * np.log(q / p), 0.0)
               + np.where(q < 1, (1 - q) * np.log((1 - q) / (1 - p)), 0.0))
@@ -675,51 +681,58 @@ class TestSamplerStatistics:
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
     def test_chunked_sums_match_whole_arrays(self, monkeypatch, probe):
-        # chunk c draws its strong readings from (seed, 107, c), counts them
-        # and adds their pointer noise; 7_000 leaves a ragged last chunk of
-        # 6_000, and the merged chunk moments match numpy's over the whole arrays
+        # chunk c draws its outcome counts and weak readings from (seed, 107,
+        # c) in one shared draw; 7_000 leaves a ragged last chunk of 6_000,
+        # and the merged chunk moments match numpy's over the whole array
         obs, rho = self.PROBES[probe]
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 7_000)
-        pm, wr, sr = PointerModel(width=harness._verify_width(obs)), [], []
+        pm, wr, counts = PointerModel(width=harness._verify_width(obs)), [], 0
         for c, m in enumerate([7_000, 7_000, 6_000]):
-            rng = substream(12, 107, c)
-            readings = harness.sample_strong_readings(rho, obs, m, rng)
-            sr.append(readings.copy())
-            wr.append(harness._add_pointer_noise(readings, pm, rng))
-        want = _whole_array_deviation(rho, obs, np.concatenate(wr), np.concatenate(sr))
+            k, readings = _weak_draw(rho, obs, pm, m, substream(12, 107, c))
+            counts, wr = counts + k, wr + [readings]
+        want = _whole_array_deviation(rho, obs, np.concatenate(wr), counts)
         assert _sampler_deviation(rho, obs, 20_000, 12, 107) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
     def test_counts_and_weak_moments_share_one_draw(self, monkeypatch, probe):
-        # with the pointer noise taken out, each weak reading is the strong
-        # reading counted for it, so the weak sum is sum_i K_i a_i exactly
-        # (the spectra are integers); fresh readings for the counts would miss
+        # with the pointer noise taken out, each weak reading is the
+        # eigenvalue of the outcome counted for it, so the weak sum is
+        # sum_i K_i a_i exactly (the spectra are integers); a second draw for
+        # the counts would miss
         obs, rho = self.PROBES[probe]
-        count_nonzero, chunk_moments, counted, merged = (
-            np.count_nonzero, harness._chunk_moments, [], [])
+        weak_draw, chunk_moments, counted, merged = harness._weak_draw, harness._chunk_moments, [], []
 
-        def spy_count(x):
-            counted.append(count_nonzero(x))
-            return counted[-1]
+        class Noiseless:
+            def __init__(self, rng):
+                self.multinomial = rng.multinomial
+
+            def standard_normal(self, out):
+                out[:] = 0.0
+                return out
+
+        def spy_draw(rho, obs, pm, m, rng):
+            counts, readings = weak_draw(rho, obs, pm, m, Noiseless(rng))
+            counted.append(counts)
+            return counts, readings
 
         def spy_moments(*a):
             merged.append(chunk_moments(*a))
             return merged[-1]
 
-        monkeypatch.setattr(harness, "_add_pointer_noise", lambda readings, pm, rng: readings)
-        monkeypatch.setattr(np, "count_nonzero", spy_count)
+        monkeypatch.setattr(harness, "_weak_draw", spy_draw)
         monkeypatch.setattr(harness, "_chunk_moments", spy_moments)
         n = DEFAULT_CHUNK_SIZE + 1_000
         _sampler_deviation(rho, obs, n, 5, 107)
-        # one count per outcome in each of the two chunks
-        counts = np.reshape(counted, (2, obs.n_outcomes)).sum(axis=0)
+        # one count vector in each of the two chunks
+        assert len(counted) == 2
+        counts = np.sum(counted, axis=0)
         assert counts.sum() == n
         assert merged[0][0] == float(counts @ obs.eigenvalues)
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
     def test_judges_the_weak_correlators_draw(self, monkeypatch, probe):
-        # chunk c's weak readings are _weak_readings' from (seed, 107, c),
-        # draw for draw
+        # chunk c's weak readings are _weak_draw's from (seed, 107, c), draw
+        # for draw
         obs, rho = self.PROBES[probe]
         moments, judged = harness._moments, []
         monkeypatch.setattr(harness, "_moments", lambda x: judged.append(x.copy()) or moments(x))
@@ -727,7 +740,7 @@ class TestSamplerStatistics:
         pm = PointerModel(width=harness._verify_width(obs))
         assert [r.size for r in judged] == [DEFAULT_CHUNK_SIZE, 1_000]
         for c, readings in enumerate(judged):
-            want = _weak_readings(rho, obs, pm, readings.size, substream(9, 107, c))
+            _, want = _weak_draw(rho, obs, pm, readings.size, substream(9, 107, c))
             assert np.array_equal(readings, want)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

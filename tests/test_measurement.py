@@ -277,11 +277,19 @@ class TestWeakSample:
         assert abs(readings.mean()) < 5 * np.sqrt(51.0 / n)
         assert readings.var(ddof=1) == pytest.approx(51.0, rel=0.02)
 
-    def test_dim_mismatch(self, qubit_z, rng):
+    def test_dim_mismatch(self, qubit_z):
+        # refused before anything is drawn from the stream
+        rng = substream(13, 0, 0)
         with pytest.raises(DimensionMismatchError):
-            sample_weak_readings(
-                random_density_matrix(3, rng), qubit_z, pm_exact(10.0), 10, rng
-            )
+            sample_weak_readings(basis_state(3, 0), qubit_z, pm_exact(10.0), 10, rng)
+        assert rng.random() == substream(13, 0, 0).random()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_is_refused_before_any_draw(self, qubit_z, n):
+        rng = substream(13, 0, 0)
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            sample_weak_readings(plus_state(), qubit_z, pm_exact(10.0), n, rng)
+        assert rng.random() == substream(13, 0, 0).random()
 
 
 class TestPointerModelValidation:

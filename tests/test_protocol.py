@@ -349,9 +349,15 @@ def _reference_tables(dyn, t_first, t_second):
     return proj, rho, u, g
 
 
+def _weight_tables(kernel, n):
+    """The (d, n), (K, n) and (d, n) tables ``_second_cum`` fills."""
+    d, n_pairs = kernel.table.shape
+    return np.empty((d, n)), np.empty((n_pairs, n)), np.empty((d, n))
+
+
 def _kernel_weights(kernel, first):
     """Row-normalised second-outcome weights a weak kernel draws from, (m, n)."""
-    cum = kernel._second_cum(first)
+    cum = kernel._second_cum(first, _weight_tables(kernel, first.size))
     return (np.diff(cum, axis=0, prepend=0.0) / cum[-1]).T
 
 
@@ -424,9 +430,9 @@ class TestSecondOutcomeWeights:
         with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakRegimeWarning)
             kernel = _SeriesKernel(dyn, 0.4, 1.3, pointer)
-            first = measurement._weak_readings(kernel.rho_first, dyn.observable, pointer, 301,
-                                               substream(60, dim, 0))
-            total = kernel._second_cum(first)[-1]
+            _, first = measurement._weak_draw(kernel.rho_first, dyn.observable, pointer, 301,
+                                              substream(60, dim, 0))
+            total = kernel._second_cum(first, _weight_tables(kernel, first.size))[-1]
             phi = np.exp(np.subtract.outer(kernel.eigenvalues, first) ** 2 / (-2.0 * width**2))
             _, re_g = protocol._outcome_table(dyn, 0.4, 1.3)
             want = np.einsum("ie,bij,je->e", phi, re_g, phi)
@@ -441,19 +447,27 @@ class TestSecondOutcomeWeights:
         # K distinct midpoints (a_i + a_j) / 2: 3 for a qubit, 2d - 1 for an
         # equally spaced J_z, d(d + 1) / 2 for a generic spectrum; the table
         # has one column per midpoint, and the runs form one product
-        # phi_r phi_s, r <= s, for each
+        # phi_r phi_s, r <= s, for each, along the diagonals s - r: the two
+        # diagonals 0 and 1 of an equally spaced spectrum, all d of a generic one
         dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
         kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=0.5))
         assert kernel.table.shape == (dim, want)
-        pairs = [(r, s) for r, lo, hi, _ in kernel.runs for s in range(lo, hi)]
+        pairs = _column_pairs(kernel.runs)
         assert len(set(pairs)) == want and all(r <= s for r, s in pairs)
+        assert pairs == sorted(pairs, key=lambda pair: (pair[1] - pair[0], pair[0]))
+        assert len(kernel.runs) == (2 if "spin" in case else dim)
 
 
-def _per_row_table(re_g, a, width, runs):
-    """The midpoint table as first built: rows b < d-1 add Re G[b, i, j] times
-    its factor pair by pair, uncumulated; the last row the Born weights."""
+def _column_pairs(runs):
+    """The pair (r, s) whose product phi_r phi_s each table column reads."""
+    return [(r, r + j) for j, lo, hi, _ in runs for r in range(lo, hi)]
+
+
+def _per_row_table(re_g, a, width, reps):
+    """The midpoint table as first built, with the pair (r, s) of ``reps``
+    in column k: rows b < d-1 add Re G[b, i, j] times its factor pair by
+    pair, uncumulated; the last row the Born weights."""
     values = a.tolist()
-    reps = [(r, s) for r, lo, hi, _ in runs for s in range(lo, hi)]
     column = {(values[r] + values[s]) / 2.0: k for k, (r, s) in enumerate(reps)}
     table = np.zeros((a.size, len(reps)))
     for i, a_i in enumerate(values):
@@ -468,15 +482,17 @@ def _per_row_table(re_g, a, width, runs):
     return table
 
 
-def _shifted_kernel_products(kernel, table, rng, m):
-    """A weak chunk's products as the kernel first drew them: amplitudes
-    shifted by their per-event maximum, weights clipped at zero and summed
-    row by row, the outcome counted as int64."""
+def _shifted_kernel_products(kernel, table, reps, rng, m):
+    """A weak chunk's products as the kernel first drew them: strong readings,
+    then their pointer noise, then the chunk's second uniforms, all drawn
+    before any block; amplitudes shifted by their per-event maximum, one
+    product per column of ``table`` for its pair in ``reps``, weights clipped
+    at zero and summed row by row, the outcome counted as int64."""
     a, width = kernel.eigenvalues, kernel.pointer.width
     products = measurement.sample_strong_readings(kernel.rho_first, kernel.observable, m, rng)
     products += np.sqrt(kernel.pointer.position_variance) * rng.standard_normal(m)
     u_second = rng.random(m)
-    block = max(1, min(protocol._BLOCK, protocol._PAIR_FLOATS // table.shape[1]))
+    block = max(1, min(8192, 2**17 // table.shape[1]))
     for lo in range(0, m, block):
         first = products[lo:lo + block]
         phi = np.subtract.outer(a, first)
@@ -484,9 +500,7 @@ def _shifted_kernel_products(kernel, table, rng, m):
         phi /= -2.0 * width**2
         phi -= phi.max(axis=0)
         np.exp(phi, out=phi)
-        prods = np.empty((table.shape[1], first.size))
-        for r, p_lo, p_hi, k in kernel.runs:
-            np.multiply(phi[r], phi[p_lo:p_hi], out=prods[k:k + p_hi - p_lo])
+        prods = np.array([phi[r] * phi[s] for r, s in reps])
         cum = table @ prods
         np.maximum(cum[:-1], 0.0, out=cum[:-1])
         for b in range(1, len(cum) - 1):
@@ -500,7 +514,9 @@ class TestUnshiftedKernel:
     """The weak kernel reads unshifted pointer amplitudes against a table
     whose outcome rows were cumulated when it was built, and counts the
     drawn outcome in bytes. Neither changes a draw: the passes it dropped
-    (per-event shift, clip, running sum) only moved round-off."""
+    (per-event shift, clip, running sum) only moved round-off. Nor does the
+    order of the table's columns, diagonal by diagonal rather than by pair
+    (r, s), which the reference keeps: it only reorders the product's sums."""
 
     @pytest.mark.parametrize("width", [0.5, 10.0])
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
@@ -508,14 +524,17 @@ class TestUnshiftedKernel:
         dyn = _random_dynamics(np.random.default_rng(800 + dim), dim, case)
         kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=width))
         _, re_g = protocol._outcome_table(dyn, 0.4, 1.3)
-        table = _per_row_table(re_g, kernel.eigenvalues, width, kernel.runs)
+        reps = _column_pairs(kernel.runs)
+        table = _per_row_table(re_g, kernel.eigenvalues, width, reps)
         # one product sums each column in another order: d^2 terms of at
         # most 1 each, so a few ulps of 1 apart
         np.testing.assert_allclose(kernel.table[:-1], np.cumsum(table[:-1], axis=0),
                                    rtol=0, atol=1e-14)
         np.testing.assert_array_equal(kernel.table[-1], table[-1])
         m = 2**16
-        want = _shifted_kernel_products(kernel, table, substream(70, dim, 0), m)
+        reps = sorted(reps)
+        table = _per_row_table(re_g, kernel.eigenvalues, width, reps)
+        want = _shifted_kernel_products(kernel, table, reps, substream(70, dim, 0), m)
         got = []
         monkeypatch.setattr(protocol, "_moments", lambda x: got.append(x.copy()) or (0.0, 0.0))
         kernel.run_chunk(substream(70, dim, 0), m)
@@ -535,7 +554,7 @@ class TestUnshiftedKernel:
         _, _, _, g = _reference_tables(dyn, 0.4, 1.3)
         with np.errstate(over="raise", invalid="raise"):
             kernel = _SeriesKernel(dyn, 0.4, 1.3, pointer)
-            cum = kernel._second_cum(first)
+            cum = kernel._second_cum(first, _weight_tables(kernel, first.size))
             logphi = -((first[:, None] - a[None, :]) ** 2) / (2.0 * width**2)
             phi = np.exp(logphi - logphi.max(axis=1, keepdims=True))
             want = np.einsum("ei,bij,ej->eb", phi, g, phi).real
@@ -546,23 +565,25 @@ class TestUnshiftedKernel:
 
 
 class TestColumnBlocks:
-    """A weak run_chunk draws a chunk's random numbers first and then works
-    through it in column blocks of ``protocol._BLOCK`` events, fewer where the
-    block's (K, block) table of pair products would pass
-    ``protocol._PAIR_FLOATS`` floats. A strong chunk has no per-event tables
-    and so no blocks."""
+    """A weak run_chunk draws a chunk's first readings and then works through
+    it in column blocks of ``protocol._BLOCK`` events, fewer where the block's
+    two (d, block) tables and (K, block) table of pair products would pass
+    ``protocol._BLOCK_FLOATS`` floats, in multiples of 64 events; each block
+    draws its own second uniforms into one set of aligned tables. A strong
+    chunk has no per-event tables and so no blocks."""
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_block_size_does_not_change_results(self, monkeypatch, dim, case):
         # every event sees the same random numbers and both sums run over the
         # whole chunk, so any block size gives the one-block result bitwise,
-        # ragged last blocks included; the default cap on the pair table too
+        # ragged last blocks included; the default cap on the tables too
         dyn = _random_dynamics(np.random.default_rng(300 + dim), dim, case)
         kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=10.0))
-        block, n_pairs = protocol._BLOCK, kernel.table.shape[1]
-        for m, sizes in ((23, (1, 7)), (2 * block + 5, (block,))):
-            monkeypatch.setattr(protocol, "_PAIR_FLOATS", (m + 1) * n_pairs)
-            monkeypatch.setattr(protocol, "_BLOCK", m + 1)
+        block, (d, n_pairs) = protocol._BLOCK, kernel.table.shape
+        for m, sizes in ((151, (64, 128)), (2 * block + 5, (block,))):
+            one = -(-m // 64) * 64
+            monkeypatch.setattr(protocol, "_BLOCK_FLOATS", one * (2 * d + n_pairs))
+            monkeypatch.setattr(protocol, "_BLOCK", one)
             want = kernel.run_chunk(substream(90, dim, m), m)
             for size in sizes:
                 monkeypatch.setattr(protocol, "_BLOCK", size)
@@ -570,14 +591,33 @@ class TestColumnBlocks:
             monkeypatch.undo()
             assert kernel.run_chunk(substream(90, dim, m), m) == want
 
-    @pytest.mark.parametrize("dim, case", [(8, "plain"), (8, "spin"), (16, "plain"), (16, "spin")])
+    @pytest.mark.parametrize("dim, case, want", [
+        (2, "plain", 8192), (8, "spin", 4224), (8, "plain", 2496), (16, "spin", 2048),
+        (16, "plain", 768),
+    ])
+    def test_tables_of_one_block_fit_the_budget(self, monkeypatch, dim, case, want):
+        # 2^17 // (2d + K) events, down to a multiple of 64, at most 8192: one
+        # set of tables per chunk, each table and each of its rows aligned
+        dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
+        kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=10.0))
+        tables, aligned_empty = [], protocol.aligned_empty
+        monkeypatch.setattr(protocol, "aligned_empty",
+                            lambda *a: tables.append(aligned_empty(*a)) or tables[-1])
+        kernel.run_chunk(substream(92, dim, 0), DEFAULT_CHUNK_SIZE)
+        assert len(tables) == 6 and {t.shape[-1] for t in tables} == {want}
+        assert all(t.ctypes.data % 64 == 0 for t in tables)
+        assert all(t.strides[0] % 64 == 0 for t in tables if t.ndim == 2)
+
+    @pytest.mark.parametrize("dim, case", [(2, "plain"), (8, "plain"), (8, "spin"),
+                                           (16, "plain"), (16, "spin")])
     def test_weak_chunk_peak_memory_is_bounded(self, dim, case):
-        # a full weak chunk holds its first readings, which become its
-        # products, and its second uniforms (2 x 512 KiB), beside the tables
-        # of one block at a time: (d, block) ones and the (K, block) pair
-        # products, at most 1 MiB whatever K is (136 at d = 16 generic); at
-        # d = 8, (d, m) tables of the whole chunk are 4 MiB each and peak
-        # near 13 MiB
+        # a full weak chunk holds only its first readings (512 KiB), which
+        # become its products, beside the tables of one block at a time: two
+        # (d, block) ones and the (K, block) pair products, at most 1 MiB
+        # together whatever d and K are (K = 136 at d = 16 generic), and the
+        # block's uniforms and outcome indices; chunk-wide uniforms or strong
+        # readings would add 512 KiB each, and at d = 8, (d, m) tables of the
+        # whole chunk are 4 MiB each and peak near 13 MiB
         dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
         kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=10.0))
         rng = substream(91, 0, 0)
@@ -587,7 +627,7 @@ class TestColumnBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 2.5 * 2**20
 
 
 class TestChannelIdentities:
@@ -633,7 +673,7 @@ class TestChannelIdentities:
         # the kernel's midpoint table: column k times its representative
         # pair's damping sums every pair of that midpoint, so its outcome
         # rows give the same weights, cumulated, and its total row the trace, 1
-        got = weak.table @ np.concatenate([damping[r, lo:hi] for r, lo, hi, _ in weak.runs])
+        got = weak.table @ np.array([damping[r, s] for r, s in _column_pairs(weak.runs)])
         np.testing.assert_allclose(got[:-1], np.cumsum(want)[:-1], rtol=0, atol=1e-14)
         assert got[-1] == pytest.approx(1.0, abs=1e-14)
 
@@ -702,13 +742,13 @@ class TestWeakEstimatesMatchExactMoments:
 
 
 class TestKernelMatchesBatchSamplers:
-    """A weak kernel draws its first readings with ``measurement._weak_readings``,
-    the function ``sample_weak_readings`` wraps: strong readings, then
-    ``_add_pointer_noise``. Verify's ``pointer_sampler_statistics`` runs the
-    same two steps and acceptance criterion 4 calls the wrapper, so both judge
-    the readings every weak correlator uses. With no evolution between the two
-    measurements, the kernel's events are the batch sampler's readings, draw
-    for draw."""
+    """A weak kernel draws its first readings with ``measurement._weak_draw``,
+    the function ``sample_weak_readings`` wraps: outcome counts, then pointer
+    noise shifted by each outcome's eigenvalue. Verify's
+    ``pointer_sampler_statistics`` calls the same draw and acceptance
+    criterion 4 calls the wrapper, so both judge the readings every weak
+    correlator uses. With no evolution between the two measurements, the
+    kernel's events are the batch sampler's readings, draw for draw."""
 
     def test_weak_reading_leaves_eigenstate_untouched(self):
         # the later strong outcome is +1 every time, so every product is the
@@ -724,17 +764,17 @@ class TestKernelMatchesBatchSamplers:
         assert sq_dev == np.square(readings - total / readings.size).sum()
 
     def test_defect_in_shared_draw_reaches_verify_and_kernel(self, monkeypatch, bench):
-        # pointer noise scaled by 1.1, injected into the one noise step as
-        # each of its two callers, the weak draw and verify, looks it up
+        # pointer noise scaled by 1.1, injected into the one shared draw as
+        # each of its two callers, the weak kernel and verify, looks it up
         kernel = _SeriesKernel(bench, 0.0, 1.0, PointerModel(width=10.0))
         want = kernel.run_chunk(substream(6, 0, 0), 5_000)
-        original = measurement._add_pointer_noise
+        original = measurement._weak_draw
 
-        def noisier(readings, pm, rng):
-            return original(readings, PointerModel(width=1.1 * pm.width), rng)
+        def noisier(rho, obs, pm, n, rng):
+            return original(rho, obs, PointerModel(width=1.1 * pm.width), n, rng)
 
-        for module in (measurement, harness):
-            monkeypatch.setattr(module, "_add_pointer_noise", noisier)
+        for module in (protocol, harness):
+            monkeypatch.setattr(module, "_weak_draw", noisier)
         assert kernel.run_chunk(substream(6, 0, 0), 5_000) != want
         payload = run_verify(parse_config(
             {"scenario": "verify", "seed": 3, "verify": {"n_samples": 20_000, "n_random": 20}}))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from lgsim.errors import ValidationError
-from lgsim.streams import BIT_GENERATOR, DEFAULT_CHUNK_SIZE, chunk_sizes, check_seed, substream
+from lgsim.streams import (
+    BIT_GENERATOR,
+    DEFAULT_CHUNK_SIZE,
+    aligned_empty,
+    check_seed,
+    chunk_sizes,
+    substream,
+)
 
 
 class TestSubstream:
@@ -94,3 +101,17 @@ class TestChunkSizes:
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             chunk_sizes(-1)
+
+
+class TestAlignedEmpty:
+    @pytest.mark.parametrize("shape, dtype", [
+        ((1,), np.float64), ((7,), np.float64), ((3, 5), np.float64),
+        ((9,), bool), ((7, 4224), bool), ((65536,), np.float64),
+    ])
+    def test_starts_on_a_64_byte_boundary(self, shape, dtype):
+        # over many allocations, whatever numpy's own placement of each
+        arrays = [aligned_empty(shape, dtype) for _ in range(50)]
+        for a in arrays:
+            assert a.shape == shape and a.dtype == dtype
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert a.ctypes.data % 64 == 0
