@@ -2,12 +2,11 @@
 for Leggett-Garg style two-time measurement runs.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .budget import BudgetInput, BudgetReport, strong_subensemble, wastage_report
 from .errors import (
     DimensionMismatchError,
-    PureStateRequiredError,
     ValidationError,
     WeakRegimeWarning,
 )

@@ -9,10 +9,6 @@ class DimensionMismatchError(ValidationError):
     """Operands live in Hilbert spaces of different dimension."""
 
 
-class PureStateRequiredError(ValidationError):
-    """A closed form stated only for pure initial states was asked for a mixed one."""
-
-
 class WeakRegimeWarning(UserWarning):
     """Pointer width is small against the spectral diameter; weak-limit formulas degrade."""
 

@@ -364,7 +364,7 @@ def _width_law_checks(obs, probe: DensityMatrix, widths: np.ndarray) -> list[dic
     else:
         checks = [_unjudged("weak_invasiveness_expansion", skip)]
 
-    # purity drop approaches twice the fidelity deficit; x = 1e-4 at any diameter
+    # purity drop approaches twice the overlap drop; x = 1e-4 at any diameter
     w_ratio = _RATIO_WIDTH_FACTOR * diam
     meas = measure_invasiveness(probe, weak_channel_exact(probe, obs, PointerModel(width=w_ratio)))
     ratio = meas.i1 / meas.i2 if meas.i2 else math.nan
@@ -473,16 +473,14 @@ def run_sweep(cfg: RunConfig) -> dict:
     ranges. Each narrow width warns once: a delta_p width from its weak
     channel, the pointer of a weak sweep without a delta_p axis before the
     grid. The weak-channel invasiveness depends on the width alone, so it is
-    computed once per delta_p and repeated at each (n, tau) point. Its
-    measured rows hold for any state; the predicted ones, a closed form for
-    pure states, are emitted only when the prepared state is pure, and a
-    width whose predicted invasiveness overflows float64 is refused.
-    Nothing is kept beyond the call."""
+    computed once per delta_p and repeated at each (n, tau) point: its
+    measured and predicted I1 and I2, for any state. A width whose predicted
+    invasiveness overflows float64 is refused. Nothing is kept beyond the
+    call."""
     sw: SweepConfig = cfg.sweep
     dyn = _system_objects(cfg.system)
     obs, rho = dyn.observable, dyn.initial_state
     mc_wanted = bool(sw.n or sw.tau)
-    pure = rho.is_pure()
     if sw.mode == "weak" and not sw.delta_p:
         _warn_if_not_weak(PointerModel(width=cfg.pointer.width), obs, stacklevel=2)
 
@@ -503,15 +501,14 @@ def run_sweep(cfg: RunConfig) -> dict:
                 pmw = PointerModel(width=d)
                 # a gap (a_i - a_j)^2 that overflows damps its coherence to 0, as it should
                 meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
-                invasiveness = [("i1_measured", meas.i1), ("i2_measured", meas.i2)]
-                if pure:
-                    pred = predicted_weak(rho, obs, pmw)
-                    if not math.isfinite(pred.i1):
-                        raise ValidationError(
-                            f"sweep.delta_p {d:g}: Var(A) / delta_p^2 overflows float64; the "
-                            f"observable's largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
-                    invasiveness = [("i1_measured", meas.i1), ("i1_predicted", pred.i1),
-                                    ("i2_measured", meas.i2), ("i2_predicted", pred.i2)]
+                pred = predicted_weak(rho, obs, pmw)
+                if not math.isfinite(pred.i1):
+                    raise ValidationError(
+                        f"sweep.delta_p {d:g}: the predicted purity drop sum_ij (a_i - a_j)^2 "
+                        "|P_i rho P_j|^2 / (2 delta_p^2) overflows float64; the observable's "
+                        f"largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
+                invasiveness = [("i1_measured", meas.i1), ("i1_predicted", pred.i1),
+                                ("i2_measured", meas.i2), ("i2_predicted", pred.i2)]
             for n in axes["n"]:
                 for t in axes["tau"]:
                     coords = {"delta_p": d, "n": n, "tau": t}

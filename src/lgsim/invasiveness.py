@@ -1,20 +1,29 @@
 """Invasiveness metrics and the wasted-resource accounting rule.
 
-Two measures of how much a measurement disturbed a state:
+Two measures of how much a measurement disturbed a state, both 0 when it
+leaves the state as it was, pure or mixed:
 
-    I1 = purity(ini) - purity(post)         (purity drop)
-    I2 = 1 - tr(rho_ini rho_post)           (fidelity deficit)
+    I1 = tr(rho_ini^2) - tr(rho_post^2)            (purity drop)
+    I2 = tr(rho_ini^2) - tr(rho_ini rho_post)      (overlap drop)
 
-For a strong measurement of a pure state both equal 1 - sum_i p_i^2.
-For a weak Gaussian-pointer measurement, to leading order,
+Their closed forms are one sum over the observable's eigenspaces,
 
-    I1 = Var(A) / width^2          I2 = I1 / 2.
+    B(M) = sum_ij M_ij ||P_i rho P_j||_F^2 = tr(rho Phi_M(rho)),
+
+with Phi_M the eigenbasis map of ``measurement``; B of all ones is tr rho^2.
+A strong measurement removes the coherence between eigenspaces, so
+I1 = I2 = B(1 - delta) exactly. For a weak Gaussian-pointer measurement, to
+leading order,
+
+    I1 = B((a_i - a_j)^2) / (2 width^2)          I2 = I1 / 2,
+
+which is Var(A) / width^2 for a pure state.
 
 Note: one widely-quoted second-order display puts the factor 2 on I2
-instead; differentiating the exact damping channel shows the fidelity
-deficit carries half the purity drop, so I1 = 2 I2 as implemented here.
-Also, purity and fidelity agree after weak measurement only at leading
-order, so that equality is not asserted anywhere.
+instead; differentiating the exact damping channel shows the overlap drop
+carries half the purity drop, so I1 = 2 I2 as implemented here. The two
+drops keep that ratio after a weak measurement only at leading order, so
+it is not asserted anywhere.
 
 Wastage rule: a measurement with order-unity invasiveness writes off its
 whole ensemble; a gentle one writes off the fraction I of it.
@@ -26,79 +35,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PureStateRequiredError, ValidationError, require_same_dim
-from .measurement import PointerModel
-from .quantum import (
-    DensityMatrix,
-    Observable,
-    born_weights,
-    overlap_fidelity,
-    purity,
-    variance,
-)
+from .errors import ValidationError, require_same_dim
+from .measurement import PointerModel, _eigenbasis_map
+from .quantum import DensityMatrix, Observable, overlap_fidelity, purity
 
 ORDER_UNITY_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
 class InvasivenessReport:
-    """Purity/fidelity bookkeeping for one (initial, post) state pair."""
+    """Purity drop I1 and overlap drop I2 of one measurement."""
 
-    purity_ini: float
-    purity_post: float
-    fidelity: float
     i1: float
     i2: float
-
-
-def _report(purity_ini: float, purity_post: float, fidelity: float) -> InvasivenessReport:
-    return InvasivenessReport(
-        purity_ini=purity_ini,
-        purity_post=purity_post,
-        fidelity=fidelity,
-        i1=purity_ini - purity_post,
-        i2=1.0 - fidelity,
-    )
 
 
 def measure_invasiveness(rho_ini: DensityMatrix, rho_post: DensityMatrix) -> InvasivenessReport:
     """Empirical invasiveness from an actual state pair."""
     require_same_dim(rho_ini.dim, rho_post.dim)
-    return _report(purity(rho_ini), purity(rho_post), overlap_fidelity(rho_ini, rho_post))
+    p = purity(rho_ini)
+    return InvasivenessReport(i1=p - purity(rho_post), i2=p - overlap_fidelity(rho_ini, rho_post))
 
 
-def _require_pure(rho: DensityMatrix, what: str) -> None:
-    if not rho.is_pure():
-        raise PureStateRequiredError(
-            f"{what} closed form is stated for pure initial states; "
-            f"got purity {purity(rho):.6f}. Use measure_invasiveness for mixed input."
-        )
+def _coherence_sum(rho: DensityMatrix, obs: Observable, weights: np.ndarray) -> float:
+    """B(weights) = tr(rho Phi(rho)), summed elementwise: both are Hermitian."""
+    require_same_dim(rho.dim, obs.dim)
+    return float((rho.matrix.conj() * _eigenbasis_map(rho.matrix, obs, weights)).real.sum())
 
 
 def predicted_strong(rho_ini: DensityMatrix, obs: Observable) -> InvasivenessReport:
-    """Closed-form invasiveness of a strong measurement of a pure state.
-
-    Post purity and fidelity both equal sum_i p_i^2, so I1 = I2 exactly.
-    """
-    require_same_dim(rho_ini.dim, obs.dim)
-    _require_pure(rho_ini, "strong-measurement")
-    p = born_weights(rho_ini, obs)
-    s = float(np.dot(p, p))
-    return _report(purity_ini=1.0, purity_post=s, fidelity=s)
+    """Closed-form invasiveness of a strong measurement: the coherence between
+    eigenspaces it removes, I1 = I2 = B(1 - delta), exactly."""
+    i = _coherence_sum(rho_ini, obs, 1.0 - np.eye(obs.n_outcomes))
+    return InvasivenessReport(i1=i, i2=i)
 
 
 def predicted_weak(
     rho_ini: DensityMatrix, obs: Observable, pm: PointerModel
 ) -> InvasivenessReport:
-    """Leading-order invasiveness of a weak measurement of a pure state.
-
-    I1 = Var(A)/width^2 (equivalently (1/2 width^2) sum_ij p_i p_j (a_i-a_j)^2),
-    I2 = I1/2.
-    """
-    require_same_dim(rho_ini.dim, obs.dim)
-    _require_pure(rho_ini, "weak-measurement")
-    i1 = variance(rho_ini, obs) / pm.width**2
-    return _report(purity_ini=1.0, purity_post=1.0 - i1, fidelity=1.0 - i1 / 2.0)
+    """Leading-order invasiveness of a weak measurement,
+    I1 = B((a_i - a_j)^2) / (2 width^2) and I2 = I1 / 2."""
+    a = obs.eigenvalues
+    i1 = _coherence_sum(rho_ini, obs, (a[:, None] - a[None, :]) ** 2) / (2.0 * pm.width**2)
+    return InvasivenessReport(i1=i1, i2=i1 / 2.0)
 
 
 def wasted_resource(ensemble_size: int, invasiveness: float) -> int:

@@ -148,9 +148,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_pure(self) -> bool:
-        return purity(self) >= 1.0 - 1e-8
-
 
 # ---------------------------------------------------------------------------
 # constructors

@@ -208,16 +208,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: config.seed: must be >= 0, got -4\n"
 
     def test_delta_p_sweep_on_a_mixed_state_is_zero(self, tmp_path, capsys):
-        # the stock sweep on I/2: the measured invasiveness and the correlators
-        # hold for any state; the predicted rows are a pure-state closed form
+        # the stock sweep on I/2: every row holds for any state, and no
+        # measurement disturbs I/2
         cfg = json.loads((Path(__file__).parent.parent / "configs" / "sweep.json").read_text())
         cfg["system"]["initial_state"] = [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]
         out = tmp_path / "out"
         assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         assert "error:" not in capsys.readouterr().err
-        metrics = {r["metric"] for r in json.loads((out / "report.json").read_text())
-                   ["payload"]["rows"]}
-        assert metrics == {"i1_measured", "i2_measured", "corr_value", "corr_std_error"}
+        rows = json.loads((out / "report.json").read_text())["payload"]["rows"]
+        invasiveness = {"i1_measured", "i1_predicted", "i2_measured", "i2_predicted"}
+        assert {r["metric"] for r in rows} == invasiveness | {"corr_value", "corr_std_error"}
+        assert all(r["value"] == 0.0 for r in rows if r["metric"] in invasiveness)
 
 
 class TestWidthRange:
@@ -269,9 +270,11 @@ class TestObservableScale:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::lgsim.WeakRegimeWarning")
     @pytest.mark.parametrize("subcommand, scale, error", [
-        # a width-only sweep has no correlator sums; Var(A) / delta_p^2 overflows
-        ("sweep", 1e160, "sweep.delta_p 10: Var(A) / delta_p^2 overflows float64; the "
-                         "observable's largest |eigenvalue| is 1e+160"),
+        # a width-only sweep has no correlator sums; (a_i - a_j)^2 overflows, and
+        # inf * 0 makes the predicted purity drop NaN
+        ("sweep", 1e160, "sweep.delta_p 10: the predicted purity drop sum_ij (a_i - a_j)^2 "
+                         "|P_i rho P_j|^2 / (2 delta_p^2) overflows float64; the observable's "
+                         "largest |eigenvalue| is 1e+160"),
         # verify's pointer sampler tolerances at the default n_samples: at 1e75
         # the fourth-moment excess times n overflows, at 1e80 the pointer
         # variance squared, and at 1e99 the pointers reach 50 x the spectral

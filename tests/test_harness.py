@@ -883,8 +883,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("state", [KET0, PLUS], ids=["nan", "inf"])
     def test_overflowing_invasiveness_is_refused(self, state):
-        # A = 1e160 sigma_z: Var(A) = (a - mean)^2 overflows on |+> and makes
-        # 0 * inf = NaN on |0>; a width-only sweep has no correlator to refuse
+        # A = 1e160 sigma_z: the gap (a_i - a_j)^2 overflows, and inf * 0 makes
+        # the predicted purity drop NaN on |0> and |+> alike; a width-only sweep
+        # has no correlator to refuse
         cfg = sweep_cfg("strong")
         cfg["system"].update(observable=[[1e160, 0], [0, 0], [0, 0], [-1e160, 0]],
                              initial_state=state)

@@ -8,17 +8,19 @@ from lgsim import (
     born_weights,
     maximally_mixed,
     measure_invasiveness,
+    overlap_fidelity,
     plus_state,
     predicted_strong,
     predicted_weak,
     pure_state,
+    purity,
     spectral_decompose,
     strong_channel,
     variance,
     wasted_resource,
     weak_channel_exact,
 )
-from lgsim.errors import DimensionMismatchError, PureStateRequiredError, ValidationError
+from lgsim.errors import DimensionMismatchError, ValidationError
 
 from conftest import random_density_matrix, random_hermitian, random_pure_state
 
@@ -42,17 +44,19 @@ class TestMeasureInvasiveness:
 
     def test_weak_damping_closed_form(self, qubit_z):
         # coherence keeps exp(-0.01): purity drop (1 - e^{-0.02})/2,
-        # fidelity deficit (1 - e^{-0.01})/2
+        # overlap drop (1 - e^{-0.01})/2
         post = weak_channel_exact(plus_state(), qubit_z, PointerModel(width=10.0))
         rep = measure_invasiveness(plus_state(), post)
         assert rep.i1 == pytest.approx((1 - np.exp(-0.02)) / 2, abs=1e-12)
         assert rep.i2 == pytest.approx((1 - np.exp(-0.01)) / 2, abs=1e-12)
 
-    def test_report_fields_consistent(self, qubit_z):
-        post = strong_channel(plus_state(), qubit_z)
-        rep = measure_invasiveness(plus_state(), post)
-        assert rep.i1 == rep.purity_ini - rep.purity_post
-        assert rep.i2 == 1.0 - rep.fidelity
+    def test_report_fields_consistent(self, qubit_z, rng):
+        # purity drop and overlap drop, for pure and mixed input
+        for rho in (plus_state(), random_density_matrix(2, rng)):
+            post = strong_channel(rho, qubit_z)
+            rep = measure_invasiveness(rho, post)
+            assert rep.i1 == purity(rho) - purity(post)
+            assert rep.i2 == purity(rho) - overlap_fidelity(rho, post)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -73,20 +77,23 @@ class TestPredictedStrong:
         rep = predicted_strong(pure_state([np.sqrt(0.8), np.sqrt(0.2)]), qubit_z)
         assert rep.i1 == pytest.approx(0.32, abs=1e-12)  # 1 - (0.64 + 0.04)
 
-    def test_mixed_input_rejected(self, qubit_z):
-        with pytest.raises(PureStateRequiredError):
-            predicted_strong(maximally_mixed(2), qubit_z)
+    def test_maximally_mixed_not_disturbed(self, qubit_z):
+        rho = maximally_mixed(2)
+        for rep in (predicted_strong(rho, qubit_z),
+                    measure_invasiveness(rho, strong_channel(rho, qubit_z))):
+            assert rep.i1 == 0.0 and rep.i2 == 0.0
 
     def test_matches_measurement_exactly(self, rng):
-        # closed form against the channel, at float precision
-        for dim in (2, 3):
-            for _ in range(50):
-                obs = spectral_decompose(random_hermitian(dim, rng))
-                rho = random_pure_state(dim, rng)
-                meas = measure_invasiveness(rho, strong_channel(rho, obs))
-                pred = predicted_strong(rho, obs)
-                assert abs(meas.i1 - pred.i1) < 1e-12
-                assert abs(meas.i2 - pred.i2) < 1e-12
+        # closed form against the channel, at float precision, for any state
+        for draw_state in (random_pure_state, random_density_matrix):
+            for dim in (2, 3):
+                for _ in range(50):
+                    obs = spectral_decompose(random_hermitian(dim, rng))
+                    rho = draw_state(dim, rng)
+                    meas = measure_invasiveness(rho, strong_channel(rho, obs))
+                    pred = predicted_strong(rho, obs)
+                    assert abs(meas.i1 - pred.i1) < 1e-12
+                    assert abs(meas.i2 - pred.i2) < 1e-12
 
 
 class TestPredictedWeak:
@@ -99,9 +106,21 @@ class TestPredictedWeak:
         rep = predicted_weak(basis_state(2, 0), qubit_z, PointerModel(width=10.0))
         assert rep.i1 == 0.0 and rep.i2 == 0.0
 
-    def test_mixed_input_rejected(self, qubit_z):
-        with pytest.raises(PureStateRequiredError):
-            predicted_weak(maximally_mixed(2), qubit_z, PointerModel(width=10.0))
+    def test_maximally_mixed_not_disturbed(self, qubit_z):
+        rho, pm = maximally_mixed(2), PointerModel(width=10.0)
+        for rep in (predicted_weak(rho, qubit_z, pm),
+                    measure_invasiveness(rho, weak_channel_exact(rho, qubit_z, pm))):
+            assert rep.i1 == 0.0 and rep.i2 == 0.0
+
+    def test_pure_state_form_is_variance_over_width_squared(self, rng):
+        for dim in (2, 3, 5):
+            for _ in range(20):
+                obs = spectral_decompose(random_hermitian(dim, rng))
+                rho = random_pure_state(dim, rng)
+                pm = PointerModel(width=float(rng.uniform(1.0, 100.0)))
+                rep = predicted_weak(rho, obs, pm)
+                assert rep.i1 == pytest.approx(variance(rho, obs) / pm.width**2, rel=1e-14)
+                assert rep.i2 == rep.i1 / 2.0
 
     def test_double_sum_equals_twice_variance(self, qubit_z):
         # brute-force sum_ij p_i p_j (a_i - a_j)^2 for p = (.8, .2), a = (1, -1)
@@ -139,6 +158,20 @@ class TestWeakConsistency:
             pred = predicted_weak(rho, qubit_z, pm)
             coeffs.append(abs(meas.i1 - pred.i1) * width**4)
         assert max(coeffs) / min(coeffs) < 1.05
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_mixed_state_remainder_is_order_width_minus_two(self, rng, dim):
+        # (1 - measured / predicted) * width^2 is the same at every width
+        for _ in range(5):
+            obs = spectral_decompose(random_hermitian(dim, rng))
+            rho = random_density_matrix(dim, rng)
+            coeffs = []
+            for factor in (40.0, 80.0, 160.0):
+                pm = PointerModel(width=factor * obs.spectral_diameter)
+                meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pm))
+                pred = predicted_weak(rho, obs, pm)
+                coeffs.append((1.0 - meas.i1 / pred.i1) * pm.width**2)
+            assert min(coeffs) > 0 and max(coeffs) / min(coeffs) < 1.01
 
     def test_ratio_approaches_two(self, qubit_z):
         rho = plus_state()
