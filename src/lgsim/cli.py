@@ -2,11 +2,12 @@
 
 One subcommand per scenario in ``config.SCENARIOS``, "_" written as "-":
 
-    lgsim lg-run --config cfg.json [--seed N] [--out DIR] [--format F]
+    lgsim lg-run --config cfg.json [--out DIR]
 
+The config file holds the run, seed and report format included; ``--out``
+names the directory the report is written to (default ``lgsim_out``).
 Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 I/O error. The LGSIM_OUT_DIR environment variable overrides the
-default output directory (but not --out or the config's own setting).
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import FORMATS, SCENARIOS, config_to_dict, load_config, parse_config
+from .config import SCENARIOS, load_config
 from .errors import ValidationError
-from .harness import execute, resolve_out_dir, write_report
+from .harness import execute, write_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -35,9 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command in _SUBCOMMANDS:
         p = sub.add_parser(command, help=f"run the {command} scenario")
         p.add_argument("--config", required=True, help="path to a JSON run config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default=None, choices=FORMATS, help="report format")
+        p.add_argument("--out", default="lgsim_out", help="report directory (default %(default)s)")
     return parser
 
 
@@ -52,13 +51,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"config.scenario: is '{cfg.scenario}' but the '{args.command}' "
                 "subcommand was invoked"
             )
-        if args.seed is not None or args.format is not None:
-            data = config_to_dict(cfg)
-            if args.seed is not None:
-                data["seed"] = args.seed
-            if args.format is not None:
-                data["output"]["format"] = args.format
-            cfg = parse_config(data)
         report = execute(cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -68,8 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
     try:
-        out_dir = resolve_out_dir(args.out, cfg)
-        written = write_report(report, out_dir, cfg.output.format)
+        written = write_report(report, args.out, cfg.output.format)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

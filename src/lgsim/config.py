@@ -12,9 +12,11 @@ is required, ``X | None`` accepts ``null`` (a section may be left out but
 not given as ``null``), and ``field(metadata=...)`` holds the range checks
 ``min``, ``max``, ``positive`` and ``choices`` (applied to each entry of a
 list field). Every number must be finite. ``_parse_section`` walks these
-fields and checks a matrix's length against its section's ``dim``; the
-other rules that tie fields or sections together are plain code in
-``parse_config``.
+fields and checks a matrix's length against its section's ``dim``. A
+section class may check its own fields together in ``__post_init__``: the
+``plan`` section is ``protocol.SeriesPlan`` itself, whose k and times rules
+are reported under ``config.plan``. The rules that tie sections together
+are plain code in ``parse_config``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .measurement import MODE_STRONG, MODE_WEAK, WIDTH_RANGE
+from .protocol import SeriesPlan
 from .streams import MAX_SEED
 
 SCHEMA_VERSION = "1"
@@ -91,12 +94,6 @@ class PointerConfig:
 
 
 @dataclass(frozen=True)
-class PlanConfig:
-    k: int = _field(min=3)
-    times: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class LgRunConfig:
     n_strong: int = _field(min=2)
     n_weak: int = _field(min=2)
@@ -127,7 +124,6 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    dir: str | None = None
     format: str = _field("json", choices=FORMATS)
 
 
@@ -138,7 +134,7 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
     system: SystemConfig | None = None
     pointer: PointerConfig | None = None
-    plan: PlanConfig | None = None
+    plan: SeriesPlan | None = None
     run: LgRunConfig | None = None
     budget: BudgetConfig | None = None
     verify: VerifyConfig | None = None
@@ -177,7 +173,10 @@ def _parse_section(cls, value, path: str):
             parsed[name] = _matrix_pairs(value[name], key, parsed["dim"])
         else:
             parsed[name] = _parse_value(value[name], key, hint, checks)
-    return cls(**parsed)
+    try:
+        return cls(**parsed)
+    except ValidationError as exc:  # the section's own rules, from __post_init__
+        _fail(path, str(exc))
 
 
 def _parse_value(value, path: str, hint, checks):
@@ -190,10 +189,6 @@ def _parse_value(value, path: str, hint, checks):
     if "choices" in checks:
         if value not in checks["choices"]:
             _fail(path, f"must be one of {list(checks['choices'])}, got {value!r}")
-        return value
-    if hint is str:
-        if not isinstance(value, str):
-            _fail(path, f"must be a string or null, got {value!r}")
         return value
     if hint is bool:
         if not isinstance(value, bool):
@@ -258,12 +253,6 @@ def parse_config(data: dict) -> RunConfig:
     cfg = _parse_section(RunConfig, data, "config")
     if cfg.seed > MAX_SEED:
         _fail("config.seed", "must fit in 64 unsigned bits")
-    if cfg.plan is not None:
-        k, times = cfg.plan.k, cfg.plan.times
-        if len(times) != k:
-            _fail("config.plan.times", f"must have k = {k} entries, got {len(times)}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            _fail("config.plan.times", "must be strictly increasing")
     if cfg.sweep is not None and not (cfg.sweep.delta_p or cfg.sweep.n or cfg.sweep.tau):
         _fail("config.sweep", "sweep grid is empty: provide at least one of delta_p, n, tau")
     if cfg.verify is not None and len(set(cfg.verify.widths)) < 3:

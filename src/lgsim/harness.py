@@ -50,7 +50,6 @@ from .measurement import (
 from .protocol import (
     CorrelatorEstimate,
     DynamicsSpec,
-    SeriesPlan,
     _chunk_moments,
     _estimate,
     _moments,
@@ -72,8 +71,6 @@ from .quantum import (
 from .streams import BIT_GENERATOR, substream
 from .writers import write_csv, write_json
 
-OUT_DIR_ENV = "LGSIM_OUT_DIR"
-DEFAULT_OUT_DIR = "lgsim_out"
 # events per sweep point when the grid has no n axis
 SWEEP_N_EVENTS = 10_000
 
@@ -158,8 +155,7 @@ def _lg_block(estimates: list[CorrelatorEstimate], bounded: bool) -> dict:
 
 
 def run_lg(cfg: RunConfig) -> dict:
-    dyn = _system_objects(cfg.system)
-    plan = SeriesPlan(cfg.plan.k, cfg.plan.times)
+    dyn, plan = _system_objects(cfg.system), cfg.plan  # the config holds the SeriesPlan
     pm = PointerModel(width=cfg.pointer.width)
     # the bounds hold for readings in [-1, 1]: K_k is multilinear in them, so
     # its macrorealist extremes sit at readings of +/-1
@@ -596,11 +592,3 @@ def write_report(report: dict, out_dir: str, fmt: str) -> list[str]:
             written.append(path)
     return written
 
-
-def resolve_out_dir(cli_out: str | None, cfg: RunConfig) -> str:
-    """CLI flag beats config, which beats the environment override, then the default."""
-    if cli_out:
-        return cli_out
-    if cfg.output.dir:
-        return cfg.output.dir
-    return os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR

@@ -58,6 +58,7 @@ from .quantum import (
     Observable,
     _as_complex_matrix,
     _check_hermitian,
+    _freeze,
     basis_state,
     evolve,
     pauli,
@@ -124,9 +125,7 @@ class DynamicsSpec:
         h = _as_complex_matrix(self.hamiltonian, "hamiltonian")
         _check_hermitian(h, "hamiltonian")
         require_same_dim(h.shape[0], self.observable.dim, self.initial_state.dim)
-        h = h.copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "hamiltonian", _freeze(h))
 
 
 @dataclass(frozen=True)

@@ -98,10 +98,12 @@ class TestExitCodes:
         ("budget.order_unity_threshold", 0.1),
         ("sweep.n_per_point", 10_000),
         ("tolerances", {"eigen_gap": 1e-9}),
-    ], ids=["delta_p", "order_unity_threshold", "n_per_point", "tolerances"])
+        ("output.dir", "x"),
+    ], ids=["delta_p", "order_unity_threshold", "n_per_point", "tolerances", "output_dir"])
     def test_removed_key_is_one(self, tmp_path, capsys, path, value):
-        # each has one spelling now: pointer.width, the constant 0.1, an n axis
-        # and the constant eigen-gap 1e-9. The sweep section only carries its key
+        # each has one spelling now: pointer.width, the constant 0.1, an n axis,
+        # the constant eigen-gap 1e-9 and --out. The sweep section only carries
+        # its key
         bad = json.loads(json.dumps(dict(BUDGET, sweep={"delta_p": [10.0]})))
         *section, key = path.split(".")
         (bad[section[0]] if section else bad)[key] = value
@@ -195,17 +197,28 @@ class TestExitCodes:
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 
-    def test_workers_flag_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--seed", "5"], ["--format", "json"]],
+                             ids=["workers", "seed", "format"])
+    def test_workers_flag_is_rejected(self, tmp_path, capsys, flag):
+        # the seed and the format are set in the config file only
         with pytest.raises(SystemExit) as exc:
-            main(["lg-run", "--config", write_cfg(tmp_path, LG_RUN), "--workers", "2"])
+            main(["lg-run", "--config", write_cfg(tmp_path, LG_RUN), *flag])
         assert exc.value.code == 2  # argparse usage error
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    def test_bad_seed_override_is_one(self, tmp_path, capsys):
-        code = main(["budget", "--config", write_cfg(tmp_path, BUDGET),
-                     "--seed", "-4", "--out", str(tmp_path / "out")])
+    def test_bad_seed_is_one(self, tmp_path, capsys):
+        code = main(["budget", "--config", write_cfg(tmp_path, dict(BUDGET, seed=-4)),
+                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == "error: config.seed: must be >= 0, got -4\n"
+
+    def test_out_dir_defaults_to_lgsim_out(self, tmp_path, monkeypatch):
+        # LGSIM_OUT_DIR sets nothing: without --out the report lands in ./lgsim_out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LGSIM_OUT_DIR", str(tmp_path / "from_env"))
+        assert main(["budget", "--config", write_cfg(tmp_path, BUDGET)]) == 0
+        assert (tmp_path / "lgsim_out" / "report.json").exists()
+        assert not (tmp_path / "from_env").exists()
 
     def test_delta_p_sweep_on_a_mixed_state_is_zero(self, tmp_path, capsys):
         # the stock sweep on I/2: every row holds for any state, and no
@@ -302,32 +315,6 @@ class TestObservableScale:
         assert main(["lg-run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         text = (out / "report.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
-
-
-class TestOverrides:
-    def test_seed_override_lands_in_report(self, tmp_path):
-        out = tmp_path / "out"
-        main(["budget", "--config", write_cfg(tmp_path, BUDGET),
-              "--seed", "99", "--out", str(out)])
-        report = json.loads((out / "report.json").read_text())
-        assert report["seed"] == 99
-        assert report["config"]["seed"] == 99
-
-    def test_format_override_json_only(self, tmp_path):
-        out = tmp_path / "out"
-        code = main(["budget", "--config", write_cfg(tmp_path, BUDGET),
-                     "--out", str(out), "--format", "json"])
-        assert code == 0
-        assert (out / "report.json").exists()
-        assert not (out / "budget_comparison.csv").exists()
-
-    def test_env_var_supplies_default_out_dir(self, tmp_path, monkeypatch):
-        envdir = tmp_path / "from_env"
-        monkeypatch.setenv("LGSIM_OUT_DIR", str(envdir))
-        cfg = {k: v for k, v in BUDGET.items() if k != "output"}
-        code = main(["budget", "--config", write_cfg(tmp_path, cfg)])
-        assert code == 0
-        assert (envdir / "report.json").exists()
 
 
 class TestDeterministicReports:

@@ -22,7 +22,6 @@ from lgsim.harness import (
     _sampler_deviation,
     execute,
     payload_json,
-    resolve_out_dir,
     run_budget,
     run_lg,
     run_sweep,
@@ -1106,28 +1105,3 @@ class TestReportBytes:
         write_report(report, str(tmp_path), "json")
         written = (tmp_path / "report.json").read_text(encoding="utf-8")
         assert written == json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-class TestResolveOutDir:
-    def test_cli_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("LGSIM_OUT_DIR", "envdir")
-        cfg = dataclasses.replace(budget_cfg(), output=budget_cfg().output)
-        assert resolve_out_dir("clidir", cfg) == "clidir"
-
-    def test_config_dir_beats_env(self, monkeypatch):
-        monkeypatch.setenv("LGSIM_OUT_DIR", "envdir")
-        cfg = parse_config({
-            "scenario": "budget",
-            "output": {"dir": "cfgdir"},
-            "pointer": {"width": 1.0},
-            "budget": {"ensemble_size": 100, "k": 3, "var_a": 0.5},
-        })
-        assert resolve_out_dir(None, cfg) == "cfgdir"
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("LGSIM_OUT_DIR", "envdir")
-        assert resolve_out_dir(None, budget_cfg()) == "envdir"
-
-    def test_default_when_nothing_set(self, monkeypatch):
-        monkeypatch.delenv("LGSIM_OUT_DIR", raising=False)
-        assert resolve_out_dir(None, budget_cfg()) == "lgsim_out"
