@@ -317,6 +317,34 @@ class TestObservableScale:
         assert "NaN" not in text and "Infinity" not in text
 
 
+class TestRunSettings:
+    # the seed and the format have one spelling, in the config file; the
+    # report directory has one, --out
+    def test_config_seed_lands_in_report(self, tmp_path):
+        out = tmp_path / "out"
+        main(["budget", "--config", write_cfg(tmp_path, dict(BUDGET, seed=99)),
+              "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert report["seed"] == 99
+        assert report["config"]["seed"] == 99
+
+    def test_config_format_json_only(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = dict(BUDGET, output={"format": "json"})
+        code = main(["budget", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 0
+        assert (out / "report.json").exists()
+        assert not (out / "budget_comparison.csv").exists()
+
+    def test_out_flag_ignores_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LGSIM_OUT_DIR", str(tmp_path / "from_env"))
+        code = main(["budget", "--config", write_cfg(tmp_path, BUDGET),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "from_env").exists()
+
+
 class TestDeterministicReports:
     def test_single_worker_reruns_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, LG_RUN)

@@ -299,6 +299,7 @@ MESSAGES = [
      "config.sweep.mode: must be one of ['strong', 'weak'], got 'medium'"),
     (SWEEP, "sweep", {}, "config.sweep: sweep grid is empty: provide at least one of delta_p, n, tau"),
     # output
+    (LG, "output", {"dir": "somewhere"}, "config.output.dir: unknown key"),
     (LG, "output", {"format": "xml"},
      "config.output.format: must be one of ['json', 'csv', 'both'], got 'xml'"),
 ]
