@@ -15,6 +15,9 @@ Sampling is chunked and vectorized: ``_chunk_moments`` runs chunk c of
 series s on ``substream(seed, s, c)`` and merges each chunk's sum and
 squared deviations in chunk order, so an estimate does not depend on the
 order the chunks are run in, and a spectrum far from zero costs no digits.
+A series of several chunks runs them on the calling thread and up to three
+helper threads, one worker per CPU the process may use; as the merge keeps
+chunk order, no result depends on that number.
 
 Both modes read one table per series, G[b, i, j] = tr(B_b P_i rho P_j),
 with B_b the projector onto outcome b carried back over the gap. A
@@ -39,7 +42,10 @@ times that total.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -67,14 +73,17 @@ from .quantum import (
 )
 from .streams import aligned_empty, chunk_sizes, substream
 
-# Events per column block of a chunk, at most. A weak block holds two (d, block)
-# tables and a (K, block) one, K the distinct midpoints, and takes fewer events
-# where the three would pass _BLOCK_FLOATS floats (1 MiB), in a multiple of 64
-# so that every table row is 64-byte aligned: 4224 for a d = 8 J_z. Results do
-# not depend on either: every event sees the same random numbers and the sums
-# run over the whole chunk.
+# Events per column block of a chunk, at most. A block takes fewer events where
+# two (d, block) tables and a (K, block) one, K the distinct midpoints, would
+# pass _BLOCK_FLOATS floats (1 MiB), in a multiple of 64 so that every table
+# row is 64-byte aligned: 4224 for a d = 8 J_z. Results do not depend on
+# either: every event sees the same random numbers and the sums run over the
+# whole chunk.
 _BLOCK = 8192
 _BLOCK_FLOATS = 2**17
+
+# Threads that run the chunks of one series, at most: the caller and helpers.
+_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -268,8 +277,8 @@ class _SeriesKernel:
 
     def _second_cum(self, first: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
         """(d, block) unnormalised cumulative weights of the second outcome per
-        weak event, given the block's first readings ``first``, in the last of
-        the (d, block), (K, block) and (d, block) ``tables`` it fills."""
+        weak event, given the block's first readings ``first``, in the first of
+        the (d, block) and (K, block) ``tables`` it fills."""
         # phi_i(p) = exp(-(p - a_i)^2 / 2w^2). The difference form keeps full
         # precision when the spectrum sits far from zero relative to w;
         # factoring out exp(p a_i / w^2) would not. No per-event shift guards
@@ -277,19 +286,20 @@ class _SeriesKernel:
         # exp(-Z^2 / 4) for its normal Z, numpy's ziggurat never returns
         # |Z| > 13.71 (its tail is r + (-log1p(-U)) / r with U <= 1 - 2^-53),
         # so phi_i >= e^-47 and the total is at least p_i e^-94.
-        phi, prods, cum = tables
+        phi, prods = tables
         np.subtract(self.eigenvalues[:, None], first, out=phi)
         np.square(phi, out=phi)
         phi *= self.phi_scale
         np.exp(phi, out=phi)
         # one product phi_r phi_s per distinct midpoint, then the cumulative
         # joint weight of reading p and each second outcome b < d-1, and
-        # their total, as one (d, K) @ (K, block) product. Each weight is
-        # tr(B_b M rho M) >= 0 for the reading's Kraus operator M, so only
-        # round-off can make a cumulative row fall, and none is clipped.
+        # their total, as one (d, K) @ (K, block) product, written over phi,
+        # which no longer enters. Each weight is tr(B_b M rho M) >= 0 for the
+        # reading's Kraus operator M, so only round-off can make a cumulative
+        # row fall, and none is clipped.
         for j, lo, hi, k in self.runs:
             np.multiply(phi[lo:hi], phi[lo + j:hi + j], out=prods[k:k + hi - lo])
-        return np.matmul(self.table, prods, out=cum)
+        return np.matmul(self.table, prods, out=phi)
 
     def run_chunk(self, rng: np.random.Generator, m: int) -> tuple[float, float]:
         """Simulate m events; return the ``_moments`` of their products.
@@ -300,6 +310,9 @@ class _SeriesKernel:
         blocks of at most ``_BLOCK``, sized to stay in cache, which all reuse
         one set of aligned tables; each draws its second uniforms, which follow
         every normal on the stream, and its products overwrite its readings.
+        The cumulative weights take the amplitudes' table and the second
+        outcomes' eigenvalues the uniforms' row, so a block holds d + K + 1
+        float rows.
         """
         # the sums stay out of BLAS: OpenBLAS splits a long ddot over its
         # threads, which would tie the result to the thread count
@@ -312,18 +325,20 @@ class _SeriesKernel:
         _, products = _weak_draw(self.rho_first, self.observable, self.pointer, m, rng)
         d, n_pairs = self.table.shape
         block = max(64, min(_BLOCK, _BLOCK_FLOATS // (2 * d + n_pairs)) // 64 * 64)
-        shapes = ((d, block), (n_pairs, block), (d, block), (block,), (block,))
+        shapes = ((d, block), (n_pairs, block), (block,))
         tables = [aligned_empty(s) for s in shapes] + [aligned_empty((d - 1, block), bool)]
         for lo in range(0, m, block):
             first = products[lo:lo + block]
-            *weights, u, values, mask = (t[..., :first.size] for t in tables)
+            *weights, u, mask = (t[..., :first.size] for t in tables)
             cum = self._second_cum(first, weights)
             # inverse CDF against the unnormalised total: outcome b is drawn
             # when cum[b-1] <= u * cum[-1] < cum[b]; with a positive total,
             # u < 1 keeps the last row out
             rng.random(out=u)
             u *= cum[-1]
-            first *= a.take(_inverse_cdf(cum, u, mask), out=values)
+            # every index lies in [0, d - 1], so "clip" changes none; the
+            # default "raise" would stage the values in a block-sized buffer
+            first *= a.take(_inverse_cdf(cum, u, mask), out=u, mode="clip")
         # the moments run once over the whole chunk, so their pairwise order
         # does not depend on the block size
         return _moments(products)
@@ -337,17 +352,79 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
 
 
 def _chunk_moments(n: int, seed: int, stream: int, draw) -> tuple[float, float]:
-    """``_moments`` of n values drawn by chunk: ``draw(substream(seed, stream, c), m)``
+    """``_moments`` of n values drawn by chunk: ``draw(substream(seed, stream, c), m, c)``
     gives those of chunk c, m values from ``chunk_sizes(n)``, merged in chunk
-    order by Chan, Golub and LeVeque's update (Am. Stat. 37, 242 (1983))."""
+    order by Chan, Golub and LeVeque's update (Am. Stat. 37, 242 (1983)).
+    Several chunks run on ``_draw_chunks``'s threads, so ``draw`` must be safe
+    to call from any of them; the merge keeps the result bitwise the same for
+    any number of threads."""
+    sizes = chunk_sizes(n)
+    # a series of one chunk starts no thread
+    parts = _draw_chunks(sizes, seed, stream, draw) if len(sizes) > 1 else None
     count, total, sq_dev = 0, 0.0, 0.0
-    for c, m in enumerate(chunk_sizes(n)):
-        s, q = draw(substream(seed, stream, c), m)
+    for c, m in enumerate(sizes):
+        s, q = parts[c] if parts else draw(substream(seed, stream, c), m, c)
         if count:
             delta = s / m - total / count
             q += delta * delta * count * m / (count + m)
         count, total, sq_dev = count + m, total + s, sq_dev + q
     return total, sq_dev
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _draw_chunks(sizes: list[int], seed: int, stream: int, draw) -> list:
+    """``draw``'s result for each chunk of ``sizes``, by chunk index, from the
+    calling thread and up to ``_MAX_WORKERS`` - 1 helpers, one worker per CPU
+    and chunk. Each worker takes the lowest chunk not yet taken. On an error
+    no chunk is handed out any more, every helper is joined, and the error of
+    the lowest failing chunk is raised; every lower chunk was taken before it
+    and ran to its end, so which error that is does not depend on timing."""
+    workers = min(_cpu_count(), len(sizes), _MAX_WORKERS)
+    parts, errors = [None] * len(sizes), {}
+    todo, lock = list(enumerate(sizes))[::-1], threading.Lock()
+    # helpers run in copies of the caller's context, which hold numpy 2's error
+    # state; numpy 1 keeps it per thread, so every worker enters the caller's
+    err = np.geterr()
+
+    def work():
+        with np.errstate(**err):
+            while True:
+                with lock:
+                    if not todo:
+                        return
+                    c, m = todo.pop()
+                try:
+                    parts[c] = draw(substream(seed, stream, c), m, c)
+                except BaseException as exc:  # raised in the caller below
+                    with lock:
+                        errors[c] = exc
+                        todo.clear()
+                    return
+
+    # numpy 2 loads numpy.random on first use. This loads it on the caller:
+    # its import on a helper would leave the import's allocations in that
+    # thread's malloc arena, 0.5 MB more peak RSS on the stock lg_run
+    np.random  # noqa: B018
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        with lock:
+            todo.clear()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return parts
 
 
 def _check_run_args(pointer, obs, n) -> None:
@@ -360,13 +437,14 @@ def _check_run_args(pointer, obs, n) -> None:
 
 def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimate:
     """One series of n events on stream ``stream``. The kernel holds no state
-    between chunks, so one kernel serves any series of its times and pointer.
+    between chunks, so one kernel serves any series of its times and pointer,
+    and its chunks may run on several threads at once.
     Sums that overflow float64, as an observable far from unit scale makes
     them, raise ``ValidationError``. Callers run it under
     ``np.errstate(over="ignore", invalid="ignore")``, entered once per call
     of theirs rather than once per correlator, so that an overflow reaches
     this refusal without a numpy warning."""
-    total, sq_dev = _chunk_moments(n, seed, stream, kernel.run_chunk)
+    total, sq_dev = _chunk_moments(n, seed, stream, lambda rng, m, c: kernel.run_chunk(rng, m))
     if not (math.isfinite(total) and math.isfinite(sq_dev)):
         raise ValidationError(
             f"pair {pair}: the correlator's sums overflow float64; the observable's "

@@ -10,7 +10,8 @@ chunk for chunk whatever order its chunks are run in.
 Event batches are carved into fixed-size chunks; chunk ``c`` of series
 ``s`` (verify's sampler check is s = 107) draws from ``substream(seed, s,
 c)``, and ``protocol._chunk_moments`` merges the chunks' moments in chunk
-order, so merged statistics are bit-identical whatever order chunks ran in.
+order, so merged statistics are bit-identical whatever order chunks ran in
+and however many threads ran them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lgsim
-from lgsim import harness, streams
+from lgsim import harness, protocol, streams
 from lgsim.config import parse_config
 from lgsim.harness import (
     _sampler_deviation,
@@ -51,7 +51,7 @@ from lgsim.quantum import (
     spectral_decompose,
     variance,
 )
-from lgsim.streams import DEFAULT_CHUNK_SIZE, substream
+from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
 
 from conftest import random_density_matrix
 import test_invasiveness
@@ -580,6 +580,22 @@ BROKEN_IDENTITY = {
 VERIFY_SMALL = {"scenario": "verify", "seed": 3, "verify": {"n_samples": 20_000, "n_random": 20}}
 
 
+@pytest.fixture
+def chunk_of(monkeypatch):
+    """The chunk index of a stream that ``protocol._chunk_moments`` handed a
+    draw, as a function of the stream: chunks may run on several threads and
+    in any order, so a spy keys what it records by chunk."""
+    chunks, make = {}, protocol.substream
+
+    def keyed(seed, *path):
+        rng = make(seed, *path)
+        chunks[id(rng)] = path[-1]
+        return rng
+
+    monkeypatch.setattr(protocol, "substream", keyed)
+    return lambda rng: chunks[id(rng)]
+
+
 class TestVerifyChecksCanFail:
     @pytest.mark.parametrize("defect", sorted(BROKEN))
     def test_defect_fails_its_check(self, monkeypatch, defect):
@@ -606,20 +622,20 @@ class TestVerifyChecksCanFail:
             test(None, rng)  # the unit tests keep no instance state
 
     @pytest.mark.parametrize("defect", ["_weak_draw_counts", "_weak_draw_noise"])
-    def test_sampler_defect_fails_across_chunks(self, monkeypatch, defect):
+    def test_sampler_defect_fails_across_chunks(self, monkeypatch, chunk_of, defect):
         # the defect is applied chunk by chunk, a full chunk and a ragged one
         function, check, wrap = BROKEN[defect]
-        original, sizes = getattr(harness, function), []
+        original, sizes = getattr(harness, function), {}
 
         def broken(*a):
             counts, readings = wrap(original, *a)
-            sizes.append(readings.size)
+            sizes[chunk_of(a[-1])] = readings.size
             return counts, readings
 
         monkeypatch.setattr(harness, function, broken)
         n = DEFAULT_CHUNK_SIZE + 1_000
         payload = run_verify(parse_config({**VERIFY_SMALL, "verify": {"n_samples": n, "n_random": 20}}))
-        assert sizes == [DEFAULT_CHUNK_SIZE, 1_000]
+        assert sizes == {0: DEFAULT_CHUNK_SIZE, 1: 1_000}
         assert {c["name"]: c["status"] for c in payload["checks"]}[check] == "fail"
 
 
@@ -729,16 +745,28 @@ class TestSamplerStatistics:
         assert merged[0][0] == float(counts @ obs.eigenvalues)
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
-    def test_judges_the_weak_correlators_draw(self, monkeypatch, probe):
+    def test_judges_the_weak_correlators_draw(self, monkeypatch, chunk_of, probe):
         # chunk c's weak readings are _weak_draw's from (seed, 107, c), draw
         # for draw
         obs, rho = self.PROBES[probe]
-        moments, judged = harness._moments, []
-        monkeypatch.setattr(harness, "_moments", lambda x: judged.append(x.copy()) or moments(x))
-        _sampler_deviation(rho, obs, DEFAULT_CHUNK_SIZE + 1_000, 9, 107)
+        weak_draw, moments, drawn, judged = harness._weak_draw, harness._moments, {}, {}
+
+        def spy_draw(*a):
+            counts, readings = weak_draw(*a)
+            drawn[id(readings)] = chunk_of(a[-1])
+            return counts, readings
+
+        def spy_moments(x):
+            judged[drawn[id(x)]] = x.copy()
+            return moments(x)
+
+        monkeypatch.setattr(harness, "_weak_draw", spy_draw)
+        monkeypatch.setattr(harness, "_moments", spy_moments)
+        n = DEFAULT_CHUNK_SIZE + 1_000
+        _sampler_deviation(rho, obs, n, 9, 107)
         pm = PointerModel(width=harness._verify_width(obs))
-        assert [r.size for r in judged] == [DEFAULT_CHUNK_SIZE, 1_000]
-        for c, readings in enumerate(judged):
+        assert {c: r.size for c, r in judged.items()} == dict(enumerate(chunk_sizes(n)))
+        for c, readings in judged.items():
             _, want = _weak_draw(rho, obs, pm, readings.size, substream(9, 107, c))
             assert np.array_equal(readings, want)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -315,6 +316,97 @@ class TestDeterminismAndMerging:
         assert outputs[0] == outputs[1]
 
 
+def _on_every_worker(draw, workers):
+    """``draw`` whose first ``workers`` chunks wait for one another. A worker
+    takes the lowest chunk not yet taken, so those chunks run on as many
+    workers at once, or the barrier breaks after its timeout."""
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def waiting(rng, m, c):
+        if c < workers:
+            barrier.wait()
+        return draw(rng, m, c)
+
+    return waiting
+
+
+class TestChunkWorkers:
+    """A series of several chunks runs them on the calling thread and up to
+    ``protocol._MAX_WORKERS`` - 1 helpers, one per CPU (``_cpu_count``), and
+    merges their moments in chunk order."""
+
+    @pytest.mark.parametrize("case", ["strong", "weak", "verify"])
+    def test_worker_count_does_not_change_results(self, monkeypatch, case):
+        # 1, 2 and 17 chunks, the last one ragged, on 1, 2 and 3 workers that
+        # all draw at once, with the interpreter switching threads as often as
+        # it can: the moments agree bitwise, and so does verify's sampler
+        # score, which also sums each chunk's outcome counts
+        monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 1_000)
+        chunk_moments = protocol._chunk_moments
+        if case == "verify":
+            obs = spectral_decompose(np.diag([-1.0, 0.0, 1.0]))
+            rho = random_density_matrix(3, np.random.default_rng(5))
+
+            def run(n, workers):
+                got = []
+                monkeypatch.setattr(harness, "_chunk_moments", lambda n, seed, stream, draw: got.append(
+                    chunk_moments(n, seed, stream, _on_every_worker(draw, workers))) or got[-1])
+                return harness._sampler_deviation(rho, obs, n, 5, 107), got
+        else:
+            pointer = None if case == "strong" else PointerModel(width=10.0)
+            kernel = _SeriesKernel(precession_qubit(), 0.0, TAU, pointer)
+
+            def run(n, workers):
+                draw = _on_every_worker(lambda rng, m, c: kernel.run_chunk(rng, m), workers)
+                return chunk_moments(n, 5, 2, draw)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (700, 1_700, 16_300):
+                got = []
+                for count in (1, 2, 3):
+                    monkeypatch.setattr(protocol, "_cpu_count", lambda: count)
+                    got.append(run(n, min(count, len(chunk_sizes(n)))))
+                assert got[1] == got[0] and got[2] == got[0]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_error_of_the_lowest_failing_chunk_reaches_the_caller(self, monkeypatch):
+        # chunk 3 fails only once chunk 4 has failed on another worker; the
+        # caller gets chunk 3's error, with every helper joined
+        monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 10)
+        monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
+        failed = threading.Event()
+
+        def draw(rng, m, c):
+            if c == 4:
+                failed.set()
+            elif c != 3:
+                return float(m), 0.0
+            elif not failed.wait(30):
+                raise TimeoutError("chunk 4 never ran")
+            raise ValueError(f"chunk {c}")
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^chunk 3$"):
+            protocol._chunk_moments(170, 5, 0, draw)
+        assert threading.active_count() == threads
+        assert protocol._chunk_moments(170, 5, 0, lambda rng, m, c: (float(m), 0.0)) == (170.0, 0.0)
+        assert threading.active_count() == threads
+
+    def test_helpers_ignore_overflow_as_the_caller_does(self):
+        # A = 1e140 sigma_z: the products' squares overflow in every chunk, on
+        # every worker, and run_series refuses the sums with no numpy warning
+        dyn = DynamicsSpec(pauli("x"), spectral_decompose(1e140 * pauli("z")), basis_state(2, 0))
+        n = DEFAULT_CHUNK_SIZE + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", WeakRegimeWarning)
+            with pytest.raises(ValidationError, match="sums overflow float64"):
+                estimate_correlator(dyn, 0.0, 1.0, n, 3, pointer=PointerModel(width=10.0))
+
+
 def _random_dynamics(rng, dim, case):
     """Random (H, A, rho); "degenerate" merges eigenvalues, "offset" adds 1e6 I
     to A and "far_offset" 1e8 I. "spin" is a diagonal spin-(dim-1)/2 J_z, an
@@ -350,9 +442,9 @@ def _reference_tables(dyn, t_first, t_second):
 
 
 def _weight_tables(kernel, n):
-    """The (d, n), (K, n) and (d, n) tables ``_second_cum`` fills."""
+    """The (d, n) and (K, n) tables ``_second_cum`` fills."""
     d, n_pairs = kernel.table.shape
-    return np.empty((d, n)), np.empty((n_pairs, n)), np.empty((d, n))
+    return np.empty((d, n)), np.empty((n_pairs, n))
 
 
 def _kernel_weights(kernel, first):
@@ -566,11 +658,11 @@ class TestUnshiftedKernel:
 
 class TestColumnBlocks:
     """A weak run_chunk draws a chunk's first readings and then works through
-    it in column blocks of ``protocol._BLOCK`` events, fewer where the block's
-    two (d, block) tables and (K, block) table of pair products would pass
+    it in column blocks of ``protocol._BLOCK`` events, fewer where two (d,
+    block) tables and a (K, block) table of pair products would pass
     ``protocol._BLOCK_FLOATS`` floats, in multiples of 64 events; each block
-    draws its own second uniforms into one set of aligned tables. A strong
-    chunk has no per-event tables and so no blocks."""
+    draws its own second uniforms into one set of aligned tables, of d + K + 1
+    float rows. A strong chunk has no per-event tables and so no blocks."""
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)
     def test_block_size_does_not_change_results(self, monkeypatch, dim, case):
@@ -597,14 +689,18 @@ class TestColumnBlocks:
     ])
     def test_tables_of_one_block_fit_the_budget(self, monkeypatch, dim, case, want):
         # 2^17 // (2d + K) events, down to a multiple of 64, at most 8192: one
-        # set of tables per chunk, each table and each of its rows aligned
+        # set of tables per chunk, each table and each of its rows aligned.
+        # The amplitudes' table takes the cumulative weights and the uniforms'
+        # row the second eigenvalues, so a block has (d, block), (K, block),
+        # (block,) and the (d - 1, block) mask
         dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
         kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=10.0))
         tables, aligned_empty = [], protocol.aligned_empty
         monkeypatch.setattr(protocol, "aligned_empty",
                             lambda *a: tables.append(aligned_empty(*a)) or tables[-1])
         kernel.run_chunk(substream(92, dim, 0), DEFAULT_CHUNK_SIZE)
-        assert len(tables) == 6 and {t.shape[-1] for t in tables} == {want}
+        d, n_pairs = kernel.table.shape
+        assert [t.shape for t in tables] == [(d, want), (n_pairs, want), (want,), (d - 1, want)]
         assert all(t.ctypes.data % 64 == 0 for t in tables)
         assert all(t.strides[0] % 64 == 0 for t in tables if t.ndim == 2)
 
@@ -612,10 +708,11 @@ class TestColumnBlocks:
                                            (16, "plain"), (16, "spin")])
     def test_weak_chunk_peak_memory_is_bounded(self, dim, case):
         # a full weak chunk holds only its first readings (512 KiB), which
-        # become its products, beside the tables of one block at a time: two
-        # (d, block) ones and the (K, block) pair products, at most 1 MiB
-        # together whatever d and K are (K = 136 at d = 16 generic), and the
-        # block's uniforms and outcome indices; chunk-wide uniforms or strong
+        # become its products, beside the tables of one block at a time: one
+        # (d, block) table of amplitudes, then cumulative weights, and the
+        # (K, block) pair products, under 1 MiB together whatever d and K are
+        # (K = 136 at d = 16 generic), and the block's uniforms, then second
+        # eigenvalues, and outcome indices; chunk-wide uniforms or strong
         # readings would add 512 KiB each, and at d = 8, (d, m) tables of the
         # whole chunk are 4 MiB each and peak near 13 MiB
         dyn = _random_dynamics(np.random.default_rng(dim), dim, case)
