@@ -68,7 +68,7 @@ from .quantum import (
     spectral_decompose,
     variance,
 )
-from .streams import BIT_GENERATOR, chunk_sizes, substream
+from .streams import BIT_GENERATOR, substream
 from .writers import write_csv, write_json
 
 # events per sweep point when the grid has no n axis
@@ -247,8 +247,9 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
     tolerances (1.0 = tolerance). ``_chunk_moments`` runs the chunks on stream
     ``stream``; each takes the outcome counts and m weak readings of one
     ``_weak_draw``, the draw behind every weak correlator, and keeps only the
-    counts, at its chunk index, and the readings' moments. The chunks may run
-    on several threads. The weak mean gets 5 standard errors. As
+    counts and the readings' moments. The chunks may run on several threads
+    and so append their counts in any order; integer sums are exact in any.
+    The weak mean gets 5 standard errors. As
     s^2 - var = (n (S - var) + var - n (m - mean)^2) / (n-1), S the mean squared
     deviation from the true mean, the weak variance gets 5 standard errors of S
     (from the exact fourth central moment) plus a 5-sigma m, and at least 2%.
@@ -281,10 +282,11 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
             f"verify; its pointer sampler check's tolerances overflow float64 at n_samples {n}")
     pm = PointerModel(width=width)
 
-    counts = [None] * len(chunk_sizes(n))
+    counts = []
 
-    def draw(rng, m, c):
-        counts[c], readings = _weak_draw(rho, obs, pm, m, rng)
+    def draw(rng, m):
+        k, readings = _weak_draw(rho, obs, pm, m, rng)
+        counts.append(k)
         return _moments(readings)
     total, sq_dev = _chunk_moments(n, seed, stream, draw)
     q = np.sum(counts, axis=0) / n

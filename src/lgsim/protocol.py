@@ -15,9 +15,9 @@ Sampling is chunked and vectorized: ``_chunk_moments`` runs chunk c of
 series s on ``substream(seed, s, c)`` and merges each chunk's sum and
 squared deviations in chunk order, so an estimate does not depend on the
 order the chunks are run in, and a spectrum far from zero costs no digits.
-A series of several chunks runs them on the calling thread and up to three
-helper threads, one worker per CPU the process may use; as the merge keeps
-chunk order, no result depends on that number.
+A series of several chunks runs them on the calling thread and, where the
+process may use more than one CPU, one helper thread; as the merge keeps
+chunk order, no result depends on the number of threads.
 
 Both modes read one table per series, G[b, i, j] = tr(B_b P_i rho P_j),
 with B_b the projector onto outcome b carried back over the gap. A
@@ -42,7 +42,6 @@ times that total.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import threading
@@ -82,8 +81,10 @@ from .streams import aligned_empty, chunk_sizes, substream
 _BLOCK = 8192
 _BLOCK_FLOATS = 2**17
 
-# Threads that run the chunks of one series, at most: the caller and helpers.
-_MAX_WORKERS = 4
+# Threads that run the chunks of one series, at most: the caller and one
+# helper, the only count measured against the peak RSS bound, as each thread
+# that holds a chunk keeps its own malloc arena.
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -352,7 +353,7 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
 
 
 def _chunk_moments(n: int, seed: int, stream: int, draw) -> tuple[float, float]:
-    """``_moments`` of n values drawn by chunk: ``draw(substream(seed, stream, c), m, c)``
+    """``_moments`` of n values drawn by chunk: ``draw(substream(seed, stream, c), m)``
     gives those of chunk c, m values from ``chunk_sizes(n)``, merged in chunk
     order by Chan, Golub and LeVeque's update (Am. Stat. 37, 242 (1983)).
     Several chunks run on ``_draw_chunks``'s threads, so ``draw`` must be safe
@@ -363,7 +364,7 @@ def _chunk_moments(n: int, seed: int, stream: int, draw) -> tuple[float, float]:
     parts = _draw_chunks(sizes, seed, stream, draw) if len(sizes) > 1 else None
     count, total, sq_dev = 0, 0.0, 0.0
     for c, m in enumerate(sizes):
-        s, q = parts[c] if parts else draw(substream(seed, stream, c), m, c)
+        s, q = parts[c] if parts else draw(substream(seed, stream, c), m)
         if count:
             delta = s / m - total / count
             q += delta * delta * count * m / (count + m)
@@ -372,8 +373,11 @@ def _chunk_moments(n: int, seed: int, stream: int, draw) -> tuple[float, float]:
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _draw_chunks(sizes: list[int], seed: int, stream: int, draw) -> list:
@@ -386,8 +390,8 @@ def _draw_chunks(sizes: list[int], seed: int, stream: int, draw) -> list:
     workers = min(_cpu_count(), len(sizes), _MAX_WORKERS)
     parts, errors = [None] * len(sizes), {}
     todo, lock = list(enumerate(sizes))[::-1], threading.Lock()
-    # helpers run in copies of the caller's context, which hold numpy 2's error
-    # state; numpy 1 keeps it per thread, so every worker enters the caller's
+    # a new thread starts under numpy's default error state, not the
+    # caller's, so every worker enters the caller's
     err = np.geterr()
 
     def work():
@@ -398,7 +402,7 @@ def _draw_chunks(sizes: list[int], seed: int, stream: int, draw) -> list:
                         return
                     c, m = todo.pop()
                 try:
-                    parts[c] = draw(substream(seed, stream, c), m, c)
+                    parts[c] = draw(substream(seed, stream, c), m)
                 except BaseException as exc:  # raised in the caller below
                     with lock:
                         errors[c] = exc
@@ -413,7 +417,7 @@ def _draw_chunks(sizes: list[int], seed: int, stream: int, draw) -> list:
     helpers = []
     try:
         for _ in range(workers - 1):
-            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)
         work()
@@ -444,7 +448,7 @@ def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimat
     ``np.errstate(over="ignore", invalid="ignore")``, entered once per call
     of theirs rather than once per correlator, so that an overflow reaches
     this refusal without a numpy warning."""
-    total, sq_dev = _chunk_moments(n, seed, stream, lambda rng, m, c: kernel.run_chunk(rng, m))
+    total, sq_dev = _chunk_moments(n, seed, stream, kernel.run_chunk)
     if not (math.isfinite(total) and math.isfinite(sq_dev)):
         raise ValidationError(
             f"pair {pair}: the correlator's sums overflow float64; the observable's "

@@ -3,12 +3,29 @@
 import numpy as np
 import pytest
 
+from lgsim import protocol
 from lgsim.quantum import DensityMatrix, pure_state, random_density_matrices
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def chunk_of(monkeypatch):
+    """The chunk index of a stream that ``protocol._chunk_moments`` handed a
+    draw, as a function of the stream: chunks may run on several threads and
+    in any order, so a spy keys what it records by chunk."""
+    chunks, make = {}, protocol.substream
+
+    def keyed(seed, *path):
+        rng = make(seed, *path)
+        chunks[id(rng)] = path[-1]
+        return rng
+
+    monkeypatch.setattr(protocol, "substream", keyed)
+    return lambda rng: chunks[id(rng)]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lgsim
-from lgsim import harness, protocol, streams
+from lgsim import harness, streams
 from lgsim.config import parse_config
 from lgsim.harness import (
     _sampler_deviation,
@@ -578,22 +578,6 @@ BROKEN_IDENTITY = {
         lambda f, *a: f(*a) + 1e-9),
 }
 VERIFY_SMALL = {"scenario": "verify", "seed": 3, "verify": {"n_samples": 20_000, "n_random": 20}}
-
-
-@pytest.fixture
-def chunk_of(monkeypatch):
-    """The chunk index of a stream that ``protocol._chunk_moments`` handed a
-    draw, as a function of the stream: chunks may run on several threads and
-    in any order, so a spy keys what it records by chunk."""
-    chunks, make = {}, protocol.substream
-
-    def keyed(seed, *path):
-        rng = make(seed, *path)
-        chunks[id(rng)] = path[-1]
-        return rng
-
-    monkeypatch.setattr(protocol, "substream", keyed)
-    return lambda rng: chunks[id(rng)]
 
 
 class TestVerifyChecksCanFail:

@@ -316,16 +316,16 @@ class TestDeterminismAndMerging:
         assert outputs[0] == outputs[1]
 
 
-def _on_every_worker(draw, workers):
+def _on_every_worker(draw, workers, chunk_of):
     """``draw`` whose first ``workers`` chunks wait for one another. A worker
     takes the lowest chunk not yet taken, so those chunks run on as many
     workers at once, or the barrier breaks after its timeout."""
     barrier = threading.Barrier(workers, timeout=30)
 
-    def waiting(rng, m, c):
-        if c < workers:
+    def waiting(rng, m):
+        if chunk_of(rng) < workers:
             barrier.wait()
-        return draw(rng, m, c)
+        return draw(rng, m)
 
     return waiting
 
@@ -336,12 +336,14 @@ class TestChunkWorkers:
     merges their moments in chunk order."""
 
     @pytest.mark.parametrize("case", ["strong", "weak", "verify"])
-    def test_worker_count_does_not_change_results(self, monkeypatch, case):
-        # 1, 2 and 17 chunks, the last one ragged, on 1, 2 and 3 workers that
-        # all draw at once, with the interpreter switching threads as often as
-        # it can: the moments agree bitwise, and so does verify's sampler
-        # score, which also sums each chunk's outcome counts
+    def test_worker_count_does_not_change_results(self, monkeypatch, chunk_of, case):
+        # 1, 2 and 17 chunks, the last one ragged, on 1, 2 and 3 workers (more
+        # than the cap allows) that all draw at once, with the interpreter
+        # switching threads as often as it can: the moments agree bitwise, and
+        # so does verify's sampler score, which also sums each chunk's outcome
+        # counts
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 1_000)
+        monkeypatch.setattr(protocol, "_MAX_WORKERS", 3)
         chunk_moments = protocol._chunk_moments
         if case == "verify":
             obs = spectral_decompose(np.diag([-1.0, 0.0, 1.0]))
@@ -350,14 +352,14 @@ class TestChunkWorkers:
             def run(n, workers):
                 got = []
                 monkeypatch.setattr(harness, "_chunk_moments", lambda n, seed, stream, draw: got.append(
-                    chunk_moments(n, seed, stream, _on_every_worker(draw, workers))) or got[-1])
+                    chunk_moments(n, seed, stream, _on_every_worker(draw, workers, chunk_of))) or got[-1])
                 return harness._sampler_deviation(rho, obs, n, 5, 107), got
         else:
             pointer = None if case == "strong" else PointerModel(width=10.0)
             kernel = _SeriesKernel(precession_qubit(), 0.0, TAU, pointer)
 
             def run(n, workers):
-                draw = _on_every_worker(lambda rng, m, c: kernel.run_chunk(rng, m), workers)
+                draw = _on_every_worker(kernel.run_chunk, workers, chunk_of)
                 return chunk_moments(n, 5, 2, draw)
 
         interval = sys.getswitchinterval()
@@ -372,14 +374,15 @@ class TestChunkWorkers:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_error_of_the_lowest_failing_chunk_reaches_the_caller(self, monkeypatch):
+    def test_error_of_the_lowest_failing_chunk_reaches_the_caller(self, monkeypatch, chunk_of):
         # chunk 3 fails only once chunk 4 has failed on another worker; the
         # caller gets chunk 3's error, with every helper joined
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 10)
-        monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(protocol, "_cpu_count", lambda: 2)
         failed = threading.Event()
 
-        def draw(rng, m, c):
+        def draw(rng, m):
+            c = chunk_of(rng)
             if c == 4:
                 failed.set()
             elif c != 3:
@@ -392,12 +395,22 @@ class TestChunkWorkers:
         with pytest.raises(ValueError, match="^chunk 3$"):
             protocol._chunk_moments(170, 5, 0, draw)
         assert threading.active_count() == threads
-        assert protocol._chunk_moments(170, 5, 0, lambda rng, m, c: (float(m), 0.0)) == (170.0, 0.0)
+        assert protocol._chunk_moments(170, 5, 0, lambda rng, m: (float(m), 0.0)) == (170.0, 0.0)
         assert threading.active_count() == threads
 
-    def test_helpers_ignore_overflow_as_the_caller_does(self):
+    def test_helpers_ignore_overflow_as_the_caller_does(self, monkeypatch):
         # A = 1e140 sigma_z: the products' squares overflow in every chunk, on
-        # every worker, and run_series refuses the sums with no numpy warning
+        # both workers whatever the host's CPUs, and run_series refuses the
+        # sums with no numpy warning
+        # the barrier makes the two chunks run at once, one on the helper
+        monkeypatch.setattr(protocol, "_cpu_count", lambda: 2)
+        barrier, run_chunk = threading.Barrier(2, timeout=30), _SeriesKernel.run_chunk
+
+        def on_both_workers(kernel, rng, m):
+            barrier.wait()
+            return run_chunk(kernel, rng, m)
+
+        monkeypatch.setattr(_SeriesKernel, "run_chunk", on_both_workers)
         dyn = DynamicsSpec(pauli("x"), spectral_decompose(1e140 * pauli("z")), basis_state(2, 0))
         n = DEFAULT_CHUNK_SIZE + 1
         with warnings.catch_warnings():
@@ -405,6 +418,20 @@ class TestChunkWorkers:
             warnings.simplefilter("ignore", WeakRegimeWarning)
             with pytest.raises(ValidationError, match="sums overflow float64"):
                 estimate_correlator(dyn, 0.0, 1.0, n, 3, pointer=PointerModel(width=10.0))
+
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        # platforms with no os.sched_getaffinity (macOS, Windows) count every
+        # CPU, and the moments are the same bitwise
+        kernel = _SeriesKernel(precession_qubit(), 0.0, TAU, PointerModel(width=10.0))
+        n = DEFAULT_CHUNK_SIZE + 1_000
+        want = protocol._chunk_moments(n, 5, 2, kernel.run_chunk)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert protocol._cpu_count() == (os.cpu_count() or 1)
+        assert protocol._chunk_moments(n, 5, 2, kernel.run_chunk) == want
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert protocol._cpu_count() == 1
+        assert protocol._chunk_moments(n, 5, 2, kernel.run_chunk) == want
 
 
 def _random_dynamics(rng, dim, case):
