@@ -69,7 +69,7 @@ from .quantum import (
     variance,
 )
 from .streams import BIT_GENERATOR, substream
-from .writers import write_csv, write_json
+from .writers import FloatText, write_csv, write_json
 
 # events per sweep point when the grid has no n axis
 SWEEP_N_EVENTS = 10_000
@@ -579,10 +579,11 @@ def write_report(report: dict, out_dir: str, fmt: str) -> list[str]:
     """Write report.json and/or scenario CSVs; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    floats = FloatText()  # each distinct float is formatted once for all files
     if fmt in ("json", "both"):
         path = os.path.join(out_dir, "report.json")
         with open(path, "w", encoding="utf-8") as fh:
-            write_json(fh, report)
+            write_json(fh, report, floats)
             fh.write("\n")
         written.append(path)
     if fmt in ("csv", "both"):
@@ -590,7 +591,7 @@ def write_report(report: dict, out_dir: str, fmt: str) -> list[str]:
         for name, (header, rows) in csv_tables(report["payload"]).items():
             path = os.path.join(out_dir, name)
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                write_csv(fh, header, rows)
+                write_csv(fh, header, rows, floats)
             written.append(path)
     return written
 
