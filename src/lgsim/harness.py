@@ -68,7 +68,7 @@ from .quantum import (
     spectral_decompose,
     variance,
 )
-from .streams import BIT_GENERATOR, substream
+from .streams import BIT_GENERATOR, series_words, substream
 from .writers import FloatText, write_csv, write_json
 
 # events per sweep point when the grid has no n axis
@@ -288,7 +288,7 @@ def _sampler_deviation(rho, obs, n: int, seed: int, stream: int) -> float:
         k, readings = _weak_draw(rho, obs, pm, m, rng)
         counts.append(k)
         return _moments(readings)
-    total, sq_dev = _chunk_moments(n, seed, stream, draw)
+    total, sq_dev = _chunk_moments(n, series_words(seed, [stream], [n])[0], draw)
     q = np.sum(counts, axis=0) / n
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0; a count where p_i = 0 scores inf
         kl = (np.where(q > 0, q * np.log(q / p), 0.0)
@@ -489,6 +489,12 @@ def run_sweep(cfg: RunConfig) -> dict:
     }
     kernels: dict[tuple, _SeriesKernel] = {}
     rows: list[dict] = []
+    if mc_wanted:
+        # every point's n is known before the grid runs, so one hash seeds
+        # the chunk streams of all of them
+        ns = [SWEEP_N_EVENTS if n is None else n
+              for _ in axes["delta_p"] for n in axes["n"] for _ in axes["tau"]]
+        words = series_words(cfg.seed, np.arange(len(ns)), ns)
     point_index = 0
     # one error state for the whole grid: overflows become inf or NaN, which
     # the width and correlator refusals turn into a ValidationError
@@ -515,13 +521,12 @@ def run_sweep(cfg: RunConfig) -> dict:
                     if mc_wanted:
                         t_first = cfg.plan.times[0]
                         t_second = t_first + t if t is not None else cfg.plan.times[1]
-                        n_events = n if n is not None else SWEEP_N_EVENTS
                         width = d if d is not None else (cfg.pointer.width if cfg.pointer else None)
                         pointer = PointerModel(width=width) if sw.mode == "weak" else None
                         key = (t_first, t_second, pointer)
                         if key not in kernels:
                             kernels[key] = _SeriesKernel(dyn, t_first, t_second, pointer)
-                        est = _estimate(kernels[key], n_events, cfg.seed, point_index, (1, 2))
+                        est = _estimate(kernels[key], ns[point_index], words[point_index], (1, 2))
                         rows.append({**coords, "metric": "corr_value", "value": est.value})
                         rows.append({**coords, "metric": "corr_std_error", "value": est.std_error})
                     point_index += 1

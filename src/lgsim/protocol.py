@@ -12,9 +12,12 @@ a non-invasive measurement, which is why only it can be weak: the runners
 read it out through their ``pointer``, or strongly when that is None.
 
 Sampling is chunked and vectorized: ``_chunk_moments`` runs chunk c of
-series s on ``substream(seed, s, c)`` and merges each chunk's sum and
+series s on the stream (seed, s, c) and merges each chunk's sum and
 squared deviations in chunk order, so an estimate does not depend on the
 order the chunks are run in, and a spectrum far from zero costs no digits.
+Each runner computes the seed words of all its chunks' streams in one
+``series_words`` call, and each chunk builds its own generator from its
+row (``from_words``), on whichever thread runs it.
 A series of several chunks runs them on the calling thread and, where the
 process may use more than one CPU, one helper thread; as the merge keeps
 chunk order, no result depends on the number of threads.
@@ -70,7 +73,7 @@ from .quantum import (
     propagator,
     spectral_decompose,
 )
-from .streams import aligned_empty, chunk_sizes, substream
+from .streams import _seed_words_class, aligned_empty, chunk_sizes, from_words, series_words
 
 # Events per column block of a chunk, at most. A block takes fewer events where
 # two (d, block) tables and a (K, block) one, K the distinct midpoints, would
@@ -352,19 +355,20 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
     return total, float(np.square(x, out=x).sum())
 
 
-def _chunk_moments(n: int, seed: int, stream: int, draw) -> tuple[float, float]:
-    """``_moments`` of n values drawn by chunk: ``draw(substream(seed, stream, c), m)``
-    gives those of chunk c, m values from ``chunk_sizes(n)``, merged in chunk
+def _chunk_moments(n: int, words: np.ndarray, draw) -> tuple[float, float]:
+    """``_moments`` of n values drawn by chunk: ``draw(from_words(words, c), m)``
+    gives those of chunk c, m values from ``chunk_sizes(n)``, its stream
+    seeded by row c of the series' ``series_words`` table, merged in chunk
     order by Chan, Golub and LeVeque's update (Am. Stat. 37, 242 (1983)).
     Several chunks run on ``_draw_chunks``'s threads, so ``draw`` must be safe
     to call from any of them; the merge keeps the result bitwise the same for
     any number of threads."""
     sizes = chunk_sizes(n)
     # a series of one chunk starts no thread
-    parts = _draw_chunks(sizes, seed, stream, draw) if len(sizes) > 1 else None
+    parts = _draw_chunks(sizes, words, draw) if len(sizes) > 1 else None
     count, total, sq_dev = 0, 0.0, 0.0
     for c, m in enumerate(sizes):
-        s, q = parts[c] if parts else draw(substream(seed, stream, c), m)
+        s, q = parts[c] if parts else draw(from_words(words, c), m)
         if count:
             delta = s / m - total / count
             q += delta * delta * count * m / (count + m)
@@ -380,7 +384,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _draw_chunks(sizes: list[int], seed: int, stream: int, draw) -> list:
+def _draw_chunks(sizes: list[int], words: np.ndarray, draw) -> list:
     """``draw``'s result for each chunk of ``sizes``, by chunk index, from the
     calling thread and up to ``_MAX_WORKERS`` - 1 helpers, one worker per CPU
     and chunk. Each worker takes the lowest chunk not yet taken. On an error
@@ -402,17 +406,19 @@ def _draw_chunks(sizes: list[int], seed: int, stream: int, draw) -> list:
                         return
                     c, m = todo.pop()
                 try:
-                    parts[c] = draw(substream(seed, stream, c), m)
+                    parts[c] = draw(from_words(words, c), m)
                 except BaseException as exc:  # raised in the caller below
                     with lock:
                         errors[c] = exc
                         todo.clear()
                     return
 
-    # numpy 2 loads numpy.random on first use. This loads it on the caller:
-    # its import on a helper would leave the import's allocations in that
-    # thread's malloc arena, 0.5 MB more peak RSS on the stock lg_run
-    np.random  # noqa: B018
+    # numpy 2 loads numpy.random on first use, and streams makes the class
+    # that hands SFC64 its seed words on first use. This makes both on the
+    # caller: numpy.random's import on a helper would leave the import's
+    # allocations in that thread's malloc arena, 0.5 MB more peak RSS on the
+    # stock lg_run
+    _seed_words_class()
 
     helpers = []
     try:
@@ -439,16 +445,16 @@ def _check_run_args(pointer, obs, n) -> None:
         raise ValidationError(f"n_per_series must be >= 2, got {n}")
 
 
-def _estimate(kernel: _SeriesKernel, n, seed, stream, pair) -> CorrelatorEstimate:
-    """One series of n events on stream ``stream``. The kernel holds no state
-    between chunks, so one kernel serves any series of its times and pointer,
-    and its chunks may run on several threads at once.
+def _estimate(kernel: _SeriesKernel, n, words, pair) -> CorrelatorEstimate:
+    """One series of n events, its chunks seeded by the rows of ``words``.
+    The kernel holds no state between chunks, so one kernel serves any series
+    of its times and pointer, and its chunks may run on several threads at once.
     Sums that overflow float64, as an observable far from unit scale makes
     them, raise ``ValidationError``. Callers run it under
     ``np.errstate(over="ignore", invalid="ignore")``, entered once per call
     of theirs rather than once per correlator, so that an overflow reaches
     this refusal without a numpy warning."""
-    total, sq_dev = _chunk_moments(n, seed, stream, kernel.run_chunk)
+    total, sq_dev = _chunk_moments(n, words, kernel.run_chunk)
     if not (math.isfinite(total) and math.isfinite(sq_dev)):
         raise ValidationError(
             f"pair {pair}: the correlator's sums overflow float64; the observable's "
@@ -474,10 +480,12 @@ def run_series(
     standard error. Series s draws from streams (seed, stream_base + s, chunk).
     """
     _check_run_args(pointer, dyn.observable, n_per_series)
+    k = len(plan.pairs)
+    words = series_words(seed, range(stream_base, stream_base + k), [n_per_series] * k)
     with np.errstate(over="ignore", invalid="ignore"):
         return [
             _estimate(_SeriesKernel(dyn, *plan.pair_times(pair), pointer),
-                      n_per_series, seed, stream_base + s, pair)
+                      n_per_series, words[s], pair)
             for s, pair in enumerate(plan.pairs)
         ]
 
@@ -495,9 +503,10 @@ def estimate_correlator(
     ``stream_base``; ``pointer`` as in ``run_series``. A sweep point equals
     this call, though ``run_sweep`` shares kernels across points instead."""
     _check_run_args(pointer, dyn.observable, n_events)
+    (words,) = series_words(seed, [stream_base], [n_events])
     with np.errstate(over="ignore", invalid="ignore"):
         return _estimate(_SeriesKernel(dyn, t_first, t_second, pointer),
-                         n_events, seed, stream_base, (1, 2))
+                         n_events, words, (1, 2))
 
 
 # ---------------------------------------------------------------------------

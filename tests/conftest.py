@@ -16,15 +16,16 @@ def rng():
 def chunk_of(monkeypatch):
     """The chunk index of a stream that ``protocol._chunk_moments`` handed a
     draw, as a function of the stream: chunks may run on several threads and
-    in any order, so a spy keys what it records by chunk."""
-    chunks, make = {}, protocol.substream
+    in any order, so a spy keys what it records by chunk. Chunk c's generator
+    is built from row c of its series' seed words."""
+    chunks, make = {}, protocol.from_words
 
-    def keyed(seed, *path):
-        rng = make(seed, *path)
-        chunks[id(rng)] = path[-1]
+    def keyed(words, row):
+        rng = make(words, row)
+        chunks[id(rng)] = row
         return rng
 
-    monkeypatch.setattr(protocol, "substream", keyed)
+    monkeypatch.setattr(protocol, "from_words", keyed)
     return lambda rng: chunks[id(rng)]
 
 

@@ -82,12 +82,16 @@ def _pairs(m) -> list[list[float]]:
 
 def sweep_cfg(grid: str) -> dict:
     """A sweep config: "strong" (2 widths x 2 n x 3 tau, one tau repeated),
-    "weak" (2 widths x 1 n x 2 tau) or "stock" (``configs/sweep.json``, no tau)."""
+    "weak" (2 widths x 1 n x 2 tau), "chunked" (weak, 1 width x 3 n x 2 tau,
+    the n axis 1, 2 and 3 chunks of 500 events) or "stock"
+    (``configs/sweep.json``, no tau)."""
     if grid == "stock":
         return json.loads((Path(__file__).parent.parent / "configs" / "sweep.json").read_text())
     sweep = {"delta_p": [10.0, 25.0], "tau": [0.5, 1.2, 0.5], "n": [300, 1_000], "mode": grid}
     if grid == "weak":
         sweep = {"delta_p": [10.0, 25.0], "tau": [0.5, 1.2], "mode": grid, "n": [2_000]}
+    if grid == "chunked":
+        sweep = {"delta_p": [10.0], "tau": [0.5, 1.2], "mode": "weak", "n": [300, 1_000, 1_200]}
     return {
         "scenario": "sweep", "seed": 9,
         "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
@@ -813,14 +817,19 @@ class TestRunSweep:
         for tau in (0.5, 1.0, 2.0):
             assert abs(values[tau] - math.cos(tau)) < 5 * errors[tau]
 
-    @pytest.mark.parametrize("grid", ["strong", "weak", "stock"])
-    def test_point_is_its_own_estimate_correlator(self, grid):
+    @pytest.mark.parametrize("grid", ["strong", "weak", "chunked", "stock"])
+    def test_point_is_its_own_estimate_correlator(self, monkeypatch, grid):
         # kernels and invasiveness blocks are shared across points; every row
         # must still be what a point computed alone gives, bitwise. The weak
         # grid fails if a kernel is shared between widths, the strong one
-        # repeats a tau, and the stock one has no tau axis
+        # repeats a tau, and the stock one has no tau axis. The chunked one's
+        # points take 1, 2 and 3 rows of the grid's one table of seed words,
+        # so a point that read another point's rows fails
         cfg = parse_config(sweep_cfg(grid))
         sw = cfg.sweep
+        if grid == "chunked":
+            monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 500)
+            assert [len(chunk_sizes(n)) for n in sw.n] == [1, 2, 3]
         dyn = harness._system_objects(cfg.system)
         obs, rho = dyn.observable, dyn.initial_state
         t1 = cfg.plan.times[0]

@@ -40,7 +40,7 @@ from lgsim import harness, measurement, protocol, streams
 from lgsim.config import parse_config
 from lgsim.harness import run_verify
 from lgsim.protocol import _SeriesKernel
-from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
+from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, series_words, substream
 
 from conftest import random_density_matrix, random_hermitian, random_unitary
 
@@ -316,6 +316,11 @@ class TestDeterminismAndMerging:
         assert outputs[0] == outputs[1]
 
 
+def _words(seed, stream, n):
+    """Seed words of the chunks of one series of n events on ``stream``."""
+    return series_words(seed, [stream], [n])[0]
+
+
 def _on_every_worker(draw, workers, chunk_of):
     """``draw`` whose first ``workers`` chunks wait for one another. A worker
     takes the lowest chunk not yet taken, so those chunks run on as many
@@ -351,8 +356,8 @@ class TestChunkWorkers:
 
             def run(n, workers):
                 got = []
-                monkeypatch.setattr(harness, "_chunk_moments", lambda n, seed, stream, draw: got.append(
-                    chunk_moments(n, seed, stream, _on_every_worker(draw, workers, chunk_of))) or got[-1])
+                monkeypatch.setattr(harness, "_chunk_moments", lambda n, words, draw: got.append(
+                    chunk_moments(n, words, _on_every_worker(draw, workers, chunk_of))) or got[-1])
                 return harness._sampler_deviation(rho, obs, n, 5, 107), got
         else:
             pointer = None if case == "strong" else PointerModel(width=10.0)
@@ -360,7 +365,7 @@ class TestChunkWorkers:
 
             def run(n, workers):
                 draw = _on_every_worker(kernel.run_chunk, workers, chunk_of)
-                return chunk_moments(n, 5, 2, draw)
+                return chunk_moments(n, _words(5, 2, n), draw)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -393,9 +398,9 @@ class TestChunkWorkers:
 
         threads = threading.active_count()
         with pytest.raises(ValueError, match="^chunk 3$"):
-            protocol._chunk_moments(170, 5, 0, draw)
+            protocol._chunk_moments(170, _words(5, 0, 170), draw)
         assert threading.active_count() == threads
-        assert protocol._chunk_moments(170, 5, 0, lambda rng, m: (float(m), 0.0)) == (170.0, 0.0)
+        assert protocol._chunk_moments(170, _words(5, 0, 170), lambda rng, m: (float(m), 0.0)) == (170.0, 0.0)
         assert threading.active_count() == threads
 
     def test_helpers_ignore_overflow_as_the_caller_does(self, monkeypatch):
@@ -425,13 +430,13 @@ class TestChunkWorkers:
         # CPU, and the moments are the same bitwise
         kernel = _SeriesKernel(precession_qubit(), 0.0, TAU, PointerModel(width=10.0))
         n = DEFAULT_CHUNK_SIZE + 1_000
-        want = protocol._chunk_moments(n, 5, 2, kernel.run_chunk)
+        want = protocol._chunk_moments(n, _words(5, 2, n), kernel.run_chunk)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert protocol._cpu_count() == (os.cpu_count() or 1)
-        assert protocol._chunk_moments(n, 5, 2, kernel.run_chunk) == want
+        assert protocol._chunk_moments(n, _words(5, 2, n), kernel.run_chunk) == want
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert protocol._cpu_count() == 1
-        assert protocol._chunk_moments(n, 5, 2, kernel.run_chunk) == want
+        assert protocol._chunk_moments(n, _words(5, 2, n), kernel.run_chunk) == want
 
 
 def _random_dynamics(rng, dim, case):
