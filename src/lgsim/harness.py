@@ -51,9 +51,8 @@ from .protocol import (
     CorrelatorEstimate,
     DynamicsSpec,
     _chunk_moments,
-    _estimate,
+    _estimates,
     _moments,
-    _SeriesKernel,
     lg_statistic,
     macrorealism_bounds,
     precession_qubit,
@@ -461,24 +460,23 @@ def _verify_tables(payload: dict) -> dict:
 
 def run_sweep(cfg: RunConfig) -> dict:
     """Each grid point is the correlator ``estimate_correlator`` would give it,
-    drawn from streams (seed, point_index, chunk); only work that repeats
-    across points is shared.
+    point s of the grid, in (delta_p, n, tau) order, drawn from streams
+    (seed, s, chunk); only work that repeats across points is shared.
 
-    A kernel depends on the two times and the pointer, None in strong mode,
-    where the width does not enter, so the sweep builds one per distinct
-    (t_first, t_second, pointer); the kernel checks its times, and
-    ``parse_config`` already holds the mode, the weak pointer and n to their
-    ranges. Each narrow width warns once: a delta_p width from its weak
-    channel, the pointer of a weak sweep without a delta_p axis before the
-    grid. The weak-channel invasiveness depends on the width alone, so it is
-    computed once per delta_p and repeated at each (n, tau) point: its
-    measured and predicted I1 and I2, for any state. A width whose predicted
-    invasiveness overflows float64 is refused. Nothing is kept beyond the
-    call."""
+    The weak-channel invasiveness depends on the width alone, so it is
+    computed once per delta_p, for every width before anything is drawn, and
+    repeated at each (n, tau) point: its measured and predicted I1 and I2, for
+    any state. A width whose predicted invasiveness overflows float64 is
+    refused. The whole grid's correlators are then one ``_estimates`` batch,
+    which builds one kernel per distinct (t_first, t_second, pointer), the
+    pointer None in strong mode, where the width does not enter; the kernel
+    checks its times, and ``parse_config`` already holds the mode, the weak
+    pointer and n to their ranges. Each narrow width warns once: a delta_p
+    width from its weak channel, the pointer of a weak sweep without a delta_p
+    axis before the grid. Nothing is kept beyond the call."""
     sw: SweepConfig = cfg.sweep
     dyn = _system_objects(cfg.system)
     obs, rho = dyn.observable, dyn.initial_state
-    mc_wanted = bool(sw.n or sw.tau)
     if sw.mode == "weak" and not sw.delta_p:
         _warn_if_not_weak(PointerModel(width=cfg.pointer.width), obs, stacklevel=2)
 
@@ -487,49 +485,41 @@ def run_sweep(cfg: RunConfig) -> dict:
         "n": list(sw.n) or [None],
         "tau": list(sw.tau) or [None],
     }
-    kernels: dict[tuple, _SeriesKernel] = {}
-    rows: list[dict] = []
-    if mc_wanted:
-        # every point's n is known before the grid runs, so one hash seeds
-        # the chunk streams of all of them
-        ns = [SWEEP_N_EVENTS if n is None else n
-              for _ in axes["delta_p"] for n in axes["n"] for _ in axes["tau"]]
-        words = series_words(cfg.seed, np.arange(len(ns)), ns)
-    point_index = 0
-    # one error state for the whole grid: overflows become inf or NaN, which
-    # the width and correlator refusals turn into a ValidationError
+    invasiveness = {None: []}
+    # overflows become inf or NaN, which the width refusal turns into a
+    # ValidationError
     with np.errstate(over="ignore", invalid="ignore"):
-        for d in axes["delta_p"]:
-            invasiveness = []
-            if d is not None:
-                pmw = PointerModel(width=d)
-                # a gap (a_i - a_j)^2 that overflows damps its coherence to 0, as it should
-                meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
-                pred = predicted_weak(rho, obs, pmw)
-                if not math.isfinite(pred.i1):
-                    raise ValidationError(
-                        f"sweep.delta_p {d:g}: the predicted purity drop sum_ij (a_i - a_j)^2 "
-                        "|P_i rho P_j|^2 / (2 delta_p^2) overflows float64; the observable's "
-                        f"largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
-                invasiveness = [("i1_measured", meas.i1), ("i1_predicted", pred.i1),
-                                ("i2_measured", meas.i2), ("i2_predicted", pred.i2)]
-            for n in axes["n"]:
-                for t in axes["tau"]:
-                    coords = {"delta_p": d, "n": n, "tau": t}
-                    rows.extend({**coords, "metric": m, "value": v} for m, v in invasiveness)
+        for d in sw.delta_p:
+            pmw = PointerModel(width=d)
+            # a gap (a_i - a_j)^2 that overflows damps its coherence to 0, as it should
+            meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pmw))
+            pred = predicted_weak(rho, obs, pmw)
+            if not math.isfinite(pred.i1):
+                raise ValidationError(
+                    f"sweep.delta_p {d:g}: the predicted purity drop sum_ij (a_i - a_j)^2 "
+                    "|P_i rho P_j|^2 / (2 delta_p^2) overflows float64; the observable's "
+                    f"largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
+            invasiveness[d] = [("i1_measured", meas.i1), ("i1_predicted", pred.i1),
+                               ("i2_measured", meas.i2), ("i2_predicted", pred.i2)]
 
-                    if mc_wanted:
-                        t_first = cfg.plan.times[0]
-                        t_second = t_first + t if t is not None else cfg.plan.times[1]
-                        width = d if d is not None else (cfg.pointer.width if cfg.pointer else None)
-                        pointer = PointerModel(width=width) if sw.mode == "weak" else None
-                        key = (t_first, t_second, pointer)
-                        if key not in kernels:
-                            kernels[key] = _SeriesKernel(dyn, t_first, t_second, pointer)
-                        est = _estimate(kernels[key], ns[point_index], words[point_index], (1, 2))
-                        rows.append({**coords, "metric": "corr_value", "value": est.value})
-                        rows.append({**coords, "metric": "corr_std_error", "value": est.std_error})
-                    point_index += 1
+    grid = [{"delta_p": d, "n": n, "tau": t} for d, n, t in itertools.product(*axes.values())]
+    estimates = [None] * len(grid)
+    if sw.n or sw.tau:
+        # widths and counts are positive, so `or` only replaces an absent axis
+        t_first, t_second = cfg.plan.times[:2]
+        estimates = _estimates(dyn, [
+            ((1, 2), t_first, t_second if c["tau"] is None else t_first + c["tau"],
+             PointerModel(width=c["delta_p"] or cfg.pointer.width) if sw.mode == "weak" else None,
+             c["n"] or SWEEP_N_EVENTS) for c in grid], cfg.seed,
+            where=lambda s: "sweep point " + ", ".join(
+                f"{k} {v:g}" for k, v in grid[s].items() if v is not None))
+
+    rows: list[dict] = []
+    for c, est in zip(grid, estimates):
+        rows.extend({**c, "metric": m, "value": v} for m, v in invasiveness[c["delta_p"]])
+        if est is not None:
+            rows.append({**c, "metric": "corr_value", "value": est.value})
+            rows.append({**c, "metric": "corr_std_error", "value": est.std_error})
 
     return {"axes": {k: [v for v in vs if v is not None] for k, vs in axes.items()}, "rows": rows}
 

@@ -15,9 +15,11 @@ Sampling is chunked and vectorized: ``_chunk_moments`` runs chunk c of
 series s on the stream (seed, s, c) and merges each chunk's sum and
 squared deviations in chunk order, so an estimate does not depend on the
 order the chunks are run in, and a spectrum far from zero costs no digits.
-Each runner computes the seed words of all its chunks' streams in one
-``series_words`` call, and each chunk builds its own generator from its
-row (``from_words``), on whichever thread runs it.
+Every correlator comes from one batch estimator, ``_estimates``, behind
+``run_series``, ``estimate_correlator`` and the sweep: it computes the seed
+words of every chunk of its batch in one ``series_words`` call and builds one
+kernel per distinct pair of times and pointer, and each chunk builds its own
+generator from its row (``from_words``), on whichever thread runs it.
 A series of several chunks runs them on the calling thread and, where the
 process may use more than one CPU, one helper thread; as the merge keeps
 chunk order, no result depends on the number of threads.
@@ -45,6 +47,7 @@ times that total.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -272,7 +275,7 @@ class _SeriesKernel:
             # row-major in i, beside the product a_i a_b of each pair
             joint = np.clip(np.einsum("bii->ib", re_g), 0.0, None).ravel()
             self.joint = joint / joint.sum()
-            with np.errstate(over="ignore"):  # _estimate refuses what overflows
+            with np.errstate(over="ignore"):  # _estimates refuses what overflows
                 self.pair_products = np.multiply.outer(self.eigenvalues, self.eigenvalues).ravel()
         else:
             self.rho_first, self.observable, self.pointer = rho_first, obs, pointer
@@ -445,22 +448,34 @@ def _check_run_args(pointer, obs, n) -> None:
         raise ValidationError(f"n_per_series must be >= 2, got {n}")
 
 
-def _estimate(kernel: _SeriesKernel, n, words, pair) -> CorrelatorEstimate:
-    """One series of n events, its chunks seeded by the rows of ``words``.
-    The kernel holds no state between chunks, so one kernel serves any series
-    of its times and pointer, and its chunks may run on several threads at once.
-    Sums that overflow float64, as an observable far from unit scale makes
-    them, raise ``ValidationError``. Callers run it under
-    ``np.errstate(over="ignore", invalid="ignore")``, entered once per call
-    of theirs rather than once per correlator, so that an overflow reaches
-    this refusal without a numpy warning."""
-    total, sq_dev = _chunk_moments(n, words, kernel.run_chunk)
-    if not (math.isfinite(total) and math.isfinite(sq_dev)):
-        raise ValidationError(
-            f"pair {pair}: the correlator's sums overflow float64; the observable's "
-            f"largest |eigenvalue| is {np.abs(kernel.eigenvalues).max():g}")
-    return CorrelatorEstimate(pair=pair, value=total / n, n_events=n,
-                              std_error=math.sqrt(sq_dev / (n - 1) / n))
+def _estimates(dyn: DynamicsSpec, points, seed: int, stream_base: int = 0,
+               where=None) -> list[CorrelatorEstimate]:
+    """One correlator per point (pair, t_first, t_second, pointer, n): the mean
+    product of n events whose earlier reading goes through ``pointer``, or is
+    strong when it is None, with its standard error. Point s draws from streams
+    (seed, stream_base + s, chunk), and one ``series_words`` call seeds every
+    chunk of every point. A kernel holds no state between chunks, so one kernel
+    serves every point of its (t_first, t_second, pointer), and its chunks may
+    run on several threads at once. Sums that overflow float64, as an
+    observable far from unit scale makes them, raise ``ValidationError``,
+    naming point s by ``where(s)``, or by its pair when ``where`` is None. The
+    batch runs under one ``np.errstate`` so that an overflow reaches this
+    refusal without a numpy warning."""
+    words = series_words(seed, range(stream_base, stream_base + len(points)),
+                         [point[-1] for point in points])
+    kernel = functools.cache(functools.partial(_SeriesKernel, dyn))
+    estimates = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, (pair, *key, n) in enumerate(points):
+            total, sq_dev = _chunk_moments(n, words[s], kernel(*key).run_chunk)
+            if not (math.isfinite(total) and math.isfinite(sq_dev)):
+                raise ValidationError(
+                    f"{where(s) if where else f'pair {pair}'}: the correlator's sums overflow "
+                    "float64; the observable's largest |eigenvalue| is "
+                    f"{np.abs(dyn.observable.eigenvalues).max():g}")
+            estimates.append(CorrelatorEstimate(pair=pair, value=total / n, n_events=n,
+                                                std_error=math.sqrt(sq_dev / (n - 1) / n)))
+    return estimates
 
 
 def run_series(
@@ -480,14 +495,8 @@ def run_series(
     standard error. Series s draws from streams (seed, stream_base + s, chunk).
     """
     _check_run_args(pointer, dyn.observable, n_per_series)
-    k = len(plan.pairs)
-    words = series_words(seed, range(stream_base, stream_base + k), [n_per_series] * k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            _estimate(_SeriesKernel(dyn, *plan.pair_times(pair), pointer),
-                      n_per_series, words[s], pair)
-            for s, pair in enumerate(plan.pairs)
-        ]
+    return _estimates(dyn, [(pair, *plan.pair_times(pair), pointer, n_per_series)
+                            for pair in plan.pairs], seed, stream_base)
 
 
 def estimate_correlator(
@@ -500,13 +509,10 @@ def estimate_correlator(
     stream_base: int = 0,
 ) -> CorrelatorEstimate:
     """One two-time correlator outside any plan, as pair (1, 2) on stream
-    ``stream_base``; ``pointer`` as in ``run_series``. A sweep point equals
-    this call, though ``run_sweep`` shares kernels across points instead."""
+    ``stream_base``; ``pointer`` as in ``run_series``. Sweep point s equals
+    this call with ``stream_base`` s."""
     _check_run_args(pointer, dyn.observable, n_events)
-    (words,) = series_words(seed, [stream_base], [n_events])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _estimate(_SeriesKernel(dyn, t_first, t_second, pointer),
-                         n_events, words, (1, 2))
+    return _estimates(dyn, [((1, 2), t_first, t_second, pointer, n_events)], seed, stream_base)[0]
 
 
 # ---------------------------------------------------------------------------

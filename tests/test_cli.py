@@ -272,12 +272,14 @@ class TestObservableScale:
         ("lg-run", 1e140), ("lg-run", 1e154), ("lg-run", 1e160), ("sweep", 1e140),
     ])
     def test_overflowing_sums_are_one(self, tmp_path, capsys, subcommand, scale):
+        # an lg_run names the pair, a sweep the grid point, by its swept axes
         cfg = self.scaled(LG_RUN if subcommand == "lg-run" else SWEEP_WEAK, scale)
+        where = "pair (1, 2)" if subcommand == "lg-run" else "sweep point delta_p 10, n 1000"
         out = tmp_path / "out"
         code = main([subcommand, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: pair (1, 2): the correlator's sums overflow float64; the observable's "
+            f"error: {where}: the correlator's sums overflow float64; the observable's "
             f"largest |eigenvalue| is {scale:g}\n")
         assert not out.exists()
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lgsim
-from lgsim import harness, streams
+from lgsim import harness, protocol, streams
 from lgsim.config import parse_config
 from lgsim.harness import (
     _sampler_deviation,
@@ -184,7 +184,29 @@ def payload():
     return run_lg(lg_cfg())
 
 
+@pytest.fixture
+def seed_hashes(monkeypatch):
+    """The arguments of every ``series_words`` call protocol makes, with
+    chunks of 500 events, so that every series below spans several."""
+    calls, series_words = [], protocol.series_words
+
+    def counting(*args):
+        calls.append(args)
+        return series_words(*args)
+
+    monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 500)
+    monkeypatch.setattr(protocol, "series_words", counting)
+    return calls
+
+
 class TestRunLg:
+    def test_each_mode_is_one_seed_hash(self, seed_hashes):
+        # run_series seeds every chunk of its k series in one hash, so an
+        # lg_run makes one per mode
+        run_lg(lg_cfg(n_strong=1_200, n_weak=1_200))
+        assert [(list(bases), list(ns)) for _, bases, ns in seed_hashes] == [
+            ([0, 1, 2], [1_200] * 3), ([3, 4, 5], [1_200] * 3)]
+
     def test_lg_violation_detected(self, payload):
         lg = payload["strong"]["lg"]
         assert (lg["k"], lg["bounds"]) == (3, [-3, 1])
@@ -915,6 +937,54 @@ class TestRunSweep:
             warnings.simplefilter("ignore", WeakRegimeWarning)  # width 10 against 2e160
             with pytest.raises(ValidationError, match=r"sweep\.delta_p 10: .* 1e\+160$"):
                 run_sweep(parse_config(cfg))
+
+    @pytest.mark.parametrize("sweep, where", [
+        ({"delta_p": [10.0], "n": [1000], "tau": [0.5]}, "delta_p 10, n 1000, tau 0.5"),
+        ({"tau": [0.5, 1.0]}, "tau 0.5"),
+    ], ids=["every_axis", "tau_only"])
+    def test_overflowing_sums_name_the_grid_point(self, sweep, where):
+        # A = 1e140 sigma_z: the width's invasiveness is finite and the
+        # correlator's squared deviations are not. A sweep has no pairs, so the
+        # refusal names the first point by the axes it sweeps
+        cfg = sweep_cfg("strong")
+        cfg["system"]["observable"] = [[1e140, 0], [0, 0], [0, 0], [-1e140, 0]]
+        cfg["sweep"] = sweep
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", WeakRegimeWarning)  # width 10 against 2e140
+            with pytest.raises(ValidationError) as refused:
+                run_sweep(parse_config(cfg))
+        assert str(refused.value) == (
+            f"sweep point {where}: the correlator's sums overflow float64; the observable's "
+            "largest |eigenvalue| is 1e+140")
+
+    def test_bad_width_is_refused_before_any_sampling(self, monkeypatch):
+        # A = 1e60 sigma_z: width 10 is fine and width 1e-100 overflows the
+        # predicted purity drop. Every width is judged before the grid's
+        # first chunk, so the points of width 10 draw nothing
+        chunks, run_chunk = [], _SeriesKernel.run_chunk
+
+        def counting(self, rng, m):
+            chunks.append(m)
+            return run_chunk(self, rng, m)
+
+        monkeypatch.setattr(_SeriesKernel, "run_chunk", counting)
+        cfg = sweep_cfg("strong")
+        cfg["system"]["observable"] = [[1e60, 0], [0, 0], [0, 0], [-1e60, 0]]
+        cfg["sweep"] = {"delta_p": [10.0, 1e-100], "n": [1000, 2000]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", WeakRegimeWarning)  # width 10 against 2e60
+            with pytest.raises(ValidationError, match=r"^sweep\.delta_p 1e-100: "):
+                run_sweep(parse_config(cfg))
+        assert chunks == []
+
+    def test_grid_is_one_seed_hash(self, seed_hashes):
+        # every chunk of every point is seeded by one hash: 6 points of 1, 2
+        # and 3 chunks of 500 events
+        run_sweep(parse_config(sweep_cfg("chunked")))
+        assert [(list(bases), list(ns)) for _, bases, ns in seed_hashes] == [
+            (list(range(6)), [300, 300, 1_000, 1_000, 1_200, 1_200])]
 
     def test_weak_regime_warnings_name_run_sweep(self):
         # width 1 is below 5 x the spectral diameter 2 of sigma_z; its weak
