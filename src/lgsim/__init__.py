@@ -2,7 +2,7 @@
 for Leggett-Garg style two-time measurement runs.
 """
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 from .budget import BudgetInput, BudgetReport, strong_subensemble, wastage_report
 from .errors import (
@@ -19,7 +19,6 @@ from .invasiveness import (
 )
 from .measurement import (
     PointerModel,
-    sample_strong_readings,
     sample_weak_readings,
     strong_channel,
     weak_channel_exact,
@@ -28,7 +27,6 @@ from .protocol import (
     CorrelatorEstimate,
     DynamicsSpec,
     SeriesPlan,
-    estimate_correlator,
     lg_statistic,
     macrorealism_bounds,
     precession_qubit,

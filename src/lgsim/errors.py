@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+from numbers import Integral
+
 
 class ValidationError(ValueError):
     """Input failed a structural precondition (bad matrix, bad config, bad count)."""
@@ -21,3 +23,11 @@ def require_same_dim(*dims: int) -> int:
                 f"dimension mismatch: {dims[0]} vs {d}"
             )
     return first
+
+
+def require_count(n, least: int, name: str) -> None:
+    """Refuse ``n`` unless it is an integer (a bool is not) of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise ValidationError(f"{name} must be >= {least}, got {n}")

@@ -459,9 +459,10 @@ def _verify_tables(payload: dict) -> dict:
 
 
 def run_sweep(cfg: RunConfig) -> dict:
-    """Each grid point is the correlator ``estimate_correlator`` would give it,
-    point s of the grid, in (delta_p, n, tau) order, drawn from streams
-    (seed, s, chunk); only work that repeats across points is shared.
+    """Each grid point is the correlator of pair (1, 2) that a one-point
+    ``_estimates`` batch on stream s gives it, point s of the grid, in
+    (delta_p, n, tau) order, drawn from streams (seed, s, chunk); only work
+    that repeats across points is shared.
 
     The weak-channel invasiveness depends on the width alone, so it is
     computed once per delta_p, for every width before anything is drawn, and

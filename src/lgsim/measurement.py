@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, WeakRegimeWarning, require_same_dim
+from .errors import ValidationError, WeakRegimeWarning, require_count, require_same_dim
 from .quantum import DensityMatrix, Observable, born_weights
 from .streams import aligned_empty
 
@@ -105,30 +105,12 @@ def weak_channel_exact(rho: DensityMatrix, obs: Observable, pm: PointerModel) ->
     return DensityMatrix(_eigenbasis_map(rho.matrix, obs, _weak_damping(obs, pm)))
 
 
-def sample_strong_readings(
-    rho: DensityMatrix, obs: Observable, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized batch of n projective readings (no conditional states).
-
-    The readings come grouped by outcome, in the observable's order: one
-    multinomial draw of the outcome counts, each eigenvalue repeated as often
-    as it was drawn. They are i.i.d. readings up to their order, so every
-    statistic that ignores order has its exact law; callers to whom the order
-    matters should shuffle them (``rng.permutation``).
-    """
-    require_same_dim(rho.dim, obs.dim)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return np.repeat(obs.eigenvalues, rng.multinomial(n, born_weights(rho, obs)))
-
-
 def _weak_draw(rho, obs, pm, n, rng) -> tuple[np.ndarray, np.ndarray]:
     """``sample_weak_readings`` without its warning, with the outcome counts:
     a multinomial over the Born weights, then n aligned pointer normals, each
     outcome's slice shifted in place by its eigenvalue. Weak correlators and
     verify's sampler check draw from it."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    require_count(n, 1, "n")
     counts = rng.multinomial(n, born_weights(rho, obs))
     readings = rng.standard_normal(out=aligned_empty((n,)))
     readings *= np.sqrt(pm.position_variance)

@@ -16,10 +16,10 @@ series s on the stream (seed, s, c) and merges each chunk's sum and
 squared deviations in chunk order, so an estimate does not depend on the
 order the chunks are run in, and a spectrum far from zero costs no digits.
 Every correlator comes from one batch estimator, ``_estimates``, behind
-``run_series``, ``estimate_correlator`` and the sweep: it computes the seed
-words of every chunk of its batch in one ``series_words`` call and builds one
-kernel per distinct pair of times and pointer, and each chunk builds its own
-generator from its row (``from_words``), on whichever thread runs it.
+``run_series`` and the sweep: it computes the seed words of every chunk of
+its batch in one ``series_words`` call and builds one kernel per distinct
+pair of times and pointer, and each chunk builds its own generator from its
+row (``from_words``), on whichever thread runs it.
 A series of several chunks runs them on the calling thread and, where the
 process may use more than one CPU, one helper thread; as the merge keeps
 chunk order, no result depends on the number of threads.
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_same_dim
+from .errors import ValidationError, require_count, require_same_dim
 from .measurement import (
     MODE_STRONG,
     MODE_WEAK,
@@ -76,7 +76,14 @@ from .quantum import (
     propagator,
     spectral_decompose,
 )
-from .streams import _seed_words_class, aligned_empty, chunk_sizes, from_words, series_words
+from .streams import (
+    _check_entry,
+    _seed_words_class,
+    aligned_empty,
+    chunk_sizes,
+    from_words,
+    series_words,
+)
 
 # Events per column block of a chunk, at most. A block takes fewer events where
 # two (d, block) tables and a (K, block) one, K the distinct midpoints, would
@@ -440,14 +447,6 @@ def _draw_chunks(sizes: list[int], words: np.ndarray, draw) -> list:
     return parts
 
 
-def _check_run_args(pointer, obs, n) -> None:
-    """Argument checks shared by the runners. Warnings name the runner's caller."""
-    if pointer is not None:
-        _warn_if_not_weak(pointer, obs, stacklevel=4)
-    if n < 2:
-        raise ValidationError(f"n_per_series must be >= 2, got {n}")
-
-
 def _estimates(dyn: DynamicsSpec, points, seed: int, stream_base: int = 0,
                where=None) -> list[CorrelatorEstimate]:
     """One correlator per point (pair, t_first, t_second, pointer, n): the mean
@@ -494,25 +493,12 @@ def run_series(
     reading x second reading) over ``n_per_series`` events, with its
     standard error. Series s draws from streams (seed, stream_base + s, chunk).
     """
-    _check_run_args(pointer, dyn.observable, n_per_series)
+    if pointer is not None:
+        _warn_if_not_weak(pointer, dyn.observable)
+    require_count(n_per_series, 2, "n_per_series")
+    _check_entry(stream_base)
     return _estimates(dyn, [(pair, *plan.pair_times(pair), pointer, n_per_series)
                             for pair in plan.pairs], seed, stream_base)
-
-
-def estimate_correlator(
-    dyn: DynamicsSpec,
-    t_first: float,
-    t_second: float,
-    n_events: int,
-    seed: int,
-    pointer: PointerModel | None = None,
-    stream_base: int = 0,
-) -> CorrelatorEstimate:
-    """One two-time correlator outside any plan, as pair (1, 2) on stream
-    ``stream_base``; ``pointer`` as in ``run_series``. Sweep point s equals
-    this call with ``stream_base`` s."""
-    _check_run_args(pointer, dyn.observable, n_events)
-    return _estimates(dyn, [((1, 2), t_first, t_second, pointer, n_events)], seed, stream_base)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -261,11 +261,18 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def propagator(hamiltonian, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) of a Hermitian generator."""
+    """Unitary exp(-i H t) of a Hermitian generator. A t that makes a phase
+    E t NaN or infinite, as a time gap that overflows float64 does, is refused."""
     h = _as_complex_matrix(hamiltonian, "hamiltonian")
     _check_hermitian(h, "hamiltonian")
     evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = evals * t
+    if not np.isfinite(phases).all():
+        raise ValidationError(
+            f"exp(-i H t) needs finite phases E t, got t = {t:g} and largest |E| = "
+            f"{np.abs(evals).max():g}")
+    return (evecs * np.exp(-1j * phases)) @ evecs.conj().T
 
 
 def evolve(rho: DensityMatrix, unitary) -> DensityMatrix:
@@ -273,7 +280,7 @@ def evolve(rho: DensityMatrix, unitary) -> DensityMatrix:
     u = _as_complex_matrix(unitary, "unitary")
     require_same_dim(rho.dim, u.shape[0])
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > STRUCTURAL_TOL:
+    if not defect <= STRUCTURAL_TOL:  # a NaN defect fails here too
         raise ValidationError(
             f"matrix is not unitary: max |U^dagger U - I| = {defect:.3e}"
         )

@@ -29,6 +29,14 @@ def chunk_of(monkeypatch):
     return lambda rng: chunks[id(rng)]
 
 
+def single_correlator(dyn, t_first, t_second, n, seed, pointer=None, stream_base=0):
+    """One two-time correlator outside any plan: pair (1, 2) of n events on
+    stream ``stream_base``, its earlier reading through ``pointer``, or strong
+    when it is None. Sweep point s is this with ``stream_base`` s."""
+    return protocol._estimates(dyn, [((1, 2), t_first, t_second, pointer, n)], seed,
+                               stream_base)[0]
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (g + g.conj().T)

@@ -17,7 +17,6 @@ from lgsim import (
     pauli,
     plus_state,
     predicted_strong,
-    sample_strong_readings,
     sample_weak_readings,
     spectral_decompose,
     strong_channel,
@@ -25,6 +24,7 @@ from lgsim import (
 )
 from lgsim.config import parse_config
 from lgsim.harness import execute, payload_json
+from lgsim.measurement import _weak_draw
 from lgsim.quantum import born_weights
 from lgsim.streams import substream
 
@@ -61,6 +61,13 @@ def lg_run_config(seed=SEED, n_strong=100_000, n_weak=1_000_000):
         "plan": {"k": 3, "times": [0.0, TAU, 2 * TAU]},
         "run": {"n_strong": n_strong, "n_weak": n_weak},
     })
+
+
+def strong_readings(rho, obs, n, rng):
+    """n projective readings, grouped by outcome: the outcome counts of the
+    weak reading draw, one multinomial over the Born weights, each eigenvalue
+    repeated its count. The pointer's width does not enter the counts."""
+    return np.repeat(obs.eigenvalues, _weak_draw(rho, obs, PointerModel(width=10.0), n, rng)[0])
 
 
 BUDGET_CONFIG = {
@@ -133,7 +140,7 @@ def test_pointer_statistics_at_scale():
     assert abs(weak.mean()) <= 5 * math.sqrt(51.0 / n)   # ~0.036
     assert weak.var(ddof=1) == pytest.approx(51.0, rel=0.02)
 
-    strong = sample_strong_readings(rho, obs, n, substream(SEED, 4, 1))
+    strong = strong_readings(rho, obs, n, substream(SEED, 4, 1))
     assert abs(strong.mean()) <= 5e-3
     assert strong.var(ddof=1) == pytest.approx(1.0, rel=0.02)
 
@@ -153,7 +160,7 @@ def test_budget_reproduction():
     rho = plus_state()
     sq = []
     for r in range(200):
-        readings = sample_strong_readings(rho, obs, 5000, substream(777, 55, r))
+        readings = strong_readings(rho, obs, 5000, substream(777, 55, r))
         sq.append(readings.mean() ** 2)  # true mean is 0
     rms = math.sqrt(np.mean(sq))
     assert rms <= 1.1 * eps

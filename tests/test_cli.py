@@ -319,6 +319,25 @@ class TestObservableScale:
         assert "NaN" not in text and "Infinity" not in text
 
 
+class TestTimeGapOverflow:
+    """A time gap past the float64 range makes the propagator's phases
+    infinite, and such a run exits 1 with one error line and no report."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("subcommand, cfg", [
+        ("lg-run", dict(LG_RUN, plan={"k": 3, "times": [-1e308, 0.0, 1e308]})),
+        ("sweep", {**SWEEP_WEAK, "plan": {"k": 3, "times": [1e308, 1.5e308, 1.7e308]},
+                   "sweep": {"tau": [1e308], "n": [1000]}}),
+    ], ids=["lg-run", "sweep"])
+    def test_overflowing_gap_is_one(self, tmp_path, capsys, subcommand, cfg):
+        out = tmp_path / "out"
+        code = main([subcommand, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: exp(-i H t) needs finite phases E t, got t = inf and largest |E| = 0.5\n")
+        assert not out.exists()
+
+
 class TestRunSettings:
     # the seed and the format have one spelling, in the config file; the
     # report directory has one, --out

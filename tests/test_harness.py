@@ -39,7 +39,7 @@ from lgsim.measurement import (
     strong_channel,
     weak_channel_exact,
 )
-from lgsim.protocol import _SeriesKernel, estimate_correlator
+from lgsim.protocol import _SeriesKernel
 from lgsim.quantum import (
     DensityMatrix,
     Observable,
@@ -53,7 +53,7 @@ from lgsim.quantum import (
 )
 from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, single_correlator
 import test_invasiveness
 import test_quantum
 
@@ -840,7 +840,7 @@ class TestRunSweep:
             assert abs(values[tau] - math.cos(tau)) < 5 * errors[tau]
 
     @pytest.mark.parametrize("grid", ["strong", "weak", "chunked", "stock"])
-    def test_point_is_its_own_estimate_correlator(self, monkeypatch, grid):
+    def test_point_is_its_own_single_correlator(self, monkeypatch, grid):
         # kernels and invasiveness blocks are shared across points; every row
         # must still be what a point computed alone gives, bitwise. The weak
         # grid fails if a kernel is shared between widths, the strong one
@@ -865,7 +865,7 @@ class TestRunSweep:
             for metric, value in (("i1_measured", meas.i1), ("i1_predicted", pred.i1),
                                   ("i2_measured", meas.i2), ("i2_predicted", pred.i2)):
                 want.append({**coords, "metric": metric, "value": value})
-            est = estimate_correlator(
+            est = single_correlator(
                 dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1], n,
                 cfg.seed, pm if sw.mode == "weak" else None, stream_base=point_index,
             )

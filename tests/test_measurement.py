@@ -11,7 +11,6 @@ from lgsim import (
     pauli,
     plus_state,
     pure_state,
-    sample_strong_readings,
     sample_weak_readings,
     spectral_decompose,
     strong_channel,
@@ -22,6 +21,7 @@ from lgsim.errors import (
     ValidationError,
     WeakRegimeWarning,
 )
+from lgsim.measurement import _weak_draw
 from lgsim.protocol import _inverse_cdf
 from lgsim.quantum import born_weights, purity
 from lgsim.streams import substream
@@ -74,43 +74,34 @@ class TestStrongChannel:
             strong_channel(random_density_matrix(3, np.random.default_rng(0)), qubit_z)
 
 
-class TestStrongSample:
-    def test_reading_is_exact_eigenvalue_member(self, rng):
-        obs = spectral_decompose(np.diag([0.25, -1.5, 3.0]))
-        readings = sample_strong_readings(random_density_matrix(3, rng), obs, 2000, rng)
-        assert np.isin(readings, obs.eigenvalues).all()
+class TestOutcomeCounts:
+    """The outcome counts that ``_weak_draw`` draws first, one multinomial
+    over the Born weights: a strong reading is the eigenvalue of its count."""
 
     def test_frequencies_follow_born_rule(self, qubit_z, rng):
         # binomial oracle: freq(+1) = 0.5 +- 5 * sqrt(0.25/n)
         n = 1_000_000
-        readings = sample_strong_readings(plus_state(), qubit_z, n, rng)
-        freq = np.mean(readings == 1.0)
+        counts, _ = _weak_draw(plus_state(), qubit_z, pm_exact(10.0), n, rng)
+        freq = counts[0] / n
         assert abs(freq - 0.5) < 5 * np.sqrt(0.25 / n)
 
     def test_empirical_mean_matches_expectation(self, qubit_z, rng):
         rho = pure_state([np.sqrt(0.8), np.sqrt(0.2)])
         n = 200_000
-        readings = sample_strong_readings(rho, qubit_z, n, rng)
+        counts, _ = _weak_draw(rho, qubit_z, pm_exact(10.0), n, rng)
+        readings = np.repeat(qubit_z.eigenvalues, counts)
         se = readings.std(ddof=1) / np.sqrt(n)
         assert abs(readings.mean() - expectation(rho, qubit_z)) < 5 * se
 
-    def test_dim_mismatch(self, qubit_z, rng):
-        with pytest.raises(DimensionMismatchError):
-            sample_strong_readings(random_density_matrix(3, rng), qubit_z, 10, rng)
-
     @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_readings_are_multinomial_counts_in_outcome_order(self, dim, rng):
-        # one multinomial draw of the outcome counts from the same stream
-        # address, each eigenvalue repeated its count, grouped in the
-        # observable's order
+    def test_counts_are_the_streams_first_multinomial(self, dim, rng):
+        # one multinomial draw of the outcome counts, in the observable's
+        # order, from the same stream address
         obs = spectral_decompose(random_hermitian(dim, rng))
         rho = random_density_matrix(dim, rng)
-        readings = sample_strong_readings(rho, obs, 10_000, substream(12, 3, dim))
-        counts = substream(12, 3, dim).multinomial(10_000, born_weights(rho, obs))
-        outcome = np.searchsorted(-obs.eigenvalues, -readings)
-        np.testing.assert_array_equal(obs.eigenvalues[outcome], readings)
-        assert (np.diff(outcome) >= 0).all()
-        np.testing.assert_array_equal(np.bincount(outcome, minlength=dim), counts)
+        counts, _ = _weak_draw(rho, obs, pm_exact(10.0), 10_000, substream(12, 3, dim))
+        want = substream(12, 3, dim).multinomial(10_000, born_weights(rho, obs))
+        np.testing.assert_array_equal(counts, want)
 
 
 def _searchsorted_draw(cum, u):
@@ -288,6 +279,14 @@ class TestWeakSample:
     def test_n_below_one_is_refused_before_any_draw(self, qubit_z, n):
         rng = substream(13, 0, 0)
         with pytest.raises(ValidationError, match="n must be >= 1"):
+            sample_weak_readings(plus_state(), qubit_z, pm_exact(10.0), n, rng)
+        assert rng.random() == substream(13, 0, 0).random()
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True],
+                             ids=["2.5", "3.0", "np.float64", "bool"])
+    def test_non_integer_n_is_refused_before_any_draw(self, qubit_z, n):
+        rng = substream(13, 0, 0)
+        with pytest.raises(ValidationError, match="n must be an integer"):
             sample_weak_readings(plus_state(), qubit_z, pm_exact(10.0), n, rng)
         assert rng.random() == substream(13, 0, 0).random()
 

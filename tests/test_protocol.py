@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -22,7 +23,6 @@ from lgsim import (
     basis_state,
     SeriesPlan,
     born_weights,
-    estimate_correlator,
     evolve,
     lg_statistic,
     macrorealism_bounds,
@@ -42,7 +42,7 @@ from lgsim.harness import run_verify
 from lgsim.protocol import _SeriesKernel
 from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, series_words, substream
 
-from conftest import random_density_matrix, random_hermitian, random_unitary
+from conftest import random_density_matrix, random_hermitian, random_unitary, single_correlator
 
 TAU = math.pi / 3
 
@@ -107,7 +107,7 @@ class TestStrongFirstCorrelators:
             assert abs(est.value - math.cos(gap)) < 5 * est.std_error
 
     def test_near_zero_gap_gives_unit_correlator(self, bench):
-        est = estimate_correlator(bench, 0.0, 1e-6, 20_000, seed=12)
+        est = single_correlator(bench, 0.0, 1e-6, 20_000, seed=12)
         assert abs(est.value - 1.0) < 5 * est.std_error + 1e-9
 
     def test_squared_deviations_for_dichotomic_products(self, bench):
@@ -158,10 +158,8 @@ class TestWeakFirstCorrelators:
     def test_stderr_inflated_by_pointer_noise(self, bench):
         # per-event variances: strong 1 - C^2, weak width^2/2 + 1 - C^2
         n = 200_000
-        strong = estimate_correlator(bench, 0.0, 1.0, n, seed=23)
-        weak = estimate_correlator(
-            bench, 0.0, 1.0, n, seed=24, pointer=PointerModel(width=10.0)
-        )
+        strong = single_correlator(bench, 0.0, 1.0, n, seed=23)
+        weak = single_correlator(bench, 0.0, 1.0, n, seed=24, pointer=PointerModel(width=10.0))
         c = math.cos(1.0)
         predicted_ratio = math.sqrt((50.0 + 1.0 - c * c) / (1.0 - c * c))
         measured_ratio = weak.std_error / strong.std_error
@@ -180,9 +178,34 @@ class TestRunSeriesValidation:
         with pytest.raises(ValidationError, match="n_per_series"):
             run_series(plan3, bench, 1, seed=1)
 
-    def test_estimate_correlator_needs_ordered_times(self, bench):
+    @pytest.mark.parametrize("n", [3.0, 2.5, np.float64(1000.0)])
+    def test_n_must_be_an_integer(self, bench, plan3, n):
+        message = f"n_per_series must be an integer, got {n!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_series(plan3, bench, n, seed=1)
+
+    @pytest.mark.parametrize("base", [True, False, 1.5, -1, 2**32])
+    def test_stream_base_is_a_stream_path_entry(self, bench, plan3, base):
+        # a bool is not stream 1 or 0, as substream refuses it
+        with pytest.raises(ValidationError, match="stream path entries must"):
+            run_series(plan3, bench, 100, seed=1, stream_base=base)
+
+    def test_numpy_integer_arguments_are_counts(self, bench, plan3):
+        assert (run_series(plan3, bench, np.int64(100), seed=1, stream_base=np.uint32(2))
+                == run_series(plan3, bench, 100, seed=1, stream_base=2))
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf],
+                                       [-1e308, 0.0, 1e308]],
+                             ids=["nan", "inf", "overflowed-gap"])
+    def test_non_finite_time_is_refused(self, bench, times):
+        # SeriesPlan takes the times; the propagator of the first series whose
+        # phases they make NaN or infinite refuses them
+        with pytest.raises(ValidationError, match=r"exp\(-i H t\) needs finite phases E t"):
+            run_series(SeriesPlan(3, times), bench, 100, seed=1)
+
+    def test_kernel_needs_ordered_times(self, bench):
         with pytest.raises(ValidationError, match="need t_second > t_first"):
-            estimate_correlator(bench, 1.0, 1.0, 100, seed=1)
+            _SeriesKernel(bench, 1.0, 1.0, None)
         with pytest.raises(ValidationError, match="need t_second > t_first"):
             _SeriesKernel(bench, 2.0, 1.0, PointerModel(width=10.0))
 
@@ -191,7 +214,7 @@ class TestWarningsNameTheCaller:
     """A weak-regime warning points at the line that called into lgsim."""
 
     @pytest.mark.parametrize(
-        "call", ["run_series", "estimate_correlator", "weak_channel_exact", "sample_weak_readings"]
+        "call", ["run_series", "weak_channel_exact", "sample_weak_readings"]
     )
     def test_weak_regime_warning(self, bench, plan3, call):
         narrow = PointerModel(width=1.0)  # below 5 x spectral diameter 2
@@ -199,8 +222,6 @@ class TestWarningsNameTheCaller:
         with pytest.warns(WeakRegimeWarning) as record:
             if call == "run_series":
                 run_series(plan3, bench, 100, seed=1, pointer=narrow)
-            elif call == "estimate_correlator":
-                estimate_correlator(bench, 0.0, 1.0, 100, seed=1, pointer=narrow)
             elif call == "weak_channel_exact":
                 weak_channel_exact(rho, obs, narrow)
             else:
@@ -241,24 +262,6 @@ class TestDeterminismAndMerging:
             assert (want[s].n_events, want[s].value, want[s].std_error) == (
                 count, total / count, std_error)
 
-    @pytest.mark.parametrize("pointer", [None, PointerModel(width=10.0)], ids=["strong", "weak"])
-    def test_run_series_is_estimate_correlator_per_pair(self, monkeypatch, bench, pointer):
-        # series s of a plan is the single correlator of its pair's times drawn
-        # from stream stream_base + s, labelled with the pair
-        plan = SeriesPlan(4, [0.0, 0.4, 1.1, 1.5])
-        n, base = 30_000, 5
-        monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", 7_000)
-        got = run_series(plan, bench, n, seed=80, pointer=pointer, stream_base=base)
-        want = [
-            dataclasses.replace(
-                estimate_correlator(bench, *plan.pair_times(pair), n, 80, pointer=pointer,
-                                    stream_base=base + s),
-                pair=pair,
-            )
-            for s, pair in enumerate(plan.pairs)
-        ]
-        assert got == want
-
     @pytest.mark.parametrize(
         "pointer, chunk_size",
         [
@@ -288,9 +291,8 @@ class TestDeterminismAndMerging:
         code = (
             "import warnings\n"
             "import numpy as np\n"
-            "from lgsim import (DynamicsSpec, PointerModel, estimate_correlator,\n"
-            "                   precession_qubit, spectral_decompose)\n"
-            "from conftest import random_density_matrix\n"
+            "from lgsim import DynamicsSpec, PointerModel, precession_qubit, spectral_decompose\n"
+            "from conftest import random_density_matrix, single_correlator\n"
             "warnings.simplefilter('ignore')\n"
             "rng = np.random.default_rng(8)\n"
             "h = rng.normal(size=(8, 8))\n"
@@ -298,8 +300,8 @@ class TestDeterminismAndMerging:
             "                     random_density_matrix(8, rng))\n"
             "for dyn, width in ((precession_qubit(), 10.0), (qudit, 40.0)):\n"
             "    for seed in range(80, 84):\n"
-            "        e = estimate_correlator(dyn, 0.0, 1.0, 60_000, seed,\n"
-            "                                pointer=PointerModel(width=width))\n"
+            "        e = single_correlator(dyn, 0.0, 1.0, 60_000, seed,\n"
+            "                              pointer=PointerModel(width=width))\n"
             "        print(repr((e.value, e.std_error)))\n"
         )
         assert 2 * protocol._BLOCK < 60_000 <= DEFAULT_CHUNK_SIZE
@@ -405,7 +407,7 @@ class TestChunkWorkers:
 
     def test_helpers_ignore_overflow_as_the_caller_does(self, monkeypatch):
         # A = 1e140 sigma_z: the products' squares overflow in every chunk, on
-        # both workers whatever the host's CPUs, and run_series refuses the
+        # both workers whatever the host's CPUs, and _estimates refuses the
         # sums with no numpy warning
         # the barrier makes the two chunks run at once, one on the helper
         monkeypatch.setattr(protocol, "_cpu_count", lambda: 2)
@@ -422,7 +424,7 @@ class TestChunkWorkers:
             warnings.simplefilter("error")
             warnings.simplefilter("ignore", WeakRegimeWarning)
             with pytest.raises(ValidationError, match="sums overflow float64"):
-                estimate_correlator(dyn, 0.0, 1.0, n, 3, pointer=PointerModel(width=10.0))
+                single_correlator(dyn, 0.0, 1.0, n, 3, pointer=PointerModel(width=10.0))
 
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
@@ -608,12 +610,13 @@ def _per_row_table(re_g, a, width, reps):
 
 def _shifted_kernel_products(kernel, table, reps, rng, m):
     """A weak chunk's products as the kernel first drew them: strong readings,
-    then their pointer noise, then the chunk's second uniforms, all drawn
+    each eigenvalue repeated as often as one multinomial draw counted it, then
+    their pointer noise, then the chunk's second uniforms, all drawn
     before any block; amplitudes shifted by their per-event maximum, one
     product per column of ``table`` for its pair in ``reps``, weights clipped
     at zero and summed row by row, the outcome counted as int64."""
     a, width = kernel.eigenvalues, kernel.pointer.width
-    products = measurement.sample_strong_readings(kernel.rho_first, kernel.observable, m, rng)
+    products = np.repeat(a, rng.multinomial(m, born_weights(kernel.rho_first, kernel.observable)))
     products += np.sqrt(kernel.pointer.position_variance) * rng.standard_normal(m)
     u_second = rng.random(m)
     block = max(1, min(8192, 2**17 // table.shape[1]))
@@ -840,7 +843,7 @@ class TestStrongEstimatesMatchExactMoments:
         prod = np.multiply.outer(a, a)
         mean = (prob * prod).sum()
         exact_se = math.sqrt((prob * (prod - mean) ** 2).sum() / self.N)
-        est = estimate_correlator(dyn, 0.4, 1.3, self.N, seed=dim)
+        est = single_correlator(dyn, 0.4, 1.3, self.N, seed=dim)
         assert abs(est.value - mean) <= 5.0 * exact_se
         assert est.std_error == pytest.approx(exact_se, rel=0.1)
 
@@ -865,7 +868,7 @@ class TestWeakEstimatesMatchExactMoments:
         mean = w @ sq
         var = w @ (sq - mean) ** 2 + mean * pointer.position_variance
         exact_se = math.sqrt(var / self.N)
-        est = estimate_correlator(dyn, 0.4, 1.3, self.N, seed=dim, pointer=pointer)
+        est = single_correlator(dyn, 0.4, 1.3, self.N, seed=dim, pointer=pointer)
         assert abs(est.value - mean) <= 5.0 * exact_se
         assert est.std_error == pytest.approx(exact_se, rel=0.1)
 

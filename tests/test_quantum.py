@@ -414,6 +414,27 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="unitary"):
             evolve(plus_state(), np.array([[1.0, 0.0], [0.0, 2.0]]))
 
+    def test_nan_unitary_rejected(self):
+        # a NaN defect compares false against the tolerance, and fails
+        with pytest.raises(ValidationError, match="not unitary"):
+            evolve(plus_state(), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("h, t", [
+        (pauli("x"), np.nan),
+        (pauli("x"), np.inf),
+        (pauli("x"), -np.inf),
+        (np.zeros((2, 2)), np.inf),  # 0 * inf is NaN
+        (pauli("x"), 1e308 - -1e308),  # a gap that overflows float64
+    ], ids=["nan", "inf", "-inf", "zero-h-inf", "overflowed-gap"])
+    def test_propagator_refuses_non_finite_phases(self, h, t):
+        # no numpy warning on the way: the tests turn a RuntimeWarning into an error
+        with pytest.raises(ValidationError, match=r"exp\(-i H t\) needs finite phases E t"):
+            propagator(h, t)
+
+    def test_propagator_takes_any_finite_phase(self):
+        u = propagator(0.5 * pauli("x"), 1e308)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             evolve(maximally_mixed(3), np.eye(2))
