@@ -2,7 +2,7 @@
 for Leggett-Garg style two-time measurement runs.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .budget import BudgetInput, BudgetReport, strong_subensemble, wastage_report
 from .errors import (

@@ -55,13 +55,9 @@ MatrixPairs = tuple[tuple[float, float], ...]
 
 
 def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
-    """Rebuild a dim x dim complex matrix from its row-major pair list."""
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if flat.size != dim * dim:
-        raise ValidationError(
-            f"matrix needs {dim * dim} [re, im] pairs for dim {dim}, got {flat.size}"
-        )
-    return flat.reshape(dim, dim)
+    """Rebuild a dim x dim complex matrix from its row-major list of dim^2
+    pairs, a length ``parse_config`` has checked."""
+    return np.array(pairs, np.float64).view(np.complex128).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,16 @@ SWEEP_N_EVENTS = 10_000
 
 
 def _system_objects(system: SystemConfig) -> DynamicsSpec:
-    h = pairs_to_matrix(system.hamiltonian, system.dim)
-    obs = spectral_decompose(pairs_to_matrix(system.observable, system.dim))
-    rho = DensityMatrix(pairs_to_matrix(system.initial_state, system.dim))
-    return DynamicsSpec(hamiltonian=h, observable=obs, initial_state=rho)  # checks H
+    """The configured system; an invalid matrix is refused under its config key."""
+    key = "observable"
+    try:
+        obs = spectral_decompose(pairs_to_matrix(system.observable, system.dim))
+        key = "initial_state"
+        rho = DensityMatrix(pairs_to_matrix(system.initial_state, system.dim))
+        key = "hamiltonian"  # the dimensions agree, so DynamicsSpec can refuse only H
+        return DynamicsSpec(pairs_to_matrix(system.hamiltonian, system.dim), obs, rho)
+    except ValidationError as exc:
+        raise ValidationError(f"config.system.{key}: {exc}") from exc
 
 
 def _estimate_dict(est: CorrelatorEstimate) -> dict:
@@ -95,10 +101,10 @@ def _estimate_dict(est: CorrelatorEstimate) -> dict:
 
 def run_budget(cfg: RunConfig) -> dict:
     b = cfg.budget
+    dyn = _system_objects(cfg.system) if cfg.system else None  # refuses a broken system
     if b.var_a is not None:
         var_a, var_source = b.var_a, "config"
     else:
-        dyn = _system_objects(cfg.system)
         var_a, var_source = variance(dyn.initial_state, dyn.observable), "system"
         if var_a == 0.0:
             # an eigenstate of the observable: the formulas then say no
@@ -138,30 +144,31 @@ def _budget_tables(payload: dict) -> dict:
 # lg_run scenario
 
 
-def _lg_block(estimates: list[CorrelatorEstimate], bounded: bool) -> dict:
-    """K_k of one mode's correlators. Its macrorealism bounds, and whether it
-    breaks them, are given when ``bounded`` and are null otherwise."""
+def _lg_block(estimates: list[CorrelatorEstimate], scale: float) -> dict:
+    """K_k of one mode's correlators, its macrorealist range and whether it is
+    broken. K_k is multilinear in readings that lie in [-c, c], so that range
+    is ``scale`` = c^2 times the +/-1 one, exact when -c and c are eigenvalues."""
     k = len(estimates)
     value = lg_statistic([e.value for e in estimates])
-    lo, hi = macrorealism_bounds(k)
+    lo, hi = (scale * b for b in macrorealism_bounds(k))
     return {
         "k": k,
         "value": value,
         "std_error": math.sqrt(sum(e.std_error**2 for e in estimates)),
-        "bounds": [lo, hi] if bounded else None,
-        "violates_macrorealism": not lo <= value <= hi if bounded else None,
+        "bounds": [lo, hi],
+        "violates_macrorealism": not lo <= value <= hi,
     }
 
 
 def run_lg(cfg: RunConfig) -> dict:
     dyn, plan = _system_objects(cfg.system), cfg.plan  # the config holds the SeriesPlan
     pm = PointerModel(width=cfg.pointer.width)
-    # the bounds hold for readings in [-1, 1]: K_k is multilinear in them, so
-    # its macrorealist extremes sit at readings of +/-1
-    bounded = bool(np.abs(dyn.observable.eigenvalues).max() <= 1.0 + 1e-9)
 
     strong = run_series(plan, dyn, cfg.run.n_strong, cfg.seed, stream_base=0)
     weak = run_series(plan, dyn, cfg.run.n_weak, cfg.seed, pointer=pm, stream_base=plan.k)
+    # c = max|a| after the runs, which refuse an observable far from unit
+    # scale first; c * c overflows to inf where c ** 2 would raise
+    c = float(np.abs(dyn.observable.eigenvalues).max())
 
     per_pair = []
     for es, ew in zip(strong, weak):
@@ -187,14 +194,14 @@ def run_lg(cfg: RunConfig) -> dict:
             "mode": "strong",
             "n_per_series": cfg.run.n_strong,
             "correlators": [_estimate_dict(e) for e in strong],
-            "lg": _lg_block(strong, bounded),
+            "lg": _lg_block(strong, c * c),
         },
         "weak": {
             "mode": "weak",
             "pointer_width": pm.width,
             "n_per_series": cfg.run.n_weak,
             "correlators": [_estimate_dict(e) for e in weak],
-            "lg": _lg_block(weak, bounded),
+            "lg": _lg_block(weak, c * c),
         },
         "comparison": {"per_pair": per_pair},
     }

@@ -108,9 +108,12 @@ class SeriesPlan:
     times: tuple[float, ...]
 
     def __post_init__(self):
+        require_count(self.k, -math.inf, "k")  # an integer; k < 3 is refused below
         if self.k < 3:
             raise ValidationError(f"a plan needs k >= 3 time slices, got {self.k}")
         times = tuple(float(t) for t in self.times)
+        if not all(map(math.isfinite, times)):
+            raise ValidationError(f"times must be finite, got {times}")
         if len(times) != self.k:
             raise ValidationError(
                 f"expected {self.k} times, got {len(times)}"
@@ -374,7 +377,8 @@ def _chunk_moments(n: int, words: np.ndarray, draw) -> tuple[float, float]:
     to call from any of them; the merge keeps the result bitwise the same for
     any number of threads."""
     sizes = chunk_sizes(n)
-    # a series of one chunk starts no thread
+    # a series of one chunk is drawn here: _draw_chunks would start no
+    # thread for it either, and skipping it saves its per-call overhead
     parts = _draw_chunks(sizes, words, draw) if len(sizes) > 1 else None
     count, total, sq_dev = 0, 0.0, 0.0
     for c, m in enumerate(sizes):

@@ -279,7 +279,9 @@ def evolve(rho: DensityMatrix, unitary) -> DensityMatrix:
     """Conjugate the state: U rho U^dagger."""
     u = _as_complex_matrix(unitary, "unitary")
     require_same_dim(rho.dim, u.shape[0])
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    # an infinite entry makes inf * 0 in the product, so a NaN defect, refused below
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if not defect <= STRUCTURAL_TOL:  # a NaN defect fails here too
         raise ValidationError(
             f"matrix is not unitary: max |U^dagger U - I| = {defect:.3e}"

@@ -96,25 +96,18 @@ def _seed_pool(seed: int, hc: list[int]) -> list[int]:
     return pool
 
 
-def stream_words(seed: int, paths) -> np.ndarray:
-    """(N, 3) uint64 SFC64 seed words of the N streams at ``paths``, row i
-    equal to ``SeedSequence(seed, spawn_key=paths[i]).generate_state(3,
-    np.uint64)``.
+def stream_words(seed: int, table: np.ndarray) -> np.ndarray:
+    """(N, 3) uint64 SFC64 seed words of the N streams whose paths are the
+    rows of ``table``, row i equal to ``SeedSequence(seed,
+    spawn_key=table[i]).generate_state(3, np.uint64)``.
 
-    ``paths`` is an (N, L) table of path entries, an integer array or a
-    sequence of N paths of L integers each; every entry lies in [0, 2^32).
+    ``table`` is an (N, L) integer array; every entry lies in [0, 2^32).
     """
-    if isinstance(paths, np.ndarray) and paths.dtype.kind in "iu":
-        table = paths
-        if table.size and not (table.min() >= 0 and table.max() <= _MASK32):
-            _check_entry(int(table[(table < 0) | (table > _MASK32)][0]))
-    else:
-        rows = [[_check_entry(entry) for entry in path] for path in paths]
-        if len({len(row) for row in rows}) > 1:
-            raise ValidationError("stream paths must all have the same length")
-        table = np.array(rows, np.uint32).reshape(len(rows), len(rows[0]) if rows else 0)
-    if table.ndim != 2:
-        raise ValidationError(f"stream paths must form an (N, L) table, got shape {table.shape}")
+    if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu" and table.ndim == 2):
+        raise ValidationError("stream paths must form an (N, L) integer array, got "
+                              f"{type(table).__name__} {np.shape(table)}")
+    if table.size and not (table.min() >= 0 and table.max() <= _MASK32):
+        _check_entry(int(table[(table < 0) | (table > _MASK32)][0]))
     n, length = table.shape
     hc = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + length))
     # path entry j hashes in once per pool word, at hash steps 16 + 4j to
@@ -176,7 +169,8 @@ def from_words(words: np.ndarray, row: int) -> np.random.Generator:
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent ``BIT_GENERATOR`` stream addressed by (seed, path...)."""
-    return from_words(stream_words(seed, [path]), 0)
+    row = np.array([[_check_entry(entry) for entry in path]], np.int64)
+    return from_words(stream_words(seed, row), 0)
 
 
 def chunk_sizes(n: int) -> list[int]:
@@ -191,15 +185,11 @@ def series_words(seed: int, streams: Sequence[int], ns: Sequence[int]) -> list[n
     """Seed words of every chunk of several series, from one ``stream_words``
     call: series i, of ``ns[i]`` events on stream ``streams[i]``, gets the
     (chunks, 3) table whose row c seeds its chunk c, the stream (streams[i], c)."""
-    base = np.asarray(streams)
-    if base.dtype.kind not in "iu":
-        for stream in streams:  # refuses the first entry that is not an integer
-            _check_entry(stream)
     # len(chunk_sizes(n)) for each n; the runners refuse n < 2 beforehand
     counts = -(-np.asarray(ns, np.int64) // DEFAULT_CHUNK_SIZE)
     ends = np.cumsum(counts)
     paths = np.empty((int(ends[-1]) if len(ends) else 0, 2), np.int64)
-    paths[:, 0] = np.repeat(base, counts)
+    paths[:, 0] = np.repeat(streams, counts)
     paths[:, 1] = np.arange(len(paths)) - np.repeat(ends - counts, counts)
     words = stream_words(seed, paths)
     return [words[end - count:end] for end, count in zip(ends.tolist(), counts.tolist())]

@@ -122,19 +122,28 @@ class TestExitCodes:
             "got 'perturbative_o2'\n"
         )
 
-    @pytest.mark.parametrize("subcommand", ["budget", "verify", "lg-run"])
-    def test_non_hermitian_hamiltonian_is_one(self, tmp_path, capsys, subcommand):
-        # H = [[0, 5], [0, 0]]: budget reads Var A from the system and verify
-        # judges it, so both must reject it as lg-run does
+    @pytest.mark.parametrize("key, matrix, message", [
+        ("hamiltonian", [[0, 0], [5, 0], [0, 0], [0, 0]],
+         "hamiltonian is not Hermitian: max |A - A^dagger| = 5.000e+00 exceeds 1e-10"),
+        ("observable", [[1, 0], [1, 0], [0, 0], [-1, 0]],
+         "operator is not Hermitian: max |A - A^dagger| = 1.000e+00 exceeds 1e-10"),
+        ("initial_state", [[1, 0], [0, 0], [0, 0], [1, 0]], "density matrix trace is 2.0, not 1"),
+    ], ids=["hamiltonian", "observable", "initial_state"])
+    @pytest.mark.parametrize("subcommand", ["budget", "budget-var-a", "verify", "lg-run", "sweep"])
+    def test_invalid_system_names_its_key(self, tmp_path, capsys, subcommand, key, matrix,
+                                          message):
+        # every scenario builds a configured system, budget also when it has
+        # var_a, and refuses a matrix that is no Hamiltonian, observable or
+        # state under its config key
         budget = {k: v for k, v in BUDGET["budget"].items() if k != "var_a"}
-        base = {"budget": dict(BUDGET, budget=budget), "verify": VERIFY_FAST,
-                "lg-run": LG_RUN}[subcommand]
-        bad = dict(base, system=dict(LG_RUN["system"],
-                                     hamiltonian=[[0, 0], [5, 0], [0, 0], [0, 0]]))
-        code = main([subcommand, "--config", write_cfg(tmp_path, bad),
+        base = {"budget": dict(BUDGET, budget=budget), "budget-var-a": BUDGET,
+                "verify": VERIFY_FAST, "lg-run": LG_RUN, "sweep": SWEEP_WEAK}[subcommand]
+        bad = dict(base, system=dict(LG_RUN["system"], **{key: matrix}))
+        code = main([subcommand.removesuffix("-var-a"), "--config", write_cfg(tmp_path, bad),
                      "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "hamiltonian is not Hermitian" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: config.system.{key}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_scenario_subcommand_mismatch_is_one(self, tmp_path, capsys):
         code = main(["verify", "--config", write_cfg(tmp_path, BUDGET),

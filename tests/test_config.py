@@ -43,10 +43,6 @@ class TestMatrixCodec:
         assert pairs == [[1.0, 0.0], [2.0, -1.0], [2.0, 1.0], [-0.5, 0.0]]
         np.testing.assert_array_equal(pairs_to_matrix(pairs, 2), m)
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValidationError, match="pairs"):
-            pairs_to_matrix([[1.0, 0.0]], 2)
-
 
 class TestParseConfig:
     def test_minimal_lg_run(self):

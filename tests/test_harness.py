@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lgsim
 from lgsim import harness, protocol, streams
@@ -39,7 +41,7 @@ from lgsim.measurement import (
     strong_channel,
     weak_channel_exact,
 )
-from lgsim.protocol import _SeriesKernel
+from lgsim.protocol import CorrelatorEstimate, SeriesPlan, _SeriesKernel
 from lgsim.quantum import (
     DensityMatrix,
     Observable,
@@ -258,16 +260,19 @@ class TestRunLg:
             assert (lg["k"], lg["bounds"]) == (4, [-2, 2])
             assert lg["violates_macrorealism"] is True
 
-    def test_bounds_need_readings_within_one(self):
-        # spin-1 J_z (eigenvalues 1, 0, -1) keeps every reading in [-1, 1], so
-        # the bounds apply; lg_qudit8's spin-7/2 J_z does not, so they are null.
-        # Neither warns, and neither does a sweep
+    def test_bounds_scale_with_the_largest_reading(self):
+        # the +/-1 bounds times c^2, c = max|a|: spin-1 J_z (eigenvalues 1, 0,
+        # -1) keeps them, sigma_z / 2 on the stock run quarters them and breaks
+        # them in both modes, at K_3 = 3/8 > 1/4, and lg_qudit8's spin-7/2 J_z
+        # scales K_4's by 49/4. None of them warns, and neither does a sweep
         jz = _pairs(np.diag([1.0, 0.0, -1.0]))
         jx = _pairs(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2))
         system = {"dim": 3, "hamiltonian": jx, "observable": jz,
                   "initial_state": _pairs(np.diag([1.0, 0.0, 0.0]))}
         base = {"scenario": "lg_run", "seed": 5, "system": system, "pointer": {"width": 20.0},
                 "run": {"n_strong": 200, "n_weak": 200}}
+        stock = json.loads((Path(__file__).parent.parent / "configs" / "lg_run.json").read_text())
+        stock["system"]["observable"] = [[0.5, 0], [0, 0], [0, 0], [-0.5, 0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k, bounds in ((3, [-3, 1]), (4, [-2, 2])):
@@ -281,11 +286,39 @@ class TestRunLg:
                 "plan": {"k": 3, "times": [0.0, 1.0, 2.0]},
                 "sweep": {"tau": [0.5, 1.0], "n": [100]},
             }))
-            payload = execute(parse_config(_workload_config("lg_qudit8", 1)))["payload"]
+            half = run_lg(parse_config(stock))
+            qudit = execute(parse_config(_workload_config("lg_qudit8", 1)))["payload"]
         for mode in ("strong", "weak"):
-            lg = payload[mode]["lg"]
+            lg = half[mode]["lg"]
+            assert lg["bounds"] == [-0.75, 0.25]
+            assert abs(lg["value"] - 0.375) < 5 * lg["std_error"]
+            assert lg["violates_macrorealism"] is True
+            lg = qudit[mode]["lg"]
             assert lg["k"] == 4 and math.isfinite(lg["value"])
-            assert lg["bounds"] is None and lg["violates_macrorealism"] is None
+            assert lg["bounds"] == [-24.5, 24.5]
+            assert lg["violates_macrorealism"] is (not -24.5 <= lg["value"] <= 24.5)
+
+    @settings(deadline=None)
+    @given(k=st.integers(3, 6), ends=st.lists(
+        st.floats(-100.0, 100.0, allow_subnormal=False), min_size=2, max_size=2, unique=True),
+        symmetric=st.booleans())
+    def test_bounds_hold_every_extreme_assignment(self, k, ends, symmetric):
+        # K_k is multilinear in the readings, so over readings in [a_min,
+        # a_max] its extremes lie among the 2^k assignments of a_min and a_max:
+        # the scaled bounds contain all of them, and are theirs when a_min = -a_max
+        a_min, a_max = sorted(ends)
+        if symmetric:
+            a_min, a_max = -max(-a_min, a_max), max(-a_min, a_max)
+        c = max(-a_min, a_max)
+        estimates = [CorrelatorEstimate(pair, 0.0, 0.0, 2)
+                     for pair in SeriesPlan(k, range(k)).pairs]
+        lo, hi = harness._lg_block(estimates, c * c)["bounds"]
+        values = [sum(q[i] * q[i + 1] for i in range(k - 1)) - q[0] * q[-1]
+                  for q in itertools.product((a_min, a_max), repeat=k)]
+        slack = 1e-12 * k * c * c + 1e-300
+        assert lo - slack <= min(values) and max(values) <= hi + slack
+        if symmetric:
+            assert (min(values), max(values)) == pytest.approx((lo, hi), rel=1e-12, abs=1e-300)
 
 
 class TestDeterminism:

@@ -74,6 +74,12 @@ class TestSeriesPlan:
         with pytest.raises(ValidationError, match="k >= 3"):
             SeriesPlan(2, [0.0, 1.0])
 
+    @pytest.mark.parametrize("k", [3.5, True], ids=["fraction", "bool"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValidationError) as info:
+            SeriesPlan(k, [0.0, 1.0, 2.0])
+        assert str(info.value) == f"k must be an integer, got {k!r}"
+
     def test_times_length_must_match_k(self):
         with pytest.raises(ValidationError):
             SeriesPlan(3, [0.0, 1.0])
@@ -194,13 +200,16 @@ class TestRunSeriesValidation:
         assert (run_series(plan3, bench, np.int64(100), seed=1, stream_base=np.uint32(2))
                 == run_series(plan3, bench, 100, seed=1, stream_base=2))
 
-    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf],
-                                       [-1e308, 0.0, 1e308]],
-                             ids=["nan", "inf", "overflowed-gap"])
-    def test_non_finite_time_is_refused(self, bench, times):
-        # SeriesPlan takes the times; the propagator of the first series whose
-        # phases they make NaN or infinite refuses them
-        with pytest.raises(ValidationError, match=r"exp\(-i H t\) needs finite phases E t"):
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, np.nan, 2.0], r"^times must be finite, got \(0\.0, nan, 2\.0\)$"),
+        ([0.0, 1.0, np.inf], r"^times must be finite, got \(0\.0, 1\.0, inf\)$"),
+        ([-1e308, 0.0, 1e308], r"exp\(-i H t\) needs finite phases E t"),
+    ], ids=["nan", "inf", "overflowed-gap"])
+    def test_non_finite_time_is_refused(self, bench, times, message):
+        # SeriesPlan refuses a time that is not finite; finite times whose gap
+        # overflows are refused by the propagator of the first series whose
+        # phases they make infinite
+        with pytest.raises(ValidationError, match=message):
             run_series(SeriesPlan(3, times), bench, 100, seed=1)
 
     def test_kernel_needs_ordered_times(self, bench):

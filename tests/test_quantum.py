@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,15 @@ class TestEvolve:
         # a NaN defect compares false against the tolerance, and fails
         with pytest.raises(ValidationError, match="not unitary"):
             evolve(plus_state(), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, 1e200])
+    def test_infinite_unitary_rejected_without_a_warning(self, entry):
+        # inf * 0 in U^dagger U makes the defect NaN, and 1e200 squared
+        # overflows; either is refused, with no numpy RuntimeWarning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="not unitary"):
+                evolve(plus_state(), np.array([[entry, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("h, t", [
         (pauli("x"), np.nan),

@@ -84,6 +84,11 @@ class TestSubstream:
         np.testing.assert_array_equal(a, substream(3, 2**32 - 1, 7).random(4))
 
 
+def path_table(paths):
+    """The (N, L) int64 table of N paths of one length L."""
+    return np.array(paths, np.int64).reshape(len(paths), -1)
+
+
 class TestStreamWords:
     """``stream_words`` is numpy's SeedSequence hash, computed for many paths
     at once; numpy's own SeedSequence is the reference."""
@@ -91,18 +96,15 @@ class TestStreamWords:
     @settings(deadline=None)
     @given(seed=SEEDS, paths=PATHS)
     def test_rows_are_seed_sequence_state(self, seed, paths):
-        got = stream_words(seed, paths)
+        got = stream_words(seed, path_table(paths))
         assert got.dtype == np.uint64 and got.shape == (len(paths), 3)
         want = np.array([reference_words(seed, path) for path in paths])
         np.testing.assert_array_equal(got, want)
-        # an integer table gives the same rows as the paths it holds
-        table = np.array(paths, np.int64).reshape(len(paths), -1)
-        np.testing.assert_array_equal(stream_words(seed, table), want)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=SEEDS, paths=PATHS)
     def test_generator_is_seed_sequence_sfc64(self, seed, paths):
-        words = stream_words(seed, paths)
+        words = stream_words(seed, path_table(paths))
         for row, path in enumerate(paths):
             want = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=path))
             got = from_words(words, row).bit_generator
@@ -110,13 +112,13 @@ class TestStreamWords:
 
     def test_every_generator_is_fresh(self):
         # two chunks of one row never share a bit generator or its state
-        words = stream_words(5, [(0, 0)])
+        words = stream_words(5, path_table([(0, 0)]))
         a, b = from_words(words, 0), from_words(words, 0)
         assert a.bit_generator is not b.bit_generator
         np.testing.assert_array_equal(a.random(8), b.random(8))
 
     def test_seed_words_refuse_any_other_request(self):
-        seq = from_words(stream_words(5, [(0, 0)]), 0).bit_generator.seed_seq
+        seq = from_words(stream_words(5, path_table([(0, 0)])), 0).bit_generator.seed_seq
         with pytest.raises(ValueError):
             seq.generate_state(4, np.uint64)
         with pytest.raises(ValueError):
@@ -127,22 +129,26 @@ class TestStreamWords:
             from_words(np.zeros((1, 2), np.uint64), 0)
 
     def test_any_layout_of_the_table_seeds_the_same_stream(self):
-        words = stream_words(5, [(0, 0), (0, 1)])
+        words = stream_words(5, path_table([(0, 0), (0, 1)]))
         want = from_words(words, 1).random(4)
         np.testing.assert_array_equal(from_words(np.asfortranarray(words), 1).random(4), want)
 
-    def test_refuses_ragged_and_bad_tables(self):
-        with pytest.raises(ValidationError, match="same length"):
-            stream_words(1, [(0, 1), (0,)])
-        with pytest.raises(ValidationError, match=r"got -2$"):
-            stream_words(1, np.array([[0, 1], [-2, 0]]))
-        with pytest.raises(ValidationError, match=r"\(N, L\) table"):
-            stream_words(1, np.arange(3))
+    @pytest.mark.parametrize("table, message", [
+        (np.array([[0, 1], [-2, 0]]), r"got -2$"),
+        (np.arange(3), r"\(N, L\) integer array, got ndarray \(3,\)$"),
+        (np.zeros((1, 2)), r"\(N, L\) integer array, got ndarray \(1, 2\)$"),
+        ([(0, 1)], r"\(N, L\) integer array, got list \(1, 2\)$"),
+    ], ids=["negative", "one-axis", "float", "list"])
+    def test_refuses_bad_tables(self, table, message):
+        with pytest.raises(ValidationError, match=message):
+            stream_words(1, table)
+
+    def test_refuses_a_bad_seed(self):
         with pytest.raises(ValidationError, match="seed must be"):
-            stream_words(-1, [(0,)])
+            stream_words(-1, path_table([(0,)]))
 
     def test_no_paths_no_rows(self):
-        assert stream_words(1, []).shape == (0, 3)
+        assert stream_words(1, np.empty((0, 2), np.int64)).shape == (0, 3)
 
 
 class TestSeriesWords:
@@ -154,10 +160,6 @@ class TestSeriesWords:
         for stream, words in zip([4, 9, 2], got):
             for c, row in enumerate(words):
                 np.testing.assert_array_equal(row, reference_words(7, (stream, c)))
-
-    def test_refuses_streams_that_are_not_integers(self):
-        with pytest.raises(ValidationError, match="got 1.5$"):
-            series_words(7, [1.5], [10])
 
 
 def test_import_leaves_numpy_random_unloaded():
