@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_count
 from .invasiveness import wasted_resource
 from .measurement import PointerModel
 
@@ -40,14 +40,14 @@ class BudgetInput:
     var_a: float                  # observable variance in the prepared state
 
     def __post_init__(self):
-        if self.k < 3:
-            raise ValidationError(f"k must be >= 3, got {self.k}")
+        require_count(self.k, 3, "k")
+        require_count(self.ensemble_size, -math.inf, "ensemble_size")
         if self.ensemble_size < 2 * self.k:
             raise ValidationError(
                 f"ensemble size {self.ensemble_size} cannot cover 2k = {2 * self.k} measurements"
             )
         PointerModel(width=self.delta_p)  # the pointer's own width rules
-        if self.var_a < 0:
+        if not self.var_a >= 0:
             raise ValidationError(f"var_a must be >= 0, got {self.var_a!r}")
 
 
@@ -72,7 +72,7 @@ class BudgetReport:
 
 def strong_subensemble(var_a: float, eps: float) -> int:
     """Members per strong measurement to reach error eps: Var(A)/eps^2, rounded up."""
-    if var_a < 0:
+    if not var_a >= 0:
         raise ValidationError(f"var_a must be >= 0, got {var_a!r}")
     if not (eps > 0):
         raise ValidationError(f"eps must be positive, got {eps!r}")

@@ -56,7 +56,6 @@ from .protocol import (
     lg_statistic,
     macrorealism_bounds,
     precession_qubit,
-    run_series,
 )
 from .quantum import (
     DensityMatrix,
@@ -164,10 +163,15 @@ def run_lg(cfg: RunConfig) -> dict:
     dyn, plan = _system_objects(cfg.system), cfg.plan  # the config holds the SeriesPlan
     pm = PointerModel(width=cfg.pointer.width)
 
-    strong = run_series(plan, dyn, cfg.run.n_strong, cfg.seed, stream_base=0)
-    weak = run_series(plan, dyn, cfg.run.n_weak, cfg.seed, pointer=pm, stream_base=plan.k)
-    # c = max|a| after the runs, which refuse an observable far from unit
-    # scale first; c * c overflows to inf where c ** 2 would raise
+    # one batch: strong series s on stream s, then weak series s on stream k + s
+    modes = ((None, cfg.run.n_strong), (pm, cfg.run.n_weak))
+    estimates = _estimates(dyn, [(pair, *plan.pair_times(pair), pointer, n)
+                                 for pointer, n in modes for pair in plan.pairs], cfg.seed)
+    strong, weak = estimates[:plan.k], estimates[plan.k:]
+    # the warning and c = max|a| come after the batch, which refuses an
+    # observable far from unit scale with its one error line; c * c
+    # overflows to inf where c ** 2 would raise
+    _warn_if_not_weak(pm, dyn.observable, stacklevel=2)
     c = float(np.abs(dyn.observable.eigenvalues).max())
 
     per_pair = []
@@ -466,10 +470,9 @@ def _verify_tables(payload: dict) -> dict:
 
 
 def run_sweep(cfg: RunConfig) -> dict:
-    """Each grid point is the correlator of pair (1, 2) that a one-point
-    ``_estimates`` batch on stream s gives it, point s of the grid, in
-    (delta_p, n, tau) order, drawn from streams (seed, s, chunk); only work
-    that repeats across points is shared.
+    """Each grid point is a correlator of pair (1, 2): point s of the grid,
+    in (delta_p, n, tau) order, draws from streams (seed, s, chunk) alone,
+    and only work that repeats across points is shared.
 
     The weak-channel invasiveness depends on the width alone, so it is
     computed once per delta_p, for every width before anything is drawn, and

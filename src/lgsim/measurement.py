@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class PointerModel:
     width: float
 
     def __post_init__(self):
-        if not (self.width > 0):
+        if isinstance(self.width, bool) or not isinstance(self.width, Real) or not self.width > 0:
             raise ValidationError(f"pointer width must be positive, got {self.width!r}")
         lo, hi = WIDTH_RANGE
         if not lo <= self.width <= hi:

@@ -16,10 +16,10 @@ series s on the stream (seed, s, c) and merges each chunk's sum and
 squared deviations in chunk order, so an estimate does not depend on the
 order the chunks are run in, and a spectrum far from zero costs no digits.
 Every correlator comes from one batch estimator, ``_estimates``, behind
-``run_series`` and the sweep: it computes the seed words of every chunk of
-its batch in one ``series_words`` call and builds one kernel per distinct
-pair of times and pointer, and each chunk builds its own generator from its
-row (``from_words``), on whichever thread runs it.
+``run_series``, the lg_run and the sweep: it computes the seed words of
+every chunk of its batch in one ``series_words`` call and builds one kernel
+per distinct pair of times and pointer, and each chunk builds its own
+generator from its row (``from_words``), on whichever thread runs it.
 A series of several chunks runs them on the calling thread and, where the
 process may use more than one CPU, one helper thread; as the merge keeps
 chunk order, no result depends on the number of threads.
@@ -77,7 +77,6 @@ from .quantum import (
     spectral_decompose,
 )
 from .streams import (
-    _check_entry,
     _seed_words_class,
     aligned_empty,
     chunk_sizes,
@@ -451,21 +450,19 @@ def _draw_chunks(sizes: list[int], words: np.ndarray, draw) -> list:
     return parts
 
 
-def _estimates(dyn: DynamicsSpec, points, seed: int, stream_base: int = 0,
-               where=None) -> list[CorrelatorEstimate]:
+def _estimates(dyn: DynamicsSpec, points, seed: int, where=None) -> list[CorrelatorEstimate]:
     """One correlator per point (pair, t_first, t_second, pointer, n): the mean
     product of n events whose earlier reading goes through ``pointer``, or is
     strong when it is None, with its standard error. Point s draws from streams
-    (seed, stream_base + s, chunk), and one ``series_words`` call seeds every
-    chunk of every point. A kernel holds no state between chunks, so one kernel
-    serves every point of its (t_first, t_second, pointer), and its chunks may
-    run on several threads at once. Sums that overflow float64, as an
+    (seed, s, chunk), and one ``series_words`` call seeds every chunk of every
+    point. A kernel holds no state between chunks, so one kernel serves every
+    point of its (t_first, t_second, pointer), and its chunks may run on
+    several threads at once. Sums that overflow float64, as an
     observable far from unit scale makes them, raise ``ValidationError``,
     naming point s by ``where(s)``, or by its pair when ``where`` is None. The
     batch runs under one ``np.errstate`` so that an overflow reaches this
     refusal without a numpy warning."""
-    words = series_words(seed, range(stream_base, stream_base + len(points)),
-                         [point[-1] for point in points])
+    words = series_words(seed, range(len(points)), [point[-1] for point in points])
     kernel = functools.cache(functools.partial(_SeriesKernel, dyn))
     estimates = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -481,28 +478,21 @@ def _estimates(dyn: DynamicsSpec, points, seed: int, stream_base: int = 0,
     return estimates
 
 
-def run_series(
-    plan: SeriesPlan,
-    dyn: DynamicsSpec,
-    n_per_series: int,
-    seed: int,
-    pointer: PointerModel | None = None,
-    stream_base: int = 0,
-) -> list[CorrelatorEstimate]:
+def run_series(plan: SeriesPlan, dyn: DynamicsSpec, n_per_series: int, seed: int,
+               pointer: PointerModel | None = None) -> list[CorrelatorEstimate]:
     """Estimate every correlator of the plan from fresh subensembles.
 
     The earlier measurement of each series reads out through ``pointer``,
     weakly, or projectively (strong) when it is None; the later one is
     always strong. The estimate for pair (i, j) is the mean of (first
     reading x second reading) over ``n_per_series`` events, with its
-    standard error. Series s draws from streams (seed, stream_base + s, chunk).
+    standard error. Series s draws from streams (seed, s, chunk).
     """
     if pointer is not None:
         _warn_if_not_weak(pointer, dyn.observable)
     require_count(n_per_series, 2, "n_per_series")
-    _check_entry(stream_base)
     return _estimates(dyn, [(pair, *plan.pair_times(pair), pointer, n_per_series)
-                            for pair in plan.pairs], seed, stream_base)
+                            for pair in plan.pairs], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +514,7 @@ def macrorealism_bounds(k: int) -> tuple[int, int]:
     """Range (lo, hi) of K_k under macrorealism for readings in [-1, 1]:
     hi = k - 2, and lo = -k for odd k or -(k - 2) for even k (Emary, Lambert
     and Nori, Rep. Prog. Phys. 77, 016001 (2014))."""
+    require_count(k, -math.inf, "k")  # an integer; k < 3 is refused below
     if k < 3:
         raise ValidationError(f"K_k needs k >= 3, got {k}")
     return (-k if k % 2 else 2 - k), k - 2

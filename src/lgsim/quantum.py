@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_same_dim
+from .errors import ValidationError, require_count, require_same_dim
 
 STRUCTURAL_TOL = 1e-10
 EIGEN_GAP_TOL = 1e-9
@@ -116,7 +116,7 @@ class Observable:
     @property
     def spectral_diameter(self) -> float:
         """Largest minus smallest eigenvalue."""
-        return float(self.eigenvalues[0] - self.eigenvalues[-1])
+        return float(self.eigenvalues[0]) - float(self.eigenvalues[-1])  # inf, not a warning
 
     def matrix(self) -> np.ndarray:
         """Reconstruct the operator as sum_i a_i P_i."""
@@ -157,16 +157,17 @@ def pure_state(amplitudes) -> DensityMatrix:
     """Density matrix |psi><psi| of a (possibly unnormalized) state vector."""
     v = np.asarray(amplitudes, dtype=np.complex128).ravel()
     n = np.linalg.norm(v)
-    if n == 0:
-        raise ValidationError("state vector is zero")
+    if not 0 < n < np.inf:  # a NaN or infinite amplitude fails here too
+        raise ValidationError(f"state vector must be finite and nonzero, got norm {n}")
     v = v / n
     return DensityMatrix(np.outer(v, v.conj()))
 
 
 def basis_state(dim: int, index: int) -> DensityMatrix:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return DensityMatrix(np.outer(v, v.conj()))
+    require_count(index, 0, "index")
+    if index >= dim:
+        raise ValidationError(f"index must be < dim = {dim}, got {index}")
+    return pure_state(np.eye(dim)[index])
 
 
 def plus_state() -> DensityMatrix:
@@ -214,10 +215,10 @@ def spectral_decompose(hermitian) -> Observable:
     evals = evals[order]
     vecs = evecs.T[order]  # row k is the eigenvector of evals[k]
 
-    # an eigenspace starts wherever the gap to the previous eigenvalue is not
-    # below EIGEN_GAP_TOL; its value is the mean of its members and its projector
-    # the sum of their outer products |v><v|
-    starts = np.flatnonzero(np.concatenate(([True], ~(evals[:-1] - evals[1:] < EIGEN_GAP_TOL))))
+    # an eigenspace starts wherever the gap to the previous eigenvalue, which
+    # may overflow, is not below EIGEN_GAP_TOL; its value is the mean of its
+    # members and its projector the sum of their outer products |v><v|
+    starts = np.flatnonzero(np.concatenate(([True], ~(evals[1:] > evals[:-1] - EIGEN_GAP_TOL))))
     merged_vals = np.add.reduceat(evals, starts) / np.add.reduceat(np.ones_like(evals), starts)
     projs = np.add.reduceat(vecs[:, :, None] * vecs.conj()[:, None, :], starts, axis=0)
     # symmetrize away eigh round-off so the Observable invariants hold exactly
@@ -242,11 +243,14 @@ def expectation(rho: DensityMatrix, obs: Observable) -> float:
 
 
 def variance(rho: DensityMatrix, obs: Observable) -> float:
-    """Variance sum_i p_i (a_i - mean)^2. Centring first keeps its digits on a
-    spectrum far from zero, where sum_i p_i a_i^2 - mean^2 cancels."""
+    """Variance sum_i p_i (a_i - mean)^2 over the outcomes with p_i > 0, inf
+    where it overflows float64. Centring first keeps its digits on a spectrum
+    far from zero, where sum_i p_i a_i^2 - mean^2 cancels."""
     w = born_weights(rho, obs)
-    dev = obs.eigenvalues - np.dot(w, obs.eigenvalues)
-    return float(np.dot(w, dev * dev))
+    w, a = w[w > 0], obs.eigenvalues[w > 0]
+    with np.errstate(over="ignore"):
+        dev = a - np.dot(w, a)
+        return float(np.dot(w, dev * dev))
 
 
 def overlap_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:

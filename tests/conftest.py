@@ -29,12 +29,11 @@ def chunk_of(monkeypatch):
     return lambda rng: chunks[id(rng)]
 
 
-def single_correlator(dyn, t_first, t_second, n, seed, pointer=None, stream_base=0):
+def single_correlator(dyn, t_first, t_second, n, seed, pointer=None):
     """One two-time correlator outside any plan: pair (1, 2) of n events on
-    stream ``stream_base``, its earlier reading through ``pointer``, or strong
-    when it is None. Sweep point s is this with ``stream_base`` s."""
-    return protocol._estimates(dyn, [((1, 2), t_first, t_second, pointer, n)], seed,
-                               stream_base)[0]
+    stream 0, its earlier reading through ``pointer``, or strong when it is
+    None."""
+    return protocol._estimates(dyn, [((1, 2), t_first, t_second, pointer, n)], seed)[0]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -202,13 +202,23 @@ class TestWastageReport:
             (M, 2, DP, "k must be >= 3, got 2"),
             (6, 4, DP, "ensemble size 6 cannot cover 2k = 8 measurements"),
             (M, K, 0.0, "pointer width must be positive, got 0.0"),
+            # counts that are not integers once gave float member counts
+            (1000.5, 3, DP, "ensemble_size must be an integer, got 1000.5"),
+            (True, 3, DP, "ensemble_size must be an integer, got True"),
+            (1000, 3.5, DP, "k must be an integer, got 3.5"),
         ],
-        ids=["k", "ensemble", "delta_p"],
+        ids=["k", "ensemble", "delta_p", "fractional-ensemble", "bool-ensemble", "fractional-k"],
     )
     def test_input_and_formulas_share_one_check(self, m, k, dp, message):
         with pytest.raises(ValidationError) as exc:
             BudgetInput(m, k, dp, VAR)
         assert str(exc.value) == message
+
+    def test_nan_variance_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^var_a must be >= 0, got nan$"):
+            BudgetInput(M, K, DP, math.nan)
+        with pytest.raises(ValidationError, match=r"^var_a must be >= 0, got nan$"):
+            strong_subensemble(math.nan, 0.01)
 
     @pytest.mark.parametrize("dp", [0.0, -1.0, math.nan, 1e-170, 1e153, 1e200, math.inf])
     def test_width_rules_are_the_pointer_models(self, dp):

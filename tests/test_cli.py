@@ -3,9 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lgsim import harness
 from lgsim.cli import main
+from lgsim.measurement import _eigenbasis_map
 
 BUDGET = {
     "scenario": "budget",
@@ -174,13 +177,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 3
 
-    def test_verification_failure_is_two(self, tmp_path, capsys):
-        cfg = dict(VERIFY_FAST)
-        cfg["verify"] = dict(cfg["verify"], corrupt_state=True)
-        code = main(["verify", "--config", write_cfg(tmp_path, cfg),
+    def test_verification_failure_is_two(self, tmp_path, capsys, monkeypatch):
+        # a library defect that leaves one channel output with a negative
+        # eigenvalue (trace 1, diagonal in A's eigenbasis) is a failed check
+        def broken(rho, obs, weights):
+            out = _eigenbasis_map(rho, obs, weights)
+            out[-1] = np.diag([1.5, -0.5])
+            return out
+        monkeypatch.setattr(harness, "_eigenbasis_map", broken)
+        code = main(["verify", "--config", write_cfg(tmp_path, VERIFY_FAST),
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "state_positivity" in capsys.readouterr().err
+        assert capsys.readouterr().err == "verification failed: state_positivity\n"
 
     def test_corrupt_state_on_one_level_system_is_two(self, tmp_path, capsys):
         cfg = dict(VERIFY_FAST, system={
@@ -318,6 +326,38 @@ class TestObservableScale:
         assert code == 1
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::lgsim.WeakRegimeWarning")
+    @pytest.mark.parametrize("subcommand, error", [
+        ("lg-run", "pair (1, 2): the correlator's sums overflow float64"),
+        ("sweep", "sweep.delta_p 10: the predicted purity drop"),
+        ("verify", "system.observable: spectral diameter inf is too large for verify"),
+    ], ids=["lg-run", "sweep", "verify"])
+    def test_spectrum_wider_than_float64_is_one(self, tmp_path, capsys, subcommand, error):
+        # the gap 2e308 between the eigenvalues overflows; neither the
+        # eigenspace split nor the spectral diameter may warn on it
+        base = {"lg-run": LG_RUN, "sweep": SWEEP_WEAK,
+                "verify": dict(VERIFY_FAST, system=LG_RUN["system"])}[subcommand]
+        out = tmp_path / "out"
+        cfg = self.scaled(base, 1e308)
+        code = main([subcommand, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eigenstate_of_a_spectrum_wider_than_float64_budgets_zero(self, tmp_path):
+        # |0> of 1e308 sigma_z has variance 0, not 0 * inf = NaN
+        budget = {k: v for k, v in BUDGET["budget"].items() if k != "var_a"}
+        cfg = dict(self.scaled(dict(BUDGET, system=LG_RUN["system"]), 1e308), budget=budget)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="zero variance"):
+            code = main(["budget", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())["payload"]
+        assert report["input"]["var_a"] == 0.0
+        assert report["report"]["strong_subensemble"] == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::lgsim.WeakRegimeWarning")
     def test_large_but_finite_scale_runs(self, tmp_path):

@@ -53,9 +53,9 @@ from lgsim.quantum import (
     spectral_decompose,
     variance,
 )
-from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, substream
+from lgsim.streams import DEFAULT_CHUNK_SIZE, chunk_sizes, series_words, substream
 
-from conftest import random_density_matrix, single_correlator
+from conftest import random_density_matrix
 import test_invasiveness
 import test_quantum
 
@@ -202,12 +202,12 @@ def seed_hashes(monkeypatch):
 
 
 class TestRunLg:
-    def test_each_mode_is_one_seed_hash(self, seed_hashes):
-        # run_series seeds every chunk of its k series in one hash, so an
-        # lg_run makes one per mode
-        run_lg(lg_cfg(n_strong=1_200, n_weak=1_200))
-        assert [(list(bases), list(ns)) for _, bases, ns in seed_hashes] == [
-            ([0, 1, 2], [1_200] * 3), ([3, 4, 5], [1_200] * 3)]
+    def test_both_modes_are_one_seed_hash(self, seed_hashes):
+        # an lg_run is one batch: strong series s on stream s, then weak
+        # series s on stream k + s, every chunk seeded in one hash
+        run_lg(lg_cfg(n_strong=1_200, n_weak=2_400))
+        assert [(list(ids), list(ns)) for _, ids, ns in seed_hashes] == [
+            ([0, 1, 2, 3, 4, 5], [1_200] * 3 + [2_400] * 3)]
 
     def test_lg_violation_detected(self, payload):
         lg = payload["strong"]["lg"]
@@ -898,12 +898,14 @@ class TestRunSweep:
             for metric, value in (("i1_measured", meas.i1), ("i1_predicted", pred.i1),
                                   ("i2_measured", meas.i2), ("i2_predicted", pred.i2)):
                 want.append({**coords, "metric": metric, "value": value})
-            est = single_correlator(
-                dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1], n,
-                cfg.seed, pm if sw.mode == "weak" else None, stream_base=point_index,
-            )
-            want.append({**coords, "metric": "corr_value", "value": est.value})
-            want.append({**coords, "metric": "corr_std_error", "value": est.std_error})
+            # point s draws from stream s alone
+            kernel = _SeriesKernel(dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1],
+                                   pm if sw.mode == "weak" else None)
+            total, sq_dev = protocol._chunk_moments(
+                n, series_words(cfg.seed, [point_index], [n])[0], kernel.run_chunk)
+            want.append({**coords, "metric": "corr_value", "value": total / n})
+            want.append({**coords, "metric": "corr_std_error",
+                         "value": math.sqrt(sq_dev / (n - 1) / n)})
         assert run_sweep(cfg)["rows"] == want
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -176,6 +177,22 @@ class TestEigenbasisMapReference:
         np.testing.assert_allclose(strong_channel(rho, obs).matrix, want, rtol=0, atol=1e-14)
 
 
+class TestChannelOutputsArePositive:
+    @pytest.mark.filterwarnings("ignore::lgsim.WeakRegimeWarning")
+    @pytest.mark.parametrize("channel", ["strong", "weak"])
+    def test_outputs_are_positive_semidefinite_on_random_states(self, rng, channel):
+        # with a narrow pointer too, where the weak map damps coherences most
+        for _ in range(30):
+            dim = int(rng.integers(2, 6))
+            obs = spectral_decompose(random_hermitian(dim, rng))
+            rho = random_density_matrix(dim, rng)
+            if channel == "strong":
+                out = strong_channel(rho, obs)
+            else:
+                out = weak_channel_exact(rho, obs, pm_exact(float(rng.choice([0.1, 1.0, 10.0]))))
+            assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12
+
+
 class TestWeakChannelExact:
     def test_diagonal_state_unchanged(self, qubit_z):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
@@ -292,9 +309,13 @@ class TestWeakSample:
 
 
 class TestPointerModelValidation:
-    def test_width_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            PointerModel(width=0.0)
+    # True once passed as width 1, and "10" raised a TypeError
+    @pytest.mark.parametrize("width", [0.0, True, "10", 10 + 0j],
+                             ids=["zero", "bool", "str", "complex"])
+    def test_width_must_be_positive(self, width):
+        message = f"pointer width must be positive, got {width!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PointerModel(width=width)
 
     @pytest.mark.parametrize("width", [1e-170, 1e-101, 1.01e100, 1e153, 1e200, np.inf])
     def test_width_outside_the_range_is_rejected(self, width):

@@ -190,15 +190,9 @@ class TestRunSeriesValidation:
         with pytest.raises(ValidationError, match=re.escape(message)):
             run_series(plan3, bench, n, seed=1)
 
-    @pytest.mark.parametrize("base", [True, False, 1.5, -1, 2**32])
-    def test_stream_base_is_a_stream_path_entry(self, bench, plan3, base):
-        # a bool is not stream 1 or 0, as substream refuses it
-        with pytest.raises(ValidationError, match="stream path entries must"):
-            run_series(plan3, bench, 100, seed=1, stream_base=base)
-
     def test_numpy_integer_arguments_are_counts(self, bench, plan3):
-        assert (run_series(plan3, bench, np.int64(100), seed=1, stream_base=np.uint32(2))
-                == run_series(plan3, bench, 100, seed=1, stream_base=2))
+        assert (run_series(plan3, bench, np.int64(100), seed=1)
+                == run_series(plan3, bench, 100, seed=1))
 
     @pytest.mark.parametrize("times, message", [
         ([0.0, np.nan, 2.0], r"^times must be finite, got \(0\.0, nan, 2\.0\)$"),
@@ -250,16 +244,16 @@ class TestDeterminismAndMerging:
         # run last to first and then merged in chunk order (Chan, Golub and
         # LeVeque's update of the sum and squared deviations) reproduce the
         # estimates of run_series bitwise
-        n, chunk, base = 150_000, 20_000, 3  # ragged last chunk of 10,000
+        n, chunk = 150_000, 20_000  # ragged last chunk of 10,000
         monkeypatch.setattr(streams, "DEFAULT_CHUNK_SIZE", chunk)
-        want = run_series(plan3, bench, n, seed=78, pointer=pointer, stream_base=base)
+        want = run_series(plan3, bench, n, seed=78, pointer=pointer)
         sizes = chunk_sizes(n)
         assert sizes == [chunk] * 7 + [10_000]
         for s, pair in enumerate(plan3.pairs):
             kernel = _SeriesKernel(bench, *plan3.pair_times(pair), pointer)
             partials = {}
             for c in reversed(range(len(sizes))):
-                partials[c] = kernel.run_chunk(substream(78, base + s, c), sizes[c])
+                partials[c] = kernel.run_chunk(substream(78, s, c), sizes[c])
             count, total, sq_dev = 0, 0.0, 0.0
             for c, m in enumerate(sizes):
                 part_sum, part_sq = partials[c]
@@ -946,6 +940,12 @@ class TestLgStatistic:
         with pytest.raises(ValidationError, match="finite"):
             lg_statistic([math.nan, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("k", [3.5, 4.0, True])
+    def test_bounds_need_an_integer_k(self, k):
+        # 3.5 once gave (-3.5, 1.5)
+        with pytest.raises(ValidationError, match=f"^k must be an integer, got {k!r}$"):
+            macrorealism_bounds(k)
+
     def test_fewer_than_three_rejected(self):
         with pytest.raises(ValidationError, match="k >= 3"):
             lg_statistic([0.5, 0.5])
@@ -966,8 +966,8 @@ class TestEstimatorConvergence:
         for i, (n, reps) in enumerate(zip(ns, reps_per)):
             sq = []
             for r in range(reps):
-                ests = run_series(plan3, bench, n, seed=9000 + r,
-                                  stream_base=10 * i)
+                # each (n, replicate) pair has a seed of its own
+                ests = run_series(plan3, bench, n, seed=9000 + 100 * i + r)
                 k3 = lg_statistic([e.value for e in ests])
                 sq.append((k3 - oracle) ** 2)
             rms.append(math.sqrt(np.mean(sq)))

@@ -121,6 +121,15 @@ class TestSpectralDecompose:
         obs = spectral_decompose(np.diag([1.0, 1.0 - gap * EIGEN_GAP_TOL]))
         assert obs.n_outcomes == n_outcomes
 
+    def test_gap_past_float64_splits_without_a_warning(self):
+        # the gap 2e308 overflows; the eigenspace split and the diameter must
+        # not warn on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = spectral_decompose(1e308 * pauli("z"))
+            assert obs.eigenvalues.tolist() == [1e308, -1e308]
+            assert obs.spectral_diameter == np.inf
+
     def test_non_hermitian_rejected_naming_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="1\\.0"):
@@ -353,6 +362,15 @@ class TestExpectationVariance:
             obs = spectral_decompose(random_hermitian(3, rng))
             assert variance(random_density_matrix(3, rng), obs) >= 0.0
 
+    def test_variance_past_float64(self):
+        # an eigenstate of 1e308 sigma_z has variance 0, not 0 * inf = NaN; |+>
+        # has (1e308)^2, inf; neither warns
+        obs = spectral_decompose(1e308 * pauli("z"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert variance(basis_state(2, 0), obs) == 0.0
+            assert variance(plus_state(), obs) == np.inf
+
 
 class TestPurityAndFidelity:
     def test_pure_state_purity_one(self):
@@ -448,6 +466,33 @@ class TestEvolve:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             evolve(maximally_mixed(3), np.eye(2))
+
+
+class TestStateConstructors:
+    @pytest.mark.parametrize("index, message", [
+        (5, "index must be < dim = 2, got 5"),
+        (-1, "index must be >= 0, got -1"),
+        (1.0, "index must be an integer, got 1.0"),
+        (True, "index must be an integer, got True"),
+    ], ids=["past-dim", "negative", "float", "bool"])
+    def test_basis_index_is_refused(self, index, message):
+        # 5 raised an IndexError and -1 gave |1>
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            basis_state(2, index)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_basis_state_is_its_projector(self, dim):
+        for index in range(dim):
+            assert np.array_equal(basis_state(dim, index).matrix,
+                                  np.diag(np.eye(dim)[index]).astype(complex))
+
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]],
+                             ids=["nan", "inf", "zero"])
+    def test_pure_state_refuses_without_a_warning(self, amplitudes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="state vector must be finite and nonzero"):
+                pure_state(amplitudes)
 
 
 class TestDensityMatrixValidation:
