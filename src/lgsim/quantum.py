@@ -215,10 +215,11 @@ def spectral_decompose(hermitian) -> Observable:
     evals = evals[order]
     vecs = evecs.T[order]  # row k is the eigenvector of evals[k]
 
-    # an eigenspace starts wherever the gap to the previous eigenvalue, which
-    # may overflow, is not below EIGEN_GAP_TOL; its value is the mean of its
-    # members and its projector the sum of their outer products |v><v|
-    starts = np.flatnonzero(np.concatenate(([True], ~(evals[1:] > evals[:-1] - EIGEN_GAP_TOL))))
+    # an eigenspace starts wherever the gap to the previous eigenvalue (inf
+    # where it overflows) is not below EIGEN_GAP_TOL; its value is the mean of
+    # its members and its projector the sum of their outer products |v><v|
+    with np.errstate(over="ignore"):
+        starts = np.flatnonzero(np.concatenate(([True], ~(evals[:-1] - evals[1:] < EIGEN_GAP_TOL))))
     merged_vals = np.add.reduceat(evals, starts) / np.add.reduceat(np.ones_like(evals), starts)
     projs = np.add.reduceat(vecs[:, :, None] * vecs.conj()[:, None, :], starts, axis=0)
     # symmetrize away eigh round-off so the Observable invariants hold exactly

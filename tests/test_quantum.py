@@ -130,6 +130,15 @@ class TestSpectralDecompose:
             assert obs.eigenvalues.tolist() == [1e308, -1e308]
             assert obs.spectral_diameter == np.inf
 
+    @pytest.mark.parametrize("scale", [1e8, 1e75, 1e140, 1e300])
+    def test_degenerate_spectrum_merges_at_large_scale(self, scale):
+        # equal eigenvalues have gap 0 at any scale, even where a - 1e-9 == a
+        obs = spectral_decompose(scale * np.diag([1.0, 1.0, -1.0]))
+        np.testing.assert_allclose(obs.eigenvalues, [scale, -scale], rtol=1e-15)
+        np.testing.assert_allclose(
+            np.trace(obs.projectors, axis1=1, axis2=2).real, [2.0, 1.0], atol=1e-12
+        )
+
     def test_non_hermitian_rejected_naming_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="1\\.0"):
