@@ -470,21 +470,25 @@ def _verify_tables(payload: dict) -> dict:
 
 
 def run_sweep(cfg: RunConfig) -> dict:
-    """Each grid point is a correlator of pair (1, 2): point s of the grid,
-    in (delta_p, n, tau) order, draws from streams (seed, s, chunk) alone,
-    and only work that repeats across points is shared.
+    """Each grid point, in (delta_p, n, tau) order, is a correlator of pair
+    (1, 2) with the law (t_first, t_second, pointer, n), the pointer None in
+    strong mode, where the width does not enter. Distinct law s, counted in
+    order of first appearance, draws from streams (seed, s, chunk) alone, and
+    every grid point of that law takes its one estimate: a strong sweep draws
+    each (n, tau) once for all its widths, and a repeated axis value repeats
+    a draw instead of making a new one.
 
     The weak-channel invasiveness depends on the width alone, so it is
     computed once per delta_p, for every width before anything is drawn, and
     repeated at each (n, tau) point: its measured and predicted I1 and I2, for
     any state. A width whose predicted invasiveness overflows float64 is
-    refused. The whole grid's correlators are then one ``_estimates`` batch,
-    which builds one kernel per distinct (t_first, t_second, pointer), the
-    pointer None in strong mode, where the width does not enter; the kernel
-    checks its times, and ``parse_config`` already holds the mode, the weak
-    pointer and n to their ranges. Each narrow width warns once: a delta_p
-    width from its weak channel, the pointer of a weak sweep without a delta_p
-    axis before the grid. Nothing is kept beyond the call."""
+    refused. The distinct laws are then one ``_estimates`` batch, which builds
+    one kernel per distinct (t_first, t_second, pointer) and refuses a law
+    whose sums overflow by naming its first grid point; the kernel checks its
+    times, and ``parse_config`` already holds the mode, the weak pointer and
+    n to their ranges. Each narrow width warns once: a delta_p width from its
+    weak channel, the pointer of a weak sweep without a delta_p axis before
+    the grid. Nothing is kept beyond the call."""
     sw: SweepConfig = cfg.sweep
     dyn = _system_objects(cfg.system)
     obs, rho = dyn.observable, dyn.initial_state
@@ -518,12 +522,18 @@ def run_sweep(cfg: RunConfig) -> dict:
     if sw.n or sw.tau:
         # widths and counts are positive, so `or` only replaces an absent axis
         t_first, t_second = cfg.plan.times[:2]
-        estimates = _estimates(dyn, [
-            ((1, 2), t_first, t_second if c["tau"] is None else t_first + c["tau"],
-             PointerModel(width=c["delta_p"] or cfg.pointer.width) if sw.mode == "weak" else None,
-             c["n"] or SWEEP_N_EVENTS) for c in grid], cfg.seed,
-            where=lambda s: "sweep point " + ", ".join(
-                f"{k} {v:g}" for k, v in grid[s].items() if v is not None))
+        laws = [(t_first, t_second if c["tau"] is None else t_first + c["tau"],
+                 PointerModel(width=c["delta_p"] or cfg.pointer.width) if sw.mode == "weak" else None,
+                 c["n"] or SWEEP_N_EVENTS) for c in grid]
+        index, starts = {}, []  # law -> s; s -> grid index of its first point
+        for i, law in enumerate(laws):
+            if law not in index:
+                index[law] = len(starts)
+                starts.append(i)
+        drawn = _estimates(dyn, [((1, 2), *laws[i]) for i in starts], cfg.seed,
+                           where=lambda s: "sweep point " + ", ".join(
+                               f"{k} {v:g}" for k, v in grid[starts[s]].items() if v is not None))
+        estimates = [drawn[index[law]] for law in laws]
 
     rows: list[dict] = []
     for c, est in zip(grid, estimates):

@@ -156,10 +156,14 @@ class DensityMatrix:
 def pure_state(amplitudes) -> DensityMatrix:
     """Density matrix |psi><psi| of a (possibly unnormalized) state vector."""
     v = np.asarray(amplitudes, dtype=np.complex128).ravel()
-    n = np.linalg.norm(v)
-    if not 0 < n < np.inf:  # a NaN or infinite amplitude fails here too
-        raise ValidationError(f"state vector must be finite and nonzero, got norm {n}")
-    v = v / n
+    # the largest real or imaginary part is 0, inf or NaN exactly when the norm is
+    big = np.abs(v.view(np.float64)).max(initial=0.0)
+    if not 0 < big < np.inf:
+        raise ValidationError(f"state vector must be finite and nonzero, got norm {big}")
+    # scaled by a power of two near it, exactly, so the norm neither overflows
+    # nor underflows and a vector whose norm did neither keeps its bits
+    v = np.ldexp(v.view(np.float64), -np.frexp(big)[1]).view(np.complex128)
+    v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
 
 

@@ -875,11 +875,15 @@ class TestRunSweep:
     @pytest.mark.parametrize("grid", ["strong", "weak", "chunked", "stock"])
     def test_point_is_its_own_single_correlator(self, monkeypatch, grid):
         # kernels and invasiveness blocks are shared across points; every row
-        # must still be what a point computed alone gives, bitwise. The weak
+        # must still be what its law computed alone gives, bitwise. A law is
+        # (n, tau) in strong mode and (width, n, tau) in weak mode, and distinct
+        # law s, in order of first appearance, draws from stream s. The weak
         # grid fails if a kernel is shared between widths, the strong one
-        # repeats a tau, and the stock one has no tau axis. The chunked one's
-        # points take 1, 2 and 3 rows of the grid's one table of seed words,
-        # so a point that read another point's rows fails
+        # repeats a tau and has two widths per law, and the stock one has no
+        # tau axis. The weak and chunked grids have no repeated law, so there
+        # point s is stream s. The chunked one's points take 1, 2 and 3 rows
+        # of the grid's one table of seed words, so a point that read another
+        # point's rows fails
         cfg = parse_config(sweep_cfg(grid))
         sw = cfg.sweep
         if grid == "chunked":
@@ -888,7 +892,7 @@ class TestRunSweep:
         dyn = harness._system_objects(cfg.system)
         obs, rho = dyn.observable, dyn.initial_state
         t1 = cfg.plan.times[0]
-        want = []
+        want, streams_of = [], {}
         grid_points = itertools.product(sw.delta_p or [None], sw.n or [None], sw.tau or [None])
         for point_index, (d, n, tau) in enumerate(grid_points):
             coords = {"delta_p": d, "n": n, "tau": tau}
@@ -898,15 +902,49 @@ class TestRunSweep:
             for metric, value in (("i1_measured", meas.i1), ("i1_predicted", pred.i1),
                                   ("i2_measured", meas.i2), ("i2_predicted", pred.i2)):
                 want.append({**coords, "metric": metric, "value": value})
-            # point s draws from stream s alone
+            law = (d if sw.mode == "weak" else None, n, tau)
+            stream = streams_of.setdefault(law, len(streams_of))
+            if sw.mode == "weak":
+                assert stream == point_index
             kernel = _SeriesKernel(dyn, t1, t1 + tau if tau is not None else cfg.plan.times[1],
                                    pm if sw.mode == "weak" else None)
             total, sq_dev = protocol._chunk_moments(
-                n, series_words(cfg.seed, [point_index], [n])[0], kernel.run_chunk)
+                n, series_words(cfg.seed, [stream], [n])[0], kernel.run_chunk)
             want.append({**coords, "metric": "corr_value", "value": total / n})
             want.append({**coords, "metric": "corr_std_error",
                          "value": math.sqrt(sq_dev / (n - 1) / n)})
+        assert len(streams_of) == {"strong": 4, "stock": 3, "weak": 4, "chunked": 6}[grid]
         assert run_sweep(cfg)["rows"] == want
+
+    @pytest.mark.parametrize("mode, delta_p, laws", [
+        ("strong", [10.0, 25.0], 2 * 2),  # 2 n x 2 distinct tau, for 12 grid points
+        ("weak", [10.0, 25.0, 10.0], 2 * 2),  # 2 distinct widths x 2 tau, for 6
+    ], ids=["strong", "weak-repeated-width"])
+    def test_each_law_is_drawn_once(self, monkeypatch, mode, delta_p, laws):
+        # a strong correlator does not depend on the width, and a repeated
+        # axis value repeats its law: each law runs one chunk, and every grid
+        # point of a law reports the same value and standard error
+        calls = []
+        run_chunk = _SeriesKernel.run_chunk
+
+        def counting_run_chunk(self, *args):
+            calls.append(self)
+            return run_chunk(self, *args)
+
+        monkeypatch.setattr(_SeriesKernel, "run_chunk", counting_run_chunk)
+        cfg = sweep_cfg(mode)
+        cfg["sweep"]["delta_p"] = delta_p
+        rows = run_sweep(parse_config(cfg))["rows"]
+        assert len(calls) == laws
+        corr = {}
+        for r in rows:
+            if r["metric"] in ("corr_value", "corr_std_error"):
+                law = (r["delta_p"] if mode == "weak" else None, r["n"], r["tau"], r["metric"])
+                corr.setdefault(law, set()).add(r["value"])
+        assert len(corr) == 2 * laws
+        assert all(len(values) == 1 for values in corr.values())
+        points = len(delta_p) * len(cfg["sweep"]["n"]) * len(cfg["sweep"]["tau"])
+        assert len(rows) == 6 * points
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_no_n_axis_is_a_one_value_n_axis(self, mode):

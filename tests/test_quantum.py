@@ -495,13 +495,38 @@ class TestStateConstructors:
             assert np.array_equal(basis_state(dim, index).matrix,
                                   np.diag(np.eye(dim)[index]).astype(complex))
 
-    @pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]],
-                             ids=["nan", "inf", "zero"])
-    def test_pure_state_refuses_without_a_warning(self, amplitudes):
+    @pytest.mark.parametrize("amplitudes, norm", [
+        ([np.nan, 1.0], "nan"), ([np.inf, 1.0], "inf"), ([1e200, -np.inf], "inf"),
+        ([0.0, 0.0], "0.0"), ([], "0.0"),
+    ], ids=["nan", "inf", "inf-beside-large", "zero", "empty"])
+    def test_pure_state_refuses_without_a_warning(self, amplitudes, norm):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="state vector must be finite and nonzero"):
+            with pytest.raises(ValidationError,
+                               match=f"^state vector must be finite and nonzero, got norm {norm}$"):
                 pure_state(amplitudes)
+
+    @pytest.mark.parametrize("amplitudes, want", [
+        ([1e200, 1e200], [1.0, 1.0]), ([1e-200, 1e-200], [1.0, 1.0]),
+        ([1.5e308, -1.5e308], [1.0, -1.0]), ([5e-324, 5e-324], [1.0, 1.0]),
+        ([1e300, 1e300j], [1.0, 1.0j]), ([1e300, 1e-300], [1.0, 0.0]),
+    ], ids=["large", "small", "near-max", "subnormal", "complex", "wide"])
+    def test_pure_state_normalises_any_finite_scale(self, amplitudes, want):
+        # the norm of these overflows or underflows float64; 1e200 warned and
+        # was refused as norm inf, 1e-200 refused as norm 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pure_state(amplitudes).matrix
+        np.testing.assert_allclose(got, pure_state(want).matrix, rtol=0, atol=1e-15)
+
+    def test_pure_state_keeps_the_bits_of_a_unit_scale_vector(self, rng):
+        # the scaling is by a power of two, so a vector whose norm is finite and
+        # normal normalises to the same bits as v / |v| without it
+        for dim in (1, 2, 3, 5, 8):
+            for scale in (1e-3, 1.0, 7.5, 1e5):
+                v = scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+                u = v / np.linalg.norm(v)
+                assert np.array_equal(pure_state(v).matrix, np.outer(u, u.conj()))
 
 
 class TestDensityMatrixValidation:
