@@ -2,7 +2,7 @@
 for Leggett-Garg style two-time measurement runs.
 """
 
-__version__ = "0.10.1"
+__version__ = "0.10.2"
 
 from .budget import BudgetInput, BudgetReport, strong_subensemble, wastage_report
 from .errors import (

@@ -35,7 +35,7 @@ from .measurement import MODE_STRONG, MODE_WEAK, WIDTH_RANGE
 from .protocol import SeriesPlan
 from .streams import MAX_SEED
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _REQUIRED_SECTIONS = {
     "budget": ("budget", "pointer"),

@@ -476,12 +476,14 @@ def run_sweep(cfg: RunConfig) -> dict:
     order of first appearance, draws from streams (seed, s, chunk) alone, and
     every grid point of that law takes its one estimate: a strong sweep draws
     each (n, tau) once for all its widths, and a repeated axis value repeats
-    a draw instead of making a new one.
+    a draw instead of making a new one. ``rows`` holds each point's
+    ``corr_value`` and ``corr_std_error``; a grid with no n or tau axis has
+    no correlator and so no rows.
 
-    The weak-channel invasiveness depends on the width alone, so it is
-    computed once per delta_p, for every width before anything is drawn, and
-    repeated at each (n, tau) point: its measured and predicted I1 and I2, for
-    any state. A width whose predicted invasiveness overflows float64 is
+    The weak-channel invasiveness depends on the width alone, so
+    ``invasiveness`` holds one record per delta_p entry, in axis order, each
+    computed before anything is drawn: its measured and predicted I1 and I2,
+    for any state. A width whose predicted invasiveness overflows float64 is
     refused. The distinct laws are then one ``_estimates`` batch, which builds
     one kernel per distinct (t_first, t_second, pointer) and refuses a law
     whose sums overflow by naming its first grid point; the kernel checks its
@@ -500,7 +502,7 @@ def run_sweep(cfg: RunConfig) -> dict:
         "n": list(sw.n) or [None],
         "tau": list(sw.tau) or [None],
     }
-    invasiveness = {None: []}
+    invasiveness = []
     # overflows become inf or NaN, which the width refusal turns into a
     # ValidationError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -514,12 +516,12 @@ def run_sweep(cfg: RunConfig) -> dict:
                     f"sweep.delta_p {d:g}: the predicted purity drop sum_ij (a_i - a_j)^2 "
                     "|P_i rho P_j|^2 / (2 delta_p^2) overflows float64; the observable's "
                     f"largest |eigenvalue| is {np.abs(obs.eigenvalues).max():g}")
-            invasiveness[d] = [("i1_measured", meas.i1), ("i1_predicted", pred.i1),
-                               ("i2_measured", meas.i2), ("i2_predicted", pred.i2)]
+            invasiveness.append({"delta_p": d, "i1_measured": meas.i1, "i1_predicted": pred.i1,
+                                 "i2_measured": meas.i2, "i2_predicted": pred.i2})
 
-    grid = [{"delta_p": d, "n": n, "tau": t} for d, n, t in itertools.product(*axes.values())]
-    estimates = [None] * len(grid)
+    rows: list[dict] = []
     if sw.n or sw.tau:
+        grid = [{"delta_p": d, "n": n, "tau": t} for d, n, t in itertools.product(*axes.values())]
         # widths and counts are positive, so `or` only replaces an absent axis
         t_first, t_second = cfg.plan.times[:2]
         laws = [(t_first, t_second if c["tau"] is None else t_first + c["tau"],
@@ -533,24 +535,27 @@ def run_sweep(cfg: RunConfig) -> dict:
         drawn = _estimates(dyn, [((1, 2), *laws[i]) for i in starts], cfg.seed,
                            where=lambda s: "sweep point " + ", ".join(
                                f"{k} {v:g}" for k, v in grid[starts[s]].items() if v is not None))
-        estimates = [drawn[index[law]] for law in laws]
-
-    rows: list[dict] = []
-    for c, est in zip(grid, estimates):
-        rows.extend({**c, "metric": m, "value": v} for m, v in invasiveness[c["delta_p"]])
-        if est is not None:
+        for c, law in zip(grid, laws):
+            est = drawn[index[law]]
             rows.append({**c, "metric": "corr_value", "value": est.value})
             rows.append({**c, "metric": "corr_std_error", "value": est.std_error})
 
-    return {"axes": {k: [v for v in vs if v is not None] for k, vs in axes.items()}, "rows": rows}
+    return {"axes": {k: [v for v in vs if v is not None] for k, vs in axes.items()},
+            "invasiveness": invasiveness, "rows": rows}
 
 
 def _sweep_tables(payload: dict) -> dict:
     # csv writes None, an axis the grid does not sweep, as an empty field
-    return {"sweep.csv": (
-        ["delta_p", "n", "tau", "metric", "value"],
-        ([r["delta_p"], r["n"], r["tau"], r["metric"], r["value"]] for r in payload["rows"]),
-    )}
+    invasiveness = ["delta_p", "i1_measured", "i1_predicted", "i2_measured", "i2_predicted"]
+    return {
+        "sweep.csv": (
+            ["delta_p", "n", "tau", "metric", "value"],
+            ([r["delta_p"], r["n"], r["tau"], r["metric"], r["value"]] for r in payload["rows"]),
+        ),
+        "invasiveness.csv": (
+            invasiveness, ([r[k] for k in invasiveness] for r in payload["invasiveness"]),
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -238,17 +238,18 @@ class TestExitCodes:
         assert not (tmp_path / "from_env").exists()
 
     def test_delta_p_sweep_on_a_mixed_state_is_zero(self, tmp_path, capsys):
-        # the stock sweep on I/2: every row holds for any state, and no
-        # measurement disturbs I/2
+        # the stock sweep on I/2: each width's record holds for any state, and
+        # no measurement disturbs I/2
         cfg = json.loads((Path(__file__).parent.parent / "configs" / "sweep.json").read_text())
         cfg["system"]["initial_state"] = [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]
         out = tmp_path / "out"
         assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         assert "error:" not in capsys.readouterr().err
-        rows = json.loads((out / "report.json").read_text())["payload"]["rows"]
-        invasiveness = {"i1_measured", "i1_predicted", "i2_measured", "i2_predicted"}
-        assert {r["metric"] for r in rows} == invasiveness | {"corr_value", "corr_std_error"}
-        assert all(r["value"] == 0.0 for r in rows if r["metric"] in invasiveness)
+        payload = json.loads((out / "report.json").read_text())["payload"]
+        assert {r["metric"] for r in payload["rows"]} == {"corr_value", "corr_std_error"}
+        assert [r["delta_p"] for r in payload["invasiveness"]] == cfg["sweep"]["delta_p"]
+        metrics = ("i1_measured", "i1_predicted", "i2_measured", "i2_predicted")
+        assert all(r[m] == 0.0 for r in payload["invasiveness"] for m in metrics)
 
 
 class TestWidthRange:

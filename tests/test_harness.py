@@ -842,8 +842,7 @@ class TestRunSweep:
             "system": {"dim": 2, "hamiltonian": SX, "observable": SZ, "initial_state": PLUS},
             "sweep": {"delta_p": [10.0, 20.0, 40.0, 80.0]},
         })
-        rows = run_sweep(cfg)["rows"]
-        pts = [(r["delta_p"], r["value"]) for r in rows if r["metric"] == "i1_measured"]
+        pts = [(r["delta_p"], r["i1_measured"]) for r in run_sweep(cfg)["invasiveness"]]
         slope = np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.05)
 
@@ -874,8 +873,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("grid", ["strong", "weak", "chunked", "stock"])
     def test_point_is_its_own_single_correlator(self, monkeypatch, grid):
-        # kernels and invasiveness blocks are shared across points; every row
-        # must still be what its law computed alone gives, bitwise. A law is
+        # kernels are shared across points; every row must still be what its
+        # law computed alone gives, bitwise, and each width's invasiveness
+        # record what its weak channel alone gives. A law is
         # (n, tau) in strong mode and (width, n, tau) in weak mode, and distinct
         # law s, in order of first appearance, draws from stream s. The weak
         # grid fails if a kernel is shared between widths, the strong one
@@ -892,16 +892,18 @@ class TestRunSweep:
         dyn = harness._system_objects(cfg.system)
         obs, rho = dyn.observable, dyn.initial_state
         t1 = cfg.plan.times[0]
+        want_inv = []
+        for d in sw.delta_p:
+            pm = PointerModel(width=d)
+            meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pm))
+            pred = predicted_weak(rho, obs, pm)
+            want_inv.append({"delta_p": d, "i1_measured": meas.i1, "i1_predicted": pred.i1,
+                             "i2_measured": meas.i2, "i2_predicted": pred.i2})
         want, streams_of = [], {}
         grid_points = itertools.product(sw.delta_p or [None], sw.n or [None], sw.tau or [None])
         for point_index, (d, n, tau) in enumerate(grid_points):
             coords = {"delta_p": d, "n": n, "tau": tau}
             pm = PointerModel(width=d)
-            meas = measure_invasiveness(rho, weak_channel_exact(rho, obs, pm))
-            pred = predicted_weak(rho, obs, pm)
-            for metric, value in (("i1_measured", meas.i1), ("i1_predicted", pred.i1),
-                                  ("i2_measured", meas.i2), ("i2_predicted", pred.i2)):
-                want.append({**coords, "metric": metric, "value": value})
             law = (d if sw.mode == "weak" else None, n, tau)
             stream = streams_of.setdefault(law, len(streams_of))
             if sw.mode == "weak":
@@ -914,7 +916,9 @@ class TestRunSweep:
             want.append({**coords, "metric": "corr_std_error",
                          "value": math.sqrt(sq_dev / (n - 1) / n)})
         assert len(streams_of) == {"strong": 4, "stock": 3, "weak": 4, "chunked": 6}[grid]
-        assert run_sweep(cfg)["rows"] == want
+        payload = run_sweep(cfg)
+        assert payload["rows"] == want
+        assert payload["invasiveness"] == want_inv
 
     @pytest.mark.parametrize("mode, delta_p, laws", [
         ("strong", [10.0, 25.0], 2 * 2),  # 2 n x 2 distinct tau, for 12 grid points
@@ -944,7 +948,7 @@ class TestRunSweep:
         assert len(corr) == 2 * laws
         assert all(len(values) == 1 for values in corr.values())
         points = len(delta_p) * len(cfg["sweep"]["n"]) * len(cfg["sweep"]["tau"])
-        assert len(rows) == 6 * points
+        assert len(rows) == 2 * points
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_no_n_axis_is_a_one_value_n_axis(self, mode):
@@ -984,8 +988,34 @@ class TestRunSweep:
         cfg["sweep"]["tau"] = [0.5, 1.0, 1.5]
         cfg["sweep"]["n"] = [200, 300]
         rows = run_sweep(parse_config(cfg))["rows"]
-        assert len(rows) == 2 * 2 * 3 * 6
+        assert len(rows) == 2 * 2 * 3 * 2
         assert calls == {"kernel": kernels, "channel": 2}
+
+    @pytest.mark.parametrize("grid", ["strong", "weak", "stock"])
+    def test_each_width_is_written_once(self, grid):
+        # one invasiveness record per delta_p entry, in axis order, and only
+        # the two correlator rows at each grid point
+        cfg = parse_config(sweep_cfg(grid))
+        sw = cfg.sweep
+        payload = run_sweep(cfg)
+        assert [r["delta_p"] for r in payload["invasiveness"]] == list(sw.delta_p)
+        assert all(sorted(r) == ["delta_p", "i1_measured", "i1_predicted", "i2_measured",
+                                 "i2_predicted"] for r in payload["invasiveness"])
+        points = len(sw.delta_p) * len(sw.n or [None]) * len(sw.tau or [None])
+        assert [r["metric"] for r in payload["rows"]] == ["corr_value", "corr_std_error"] * points
+
+    def test_sweep_without_widths_has_no_invasiveness(self, tmp_path):
+        # a weak sweep over tau alone: an empty list, and an invasiveness.csv
+        # that holds its header only
+        cfg = sweep_cfg("weak")
+        cfg["pointer"] = {"width": 10.0}
+        del cfg["sweep"]["delta_p"]
+        report = execute(parse_config(cfg))
+        assert report["payload"]["invasiveness"] == []
+        assert len(report["payload"]["rows"]) == 2 * 2
+        write_report(report, str(tmp_path), "csv")
+        assert (tmp_path / "invasiveness.csv").read_text() == (
+            "delta_p,i1_measured,i1_predicted,i2_measured,i2_predicted\n")
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_times_out_of_order_are_refused(self, mode):
@@ -1111,7 +1141,7 @@ class TestRunSweep:
 class TestReportEnvelope:
     def test_envelope_fields(self):
         report = execute(budget_cfg())
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["scenario"] == "budget"
         assert report["seed"] == 1
         assert "started_at" in report["meta"]
@@ -1201,8 +1231,11 @@ def _stock_tables(scenario: str, payload: dict) -> dict:
             [c["name"], c["status"], c["margin"], c["detail"]] for c in payload["checks"]
         ]}
     if scenario == "sweep":
+        invasiveness = ["delta_p", "i1_measured", "i1_predicted", "i2_measured", "i2_predicted"]
         return {"sweep.csv": [["delta_p", "n", "tau", "metric", "value"]] + [
             [r["delta_p"], r["n"], r["tau"], r["metric"], r["value"]] for r in payload["rows"]
+        ], "invasiveness.csv": [invasiveness] + [
+            [r[k] for k in invasiveness] for r in payload["invasiveness"]
         ]}
     if scenario == "budget":
         inp, rep = payload["input"], payload["report"]
@@ -1247,7 +1280,7 @@ class TestStockCsv:
 
 def _workload_config(name: str, seed: int) -> dict:
     """The benchmark's generated config for one workload (bench/workloads.py):
-    the full sweep grid, whose 2,880 rows span several writer batches, and the
+    the full sweep grid, whose 960 rows span several writer batches, and the
     others at smoke sizes, which change their numbers but not their layout."""
     path = Path(__file__).parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
