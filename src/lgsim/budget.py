@@ -49,6 +49,21 @@ class BudgetInput:
         PointerModel(width=self.delta_p)  # the pointer's own width rules
         if not self.var_a >= 0:
             raise ValidationError(f"var_a must be >= 0, got {self.var_a!r}")
+        eps = _target_error(self.ensemble_size, self.k, self.delta_p)
+        if not 0.0 < eps < math.inf:
+            raise ValidationError(
+                "ensemble_size is too large: the error target eps = delta_p / "
+                f"sqrt(2 ensemble_size / k) is {eps!r}, not a positive float64")
+
+
+def _target_error(m: int, k: int, dp: float) -> float:
+    """The weak-first scheme's error eps = dp / sqrt(2M/k), or 0.0 where
+    2M/k passes the float64 range: its sqrt is then inf, or, for an M past
+    that range, float(M) raises."""
+    try:
+        return dp / math.sqrt(2.0 * m / k)
+    except OverflowError:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,7 @@ def wastage_report(inp: BudgetInput) -> BudgetReport:
     """Full two-scheme comparison at the common error target; the formulas
     are the module docstring's, M_tot rounded up per measurement."""
     m, k, dp, var = inp.ensemble_size, inp.k, inp.delta_p, inp.var_a
-    eps = dp / math.sqrt(2.0 * m / k)
+    eps = _target_error(m, k, dp)
     subensemble = -(-m // k)  # M/k rounded up, exactly
     ms = strong_subensemble(var, eps)
     mtot = 2 * k * ms

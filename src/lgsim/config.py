@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ValidationError
 from .measurement import MODE_STRONG, MODE_WEAK, WIDTH_RANGE
 from .protocol import SeriesPlan
-from .streams import MAX_SEED
+from .streams import MAX_EVENTS, MAX_SEED
 
 SCHEMA_VERSION = "2"
 
@@ -91,8 +91,8 @@ class PointerConfig:
 
 @dataclass(frozen=True)
 class LgRunConfig:
-    n_strong: int = _field(min=2)
-    n_weak: int = _field(min=2)
+    n_strong: int = _field(min=2, max=MAX_EVENTS)
+    n_weak: int = _field(min=2, max=MAX_EVENTS)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class BudgetConfig:
 @dataclass(frozen=True)
 class VerifyConfig:
     widths: tuple[float, ...] = _field((10.0, 20.0, 40.0, 80.0), **_WIDTH)
-    n_samples: int = _field(200_000, min=100)
+    n_samples: int = _field(200_000, min=100, max=MAX_EVENTS)
     n_random: int = _field(100, min=1)
     corrupt_state: bool = False
 
@@ -113,7 +113,7 @@ class VerifyConfig:
 @dataclass(frozen=True)
 class SweepConfig:
     delta_p: tuple[float, ...] = _field((), **_WIDTH)
-    n: tuple[int, ...] = _field((), min=2)
+    n: tuple[int, ...] = _field((), min=2, max=MAX_EVENTS)
     tau: tuple[float, ...] = _field((), positive=True)
     mode: str = _field(MODE_STRONG, choices=SWEEP_MODES)
 

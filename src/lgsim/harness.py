@@ -472,36 +472,27 @@ def _verify_tables(payload: dict) -> dict:
 def run_sweep(cfg: RunConfig) -> dict:
     """Each grid point, in (delta_p, n, tau) order, is a correlator of pair
     (1, 2) with the law (t_first, t_second, pointer, n), the pointer None in
-    strong mode, where the width does not enter. Distinct law s, counted in
-    order of first appearance, draws from streams (seed, s, chunk) alone, and
-    every grid point of that law takes its one estimate: a strong sweep draws
-    each (n, tau) once for all its widths, and a repeated axis value repeats
-    a draw instead of making a new one. ``rows`` holds each point's
-    ``corr_value`` and ``corr_std_error``; a grid with no n or tau axis has
-    no correlator and so no rows.
+    strong mode, where the width does not enter. The points are one
+    ``_estimates`` batch, which draws each distinct law once and refuses a law
+    by naming its first grid point; ``parse_config`` already holds the mode,
+    the weak pointer and n to their ranges. ``rows`` holds each point's
+    ``corr_value`` and ``corr_std_error``; a grid with no n or tau axis has no
+    correlator and so no rows.
 
     The weak-channel invasiveness depends on the width alone, so
     ``invasiveness`` holds one record per delta_p entry, in axis order, each
     computed before anything is drawn: its measured and predicted I1 and I2,
     for any state. A width whose predicted invasiveness overflows float64 is
-    refused. The distinct laws are then one ``_estimates`` batch, which builds
-    one kernel per distinct (t_first, t_second, pointer) and refuses a law
-    whose sums overflow by naming its first grid point; the kernel checks its
-    times, and ``parse_config`` already holds the mode, the weak pointer and
-    n to their ranges. Each narrow width warns once: a delta_p width from its
-    weak channel, the pointer of a weak sweep without a delta_p axis before
-    the grid. Nothing is kept beyond the call."""
+    refused. Each narrow width warns once: a delta_p width from its weak
+    channel, the pointer of a weak sweep without a delta_p axis before the
+    grid. Nothing is kept beyond the call."""
     sw: SweepConfig = cfg.sweep
     dyn = _system_objects(cfg.system)
     obs, rho = dyn.observable, dyn.initial_state
     if sw.mode == "weak" and not sw.delta_p:
         _warn_if_not_weak(PointerModel(width=cfg.pointer.width), obs, stacklevel=2)
 
-    axes = {
-        "delta_p": list(sw.delta_p) or [None],
-        "n": list(sw.n) or [None],
-        "tau": list(sw.tau) or [None],
-    }
+    axes = {k: list(getattr(sw, k)) or [None] for k in ("delta_p", "n", "tau")}
     invasiveness = []
     # overflows become inf or NaN, which the width refusal turns into a
     # ValidationError
@@ -524,19 +515,12 @@ def run_sweep(cfg: RunConfig) -> dict:
         grid = [{"delta_p": d, "n": n, "tau": t} for d, n, t in itertools.product(*axes.values())]
         # widths and counts are positive, so `or` only replaces an absent axis
         t_first, t_second = cfg.plan.times[:2]
-        laws = [(t_first, t_second if c["tau"] is None else t_first + c["tau"],
-                 PointerModel(width=c["delta_p"] or cfg.pointer.width) if sw.mode == "weak" else None,
-                 c["n"] or SWEEP_N_EVENTS) for c in grid]
-        index, starts = {}, []  # law -> s; s -> grid index of its first point
-        for i, law in enumerate(laws):
-            if law not in index:
-                index[law] = len(starts)
-                starts.append(i)
-        drawn = _estimates(dyn, [((1, 2), *laws[i]) for i in starts], cfg.seed,
-                           where=lambda s: "sweep point " + ", ".join(
-                               f"{k} {v:g}" for k, v in grid[starts[s]].items() if v is not None))
-        for c, law in zip(grid, laws):
-            est = drawn[index[law]]
+        points = [((1, 2), t_first, t_second if c["tau"] is None else t_first + c["tau"],
+                   PointerModel(width=c["delta_p"] or cfg.pointer.width)
+                   if sw.mode == "weak" else None, c["n"] or SWEEP_N_EVENTS) for c in grid]
+        estimates = _estimates(dyn, points, cfg.seed, where=lambda i: "sweep point " + ", ".join(
+            f"{k} {v:g}" for k, v in grid[i].items() if v is not None))
+        for c, est in zip(grid, estimates):
             rows.append({**c, "metric": "corr_value", "value": est.value})
             rows.append({**c, "metric": "corr_std_error", "value": est.std_error})
 

@@ -16,10 +16,11 @@ series s on the stream (seed, s, c) and merges each chunk's sum and
 squared deviations in chunk order, so an estimate does not depend on the
 order the chunks are run in, and a spectrum far from zero costs no digits.
 Every correlator comes from one batch estimator, ``_estimates``, behind
-``run_series``, the lg_run and the sweep: it computes the seed words of
-every chunk of its batch in one ``series_words`` call and builds one kernel
-per distinct pair of times and pointer, and each chunk builds its own
-generator from its row (``from_words``), on whichever thread runs it.
+``run_series``, the lg_run and the sweep: it draws each distinct law of its
+batch once, computes the seed words of every chunk in one ``series_words``
+call and builds one kernel per distinct pair of times and pointer, and each
+chunk builds its own generator from its row (``from_words``), on whichever
+thread runs it.
 A series of several chunks runs them on the calling thread and, where the
 process may use more than one CPU, one helper thread; as the merge keeps
 chunk order, no result depends on the number of threads.
@@ -52,7 +53,7 @@ import math
 import os
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -453,28 +454,39 @@ def _draw_chunks(sizes: list[int], words: np.ndarray, draw) -> list:
 def _estimates(dyn: DynamicsSpec, points, seed: int, where=None) -> list[CorrelatorEstimate]:
     """One correlator per point (pair, t_first, t_second, pointer, n): the mean
     product of n events whose earlier reading goes through ``pointer``, or is
-    strong when it is None, with its standard error. Point s draws from streams
-    (seed, s, chunk), and one ``series_words`` call seeds every chunk of every
-    point. A kernel holds no state between chunks, so one kernel serves every
-    point of its (t_first, t_second, pointer), and its chunks may run on
-    several threads at once. Sums that overflow float64, as an
-    observable far from unit scale makes them, raise ``ValidationError``,
-    naming point s by ``where(s)``, or by its pair when ``where`` is None. The
-    batch runs under one ``np.errstate`` so that an overflow reaches this
-    refusal without a numpy warning."""
-    words = series_words(seed, range(len(points)), [point[-1] for point in points])
+    strong when it is None, with its standard error. A point's law is the point
+    without its pair. Distinct law s, counted in order of first appearance, is
+    drawn once, from streams (seed, s, chunk), and each of its points takes
+    that estimate under its own pair. One kernel serves every law of its
+    (t_first, t_second, pointer); it holds no state between chunks, so they
+    may run on several threads at once. A refusal while a law is estimated
+    (its times, a non-finite phase, sums that overflow float64) is one
+    ``ValidationError`` naming the law's first point i by ``where(i)``, or by
+    its pair when ``where`` is None; the batch's one ``np.errstate`` lets an
+    overflow reach it without a numpy warning."""
+    where = where or (lambda i: f"pair {points[i][0]}")
+    laws = dict.fromkeys(tuple(point[1:]) for point in points)
+    words = dict(zip(laws, series_words(seed, range(len(laws)), [law[-1] for law in laws])))
     kernel = functools.cache(functools.partial(_SeriesKernel, dyn))
     estimates = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, (pair, *key, n) in enumerate(points):
-            total, sq_dev = _chunk_moments(n, words[s], kernel(*key).run_chunk)
-            if not (math.isfinite(total) and math.isfinite(sq_dev)):
-                raise ValidationError(
-                    f"{where(s) if where else f'pair {pair}'}: the correlator's sums overflow "
-                    "float64; the observable's largest |eigenvalue| is "
-                    f"{np.abs(dyn.observable.eigenvalues).max():g}")
-            estimates.append(CorrelatorEstimate(pair=pair, value=total / n, n_events=n,
-                                                std_error=math.sqrt(sq_dev / (n - 1) / n)))
+        for i, point in enumerate(points):
+            pair, law = point[0], tuple(point[1:])
+            est = laws[law]
+            if est is None:
+                *key, n = law
+                try:
+                    total, sq_dev = _chunk_moments(n, words[law], kernel(*key).run_chunk)
+                    if not (math.isfinite(total) and math.isfinite(sq_dev)):
+                        raise ValidationError(
+                            "the correlator's sums overflow float64; the observable's largest "
+                            f"|eigenvalue| is {np.abs(dyn.observable.eigenvalues).max():g}")
+                except ValidationError as exc:
+                    raise ValidationError(f"{where(i)}: {exc}") from exc
+                est = laws[law] = CorrelatorEstimate(pair, total / n,
+                                                     math.sqrt(sq_dev / (n - 1) / n), n)
+            # an estimate is immutable, so points of one pair share it
+            estimates.append(est if est.pair == pair else replace(est, pair=pair))
     return estimates
 
 

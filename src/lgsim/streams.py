@@ -32,6 +32,9 @@ from .errors import ValidationError
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 MAX_SEED = 2**64 - 1
+# a chunk index is one 32-bit word of a stream path, so a series holds at
+# most 2^32 chunks
+MAX_EVENTS = DEFAULT_CHUNK_SIZE << 32
 # the numpy.random bit generator behind every stream, which reports name in
 # meta.env; a name, not the class, so importing lgsim leaves numpy.random
 # unloaded until the first draw
@@ -184,7 +187,13 @@ def chunk_sizes(n: int) -> list[int]:
 def series_words(seed: int, streams: Sequence[int], ns: Sequence[int]) -> list[np.ndarray]:
     """Seed words of every chunk of several series, from one ``stream_words``
     call: series i, of ``ns[i]`` events on stream ``streams[i]``, gets the
-    (chunks, 3) table whose row c seeds its chunk c, the stream (streams[i], c)."""
+    (chunks, 3) table whose row c seeds its chunk c, the stream (streams[i], c).
+    A series of more than ``MAX_EVENTS`` events is refused before any table
+    is built."""
+    for n in ns:
+        if n > MAX_EVENTS:
+            raise ValidationError(f"event count must be <= MAX_EVENTS = {MAX_EVENTS} "
+                                  f"(2**32 chunks of {DEFAULT_CHUNK_SIZE}), got {n}")
     # len(chunk_sizes(n)) for each n; the runners refuse n < 2 beforehand
     counts = -(-np.asarray(ns, np.int64) // DEFAULT_CHUNK_SIZE)
     ends = np.cumsum(counts)

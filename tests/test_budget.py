@@ -214,6 +214,25 @@ class TestWastageReport:
             BudgetInput(m, k, dp, VAR)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("m", [10**308, 10**400], ids=["eps-underflows", "past-float64"])
+    def test_ensemble_whose_error_target_leaves_float64_is_refused(self, m):
+        # 2M/k passes the float64 range: at 1e308 its sqrt is inf and eps 0.0,
+        # at 1e400 M has no float64 at all
+        with pytest.raises(ValidationError) as exc:
+            BudgetInput(m, K, DP, VAR)
+        assert str(exc.value) == (
+            "ensemble_size is too large: the error target eps = delta_p / "
+            "sqrt(2 ensemble_size / k) is 0.0, not a positive float64")
+
+    def test_largest_ensembles_keep_a_positive_error_target(self):
+        rep = wastage_report(BudgetInput(10**307, K, DP, VAR))
+        assert rep.eps_target == DP / math.sqrt(2.0 * 10**307 / K) > 0.0
+
+    def test_subensemble_needs_a_positive_error_target(self):
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValidationError, match=f"^eps must be positive, got {eps!r}$"):
+                strong_subensemble(VAR, eps)
+
     def test_nan_variance_is_refused(self):
         with pytest.raises(ValidationError, match=r"^var_a must be >= 0, got nan$"):
             BudgetInput(M, K, DP, math.nan)

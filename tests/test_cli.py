@@ -371,20 +371,54 @@ class TestObservableScale:
 
 class TestTimeGapOverflow:
     """A time gap past the float64 range makes the propagator's phases
-    infinite, and such a run exits 1 with one error line and no report."""
+    infinite, and such a run exits 1 with one error line, naming the series
+    or the sweep point, and no report."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("subcommand, cfg", [
-        ("lg-run", dict(LG_RUN, plan={"k": 3, "times": [-1e308, 0.0, 1e308]})),
+    @pytest.mark.parametrize("subcommand, cfg, where", [
+        ("lg-run", dict(LG_RUN, plan={"k": 3, "times": [-1e308, 0.0, 1e308]}), "pair (1, 3)"),
         ("sweep", {**SWEEP_WEAK, "plan": {"k": 3, "times": [1e308, 1.5e308, 1.7e308]},
-                   "sweep": {"tau": [1e308], "n": [1000]}}),
+                   "sweep": {"tau": [1e308], "n": [1000]}}, "sweep point n 1000, tau 1e+308"),
     ], ids=["lg-run", "sweep"])
-    def test_overflowing_gap_is_one(self, tmp_path, capsys, subcommand, cfg):
+    def test_overflowing_gap_is_one(self, tmp_path, capsys, subcommand, cfg, where):
         out = tmp_path / "out"
         code = main([subcommand, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: exp(-i H t) needs finite phases E t, got t = inf and largest |E| = 0.5\n")
+            f"error: {where}: exp(-i H t) needs finite phases E t, got t = inf and largest "
+            "|E| = 0.5\n")
+        assert not out.exists()
+
+
+class TestRefusalsNameTheirKey:
+    """A count past the stream scheme, an ensemble past float64 and a sweep
+    point whose times do not increase each exit 1 with one error line that
+    names the config key or the sweep point, and no report."""
+
+    STOCK_SWEEP = json.loads((Path(__file__).parent.parent / "configs" / "sweep.json")
+                             .read_text())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("subcommand, cfg, error", [
+        ("lg-run", dict(LG_RUN, run={"n_strong": 10**19, "n_weak": 5000}),
+         "config.run.n_strong: must be <= 281474976710656, got 10000000000000000000"),
+        ("sweep", dict(SWEEP_WEAK, sweep=dict(SWEEP_WEAK["sweep"], n=[10**19])),
+         "config.sweep.n[0]: must be <= 281474976710656, got 10000000000000000000"),
+        ("verify", dict(VERIFY_FAST, verify=dict(VERIFY_FAST["verify"], n_samples=10**19)),
+         "config.verify.n_samples: must be <= 281474976710656, got 10000000000000000000"),
+        ("budget", dict(BUDGET, budget=dict(BUDGET["budget"], ensemble_size=10**400)),
+         "ensemble_size is too large: the error target eps = delta_p / "
+         "sqrt(2 ensemble_size / k) is 0.0, not a positive float64"),
+        # 1 + 1e-17 rounds to 1
+        ("sweep", dict(STOCK_SWEEP, plan={"k": 3, "times": [1.0, 2.0, 3.0]},
+                       sweep={"tau": [1e-17], "n": [1000]}),
+         "sweep point n 1000, tau 1e-17: need t_second > t_first, got 1.0 >= 1.0"),
+    ], ids=["lg-run-count", "sweep-count", "verify-count", "budget-ensemble", "sweep-tiny-tau"])
+    def test_one_error_line(self, tmp_path, capsys, subcommand, cfg, error):
+        out = tmp_path / "out"
+        code = main([subcommand, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
 

@@ -257,6 +257,11 @@ MESSAGES = [
     (LG, "run.n_strong", MISSING, "config.run.n_strong: is required"),
     (LG, "run.n_strong", "many", "config.run.n_strong: must be an integer, got 'many'"),
     (LG, "run.n_weak", 1, "config.run.n_weak: must be >= 2, got 1"),
+    # a series holds at most 2^32 chunks of 2^16 events, streams.MAX_EVENTS
+    (LG, "run.n_strong", 10**19,
+     "config.run.n_strong: must be <= 281474976710656, got 10000000000000000000"),
+    (LG, "run.n_weak", 2**48 + 1, "config.run.n_weak: must be <= 281474976710656, got "
+     "281474976710657"),
     # budget
     (BUDGET, "budget.ensemble_size", MISSING, "config.budget.ensemble_size: is required"),
     (BUDGET, "budget.k", MISSING, "config.budget.k: is required"),
@@ -279,6 +284,8 @@ MESSAGES = [
      "minimum, got []"),
     (VERIFY, "verify.n_samples", 99, "config.verify.n_samples: must be >= 100, got 99"),
     (VERIFY, "verify.n_samples", None, "config.verify.n_samples: must be an integer, got None"),
+    (VERIFY, "verify.n_samples", 10**19,
+     "config.verify.n_samples: must be <= 281474976710656, got 10000000000000000000"),
     (VERIFY, "verify.n_random", 0, "config.verify.n_random: must be >= 1, got 0"),
     (VERIFY, "verify.corrupt_state", 1, "config.verify.corrupt_state: must be a boolean, got 1"),
     # sweep
@@ -290,6 +297,8 @@ MESSAGES = [
     (SWEEP, "sweep.n", None, "config.sweep.n: must be a list of integers, got None"),
     (SWEEP, "sweep.n", [100, 1], "config.sweep.n[1]: must be >= 2, got 1"),
     (SWEEP, "sweep.n", [2.5], "config.sweep.n[0]: must be an integer, got 2.5"),
+    (SWEEP, "sweep.n", [1000, 10**19],
+     "config.sweep.n[1]: must be <= 281474976710656, got 10000000000000000000"),
     (SWEEP, "sweep.tau", [-0.5], "config.sweep.tau[0]: must be positive, got -0.5"),
     (SWEEP, "sweep.mode", "medium",
      "config.sweep.mode: must be one of ['strong', 'weak'], got 'medium'"),

@@ -213,6 +213,80 @@ class TestRunSeriesValidation:
             _SeriesKernel(bench, 2.0, 1.0, PointerModel(width=10.0))
 
 
+class TestBatchLaws:
+    """``_estimates`` keys each point by its law, the point without its pair:
+    distinct law s, in order of first appearance, is drawn once on streams
+    (seed, s, chunk), and each point takes that estimate under its own pair."""
+
+    N2 = DEFAULT_CHUNK_SIZE + 3  # two chunks
+
+    @classmethod
+    def points(cls):
+        weak = PointerModel(width=10.0)
+        return [
+            ((1, 2), 0.0, TAU, None, 500),
+            ((2, 3), TAU, 2 * TAU, None, 500),
+            ((3, 4), 0.0, TAU, None, 500),  # law 0 under another pair
+            ((1, 2), 0.0, TAU, weak, 500),
+            ((1, 2), 0.0, TAU, None, cls.N2),
+            ((5, 6), TAU, 2 * TAU, None, 500),  # law 1
+            ((1, 2), 0.0, TAU, PointerModel(width=10.0), 500),  # law 2, an equal pointer
+            ((2, 9), 0.0, TAU, None, cls.N2),  # law 3
+        ]
+
+    LAWS = [0, 1, 0, 2, 3, 1, 2, 3]
+
+    def test_each_law_is_drawn_once(self, monkeypatch, bench):
+        sizes, run_chunk = [], _SeriesKernel.run_chunk
+
+        def counting_run_chunk(kernel, rng, m):
+            sizes.append(m)
+            return run_chunk(kernel, rng, m)
+
+        monkeypatch.setattr(_SeriesKernel, "run_chunk", counting_run_chunk)
+        protocol._estimates(bench, self.points(), 11)
+        assert sorted(sizes) == [3, 500, 500, 500, DEFAULT_CHUNK_SIZE]
+
+    def test_each_point_keeps_its_own_pair(self, bench):
+        got = protocol._estimates(bench, self.points(), 11)
+        assert [e.pair for e in got] == [p[0] for p in self.points()]
+        assert [e.n_events for e in got] == [p[-1] for p in self.points()]
+
+    def test_each_estimate_is_its_law_drawn_alone_on_stream_s(self, monkeypatch, bench):
+        got = protocol._estimates(bench, self.points(), 11)
+        for point, s, est in zip(self.points(), self.LAWS, got):
+            # a one-point batch, its one law moved from stream 0 to stream s
+            monkeypatch.setattr(protocol, "series_words",
+                                lambda seed, _, ns, s=s: series_words(seed, [s], ns))
+            (alone,) = protocol._estimates(bench, [point], 11)
+            assert (alone.pair, alone.value, alone.std_error) == (est.pair, est.value,
+                                                                  est.std_error)
+        # the laws draw apart: no two share a value
+        assert len({e.value for e in got}) == len(set(self.LAWS))
+
+    # A = 1e140 sigma_z from |0>: over a gap of 1e-12 every product is
+    # 1e280 and the squared deviations are 0, over a gap of 1 they overflow
+    HUGE = DynamicsSpec(pauli("x"), spectral_decompose(1e140 * pauli("z")), basis_state(2, 0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dyn, bad, message", [
+        (None, (1.0, 1.0 + 1e-17), "need t_second > t_first, got 1.0 >= 1.0"),
+        (None, (-1e308, 1e308),
+         "exp(-i H t) needs finite phases E t, got t = inf and largest |E| = 0.5"),
+        (HUGE, (0.0, 1.0), "the correlator's sums overflow float64; the observable's largest "
+                           "|eigenvalue| is 1e+140"),
+    ], ids=["tiny-tau", "gap-overflow", "sum-overflow"])
+    def test_each_refusal_names_its_point(self, bench, dyn, bad, message):
+        # the failing law's first point is point 1, pair (2, 3); point 3
+        # repeats the law under another pair
+        points = [((1, 2), 0.0, 1e-12, None, 100), ((2, 3), *bad, None, 100),
+                  ((1, 2), 0.0, 1e-12, None, 200), ((1, 3), *bad, None, 100)]
+        for where, name in ((None, "pair (2, 3)"), (lambda i: f"point {i}", "point 1")):
+            with pytest.raises(ValidationError) as exc:
+                protocol._estimates(dyn or bench, points, 4, where=where)
+            assert str(exc.value) == f"{name}: {message}"
+
+
 class TestWarningsNameTheCaller:
     """A weak-regime warning points at the line that called into lgsim."""
 

@@ -14,6 +14,7 @@ from lgsim.errors import ValidationError
 from lgsim.streams import (
     BIT_GENERATOR,
     DEFAULT_CHUNK_SIZE,
+    MAX_EVENTS,
     aligned_empty,
     check_seed,
     chunk_sizes,
@@ -160,6 +161,28 @@ class TestSeriesWords:
         for stream, words in zip([4, 9, 2], got):
             for c, row in enumerate(words):
                 np.testing.assert_array_equal(row, reference_words(7, (stream, c)))
+
+    def test_last_chunk_of_the_largest_series_is_a_stream(self):
+        # MAX_EVENTS fills 2^32 chunks, whose last index is the largest path
+        # entry, and one more chunk would need the entry 2^32
+        assert MAX_EVENTS == 2**48
+        assert len(range(0, MAX_EVENTS, DEFAULT_CHUNK_SIZE)) == 2**32
+        assert stream_words(3, np.array([[0, 2**32 - 1]])).shape == (1, 3)
+        with pytest.raises(ValidationError, match="must lie in"):
+            stream_words(3, np.array([[0, 2**32]]))
+
+    @pytest.mark.parametrize("n", [MAX_EVENTS + 1, 10**19], ids=["cap-plus-one", "1e19"])
+    def test_refuses_more_events_than_a_series_holds(self, monkeypatch, n):
+        # refused before any table is built, so a count past int64 raises no
+        # OverflowError either
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(streams, "stream_words", no_table)
+        with pytest.raises(ValidationError) as exc:
+            series_words(7, [0, 1], [100, n])
+        assert str(exc.value) == (f"event count must be <= MAX_EVENTS = {MAX_EVENTS} "
+                                  f"(2**32 chunks of {DEFAULT_CHUNK_SIZE}), got {n}")
 
 
 def test_import_leaves_numpy_random_unloaded():
