@@ -18,15 +18,16 @@ order the chunks are run in, and a spectrum far from zero costs no digits.
 Every correlator comes from one batch estimator, ``_estimates``, behind
 ``run_series``, the lg_run and the sweep: it draws each distinct law of its
 batch once, computes the seed words of every chunk in one ``series_words``
-call and builds one kernel per distinct pair of times and pointer, and each
-chunk builds its own generator from its row (``from_words``), on whichever
-thread runs it.
+call and builds every kernel in one stacked pass (``_kernels``), from one
+eigendecomposition of H, one state per earlier time and one table per pair
+of times, and each chunk builds its own generator from its row
+(``from_words``), on whichever thread runs it.
 A series of several chunks runs them on the calling thread and, where the
 process may use more than one CPU, one helper thread; as the merge keeps
 chunk order, no result depends on the number of threads.
 
-Both modes read one table per series, G[b, i, j] = tr(B_b P_i rho P_j),
-with B_b the projector onto outcome b carried back over the gap. A
+Both modes read one table per pair of times, G[b, i, j] = tr(B_b P_i rho
+P_j), with B_b the projector onto outcome b carried back over the gap. A
 strong event is the outcome pair (i, b), with joint law Re G[b, i, i],
 and its product a_i a_b depends on nothing else; so a strong chunk is
 one multinomial draw of its m events over the d^2 pairs. A weak reading
@@ -48,7 +49,6 @@ times that total.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -71,10 +71,10 @@ from .quantum import (
     _as_complex_matrix,
     _check_hermitian,
     _freeze,
+    _unitaries,
     basis_state,
     evolve,
     pauli,
-    propagator,
     spectral_decompose,
 )
 from .streams import (
@@ -90,7 +90,7 @@ from .streams import (
 # pass _BLOCK_FLOATS floats (1 MiB), in a multiple of 64 so that every table
 # row is 64-byte aligned: 4224 for a d = 8 J_z. Results do not depend on
 # either: every event sees the same random numbers and the sums run over the
-# whole chunk.
+# whole chunk. _kernels slices its stacks of gap tables by the same 1 MiB.
 _BLOCK = 8192
 _BLOCK_FLOATS = 2**17
 
@@ -190,10 +190,11 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray, mask: np.ndarray | None = None)
     return np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.min_scalar_type(len(cum)))
 
 
-def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
-    """The weak kernel's runs of pairs (r, s) and (d, K) table over the K
-    distinct midpoints (a_i + a_j) / 2 of the spectrum ``a``, for pointer
-    ``width``.
+def _midpoint_columns(a: np.ndarray, width: float):
+    """The weak kernel's runs of pairs (r, s) over the K distinct midpoints
+    (a_i + a_j) / 2 of the spectrum ``a``, for pointer ``width``, and the
+    function that folds an outcome table Re G over them into the kernel's
+    (d, K) table.
 
     phi_i phi_j = exp(-(p - m)^2 / w^2 - (a_i - a_j)^2 / 4w^2) depends on the
     reading p only through the midpoint m of a_i and a_j. So pairs that share
@@ -223,11 +224,9 @@ def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
     def gap(pair):
         return abs(values[pair[0]] - values[pair[1]])
 
-    born = re_g.sum(axis=0).diagonal()
     # min keeps the first of (r, s) and (s, r), the one with r <= s
     columns = sorted(((min(members, key=gap), members) for members in groups.values()),
                      key=lambda column: (column[0][1] - column[0][0], column[0][0]))
-    table = np.zeros((d, len(columns)))
     scale = np.zeros((d * d, len(columns)))
     runs: list[tuple[int, int, int, int]] = []
     for k, ((r, s), members) in enumerate(columns):
@@ -236,29 +235,89 @@ def _midpoint_table(re_g: np.ndarray, a: np.ndarray, width: float):
             # (g - g0)(g + g0) >= 0, so the factor never exceeds 1
             g = gap((i, j))
             scale[i * d + j, k] = math.exp(-(g - g0) * (g + g0) / (4.0 * width**2))
-        if r == s:
-            table[-1, k] = born[r]
         if runs and runs[-1][0] == s - r and runs[-1][2] == r:
             runs[-1] = (s - r, runs[-1][1], r + 1, runs[-1][3])
         else:
             runs.append((s - r, r, r + 1, k))
-    np.cumsum(re_g[:-1].reshape(d - 1, d * d) @ scale, axis=0, out=table[:-1])
+
+    def table(re_g: np.ndarray) -> np.ndarray:
+        out, born = np.zeros((d, len(columns))), re_g.sum(axis=0).diagonal()
+        for j, lo, hi, k in runs:
+            if j == 0:  # the pairs (i, i)
+                out[-1, k:k + hi - lo] = born[lo:hi]
+        np.cumsum(re_g[:-1].reshape(d - 1, d * d) @ scale, axis=0, out=out[:-1])
+        return out
+
     return tuple(runs), table
 
 
-def _outcome_table(dyn: DynamicsSpec, t_first: float, t_second: float):
-    """The state at ``t_first`` and the (d, d, d) table Re G[b, i, j] of a
-    series, G[b, i, j] = tr(B_b P_i rho P_j) with B_b the projector onto
-    outcome b carried back over the gap ``t_second - t_first``."""
-    rho0 = dyn.initial_state
-    rho_first = evolve(rho0, propagator(dyn.hamiltonian, t_first)) if t_first else rho0
-    u_gap = propagator(dyn.hamiltonian, t_second - t_first)
-    proj = dyn.observable.projectors
-    blocks = (proj @ rho_first.matrix)[:, None] @ proj[None]  # P_i rho P_j
-    heis = np.stack([u_gap.conj().T @ p @ u_gap for p in proj])
+def _outcome_tables(blocks: np.ndarray, proj: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Re G[g, b, i, j] = Re tr(u_g^dag P_b u_g P_i rho P_j) of one state, from
+    its P_i rho P_j ``blocks``, for each gap unitary u_g of the stack ``u``."""
+    heis = u.conj().transpose(0, 2, 1)[:, None] @ proj[None] @ u[:, None]
     # phi is real and G is Hermitian in (i, j), so the imaginary parts
     # cancel in sum_ij phi_i G[b,i,j] phi_j and only Re G is needed
-    return rho_first, np.einsum("bad,ijda->bij", heis, blocks).real
+    return np.einsum("gbad,ijda->gbij", heis, blocks).real
+
+
+def _kernels(dyn: DynamicsSpec, keys) -> dict:
+    """The kernel of each key (t_first, t_second, pointer), or the
+    ``ValidationError`` that refuses it as its kernel alone would be refused:
+    by the time order, then t_first's phase or state, then the gap's phase.
+    One eigendecomposition of H gives the unitaries of every distinct t_first
+    and gap t_second - t_first. Each t_first's state is evolved once, and one
+    stacked product of its P_i rho P_j blocks gives the Re G of its gaps,
+    sliced so that no per-gap stack passes ``_BLOCK_FLOATS`` floats. The
+    kernels of one pair share its Re G, and weak ones of one width their
+    midpoint columns."""
+    obs, rho0 = dyn.observable, dyn.initial_state
+    proj, a = obs.projectors, obs.eigenvalues
+    kernels, rows, pairs, columns = {}, {}, {}, {}
+    for key in keys:
+        t_first, t_second, _ = key
+        if t_second <= t_first:
+            kernels[key] = ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
+            continue
+        # the state at t_first = 0 is the prepared one, with no evolution
+        first = rows.setdefault(t_first, len(rows)) if t_first else None
+        gap = rows.setdefault(t_second - t_first, len(rows))
+        pairs.setdefault(first, {}).setdefault(gap, []).append(key)
+    unitaries, refusals = _unitaries(*np.linalg.eigh(dyn.hamiltonian), list(rows))
+    with np.errstate(over="ignore"):  # _estimates refuses what overflows
+        pair_products = np.multiply.outer(a, a).ravel()
+    step = max(1, _BLOCK_FLOATS // (2 * len(a) * obs.dim**2))  # gaps per slice
+    for first, gaps in pairs.items():
+        try:
+            if first is not None and refusals[first]:
+                raise refusals[first]
+            rho = rho0 if first is None else evolve(rho0, unitaries[first])
+        except ValidationError as exc:
+            kernels.update((key, exc) for group in gaps.values() for key in group)
+            continue
+        blocks = (proj @ rho.matrix)[:, None] @ proj[None]  # P_i rho P_j
+        kernels.update((key, refusals[gap]) for gap in gaps if refusals[gap] for key in gaps[gap])
+        stacked = [gap for gap in gaps if not refusals[gap]]
+        for lo in range(0, len(stacked), step):
+            re_g = _outcome_tables(blocks, proj, unitaries[stacked[lo:lo + step]])
+            # joint law P(i, b) = Re G[b,i,i] of each gap's outcome pairs,
+            # flattened row-major in i, beside the product a_i a_b of each pair
+            joint = np.clip(np.einsum("gbii->gib", re_g), 0.0, None).reshape(len(re_g), -1)
+            joint /= joint.sum(axis=1, keepdims=True)
+            for g, gap in enumerate(stacked[lo:lo + step]):
+                for key in gaps[gap]:
+                    kernel = kernels[key] = object.__new__(_SeriesKernel)
+                    pointer, kernel.eigenvalues = key[2], a
+                    if pointer is None:
+                        kernel.first_mode, kernel.joint = MODE_STRONG, joint[g]
+                        kernel.pair_products = pair_products
+                        continue
+                    if pointer.width not in columns:
+                        columns[pointer.width] = _midpoint_columns(a, pointer.width)
+                    kernel.runs, table = columns[pointer.width]
+                    kernel.first_mode, kernel.table = MODE_WEAK, table(re_g[g])
+                    kernel.rho_first, kernel.observable, kernel.pointer = rho, obs, pointer
+                    kernel.phi_scale = -0.5 / pointer.width**2
+    return kernels
 
 
 class _SeriesKernel:
@@ -273,24 +332,11 @@ class _SeriesKernel:
     def __init__(
         self, dyn: DynamicsSpec, t_first: float, t_second: float, pointer: PointerModel | None
     ):
-        if t_second <= t_first:
-            raise ValidationError(f"need t_second > t_first, got {t_first} >= {t_second}")
-        obs = dyn.observable
-        self.first_mode = MODE_STRONG if pointer is None else MODE_WEAK
-        self.eigenvalues = obs.eigenvalues
-        rho_first, re_g = _outcome_table(dyn, t_first, t_second)
-
-        if pointer is None:
-            # joint law P(i, b) = Re G[b,i,i] of the outcome pair, flattened
-            # row-major in i, beside the product a_i a_b of each pair
-            joint = np.clip(np.einsum("bii->ib", re_g), 0.0, None).ravel()
-            self.joint = joint / joint.sum()
-            with np.errstate(over="ignore"):  # _estimates refuses what overflows
-                self.pair_products = np.multiply.outer(self.eigenvalues, self.eigenvalues).ravel()
-        else:
-            self.rho_first, self.observable, self.pointer = rho_first, obs, pointer
-            self.runs, self.table = _midpoint_table(re_g, self.eigenvalues, pointer.width)
-            self.phi_scale = -0.5 / pointer.width**2
+        # the one-key case of _kernels, which builds every kernel of a batch
+        (kernel,) = _kernels(dyn, [(t_first, t_second, pointer)]).values()
+        if isinstance(kernel, ValidationError):
+            raise kernel
+        vars(self).update(vars(kernel))
 
     def _second_cum(self, first: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
         """(d, block) unnormalised cumulative weights of the second outcome per
@@ -457,26 +503,29 @@ def _estimates(dyn: DynamicsSpec, points, seed: int, where=None) -> list[Correla
     strong when it is None, with its standard error. A point's law is the point
     without its pair. Distinct law s, counted in order of first appearance, is
     drawn once, from streams (seed, s, chunk), and each of its points takes
-    that estimate under its own pair. One kernel serves every law of its
-    (t_first, t_second, pointer); it holds no state between chunks, so they
-    may run on several threads at once. A refusal while a law is estimated
-    (its times, a non-finite phase, sums that overflow float64) is one
-    ``ValidationError`` naming the law's first point i by ``where(i)``, or by
-    its pair when ``where`` is None; the batch's one ``np.errstate`` lets an
-    overflow reach it without a numpy warning."""
+    that estimate under its own pair. ``_kernels`` builds the kernel of every
+    (t_first, t_second, pointer) in one pass before the first law is drawn; a
+    kernel holds no state between chunks, so they may run on several threads
+    at once. A refusal (the law's times, a non-finite phase, sums that
+    overflow float64) is raised at its law's turn, as one ``ValidationError``
+    naming the law's first point i by ``where(i)``, or by its pair when
+    ``where`` is None; the batch's one ``np.errstate`` lets an overflow reach
+    it without a numpy warning."""
     where = where or (lambda i: f"pair {points[i][0]}")
     laws = dict.fromkeys(tuple(point[1:]) for point in points)
     words = dict(zip(laws, series_words(seed, range(len(laws)), [law[-1] for law in laws])))
-    kernel = functools.cache(functools.partial(_SeriesKernel, dyn))
     estimates = []
     with np.errstate(over="ignore", invalid="ignore"):
+        kernels = _kernels(dyn, dict.fromkeys(law[:-1] for law in laws))
         for i, point in enumerate(points):
             pair, law = point[0], tuple(point[1:])
             est = laws[law]
             if est is None:
-                *key, n = law
+                kernel, n = kernels[law[:-1]], law[-1]
                 try:
-                    total, sq_dev = _chunk_moments(n, words[law], kernel(*key).run_chunk)
+                    if isinstance(kernel, ValidationError):
+                        raise kernel
+                    total, sq_dev = _chunk_moments(n, words[law], kernel.run_chunk)
                     if not (math.isfinite(total) and math.isfinite(sq_dev)):
                         raise ValidationError(
                             "the correlator's sums overflow float64; the observable's largest "

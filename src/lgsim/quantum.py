@@ -269,19 +269,32 @@ def purity(rho: DensityMatrix) -> float:
     return overlap_fidelity(rho, rho)
 
 
-def propagator(hamiltonian, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) of a Hermitian generator. A t that makes a phase
-    E t NaN or infinite, as a time gap that overflows float64 does, is refused."""
+def _unitaries(evals: np.ndarray, evecs: np.ndarray, times) -> tuple[np.ndarray, list]:
+    """exp(-i H t) for each time of ``times``, a (d, d) matrix for a scalar
+    and an (n, d, d) stack for n times, from the eigenpairs of H, beside each
+    time's refusal, in order: None, or the ``ValidationError`` of a t that
+    makes a phase E t NaN or infinite, whose unitary is not one."""
+    times = np.asarray(times, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.multiply.outer(times, evals)
+        stack = (evecs * np.exp(-1j * phases)[..., None, :]) @ evecs.conj().T
+    finite = np.isfinite(phases).all(axis=-1)
+    return stack, [None if ok else ValidationError(
+        f"exp(-i H t) needs finite phases E t, got t = {t:g} and largest |E| = "
+        f"{np.abs(evals).max():g}") for t, ok in zip(times.ravel().tolist(), finite.ravel())]
+
+
+def propagator(hamiltonian, t) -> np.ndarray:
+    """Unitary exp(-i H t) of a Hermitian generator, or the (n, d, d) stack
+    of them for a 1-d array of n times, from one eigendecomposition of H. A t
+    that makes a phase E t NaN or infinite, as a time gap that overflows
+    float64 does, is refused, the first such t named."""
     h = _as_complex_matrix(hamiltonian, "hamiltonian")
     _check_hermitian(h, "hamiltonian")
-    evals, evecs = np.linalg.eigh(h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = evals * t
-    if not np.isfinite(phases).all():
-        raise ValidationError(
-            f"exp(-i H t) needs finite phases E t, got t = {t:g} and largest |E| = "
-            f"{np.abs(evals).max():g}")
-    return (evecs * np.exp(-1j * phases)) @ evecs.conj().T
+    stack, refusals = _unitaries(*np.linalg.eigh(h), t)
+    for refusal in filter(None, refusals):
+        raise refusal
+    return stack
 
 
 def evolve(rho: DensityMatrix, unitary) -> DensityMatrix:

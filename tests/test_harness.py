@@ -201,7 +201,35 @@ def seed_hashes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """What the kernels of the runs below build: their outcome tables Re G,
+    one per gap of each stack ``protocol._outcome_tables`` contracts, and
+    their weak midpoint groupings."""
+    counts = {"tables": 0, "columns": 0}
+    tables, columns = protocol._outcome_tables, protocol._midpoint_columns
+
+    def counting_tables(blocks, proj, u):
+        counts["tables"] += len(u)
+        return tables(blocks, proj, u)
+
+    def counting_columns(*args):
+        counts["columns"] += 1
+        return columns(*args)
+
+    monkeypatch.setattr(protocol, "_outcome_tables", counting_tables)
+    monkeypatch.setattr(protocol, "_midpoint_columns", counting_columns)
+    return counts
+
+
 class TestRunLg:
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_builds_one_table_per_pair(self, built, k):
+        # the strong and the weak series of a pair share its outcome table:
+        # k pairs build k tables, not 2k, and the one width one grouping
+        run_lg(lg_cfg(n_strong=200, n_weak=200, k=k))
+        assert built == {"tables": k, "columns": 1}
+
     def test_both_modes_are_one_seed_hash(self, seed_hashes):
         # an lg_run is one batch: strong series s on stream s, then weak
         # series s on stream k + s, every chunk seeded in one hash
@@ -967,29 +995,26 @@ class TestRunSweep:
                  if r["metric"] in metrics] for d in (data, with_n)]
         assert rows[0] == rows[1] and len(rows[0]) == 4
 
-    @pytest.mark.parametrize("mode, kernels", [("strong", 3), ("weak", 2 * 3)])
-    def test_builds_each_kernel_and_channel_once(self, monkeypatch, mode, kernels):
-        # 2 widths x 2 n x 3 tau: a strong kernel depends on tau alone, a weak
-        # one on the width too, and the weak channel on the width alone
-        calls = {"kernel": 0, "channel": 0}
-        init, channel = _SeriesKernel.__init__, harness.weak_channel_exact
-
-        def counting_init(self, *args):
-            calls["kernel"] += 1
-            init(self, *args)
+    @pytest.mark.parametrize("mode, columns", [("strong", 0), ("weak", 2)], ids=["strong", "weak"])
+    def test_builds_each_kernel_and_channel_once(self, monkeypatch, built, mode, columns):
+        # 2 widths x 2 n x 3 tau: one outcome table per distinct tau, shared
+        # by every width in both modes, one midpoint grouping per weak width,
+        # and the weak channel per width
+        calls = {"channel": 0}
+        channel = harness.weak_channel_exact
 
         def counting_channel(*args):
             calls["channel"] += 1
             return channel(*args)
 
-        monkeypatch.setattr(_SeriesKernel, "__init__", counting_init)
         monkeypatch.setattr(harness, "weak_channel_exact", counting_channel)
         cfg = sweep_cfg(mode)
         cfg["sweep"]["tau"] = [0.5, 1.0, 1.5]
         cfg["sweep"]["n"] = [200, 300]
         rows = run_sweep(parse_config(cfg))["rows"]
         assert len(rows) == 2 * 2 * 3 * 2
-        assert calls == {"kernel": kernels, "channel": 2}
+        assert calls == {"channel": 2}
+        assert built == {"tables": 3, "columns": columns}
 
     @pytest.mark.parametrize("grid", ["strong", "weak", "stock"])
     def test_each_width_is_written_once(self, grid):

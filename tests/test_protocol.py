@@ -286,6 +286,32 @@ class TestBatchLaws:
                 protocol._estimates(dyn or bench, points, 4, where=where)
             assert str(exc.value) == f"{name}: {message}"
 
+    # A = 1e140 sigma_z under H = 2 sigma_x, |E| = 2: a gap of 1 overflows
+    # the correlator's sums, and a gap of 1e308 the propagator's phases
+    HUGE_FAST = DynamicsSpec(2 * pauli("x"), spectral_decompose(1e140 * pauli("z")),
+                             basis_state(2, 0))
+    SUMS = ("the correlator's sums overflow float64; the observable's largest |eigenvalue| "
+            "is 1e+140")
+    PHASES = "exp(-i H t) needs finite phases E t, got t = 1e+308 and largest |E| = 2"
+    ORDER = "need t_second > t_first, got 2.0 >= 1.0"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("laws, first, message", [
+        ([(0.0, 1.0), (0.0, 1e308)], 0, SUMS),
+        ([(0.0, 1e-12), (2.0, 1.0), (0.0, 1e308)], 1, ORDER),
+        ([(0.0, 1e-12), (0.0, 1e308), (2.0, 1.0)], 1, PHASES),
+        ([(0.0, 1e-12), (1e308, 1.5e308), (0.0, 1.0)], 1, PHASES),
+    ], ids=["sums-before-phases", "order-at-its-turn", "phases-at-its-turn",
+            "t-first-phases-at-its-turn"])
+    def test_refusals_keep_their_batch_order(self, laws, first, message):
+        # the kernels of a batch are built before its first law is drawn, yet
+        # each refusal fires at its own law's turn, in law order: which law a
+        # batch refuses does not depend on what the laws after it hold
+        points = [((1, s + 2), *law, None, 100) for s, law in enumerate(laws)]
+        with pytest.raises(ValidationError) as exc:
+            protocol._estimates(self.HUGE_FAST, points, 4)
+        assert str(exc.value) == f"pair (1, {first + 2}): {message}"
+
 
 class TestWarningsNameTheCaller:
     """A weak-regime warning points at the line that called into lgsim."""
@@ -552,6 +578,21 @@ def _reference_tables(dyn, t_first, t_second):
     return proj, rho, u, g
 
 
+def _one_pair_table(dyn, t_first, t_second):
+    """The state at t_first and the table Re G[b, i, j] of one pair, built
+    alone: its own propagators, one Heisenberg product per projector and one
+    contraction, as the kernel of each pair was built before a batch stacked
+    them. The stacked build must match it bit for bit."""
+    rho = dyn.initial_state
+    if t_first:
+        rho = evolve(rho, propagator(dyn.hamiltonian, t_first))
+    u = propagator(dyn.hamiltonian, t_second - t_first)
+    proj = dyn.observable.projectors
+    blocks = (proj @ rho.matrix)[:, None] @ proj[None]  # P_i rho P_j
+    heis = np.stack([u.conj().T @ p @ u for p in proj])
+    return rho, np.einsum("bad,ijda->bij", heis, blocks).real
+
+
 def _weight_tables(kernel, n):
     """The (d, n) and (K, n) tables ``_second_cum`` fills."""
     d, n_pairs = kernel.table.shape
@@ -573,6 +614,82 @@ def _joint_table(kernel):
 DYNAMICS_CASES = [(2, "plain"), (3, "plain"), (5, "plain"), (8, "plain"),
                   (5, "degenerate"), (3, "offset"),
                   (3, "spin"), (8, "spin"), (3, "spin_offset")]
+
+
+def _bits(x):
+    """The bytes of an array, so that equal bits, signed zeros included, and
+    nothing else compare equal."""
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+class TestStackedKernels:
+    """``_kernels`` builds every kernel of a batch in one stacked pass: one
+    eigendecomposition of H, one evolved state per t_first, one Re G per pair
+    of times in a stacked contraction, one midpoint grouping per width. Each
+    kernel must equal its pair built alone bit for bit, however the gaps are
+    sliced."""
+
+    # t_first 0 and t_first values shared by several pairs; gaps shared
+    # across t_first values (0.7 from 0, 1.1 and 0.7; 1.1 from 0, 0.4 and
+    # 1.1), the gap 1.1 - 0.4, which is not the float 0.7, and gaps equal to
+    # a t_first (0.4, 0.7, 1.1)
+    PAIRS = [(0.0, 0.7), (0.4, 1.1), (0.4, 2.0), (1.1, 1.8), (0.0, 1.1), (1.1, 2.2),
+             (0.0, 0.4), (0.7, 1.4), (0.4, 1.1 + 0.4)]
+    POINTERS = [None, PointerModel(width=0.5), PointerModel(width=10.0)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["plain", "spin", "degenerate"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 12, 16])
+    def test_each_kernel_is_its_pair_built_alone(self, monkeypatch, dim, case):
+        dyn = _random_dynamics(np.random.default_rng(1000 + dim), dim, case)
+        a = dyn.observable.eigenvalues
+        keys = [(*pair, pointer) for pair in self.PAIRS for pointer in self.POINTERS]
+        # the default slices hold every gap of a t_first; one float per slice
+        # holds one gap
+        batches = [protocol._kernels(dyn, keys)]
+        monkeypatch.setattr(protocol, "_BLOCK_FLOATS", 1)
+        batches.append(protocol._kernels(dyn, keys))
+        for pair in self.PAIRS:
+            rho, re_g = _one_pair_table(dyn, *pair)
+            joint = np.clip(np.einsum("bii->ib", re_g), 0.0, None).ravel()
+            for pointer, kernels in itertools.product(self.POINTERS, batches):
+                kernel = kernels[(*pair, pointer)]
+                assert kernel.first_mode == ("strong" if pointer is None else "weak")
+                if pointer is None:
+                    assert _bits(kernel.joint) == _bits(joint / joint.sum())
+                    assert _bits(kernel.pair_products) == _bits(np.multiply.outer(a, a).ravel())
+                    continue
+                runs, table = protocol._midpoint_columns(a, pointer.width)
+                assert _bits(kernel.rho_first.matrix) == _bits(rho.matrix)
+                assert kernel.runs == runs
+                assert _bits(kernel.table) == _bits(table(re_g))
+
+    def test_one_decomposition_and_one_state_per_t_first(self, monkeypatch):
+        # one eigh of H for the unitaries of every distinct time, t_first and
+        # gap alike, in order of first appearance, and one evolve per nonzero t_first
+        dyn = _random_dynamics(np.random.default_rng(7), 4, "plain")
+        calls = {"eigh": 0, "evolve": 0, "times": []}
+        eigh, evolve_, unitaries = np.linalg.eigh, protocol.evolve, protocol._unitaries
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def recording_unitaries(evals, evecs, times):
+            calls["times"].append(list(times))
+            return unitaries(evals, evecs, times)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+        monkeypatch.setattr(protocol, "evolve", counting("evolve", evolve_))
+        monkeypatch.setattr(protocol, "_unitaries", recording_unitaries)
+        protocol._kernels(dyn, [(*pair, pointer) for pair in self.PAIRS
+                                for pointer in self.POINTERS])
+        assert (calls["eigh"], calls["evolve"]) == (1, 3)
+        times = [t for t1, t2 in self.PAIRS for t in ([t1] if t1 else []) + [t2 - t1]]
+        assert calls["times"] == [list(dict.fromkeys(times))]
 
 
 class TestSecondOutcomeWeights:
@@ -637,7 +754,7 @@ class TestSecondOutcomeWeights:
                                               substream(60, dim, 0))
             total = kernel._second_cum(first, _weight_tables(kernel, first.size))[-1]
             phi = np.exp(np.subtract.outer(kernel.eigenvalues, first) ** 2 / (-2.0 * width**2))
-            _, re_g = protocol._outcome_table(dyn, 0.4, 1.3)
+            _, re_g = _one_pair_table(dyn, 0.4, 1.3)
             want = np.einsum("ie,bij,je->e", phi, re_g, phi)
         np.testing.assert_allclose(total, want, rtol=1e-12)
 
@@ -727,7 +844,7 @@ class TestUnshiftedKernel:
     def test_products_match_the_shifted_kernel(self, monkeypatch, dim, case, width):
         dyn = _random_dynamics(np.random.default_rng(800 + dim), dim, case)
         kernel = _SeriesKernel(dyn, 0.4, 1.3, PointerModel(width=width))
-        _, re_g = protocol._outcome_table(dyn, 0.4, 1.3)
+        _, re_g = _one_pair_table(dyn, 0.4, 1.3)
         reps = _column_pairs(kernel.runs)
         table = _per_row_table(re_g, kernel.eigenvalues, width, reps)
         # one product sums each column in another order: d^2 terms of at
@@ -860,7 +977,7 @@ class TestChannelIdentities:
             weak = _SeriesKernel(dyn, self.T1, self.T2, pointer)
             weak_out = weak_channel_exact(rho, dyn.observable, pointer)
         joint = _joint_table(_SeriesKernel(dyn, self.T1, self.T2, None))
-        _, re_g = protocol._outcome_table(dyn, self.T1, self.T2)
+        _, re_g = _one_pair_table(dyn, self.T1, self.T2)
         return dyn.observable, rho, u, re_g, joint, weak, weak_out
 
     @pytest.mark.parametrize("dim, case", DYNAMICS_CASES)

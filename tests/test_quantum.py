@@ -468,6 +468,37 @@ class TestEvolve:
         with pytest.raises(ValidationError, match=r"exp\(-i H t\) needs finite phases E t"):
             propagator(h, t)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+    def test_propagator_over_times_is_each_scalar_call(self, rng, dim):
+        # a stack of one eigendecomposition, each slice bit for bit the
+        # scalar call, which is bit for bit exp(-i H t) formed from eigh alone
+        h = random_hermitian(dim, rng)
+        times = [0.0, 0.7, -1.3, 0.7, 1e-300, 123.456, 1e308 / (4 * dim)]
+        stack = propagator(h, times)
+        assert stack.shape == (len(times), dim, dim)
+        evals, evecs = np.linalg.eigh(h)
+        for t, u in zip(times, stack):
+            one = propagator(h, t)
+            assert one.shape == (dim, dim)
+            want = (evecs * np.exp(-1j * (evals * t))) @ evecs.conj().T
+            assert one.tobytes() == u.tobytes() == want.tobytes()
+        assert propagator(h, np.array(times[1:2])).tobytes() == stack[1].tobytes()
+        assert propagator(h, []).shape == (0, dim, dim)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("times, named", [
+        ([1.0, np.inf, np.nan], "inf"),
+        ([np.nan, np.inf], "nan"),
+        ([0.5, 1e308 - -1e308, -np.inf], "inf"),
+        ([1.0, 1e308, 2.0], "1e+308"),  # a finite t whose phase E t overflows
+    ], ids=["inf", "nan-first", "overflowed-gap", "overflowed-phase"])
+    def test_propagator_over_times_names_the_first_refused(self, times, named):
+        with pytest.raises(ValidationError) as exc:
+            propagator(2.0 * pauli("x"), times)
+        assert str(exc.value) == (f"exp(-i H t) needs finite phases E t, got t = {named} "
+                                  "and largest |E| = 2")
+
     def test_propagator_takes_any_finite_phase(self):
         u = propagator(0.5 * pauli("x"), 1e308)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
